@@ -5,13 +5,14 @@
 
 GO ?= go
 
-.PHONY: verify lint fuzzsmoke benchsmoke benchsmoke-sharded benchsmoke-subshard benchsmoke-admission benchsmoke-survive benchsmoke-snapshot benchsmoke-serve benchsmoke-adapt bench test
+.PHONY: verify lint benchcheck fuzzsmoke benchsmoke benchsmoke-sharded benchsmoke-subshard benchsmoke-admission benchsmoke-survive benchsmoke-snapshot benchsmoke-serve benchsmoke-adapt bench test
 
 verify:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(MAKE) lint
+	$(MAKE) benchcheck
 
 # wavedaglint enforces the concurrency and admission contracts
 # (lockfree, publish, poolpair, errwrap, registry — see the "Static
@@ -19,6 +20,15 @@ verify:
 # file:line diagnostics on any violation.
 lint:
 	$(GO) run ./cmd/wavedaglint ./...
+
+# The benchmark in wavebench/ is a module of its own, so the root
+# ./... patterns skip it: without this target a change to an API it
+# imports passes the gate while the benchmark stops building. The
+# module's replace directive points at this checkout, so it needs no
+# network.
+benchcheck:
+	$(GO) -C wavebench vet ./...
+	$(GO) -C wavebench test ./...
 
 # Ten seconds per fuzz target: enough to exercise the generators and
 # the oracles on every CI run without turning the gate into a soak.

@@ -1,7 +1,7 @@
 // Serving front-end driver: the open-loop overload sweep for the write
 // coalescer. Capacity is measured once per topology (closed-loop,
-// pipelined submitters under blocking backpressure, so the number is
-// engine-bound rather than latency-cap-bound), then each cell offers a
+// pipelined submitters under blocking backpressure, so the queue never
+// empties and the number is engine-bound), then each cell offers a
 // Poisson arrival stream at {0.5, 1, 2}× that capacity with shedding
 // on (bounded queue, shed verdicts with retry-after hints) or off
 // (blocking backpressure). ns/op is wall time per offered event — at
@@ -29,13 +29,6 @@ import (
 	"wavedag/internal/serve"
 	"wavedag/internal/wdm"
 )
-
-// serveLatencyCap is the coalescer latency cap used by both the
-// capacity probe and the open-loop cells. It is deliberately tighter
-// than the server default: the probe's closed-loop writers go idle
-// between windows, and a generous cap would bound the measurement by
-// the cap instead of the engine.
-const serveLatencyCap = 100 * time.Microsecond
 
 // serveBenches builds the serving sweep for one topology. The capacity
 // probe runs lazily on first use and is shared by every cell, so all
@@ -81,7 +74,6 @@ func serveCapacity(g *digraph.Digraph, pool []route.Request, seed int64) float64
 	}
 	srv, err := serve.New(eng,
 		serve.WithBlockingBackpressure(),
-		serve.WithLatencyCap(serveLatencyCap),
 		serve.WithSeed(seed))
 	if err != nil {
 		fatal(err)
@@ -162,7 +154,6 @@ func serveOpenLoop(b *testing.B, g *digraph.Digraph, pool []route.Request, rate 
 	// shed with hints.
 	opts := []serve.Option{
 		serve.WithQueueCapacity(256),
-		serve.WithLatencyCap(serveLatencyCap),
 		serve.WithSeed(seed),
 	}
 	if !shedding {

@@ -1,11 +1,12 @@
 // served is the long-running HTTP/JSON front-end over a ShardedEngine:
 // the serving process the library becomes. Writes go through the
-// internal/serve coalescer — batched under a latency cap, deadline-
-// aware, load-shedding with Retry-After hints, transient rejections
-// retried server-side — and reads answer lock-free from the engine's
-// published snapshots on any connection goroutine. SIGINT/SIGTERM
-// triggers the graceful drain: HTTP intake stops, every in-flight
-// submission is answered, then the engine closes.
+// internal/serve coalescer — whatever is queued applies as one batch
+// as soon as the dispatcher is free, deadline-aware, load-shedding with
+// Retry-After hints, transient rejections retried server-side — and
+// reads answer lock-free from the engine's published snapshots on any
+// connection goroutine. SIGINT/SIGTERM triggers the graceful drain:
+// HTTP intake stops, every in-flight submission is answered, then the
+// engine closes.
 //
 // The topology is synthetic (the same generator the benchmarks use),
 // making the binary self-contained:
@@ -60,7 +61,6 @@ func main() {
 		seed       = flag.Int64("seed", 1, "synthetic topology seed")
 		budget     = flag.Int("budget", 0, "engine wavelength budget (0 = unlimited)")
 		maxBatch   = flag.Int("max-batch", 256, "coalescer max batch size")
-		latencyCap = flag.Duration("latency-cap", 500*time.Microsecond, "coalescer latency cap")
 		queueCap   = flag.Int("queue-cap", 4096, "submission queue capacity")
 		shedDepth  = flag.Int("shed-depth", 0, "queue depth to start shedding at (0 = queue capacity)")
 		blocking   = flag.Bool("blocking", false, "block on a full queue instead of shedding")
@@ -90,7 +90,6 @@ func main() {
 	}
 	srvOpts := []serve.Option{
 		serve.WithMaxBatch(*maxBatch),
-		serve.WithLatencyCap(*latencyCap),
 		serve.WithQueueCapacity(*queueCap),
 	}
 	if *shedDepth > 0 {

@@ -41,7 +41,6 @@ func main() {
 	srv, err := wavedag.NewServer(eng,
 		wavedag.WithQueueCapacity(2),
 		wavedag.WithMaxBatch(4),
-		wavedag.WithLatencyCap(2*time.Millisecond),
 		wavedag.WithServeSeed(1),
 	)
 	if err != nil {
@@ -81,7 +80,7 @@ func main() {
 	fmt.Printf("burst:      %d submissions -> %d acked, %d shed (all definitive)\n", burst, acked, shed)
 	if shed > 0 {
 		fmt.Printf("shed hint:  retry after ~%v (transient: %v)\n",
-			hint.Round(time.Millisecond), wavedag.IsTransient(wavedag.ErrShed))
+			hint.Round(time.Microsecond), wavedag.IsTransient(wavedag.ErrShed))
 	}
 
 	// 3. A retrying client rides out the same overload: Do backs off

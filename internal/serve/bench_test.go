@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"wavedag/internal/wdm"
 )
@@ -18,7 +17,7 @@ import (
 // parallelism.
 func BenchmarkServeCoalesce(b *testing.B) {
 	srv, pool := testServer(b, 4, 71, nil,
-		WithBlockingBackpressure(), WithLatencyCap(100*time.Microsecond), WithSeed(71))
+		WithBlockingBackpressure(), WithSeed(71))
 	ctx := context.Background()
 	var worker atomic.Int64
 	b.ReportAllocs()
@@ -65,7 +64,7 @@ func BenchmarkServeCoalesce(b *testing.B) {
 // "shed_pct" reports the overload split.
 func BenchmarkServeShedding(b *testing.B) {
 	srv, pool := testServer(b, 4, 73, nil,
-		WithQueueCapacity(64), WithShedDepth(48), WithLatencyCap(100*time.Microsecond), WithSeed(73))
+		WithQueueCapacity(64), WithShedDepth(48), WithSeed(73))
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(73))
 	const ring = 256

@@ -5,9 +5,13 @@
 // every caller's experience definitive under overload.
 //
 // The core is a write coalescer: a bounded MPSC submission queue feeds
-// a single dispatcher goroutine that accumulates requests into batches
-// under a maximum batch size and a latency cap (the first queued
-// request never waits longer than the cap before its batch applies).
+// a single dispatcher goroutine that batches by the group-commit policy.
+// Whenever the dispatcher is free it takes every due retry and every
+// queued request, up to the maximum batch size, and applies them at
+// once; requests that arrive while a batch applies form the next one.
+// No request waits for company: an idle server applies a lone request
+// immediately, and a busy one fills its batches because the queue
+// never runs dry.
 // Each submission carries a completion future, so every caller gets
 // exactly one definitive response: an ack (with the engine result), a
 // terminal error, a deadline expiry, or a shed verdict.
@@ -188,22 +192,21 @@ func (r Response) Expired() bool { return errors.Is(r.Err, context.DeadlineExcee
 // Submitted == Acked + Failed + Shed + Expired whenever the server is
 // idle or drained.
 type ServerStats struct {
-	Submitted int64 // requests entering Submit
-	Acked     int64 // definitive success responses
-	Failed    int64 // definitive error responses (terminal engine errors, panics, closed)
-	Shed      int64 // load-shed verdicts
-	Expired   int64 // deadline expiries before engine work
-	Retried   int64 // server-side retry attempts consumed
-	Panics    int64 // batch applications that panicked (isolated)
-	Batches   int64 // engine batches applied
+	Submitted  int64 // requests entering Submit
+	Acked      int64 // definitive success responses
+	Failed     int64 // definitive error responses (terminal engine errors, panics, closed)
+	Shed       int64 // load-shed verdicts
+	Expired    int64 // deadline expiries before engine work
+	Retried    int64 // server-side retry attempts consumed
+	Panics     int64 // batch applications that panicked (isolated)
+	Batches    int64 // engine batches applied
 	BatchedOps int64 // ops applied through batches (BatchedOps/Batches = mean coalesce size)
-	Drained   bool  // Shutdown completed: queue flushed, engine closed
+	Drained    bool  // Shutdown completed: queue flushed, engine closed
 }
 
 // config collects the Server options.
 type config struct {
 	maxBatch    int
-	latencyCap  time.Duration
 	queueCap    int
 	shedDepth   int
 	blocking    bool
@@ -228,15 +231,16 @@ func WithMaxBatch(n int) Option {
 	}
 }
 
-// WithLatencyCap bounds how long the first request of a batch may wait
-// for co-batched company before the batch applies anyway (default
-// 500µs). Lower caps trade coalescing for latency.
+// WithLatencyCap has no effect; it still rejects d <= 0. The
+// dispatcher applies whatever is queued as soon as it is free, so no
+// request waits for co-batched company and there is no wait to cap.
+//
+// Deprecated: batching no longer waits on a timer; drop the option.
 func WithLatencyCap(d time.Duration) Option {
-	return func(c *config) error {
+	return func(*config) error {
 		if d <= 0 {
 			return fmt.Errorf("serve: latency cap must be > 0, got %v", d)
 		}
-		c.latencyCap = d
 		return nil
 	}
 }
@@ -349,14 +353,14 @@ type Server struct {
 	// service time in nanoseconds (atomic — Submit reads it lock-free).
 	perOpNanos atomic.Int64
 
-	submitted atomic.Int64
-	acked     atomic.Int64
-	failed    atomic.Int64
-	shed      atomic.Int64
-	expired   atomic.Int64
-	retried   atomic.Int64
-	panics    atomic.Int64
-	batches   atomic.Int64
+	submitted  atomic.Int64
+	acked      atomic.Int64
+	failed     atomic.Int64
+	shed       atomic.Int64
+	expired    atomic.Int64
+	retried    atomic.Int64
+	panics     atomic.Int64
+	batches    atomic.Int64
 	batchedOps atomic.Int64
 
 	// Dispatcher-owned scratch.
@@ -376,13 +380,12 @@ type Server struct {
 // path; call Shutdown to drain and close both.
 func New(eng *wdm.ShardedEngine, opts ...Option) (*Server, error) {
 	cfg := config{
-		maxBatch:   256,
-		latencyCap: 500 * time.Microsecond,
-		queueCap:   4096,
-		retryMax:   1,
-		retryBase:  200 * time.Microsecond,
+		maxBatch:    256,
+		queueCap:    4096,
+		retryMax:    1,
+		retryBase:   200 * time.Microsecond,
 		retryCapped: 10 * time.Millisecond,
-		seed:       1,
+		seed:        1,
 	}
 	for _, opt := range opts {
 		if err := opt(&cfg); err != nil {
@@ -440,15 +443,10 @@ func (s *Server) drained() bool {
 func (s *Server) QueueDepth() int { return len(s.queue) }
 
 // retryAfterHint estimates how long the backlog needs to drain below
-// the shed threshold: queued ops ahead of the caller times the
-// calibrated per-op service time, floored at one latency cap (the
-// soonest any new batch can complete).
+// the shed threshold: the queued ops ahead of the caller (at least one,
+// the caller's own) times the calibrated per-op service time.
 func (s *Server) retryAfterHint() time.Duration {
-	d := time.Duration(int64(len(s.queue))*s.perOpNanos.Load()) * time.Nanosecond
-	if d < s.cfg.latencyCap {
-		d = s.cfg.latencyCap
-	}
-	return d
+	return time.Duration(int64(max(len(s.queue), 1)) * s.perOpNanos.Load())
 }
 
 // Submit hands a request to the coalescer and blocks until its
@@ -544,9 +542,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // ── Dispatcher ─────────────────────────────────────────────────────────
 
-// dispatch is the single coalescer goroutine: it accumulates queued
-// requests into batches under the max-batch/latency-cap policy,
-// applies them, completes the futures, and services the retry backlog.
+// dispatch is the single coalescer goroutine: it batches whatever is
+// queued whenever it is free (see collect), applies it, completes the
+// futures, and services the retry backlog.
 // On drain it flushes everything, closes the engine and exits.
 func (s *Server) dispatch() {
 	defer close(s.done)
@@ -576,7 +574,7 @@ func (s *Server) dispatch() {
 				return
 			}
 		}
-		s.collect(first, timer)
+		s.collect(first)
 		s.applyBatch(false)
 	}
 }
@@ -595,9 +593,10 @@ func (s *Server) backlogWait() time.Duration {
 }
 
 // collect fills s.batch: due retries first (they have already waited),
-// then queued requests, up to maxBatch, waiting out the latency cap
-// from the first request's pickup when the queue runs dry early.
-func (s *Server) collect(first *pending, timer *time.Timer) {
+// then first and every other queued request, up to maxBatch. It never
+// waits for more: requests arriving while this batch applies form the
+// next one.
+func (s *Server) collect(first *pending) {
 	s.batch = s.batch[:0]
 	now := time.Now()
 	for len(s.backlog) > 0 && !s.backlog[0].retryAt.After(now) && len(s.batch) < s.cfg.maxBatch {
@@ -606,30 +605,18 @@ func (s *Server) collect(first *pending, timer *time.Timer) {
 	if first != nil {
 		s.batch = append(s.batch, first)
 	}
-	capAt := now.Add(s.cfg.latencyCap)
+	s.takeQueued()
+}
+
+// takeQueued appends queued requests to s.batch until it holds maxBatch
+// or the queue is empty.
+func (s *Server) takeQueued() {
 	for len(s.batch) < s.cfg.maxBatch {
 		select {
 		case p := <-s.queue:
 			s.batch = append(s.batch, p)
-			continue
 		default:
-		}
-		// Queue momentarily empty: wait out the remainder of the
-		// latency cap for co-batched company, or drain immediately.
-		wait := time.Until(capAt)
-		if wait <= 0 {
 			return
-		}
-		timer.Reset(wait)
-		select {
-		case p := <-s.queue:
-			stopTimer(timer)
-			s.batch = append(s.batch, p)
-		case <-timer.C:
-			return
-		case <-s.drainReq:
-			stopTimer(timer)
-			return // drain() flushes; finish this batch first
 		}
 	}
 }
@@ -653,15 +640,7 @@ func (s *Server) drain() {
 		for len(s.backlog) > 0 && len(s.batch) < s.cfg.maxBatch {
 			s.batch = append(s.batch, heap.Pop(&s.backlog).(*pending))
 		}
-		for len(s.batch) < s.cfg.maxBatch {
-			select {
-			case p := <-s.queue:
-				s.batch = append(s.batch, p)
-				continue
-			default:
-			}
-			break
-		}
+		s.takeQueued()
 		if len(s.batch) == 0 && len(s.backlog) == 0 {
 			break
 		}
@@ -851,8 +830,15 @@ func (s *Server) backoff(attempt int) time.Duration {
 // retryHeap orders backed-off requests by due time.
 type retryHeap []*pending
 
-func (h retryHeap) Len() int            { return len(h) }
-func (h retryHeap) Less(i, j int) bool  { return h[i].retryAt.Before(h[j].retryAt) }
-func (h retryHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i]; h[i].heapIdx = i; h[j].heapIdx = j }
-func (h *retryHeap) Push(x any)         { p := x.(*pending); p.heapIdx = len(*h); *h = append(*h, p) }
-func (h *retryHeap) Pop() any           { old := *h; n := len(old); x := old[n-1]; old[n-1] = nil; *h = old[:n-1]; return x }
+func (h retryHeap) Len() int           { return len(h) }
+func (h retryHeap) Less(i, j int) bool { return h[i].retryAt.Before(h[j].retryAt) }
+func (h retryHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i]; h[i].heapIdx = i; h[j].heapIdx = j }
+func (h *retryHeap) Push(x any)        { p := x.(*pending); p.heapIdx = len(*h); *h = append(*h, p) }
+func (h *retryHeap) Pop() any {
+	old := *h
+	n := len(old)
+	x := old[n-1]
+	old[n-1] = nil
+	*h = old[:n-1]
+	return x
+}

@@ -97,30 +97,69 @@ func TestServeAckRoundTrip(t *testing.T) {
 	checkBalance(t, st)
 }
 
-// TestServeCoalesces checks that concurrent submissions actually share
-// engine batches: with a generous latency cap, 64 async submissions
-// must land in far fewer than 64 ApplyBatchInto calls.
+// gateNextApply parks the dispatcher inside its next engine
+// application until release is called; parked closes once it is there.
+// Requests submitted meanwhile queue behind the gate and form the next
+// batch together (up to WithMaxBatch), so co-batching follows from the
+// order of events rather than from timing. Later applications run hook
+// (nil for none). Install the gate while the dispatcher is idle.
+func gateNextApply(srv *Server, hook func([]wdm.BatchOp)) (parked <-chan struct{}, release func()) {
+	in, out := make(chan struct{}), make(chan struct{})
+	gated := false
+	srv.testApplyHook = func(ops []wdm.BatchOp) {
+		if !gated {
+			gated = true
+			close(in)
+			<-out
+			return
+		}
+		if hook != nil {
+			hook(ops)
+		}
+	}
+	return in, func() { close(out) }
+}
+
+// TestServeCoalesces checks that requests queued while the dispatcher
+// is busy share one engine batch: 64 submissions made while it is
+// parked inside an application must all land in the next one.
 func TestServeCoalesces(t *testing.T) {
-	srv, pool := testServer(t, 3, 43, nil,
-		WithLatencyCap(20*time.Millisecond), WithMaxBatch(256))
+	srv, pool := testServer(t, 3, 43, nil, WithMaxBatch(256))
 	ctx := context.Background()
+	parked, release := gateNextApply(srv, nil)
 
 	const n = 64
-	futures := make([]<-chan Response, n)
-	for i := 0; i < n; i++ {
+	futures := make([]<-chan Response, n+1)
+	futures[0] = srv.SubmitAsync(ctx, AddRequest(pool[0].Src, pool[0].Dst))
+	<-parked
+	for i := 1; i <= n; i++ {
 		futures[i] = srv.SubmitAsync(ctx, AddRequest(pool[i%len(pool)].Src, pool[i%len(pool)].Dst))
 	}
+	release()
 	for i, f := range futures {
 		if resp := <-f; resp.Err != nil {
 			t.Fatalf("add %d: %v", i, resp.Err)
 		}
 	}
 	st := srv.Stats()
-	if st.BatchedOps != n {
-		t.Fatalf("batched ops = %d, want %d", st.BatchedOps, n)
+	if st.BatchedOps != n+1 || st.Batches != 2 {
+		t.Fatalf("%d ops in %d batches, want %d in 2 (the gated one, then all queued behind it)",
+			st.BatchedOps, st.Batches, n+1)
 	}
-	if st.Batches >= n/2 {
-		t.Fatalf("no coalescing: %d ops in %d batches", st.BatchedOps, st.Batches)
+}
+
+// TestServeIdleRequestDoesNotWait: a lone request on an idle server
+// applies at once; no timer holds it back waiting for company, however
+// long the deprecated latency cap says.
+func TestServeIdleRequestDoesNotWait(t *testing.T) {
+	srv, pool := testServer(t, 1, 101, nil, WithLatencyCap(time.Hour))
+	select {
+	case resp := <-srv.SubmitAsync(context.Background(), AddRequest(pool[0].Src, pool[0].Dst)):
+		if resp.Err != nil {
+			t.Fatalf("add: %v", resp.Err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("lone submission not acked within 5s: the dispatcher waited for company")
 	}
 }
 
@@ -155,12 +194,11 @@ func TestServeDeadlineExpiredBeforeEngineWork(t *testing.T) {
 func stalledServer(t *testing.T, queueCap, shedDepth int, blocking bool) *Server {
 	t.Helper()
 	cfg := config{
-		maxBatch:   256,
-		latencyCap: 500 * time.Microsecond,
-		queueCap:   queueCap,
-		shedDepth:  shedDepth,
-		blocking:   blocking,
-		retryMax:   1,
+		maxBatch:  256,
+		queueCap:  queueCap,
+		shedDepth: shedDepth,
+		blocking:  blocking,
+		retryMax:  1,
 	}
 	s := &Server{
 		cfg:      cfg,
@@ -198,6 +236,27 @@ func TestServeShedsAtDepth(t *testing.T) {
 	st := srv.Stats()
 	if st.Shed != 1 || st.Submitted != 3 {
 		t.Fatalf("stats = %+v, want 1 shed of 3", st)
+	}
+}
+
+// TestServeShedHintTracksDepth pins the shed hint to the queued ops
+// ahead of the caller times the calibrated per-op time (1µs in
+// stalledServer), with no floor beyond one op.
+func TestServeShedHintTracksDepth(t *testing.T) {
+	srv := stalledServer(t, 8, 3, false)
+	if got := srv.retryAfterHint(); got != time.Microsecond {
+		t.Fatalf("empty-queue hint = %v, want one op (1µs)", got)
+	}
+	ctx := context.Background()
+	for i := 0; i < 3; i++ {
+		srv.SubmitAsync(ctx, AddRequest(0, 1))
+	}
+	resp := <-srv.SubmitAsync(ctx, AddRequest(0, 1))
+	if !resp.Shed() {
+		t.Fatalf("err = %v, want ErrShed at depth 3", resp.Err)
+	}
+	if resp.RetryAfter != 3*time.Microsecond {
+		t.Fatalf("hint = %v, want 3 queued ops x 1µs", resp.RetryAfter)
 	}
 }
 
@@ -311,25 +370,32 @@ func TestServePanicIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(eng, WithLatencyCap(20*time.Millisecond))
+	srv, err := New(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Shutdown(context.Background())
 	marker := pool[0]
-	srv.testApplyHook = func(ops []wdm.BatchOp) {
+	parked, release := gateNextApply(srv, func(ops []wdm.BatchOp) {
 		for _, op := range ops {
 			if op.Kind == wdm.BatchAdd && op.Req == marker {
 				panic("injected fault")
 			}
 		}
-	}
+	})
 
 	ctx := context.Background()
+	gate := srv.SubmitAsync(ctx, AddRequest(pool[5].Src, pool[5].Dst))
+	<-parked
+	// The marker and its batch-mates queue behind the gate: one batch.
 	mf := srv.SubmitAsync(ctx, AddRequest(marker.Src, marker.Dst))
 	var others []<-chan Response
 	for i := 1; i <= 4; i++ {
 		others = append(others, srv.SubmitAsync(ctx, AddRequest(pool[i%len(pool)].Src, pool[i%len(pool)].Dst)))
+	}
+	release()
+	if r := <-gate; r.Err != nil {
+		t.Fatalf("gate add: %v", r.Err)
 	}
 	resp := <-mf
 	var pe ErrPanic
@@ -340,6 +406,9 @@ func TestServePanicIsolation(t *testing.T) {
 		if r := <-f; r.Err != nil {
 			t.Fatalf("batch-mate %d failed: %v", i, r.Err)
 		}
+	}
+	if st := srv.Stats(); st.Batches != 2 || st.BatchedOps != 6 {
+		t.Fatalf("%d ops in %d batches, want 6 in 2: marker not co-batched", st.BatchedOps, st.Batches)
 	}
 	// The server must still be fully alive.
 	srv.testApplyHook = nil
@@ -360,7 +429,7 @@ func TestServePanicIsolation(t *testing.T) {
 // coalescer: they must apply as barriers between batches and report
 // their storm/revival results through the future.
 func TestServeBarrierOps(t *testing.T) {
-	srv, pool := testServer(t, 1, 71, nil, WithLatencyCap(10*time.Millisecond))
+	srv, pool := testServer(t, 1, 71, nil)
 	ctx := context.Background()
 
 	ids := make(map[wdm.ShardedID]bool)
@@ -372,7 +441,7 @@ func TestServeBarrierOps(t *testing.T) {
 		ids[resp.ID] = true
 	}
 	// Cut the arc carrying the most traffic, interleaved with more
-	// writes so the barrier actually splits a batch.
+	// writes queued behind a gate so the barrier actually splits a batch.
 	loads := srv.Engine().ArcLoads()
 	arc, best := 0, -1
 	for a, l := range loads {
@@ -380,9 +449,17 @@ func TestServeBarrierOps(t *testing.T) {
 			arc, best = a, l
 		}
 	}
+	parked, release := gateNextApply(srv, nil)
+	gate := srv.SubmitAsync(ctx, AddRequest(pool[1].Src, pool[1].Dst))
+	<-parked
+	before := srv.Stats().Batches
 	pre := srv.SubmitAsync(ctx, AddRequest(pool[3].Src, pool[3].Dst))
 	cut := srv.SubmitAsync(ctx, FailArcRequest(digraph.ArcID(arc)))
 	post := srv.SubmitAsync(ctx, AddRequest(pool[5].Src, pool[5].Dst))
+	release()
+	if r := <-gate; r.Err != nil {
+		t.Fatalf("gate add: %v", r.Err)
+	}
 	if r := <-pre; r.Err != nil {
 		t.Fatalf("pre-cut add: %v", r.Err)
 	}
@@ -398,6 +475,10 @@ func TestServeBarrierOps(t *testing.T) {
 	}
 	if r := <-post; r.Err != nil {
 		t.Fatalf("post-cut add: %v", r.Err)
+	}
+	// The gated batch, then pre and post on either side of the barrier.
+	if got := srv.Stats().Batches - before; got != 3 {
+		t.Fatalf("%d engine batches after the gate, want 3 (barrier split)", got)
 	}
 	if got := srv.Engine().NumFailedArcs(); got != 1 {
 		t.Fatalf("failed arcs = %d, want 1", got)
@@ -428,7 +509,7 @@ func TestServeGracefulDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(eng, WithLatencyCap(5*time.Millisecond), WithQueueCapacity(1024))
+	srv, err := New(eng, WithQueueCapacity(1024))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -576,7 +657,7 @@ func TestServeCloseRacesDrain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := New(eng, WithLatencyCap(100*time.Microsecond))
+		srv, err := New(eng)
 		if err != nil {
 			t.Fatal(err)
 		}

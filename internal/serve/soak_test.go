@@ -33,13 +33,13 @@ func isNoRoute(err error) bool {
 // in CI.
 func TestServeChaosSoak(t *testing.T) {
 	const (
-		comps     = 3
-		writers   = 4
-		opsEach   = 200
-		addFrac   = 0.7
-		budget    = 6
+		comps      = 3
+		writers    = 4
+		opsEach    = 200
+		addFrac    = 0.7
+		budget     = 6
 		mtbf, mttr = 4.0, 1.0
-		horizon   = 12.0
+		horizon    = 12.0
 	)
 	net, pool := testNetwork(t, comps, 97)
 	eng, err := net.NewShardedEngine(wdm.WithEngineWavelengthBudget(budget))
@@ -49,7 +49,6 @@ func TestServeChaosSoak(t *testing.T) {
 	srv, err := New(eng,
 		WithQueueCapacity(256),
 		WithShedDepth(192),
-		WithLatencyCap(200*time.Microsecond),
 		WithServerRetry(3, 100*time.Microsecond, 2*time.Millisecond),
 		WithSeed(5),
 	)

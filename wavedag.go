@@ -295,11 +295,13 @@
 // The library becomes a process through the serving front-end: a
 // Server (NewServer) wraps a ShardedEngine's write path behind a
 // bounded submission queue and a write coalescer — one dispatcher
-// accumulates concurrent Submit calls into ApplyBatch batches under a
-// maximum batch size and a latency cap (WithMaxBatch /
-// WithLatencyCap), amortising the engine fan-out without asking
-// callers to assemble batches themselves. Reads never queue: the
-// lock-free query plane already answers from any goroutine.
+// applies everything queued, up to WithMaxBatch, as one ApplyBatch
+// whenever it is free; requests arriving meanwhile form the next batch
+// (the group-commit policy). An idle server applies a lone request at
+// once, a busy one fills its batches, and the engine fan-out is
+// amortised without asking callers to assemble batches themselves.
+// Reads never queue: the lock-free query plane already answers from any
+// goroutine.
 //
 // The serving contract is exactly-one-definitive-response: every
 // submission terminates in precisely one of
@@ -946,9 +948,9 @@ func NewFaultSchedule(g *Graph, mtbf, mttr, horizon float64, seed int64) ([]Faul
 // Serving front-end, re-exported from the serve layer (see the
 // "Serving & overload" section).
 
-// NewServer starts a serving front-end over eng: submissions coalesce
-// into engine batches under a latency cap, with deadlines, load
-// shedding, bounded retry and graceful drain. The Server takes over
+// NewServer starts a serving front-end over eng: submissions queued
+// while a batch applies coalesce into the next one, with deadlines,
+// load shedding, bounded retry and graceful drain. The Server takes over
 // eng's write path; Server.Shutdown drains and closes both.
 func NewServer(eng *ShardedEngine, opts ...ServeOption) (*Server, error) {
 	return serve.New(eng, opts...)
@@ -981,8 +983,11 @@ func RestoreArcRequest(a ArcID) ServeRequest { return serve.RestoreArcRequest(a)
 // WithMaxBatch caps how many coalesced ops one engine batch may carry.
 func WithMaxBatch(n int) ServeOption { return serve.WithMaxBatch(n) }
 
-// WithLatencyCap bounds how long the first request of a batch may wait
-// for co-batched company before the batch applies anyway.
+// WithLatencyCap has no effect; it still rejects d <= 0. The dispatcher
+// applies whatever is queued as soon as it is free, so there is no wait
+// to cap.
+//
+// Deprecated: batching no longer waits on a timer; drop the option.
 func WithLatencyCap(d time.Duration) ServeOption { return serve.WithLatencyCap(d) }
 
 // WithQueueCapacity sets the Server's submission queue bound.
