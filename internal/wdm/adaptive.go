@@ -155,8 +155,9 @@ func laneGauge(sh *engineShard) float64 {
 // adaptLocked is the adaptive plane's batch-boundary tick, run inside
 // applyLocked just before publication: refresh every live lane's
 // pressure gauges from the batch's admission deltas, then give each
-// two-level component its re-split and re-band decisions. The caller
-// holds e.mu.
+// component with region lanes its re-split and re-band decisions
+// (regionless components have no band to shift and no region to
+// split). The caller holds e.mu.
 func (e *ShardedEngine) adaptLocked() {
 	a := e.acfg.Alpha
 	for _, sh := range e.shards {
@@ -172,17 +173,14 @@ func (e *ShardedEngine) adaptLocked() {
 		} else {
 			sh.satEW -= a * sh.satEW // idle lanes cool off
 		}
-		// Occupancy is λ over the lane budget; NumLambda is only O(1)
-		// when every coloring state is incremental (lambdaEager), and
-		// only meaningful under a budget.
-		if b := sh.sess.Budget(); b > 0 && e.lambdaEager {
-			if n, err := sh.sess.NumLambda(); err == nil {
-				sh.occEW += a * (float64(n)/float64(b) - sh.occEW)
-			}
+		// Occupancy is λ over the lane budget, only meaningful under a
+		// budget.
+		if b := sh.sess.Budget(); b > 0 {
+			sh.occEW += a * (float64(sh.lambda())/float64(b) - sh.occEW)
 		}
 	}
 	for _, c := range e.comps {
-		if c.dead || !c.twoLevel() {
+		if c.dead || len(c.regionShards) == 0 {
 			continue
 		}
 		if e.resplit {
@@ -248,15 +246,13 @@ func (e *ShardedEngine) maybeReband(c *engineComponent) {
 	if newSlice > c.overlaySlice {
 		// Regions shrink: every region lane's live λ must fit the new
 		// region band.
-		for _, rs := range c.regionShards {
-			if n, err := rs.sess.NumLambda(); err != nil || n > regionBudget {
-				c.growPend = 0
-				return
-			}
+		if c.regionLambdaMax() > regionBudget {
+			c.growPend = 0
+			return
 		}
 	} else {
 		// Overlay shrinks: its live λ must fit the new slice.
-		if n, err := c.overlay.sess.NumLambda(); err != nil || n > newSlice {
+		if c.overlay.lambda() > newSlice {
 			c.shrinkPend = 0
 			return
 		}
@@ -483,25 +479,8 @@ func (e *ShardedEngine) resplitComp(c *engineComponent, ri int) {
 		c.lastLayout = e.batchSerial
 		return
 	}
-	mk := func(rv digraph.ComponentView, sess *Session) *engineShard {
-		gv := make([]digraph.Vertex, len(rv.ToGlobalVertex))
-		for i, cv := range rv.ToGlobalVertex {
-			gv[i] = c.view.ToGlobalVertex[cv]
-		}
-		ga := make([]digraph.ArcID, len(rv.ToGlobalArc))
-		for i, ca := range rv.ToGlobalArc {
-			ga[i] = c.view.ToGlobalArc[ca]
-		}
-		return e.addShard(&engineShard{
-			kind: shardRegion, comp: c, sess: sess,
-			toGlobalVertex: gv,
-			toGlobalArc:    ga,
-			toCompArc:      rv.ToGlobalArc,
-			toCompVertex:   rv.ToGlobalVertex,
-		})
-	}
-	shA := mk(newRegs.Views[ri], sessA)
-	shB := mk(newRegs.Views[newIdx], sessB)
+	shA := e.addRegionShard(c, newRegs.Views[ri], sessA)
+	shB := e.addRegionShard(c, newRegs.Views[newIdx], sessB)
 
 	// Relocate with every delta hook silent: adoption accounts trackers
 	// directly, and the batch reconciliation must not see relocation as
@@ -627,17 +606,10 @@ func (e *ShardedEngine) resplitComp(c *engineComponent, ri int) {
 
 	// Re-arm the delta hooks: the new lanes log like any region lane,
 	// the overlay resumes logging for scatter.
-	for _, sh := range []*engineShard{shA, shB} {
-		sh := sh
-		sh.sess.setPathDeltaHook(func(add bool, p *dipath.Path) {
-			sh.deltas = append(sh.deltas, shardDelta{add: add, path: p})
-		})
-	}
-	ov := c.overlay
-	ov.sess.setPathDeltaHook(func(add bool, p *dipath.Path) {
-		ov.deltas = append(ov.deltas, shardDelta{add: add, path: p})
-	})
-	ov.dirty = true
+	shA.logDeltas()
+	shB.logDeltas()
+	c.overlay.logDeltas()
+	c.overlay.dirty = true
 
 	c.escalate = true
 	c.lastLayout = e.batchSerial
@@ -650,9 +622,11 @@ func (e *ShardedEngine) resplitComp(c *engineComponent, ri int) {
 // lane; an arc between regions of one component becomes overlay-owned
 // (no region lane knows it, and region lanes escalate ErrNoRoute adds
 // to the overlay from then on, since the new arc may open cross-region
-// routes); an arc between two components merges them into one plain
-// component, relocating every lightpath of both into a fresh lane
-// (handles issued for them keep resolving through forward maps).
+// routes); an arc inside a component without region lanes joins its
+// overlay lane; an arc between two components merges them into one
+// component without region lanes, relocating every lightpath of both
+// into a fresh overlay lane (handles issued for them keep resolving
+// through forward maps).
 //
 // The engine operates on a private copy of the topology from the first
 // AddArc on: the Network the engine was built from is never mutated,
@@ -708,12 +682,8 @@ func (e *ShardedEngine) AddArc(tail, head digraph.Vertex) (digraph.ArcID, error)
 	e.arcComp = append(e.arcComp, c.idx)
 	e.arcLoc = append(e.arcLoc, la)
 	var gerr error
-	if !c.twoLevel() {
-		c.plain.toGlobalArc = c.view.ToGlobalArc
-		gerr = c.plain.sess.growTopology()
-		c.plain.dirty = true
-	} else {
-		c.overlay.toGlobalArc = c.view.ToGlobalArc
+	c.overlay.toGlobalArc = c.view.ToGlobalArc
+	if c.regions != nil {
 		if r, ru, rh, ok := c.regions.CommonRegionNewest(lt, lh); ok {
 			// Both endpoints share a region: the arc joins its lane, and
 			// region-confined routing may now use it.
@@ -738,11 +708,11 @@ func (e *ShardedEngine) AddArc(tail, head digraph.Vertex) (digraph.ArcID, error)
 			c.regions.LocalArc = append(c.regions.LocalArc, -1)
 			c.escalate = true
 		}
-		if gerr == nil {
-			gerr = c.overlay.sess.growTopology()
-		}
-		c.overlay.dirty = true
 	}
+	if gerr == nil {
+		gerr = c.overlay.sess.growTopology()
+	}
+	c.overlay.dirty = true
 	if gerr != nil {
 		// Compensate: a lane cannot run on the grown graph. Fail the new
 		// arc everywhere — every lane keeps working on the old effective
@@ -750,10 +720,8 @@ func (e *ShardedEngine) AddArc(tail, head digraph.Vertex) (digraph.ArcID, error)
 		// added, so un-rebuilt routing states stay safe).
 		_ = topo.FailArc(ga)
 		_ = c.view.G.FailArc(la)
-		if c.twoLevel() {
-			if ri := c.regions.ArcRegion[la]; ri >= 0 {
-				_ = c.regions.Views[ri].G.FailArc(c.regions.LocalArc[la])
-			}
+		if rs, rla := c.regionArc(la); rs != nil {
+			_ = rs.sess.net.Topology.FailArc(rla)
 		}
 		c.refreshLiveLabel()
 		return -1, fmt.Errorf("wdm: add arc: %w", gerr)
@@ -763,12 +731,12 @@ func (e *ShardedEngine) AddArc(tail, head digraph.Vertex) (digraph.ArcID, error)
 	return ga, nil
 }
 
-// mergeComps joins two components into one plain component over the
-// grown topology: the merged view lists lo's vertices and arcs, then
-// hi's, then the bridge arc (failed flags replicated), a fresh plain
-// lane is opened over it — the only fallible step, done before any
-// engine state mutates — and every entry of both old components is
-// relocated into it. The dissolved component keeps its slot, marked
+// mergeComps joins two components into one component without region
+// lanes over the grown topology: the merged view lists lo's vertices
+// and arcs, then hi's, then the bridge arc (failed flags replicated), a
+// fresh overlay lane is opened over it with the full engine budget —
+// the only fallible step, done before any engine state mutates — and
+// every entry of both old components is relocated into it. The dissolved component keeps its slot, marked
 // dead, so component and shard indexing stays stable.
 func (e *ShardedEngine) mergeComps(topo *digraph.Digraph, ga digraph.ArcID, ci, cj int32) error {
 	lo, hi := e.comps[ci], e.comps[cj]
@@ -805,7 +773,7 @@ func (e *ShardedEngine) mergeComps(topo *digraph.Digraph, ga digraph.ArcID, ci, 
 	bridge := topo.Arc(ga)
 	g.MustAddArc(mloc(bridge.Tail), mloc(bridge.Head))
 	gas = append(gas, ga)
-	sess, err := e.newLaneSession(g, e.budget, fmt.Sprintf("component %d (merge of %d+%d)", lo.idx, lo.idx, hi.idx))
+	sess, err := e.newLaneSession(g, e.budget, fmt.Sprintf("component %d overlay (merge of %d+%d)", lo.idx, lo.idx, hi.idx))
 	if err != nil {
 		return err
 	}
@@ -817,15 +785,14 @@ func (e *ShardedEngine) mergeComps(topo *digraph.Digraph, ga digraph.ArcID, ci, 
 		view:         digraph.ComponentView{G: g, ToGlobalVertex: gvs, ToGlobalArc: gas},
 		overlaySlice: e.overlaySlice,
 	}
-	nc.plain = e.addShard(&engineShard{
-		kind: shardPlain, comp: nc, sess: sess,
+	nc.overlay = e.addShard(&engineShard{
+		kind: shardOverlay, comp: nc, sess: sess,
 		toGlobalVertex: gvs,
 		toGlobalArc:    gas,
 	})
 	e.comps[lo.idx] = nc
 	hi.dead = true
-	hi.aggLambda, hi.aggLambdaErr, hi.aggRegionBase, hi.aggOverlayLambda = 0, nil, 0, 0
-	hi.aggPi, hi.aggLive, hi.aggDark = 0, 0, 0
+	hi.refreshCompAggregates() // dead: aggregates as zero
 	for lv, gv := range gvs {
 		e.label[gv] = nc.idx
 		e.localV[gv] = digraph.Vertex(lv)
@@ -837,14 +804,10 @@ func (e *ShardedEngine) mergeComps(topo *digraph.Digraph, ga digraph.ArcID, ci, 
 		e.arcLoc[gaa] = digraph.ArcID(la)
 	}
 	for _, src := range [2]*engineComponent{lo, hi} {
-		if src.twoLevel() {
-			for _, rs := range src.regionShards {
-				e.relocateShard(rs, nc.plain)
-			}
-			e.relocateShard(src.overlay, nc.plain)
-		} else {
-			e.relocateShard(src.plain, nc.plain)
+		for _, rs := range src.regionShards {
+			e.relocateShard(rs, nc.overlay)
 		}
+		e.relocateShard(src.overlay, nc.overlay)
 	}
 	nc.refreshLiveLabel()
 	return nil
@@ -853,8 +816,8 @@ func (e *ShardedEngine) mergeComps(topo *digraph.Digraph, ga digraph.ArcID, ci, 
 // relocateShard moves every entry of sh into the target lane t and
 // retires sh behind an immutable forward map. The translation goes
 // through the engine's freshly remapped global tables, so it is only
-// valid when t is a plain lane whose local identifiers are the engine's
-// current component-local identifiers (the merge path). Lightpaths a
+// valid when t is an overlay lane whose local identifiers are the
+// engine's current component-local identifiers (the merge path). Lightpaths a
 // band or colorer cannot seat in t park dark there instead of being
 // dropped.
 func (e *ShardedEngine) relocateShard(sh *engineShard, t *engineShard) {

@@ -89,7 +89,7 @@ func adaptiveFixture(t testing.TB, parts int, seed int64) (*Network, [][]digraph
 func regionPairs(t *testing.T, eng *ShardedEngine) ([]route.Request, *engineShard, *engineComponent) {
 	t.Helper()
 	for _, c := range eng.comps {
-		if c.dead || !c.twoLevel() {
+		if c.dead || len(c.regionShards) == 0 {
 			continue
 		}
 		// The largest region gives re-splitting the most room.

@@ -501,6 +501,89 @@ func TestBudgetedEngineUnbandableBudget(t *testing.T) {
 	eng.Close()
 }
 
+// TestBudgetedEngineMixedLayout pins per-lane budgets on an engine that
+// holds both layouts: a giant component with region lanes plus a small
+// satellite without them. The satellite's overlay lane admits against
+// the full budget w (not the overlay slice), is counted in Stats().Plain,
+// and stays out of the OverlayLive and OverlayLambda aggregates.
+func TestBudgetedEngineMixedLayout(t *testing.T) {
+	parts := make([]*digraph.Digraph, 3)
+	for i := range parts {
+		g, err := gen.RandomNoInternalCycleDAG(16, 3, 3, 0.25, int64(231+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts[i] = g
+	}
+	giant, _, err := gen.GlueChain(parts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	satellite, err := gen.RandomNoInternalCycleDAG(4, 1, 1, 0.3, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, _ := gen.DisjointUnion(gen.Instance{G: giant}, gen.Instance{G: satellite})
+	const w = 8 // overlay slice w/4 = 2
+	eng, err := (&Network{Topology: topo}).NewShardedEngine(
+		WithSubshardThreshold(16), WithEngineWavelengthBudget(w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if st := eng.Stats(); st.Components != 2 || st.TwoLevel != 1 {
+		t.Fatalf("layout: %+v, want 2 components with 1 two-level", st)
+	}
+
+	// One cross-region request on the giant, and a satellite request
+	// with at least one arc, so its copies stack load on the same arcs.
+	regions := giant.PartitionRegions()
+	giantN := digraph.Vertex(giant.NumVertices())
+	var cross, sat route.Request
+	haveCross, haveSat := false, false
+	for _, req := range route.NewRouter(topo).AllToAll() {
+		switch {
+		case req.Src < giantN && req.Dst < giantN:
+			if _, _, _, ok := regions.CommonRegion(req.Src, req.Dst); !ok && !haveCross {
+				cross, haveCross = req, true
+			}
+		case req.Src >= giantN && req.Dst >= giantN && req.Src != req.Dst && !haveSat:
+			sat, haveSat = req, true
+		}
+	}
+	if !haveCross || !haveSat {
+		t.Fatalf("fixture: cross-region=%v satellite=%v", haveCross, haveSat)
+	}
+	if _, err := eng.Add(cross); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < w; i++ {
+		if _, err := eng.Add(sat); err != nil {
+			t.Fatalf("satellite copy %d: %v (want accepted under the full budget %d)", i+1, err, w)
+		}
+	}
+	if _, err := eng.Add(sat); !errors.Is(err, ErrBudgetExceeded) {
+		t.Fatalf("satellite copy %d: got %v, want ErrBudgetExceeded", w+1, err)
+	}
+
+	st := eng.Stats()
+	if st.Plain.Requests != w+1 || st.Plain.Accepted != w || st.Plain.Rejected != 1 || st.Plain.Live != w {
+		t.Fatalf("Plain lane stats %+v, want the satellite's %d offers, %d accepted, 1 rejected", st.Plain, w+1, w)
+	}
+	if st.Overlay.Accepted != 1 || st.OverlayLive != 1 {
+		t.Fatalf("overlay stats: Overlay=%+v OverlayLive=%d, want only the giant's one request", st.Overlay, st.OverlayLive)
+	}
+	if n, err := eng.OverlayLambda(); err != nil || n != 1 {
+		t.Fatalf("OverlayLambda = %d (%v), want 1 (the satellite's λ must not count)", n, err)
+	}
+	if n, err := eng.NumLambda(); err != nil || n != w {
+		t.Fatalf("NumLambda = %d (%v), want %d (the satellite's copies)", n, err, w)
+	}
+	if err := eng.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestApplyBatchIntoReuse pins the pooled-results contract: the buffer
 // is reused when it fits, stale entries are cleared, and results match
 // a fresh allocation.

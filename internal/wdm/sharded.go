@@ -22,13 +22,14 @@ var ErrEngineClosed = errors.New("wdm: engine closed")
 
 // DefaultSubshardThreshold is the component size (in vertices) at which
 // NewShardedEngine decomposes a component into arc-disjoint regions and
-// runs it two-level. WithSubshardThreshold overrides; 0 disables.
+// gives it one region lane per region. WithSubshardThreshold overrides;
+// 0 disables.
 const DefaultSubshardThreshold = 64
 
 // ShardedID identifies a live request inside a ShardedEngine: the
-// executable shard that owns it (a whole component, one arc-disjoint
-// region of a two-level component, or a component's overlay lane) plus
-// its SessionID within that shard's session. Treat it as opaque.
+// executable shard that owns it (one arc-disjoint region lane, or a
+// component's overlay lane) plus its SessionID within that shard's
+// session. Treat it as opaque.
 type ShardedID struct {
 	Shard int32
 	ID    SessionID
@@ -84,37 +85,40 @@ type BatchResult struct {
 //     vertices stays inside the region, so region-confined requests
 //     route, load and color on a compact region sub-session exactly as
 //     they would globally, and paths in different regions never share
-//     an arc. Requests whose endpoints share no region must cross
-//     regions; they escalate to the component's serialized overlay
-//     lane, a session over the whole component view.
+//     an arc.
 //
-// Each executable shard — a whole small component, one region, or one
-// overlay lane — owns its router, load tracker, conflict graph and
-// colorer outright, so the per-event hot path takes no locks or
-// atomics. ApplyBatch groups a batch by owning shard and runs two
-// phases on a persistent worker pool (started at construction, shut
-// down by Close): phase 1 executes component shards and region lanes in
-// parallel; phase 2 reconciles each touched two-level component —
-// serialized per component, components in parallel — by folding the
-// region lanes' path deltas into the overlay tracker, applying the
-// component's overlay ops in input order, and scattering the overlay
-// paths' per-arc loads back into the region trackers. The overlay
-// session's tracker therefore holds the component's exact combined
-// load view (π stays exact), and each region tracker holds the exact
-// loads on its own arcs, which is all min-load routing inside a region
-// can ever consult.
+// Every component has one shape: an overlay lane — a session over the
+// whole component view — plus zero or more region lanes, one per
+// region. Requests whose endpoints share a region run on that region's
+// lane; everything else (every request of a component without region
+// lanes) runs on the overlay lane. Each lane owns its router, load
+// tracker, conflict graph and colorer outright, so the per-event hot
+// path takes no locks or atomics. ApplyBatch groups a batch by owning
+// lane and runs two phases on a persistent worker pool (started at
+// construction, shut down by Close): phase 1 executes region lanes in
+// parallel; phase 2 runs one serialized task per touched component,
+// components in parallel, which folds the region lanes' path deltas
+// into the overlay tracker, applies the component's overlay ops in
+// input order, and scatters the overlay paths' per-arc loads back into
+// the region trackers. The overlay session's tracker therefore holds
+// the component's exact combined load view (π stays exact), and each
+// region tracker holds the exact loads on its own arcs, which is all
+// min-load routing inside a region can ever consult. Without region
+// lanes the fold and scatter are empty and phase 2 is just the
+// component's ops.
 //
 // Wavelength aggregation is banded: regions of one component are
 // arc-disjoint, so their λ counts aggregate as a max, exactly like
 // components; the overlay lane's classes are reported offset above the
 // region maximum (overlay wavelength w maps to maxᵣλᵣ + w), so overlay
 // paths — which do share arcs with region paths — can never collide
-// with them, and a component's λ is maxᵣλᵣ + λ_overlay. Across
-// components λ remains the max. π is the max over components; the
-// merged Provisioning deduplicates ADMs globally.
+// with them, and a component's λ is maxᵣλᵣ + λ_overlay (the empty
+// region maximum is 0). Across components λ remains the max. π is the
+// max over components; the merged Provisioning deduplicates ADMs
+// globally.
 //
 // All methods are safe for concurrent use: one engine mutex serialises
-// API entry, so batches never interleave. Per-shard event order is the
+// API entry, so batches never interleave. Per-lane event order is the
 // input order; ops on one component split between region lanes and the
 // overlay lane are reconciled at the batch boundary (the overlay lane
 // applies after the region lanes, whatever the input interleaving).
@@ -147,7 +151,7 @@ type ShardedEngine struct {
 	stormNanos int64
 
 	// Wavelength budget (0 = unlimited) and the per-component overlay
-	// band it reserves on two-level components; see
+	// band it reserves on components with region lanes; see
 	// WithEngineWavelengthBudget.
 	budget       int
 	overlaySlice int
@@ -172,25 +176,21 @@ type ShardedEngine struct {
 	batchSerial uint64
 
 	// Lock-free query plane (see snapshot.go): the currently published
-	// snapshot, its sequence counter, whether λ is cheap enough to
-	// materialise per publication (all coloring states incremental), the
-	// per-publication component dirtiness scratch, and the buffer
-	// recycling pools.
+	// snapshot, its sequence counter, the per-publication component
+	// dirtiness scratch, and the buffer recycling pools.
 	snap          atomic.Pointer[EngineSnapshot]
 	pubSeq        uint64
-	lambdaEager   bool
 	snapCompDirty []bool
 	tablePool     sync.Pool // *snapTable
 	vecPool       sync.Pool // *snapVec
 }
 
-// shardKind distinguishes the three executable shard flavours.
+// shardKind distinguishes the two lanes of a component.
 type shardKind uint8
 
 const (
-	shardPlain   shardKind = iota // one whole (small) component
-	shardRegion                   // one arc-disjoint region of a two-level component
-	shardOverlay                  // a two-level component's serialized cross-region lane
+	shardRegion  shardKind = iota // one arc-disjoint region of a component
+	shardOverlay                  // a component's serialized lane over its whole view
 )
 
 // engineShard is one executable unit of the engine. Everything below is
@@ -213,7 +213,7 @@ type engineShard struct {
 	toCompVertex []digraph.Vertex
 
 	ops    []shardOp    // scratch: this batch's ops
-	deltas []shardDelta // batch-scoped path deltas (region/overlay only)
+	deltas []shardDelta // batch-scoped path deltas (components with region lanes only)
 
 	// dirty marks the shard's session as mutated since the last snapshot
 	// publication, so publishLocked rebuilds its entry table. Set by the
@@ -268,12 +268,15 @@ type shardDelta struct {
 }
 
 // engineComponent is one weakly connected component of the engine
-// topology: either a single plain shard, or a two-level group of region
-// shards plus an overlay lane.
+// topology: an overlay lane over the whole view plus one region lane per
+// region. regions is nil and regionShards empty when the component is
+// below the sub-shard threshold or its partition yields a single region
+// (a "regionless" component): its overlay lane then carries all of its
+// traffic, admits against the full engine budget, logs no path deltas
+// and stays out of adaptive re-banding and re-splitting.
 type engineComponent struct {
 	idx          int32
 	view         digraph.ComponentView
-	plain        *engineShard // single-level components; nil when two-level
 	regions      *digraph.Regions
 	regionShards []*engineShard
 	overlay      *engineShard
@@ -304,15 +307,12 @@ type engineComponent struct {
 	// banding base), π, and live/dark counts as of the last publication
 	// that found this component dirty. Maintained under e.mu.
 	aggLambda        int
-	aggLambdaErr     error
 	aggRegionBase    int // region λ max — the overlay band's base
-	aggOverlayLambda int
+	aggOverlayLambda int // 0 on regionless components (see OverlayLambda)
 	aggPi            int
 	aggLive          int
 	aggDark          int
 }
-
-func (c *engineComponent) twoLevel() bool { return c.plain == nil }
 
 // shardedConfig collects NewShardedEngine options.
 type shardedConfig struct {
@@ -345,8 +345,10 @@ func WithShardWorkers(n int) ShardedOption {
 }
 
 // WithShardSessionOptions forwards session options (routing/coloring
-// strategy, slack, capacity hint) to every per-shard session, region
-// and overlay lanes included.
+// strategy, slack, capacity hint) to every lane session, region and
+// overlay lanes alike. Lanes must color incrementally (λ is read at
+// every publication), so NewShardedEngine rejects a coloring strategy
+// that defers assignment, such as ColoringFull.
 func WithShardSessionOptions(opts ...SessionOption) ShardedOption {
 	return func(c *shardedConfig) error {
 		c.sessionOpts = append(c.sessionOpts, opts...)
@@ -356,10 +358,11 @@ func WithShardSessionOptions(opts ...SessionOption) ShardedOption {
 
 // WithSubshardThreshold sets the component size (in vertices) at which
 // a weakly connected component is decomposed into arc-disjoint regions
-// and run two-level (default DefaultSubshardThreshold). 0 disables
-// sub-sharding entirely — every component runs as one plain shard, the
-// pre-two-level layout. Components whose decomposition yields a single
-// region (fully biconnected) stay plain regardless.
+// and given one region lane per region (default
+// DefaultSubshardThreshold). 0 disables sub-sharding entirely — every
+// component runs on its overlay lane alone, with no region lanes.
+// Components whose decomposition yields a single region (fully
+// biconnected) get no region lanes regardless.
 func WithSubshardThreshold(n int) ShardedOption {
 	return func(c *shardedConfig) error {
 		if n < 0 {
@@ -374,10 +377,11 @@ func WithSubshardThreshold(n int) ShardedOption {
 // wavelength budget of w: because λ aggregates as a max over components
 // (and over the arc-disjoint regions inside one), a global budget is
 // exactly a per-shard budget, so admission stays on the lock-free
-// per-shard hot path with no cross-shard coordination. Plain components
-// admit against w outright; a two-level component splits w into a
-// region band (w minus the overlay slice, see WithOverlayBudgetSlice)
-// and an overlay band, so the banded aggregation can never exceed w.
+// per-shard hot path with no cross-shard coordination. A component
+// without region lanes admits against w outright on its overlay lane;
+// a component with region lanes splits w into a region band (w minus
+// the overlay slice, see WithOverlayBudgetSlice) and an overlay band,
+// so the banded aggregation can never exceed w.
 // Over-budget requests fail their batch op with ErrBudgetExceeded (or
 // go to the admission strategy configured via WithShardSessionOptions);
 // per-lane counts aggregate into EngineStats. w <= 0 means unlimited.
@@ -392,12 +396,12 @@ func WithEngineWavelengthBudget(w int) ShardedOption {
 }
 
 // WithOverlayBudgetSlice sets how many of a budgeted engine's w
-// wavelengths each two-level component reserves for its overlay lane
-// (cross-region traffic); region lanes admit against the remaining
+// wavelengths each component with region lanes reserves for its overlay
+// lane (cross-region traffic); region lanes admit against the remaining
 // w - slice. The default is w/4, at least 1. The slice must leave the
-// regions at least one wavelength; an engine whose layout has two-level
-// components rejects budgets that cannot be split (use
-// WithSubshardThreshold(0) to run such budgets single-level).
+// regions at least one wavelength; an engine whose layout has region
+// lanes rejects budgets that cannot be split (use
+// WithSubshardThreshold(0) to run such budgets without region lanes).
 func WithOverlayBudgetSlice(k int) ShardedOption {
 	return func(c *shardedConfig) error {
 		if k < 1 {
@@ -450,91 +454,55 @@ func (n *Network) NewShardedEngine(opts ...ShardedOption) (*ShardedEngine, error
 	}
 	for ci, view := range views {
 		comp := &engineComponent{idx: int32(ci), view: view, overlaySlice: overlaySlice}
-		var regs *digraph.Regions
 		if cfg.subshard > 0 && view.G.NumVertices() >= cfg.subshard {
 			if r := view.G.PartitionRegions(); r.NumRegions() >= 2 {
-				regs = r
+				comp.regions = r
 			}
 		}
-		if regs == nil {
-			sess, err := e.newLaneSession(view.G, cfg.budget, fmt.Sprintf("component %d", ci))
-			if err != nil {
-				return nil, err
-			}
-			comp.plain = e.addShard(&engineShard{
-				kind: shardPlain, comp: comp, sess: sess,
-				toGlobalVertex: view.ToGlobalVertex,
-				toGlobalArc:    view.ToGlobalArc,
-			})
-		} else {
+		overlayBudget := cfg.budget
+		if comp.regions != nil {
 			if cfg.budget > 0 && cfg.budget-overlaySlice < 1 {
 				return nil, fmt.Errorf(
 					"wdm: wavelength budget %d cannot band a two-level component (overlay slice %d leaves no region budget); use WithOverlayBudgetSlice or WithSubshardThreshold(0)",
 					cfg.budget, overlaySlice)
 			}
-			comp.regions = regs
-			for ri, rv := range regs.Views {
+			overlayBudget = overlaySlice
+			for ri, rv := range comp.regions.Views {
 				sess, err := e.newLaneSession(rv.G, cfg.budget-overlaySlice, fmt.Sprintf("component %d region %d", ci, ri))
 				if err != nil {
 					return nil, err
 				}
-				gv := make([]digraph.Vertex, len(rv.ToGlobalVertex))
-				for i, cv := range rv.ToGlobalVertex {
-					gv[i] = view.ToGlobalVertex[cv]
-				}
-				ga := make([]digraph.ArcID, len(rv.ToGlobalArc))
-				for i, ca := range rv.ToGlobalArc {
-					ga[i] = view.ToGlobalArc[ca]
-				}
-				comp.regionShards = append(comp.regionShards, e.addShard(&engineShard{
-					kind: shardRegion, comp: comp, sess: sess,
-					toGlobalVertex: gv,
-					toGlobalArc:    ga,
-					toCompArc:      rv.ToGlobalArc,
-					toCompVertex:   rv.ToGlobalVertex,
-				}))
+				comp.regionShards = append(comp.regionShards, e.addRegionShard(comp, rv, sess))
 			}
-			sess, err := e.newLaneSession(view.G, overlaySlice, fmt.Sprintf("component %d overlay", ci))
-			if err != nil {
-				return nil, err
+		}
+		sess, err := e.newLaneSession(view.G, overlayBudget, fmt.Sprintf("component %d overlay", ci))
+		if err != nil {
+			return nil, err
+		}
+		comp.overlay = e.addShard(&engineShard{
+			kind: shardOverlay, comp: comp, sess: sess,
+			toGlobalVertex: view.ToGlobalVertex,
+			toGlobalArc:    view.ToGlobalArc,
+		})
+		if comp.regions != nil {
+			// Region and overlay lanes log every tracker mutation — batch
+			// ops and storm reroutes alike — for the batch-boundary
+			// reconciliation; a regionless component has nothing to
+			// reconcile.
+			for _, rs := range comp.regionShards {
+				rs.logDeltas()
 			}
-			comp.overlay = e.addShard(&engineShard{
-				kind: shardOverlay, comp: comp, sess: sess,
-				toGlobalVertex: view.ToGlobalVertex,
-				toGlobalArc:    view.ToGlobalArc,
-			})
+			comp.overlay.logDeltas()
 		}
 		e.comps = append(e.comps, comp)
 	}
-	// Inverse arc maps for O(1) failure dispatch, and the path-delta
-	// hooks through which region/overlay lanes log every tracker
-	// mutation — batch ops and storm reroutes alike — for the two-level
-	// reconciliation.
+	// Inverse arc maps for O(1) failure dispatch.
 	e.arcComp = make([]int32, n.Topology.NumArcs())
 	e.arcLoc = make([]digraph.ArcID, n.Topology.NumArcs())
 	for _, c := range e.comps {
 		for la, ga := range c.view.ToGlobalArc {
 			e.arcComp[ga] = c.idx
 			e.arcLoc[ga] = digraph.ArcID(la)
-		}
-	}
-	for _, sh := range e.shards {
-		if sh.kind != shardPlain {
-			sh := sh
-			sh.sess.setPathDeltaHook(func(add bool, p *dipath.Path) {
-				sh.deltas = append(sh.deltas, shardDelta{add: add, path: p})
-			})
-		}
-	}
-	// λ is materialised into every snapshot only when all coloring
-	// states answer NumLambda in O(1) (the incremental strategy, the
-	// default); a deferred strategy would turn every publication into a
-	// full solve, so those engines answer λ through the strong path.
-	e.lambdaEager = true
-	for _, sh := range e.shards {
-		if _, ok := sh.sess.coloring.(*incrementalState); !ok {
-			e.lambdaEager = false
-			break
 		}
 	}
 	e.snapCompDirty = make([]bool, len(e.comps))
@@ -549,7 +517,9 @@ func (n *Network) NewShardedEngine(opts ...ShardedOption) (*ShardedEngine, error
 // newLaneSession opens one lane session over g with the given lane
 // budget (ignored when the engine is unbudgeted), applying the
 // engine's forwarded session options. Used at construction and by
-// every re-layout (re-split, capacity add, component merge).
+// every re-layout (re-split, capacity add, component merge). Lanes
+// must color incrementally: publication reads every dirty lane's λ,
+// which only the incremental strategy answers in O(1).
 func (e *ShardedEngine) newLaneSession(g *digraph.Digraph, budget int, what string) (*Session, error) {
 	subnet := &Network{Topology: g, Wavelengths: e.net.Wavelengths}
 	opts := e.sessionOpts
@@ -563,6 +533,10 @@ func (e *ShardedEngine) newLaneSession(g *digraph.Digraph, budget int, what stri
 	if err != nil {
 		return nil, fmt.Errorf("wdm: %s: %w", what, err)
 	}
+	if _, ok := sess.coloring.(*incrementalState); !ok {
+		return nil, fmt.Errorf("wdm: %s: coloring strategy %q defers wavelength assignment; engine lanes need %q",
+			what, sess.ColoringStrategyName(), ColoringIncremental)
+	}
 	return sess, nil
 }
 
@@ -574,6 +548,43 @@ func (e *ShardedEngine) addShard(sh *engineShard) *engineShard {
 	sh.dirty = true
 	e.shards = append(e.shards, sh)
 	return sh
+}
+
+// addRegionShard appends a region lane of c over the region view rv
+// (whose identifiers are component-local), composing its translations
+// to the engine topology through the component view.
+func (e *ShardedEngine) addRegionShard(c *engineComponent, rv digraph.ComponentView, sess *Session) *engineShard {
+	gv := make([]digraph.Vertex, len(rv.ToGlobalVertex))
+	for i, cv := range rv.ToGlobalVertex {
+		gv[i] = c.view.ToGlobalVertex[cv]
+	}
+	ga := make([]digraph.ArcID, len(rv.ToGlobalArc))
+	for i, ca := range rv.ToGlobalArc {
+		ga[i] = c.view.ToGlobalArc[ca]
+	}
+	return e.addShard(&engineShard{
+		kind: shardRegion, comp: c, sess: sess,
+		toGlobalVertex: gv,
+		toGlobalArc:    ga,
+		toCompArc:      rv.ToGlobalArc,
+		toCompVertex:   rv.ToGlobalVertex,
+	})
+}
+
+// logDeltas installs the session hook through which the lane logs
+// every tracker mutation into sh.deltas for the batch-boundary
+// reconciliation.
+func (sh *engineShard) logDeltas() {
+	sh.sess.setPathDeltaHook(func(add bool, p *dipath.Path) {
+		sh.deltas = append(sh.deltas, shardDelta{add: add, path: p})
+	})
+}
+
+// lambda returns the lane's wavelength count. Lanes always color
+// incrementally (see newLaneSession), so this is an O(1) read that
+// cannot fail.
+func (sh *engineShard) lambda() int {
+	return sh.sess.coloring.(*incrementalState).ic.NumLambda()
 }
 
 // Close waits for any in-flight batch, stops the persistent worker
@@ -598,8 +609,8 @@ func (e *ShardedEngine) Close() error {
 	return nil
 }
 
-// NumShards returns the number of executable shards: plain components,
-// regions and overlay lanes combined, retired shards included (the
+// NumShards returns the number of executable shards: one overlay lane
+// per component plus every region lane, retired shards included (the
 // flattened layout only ever grows, so ShardedID.Shard stays a stable
 // index).
 func (e *ShardedEngine) NumShards() int {
@@ -640,9 +651,9 @@ type LaneStats struct {
 
 	// Adaptive pressure gauges (see adaptive.go): the maximum over this
 	// flavour's live lanes of the budget-occupancy EWMA (lane λ over
-	// lane budget; 0 when the engine is unbudgeted or λ is not eagerly
-	// materialised) and of the admission-saturation EWMA (rejected
-	// share of recent offers). These drive the adaptive banding gate.
+	// lane budget; 0 when the engine is unbudgeted) and of the
+	// admission-saturation EWMA (rejected share of recent offers). These
+	// drive the adaptive banding gate.
 	Occupancy  float64
 	Saturation float64
 }
@@ -671,9 +682,9 @@ func (l *LaneStats) add(s *Session) {
 // behaviour exactly).
 type EngineStats struct {
 	Components   int // weakly connected components
-	TwoLevel     int // components running the two-level region layout
-	RegionShards int // region lanes across all two-level components
-	OverlayLive  int // live requests across all overlay lanes
+	TwoLevel     int // components with region lanes
+	RegionShards int // region lanes across all components
+	OverlayLive  int // live requests across the overlay lanes of components with region lanes
 
 	Budget int // engine wavelength budget (0 = unlimited)
 
@@ -686,9 +697,9 @@ type EngineStats struct {
 	Resplits int // hot-region re-splits applied
 	ArcAdds  int // live capacity adds applied via AddArc
 
-	Plain   LaneStats // whole-component shards
-	Region  LaneStats // region lanes of two-level components
-	Overlay LaneStats // serialized overlay lanes
+	Plain   LaneStats // lanes of components without region lanes
+	Region  LaneStats // region lanes
+	Overlay LaneStats // overlay lanes of components with region lanes
 }
 
 // Requests returns the total offers across all lanes.
@@ -744,23 +755,22 @@ func (e *ShardedEngine) statsLocked() EngineStats {
 		if c.dead {
 			continue
 		}
-		if c.twoLevel() {
+		if len(c.regionShards) > 0 {
 			st.TwoLevel++
 			st.RegionShards += len(c.regionShards)
 			st.OverlayLive += c.overlay.sess.Len()
 		}
 	}
 	for _, sh := range e.shards {
-		var l *LaneStats
-		switch sh.kind {
-		case shardPlain:
-			l = &st.Plain
-		case shardRegion:
+		// A component never gains or loses region lanes (re-splits only
+		// split existing ones, merges open regionless components), so a
+		// retired lane keeps the bucket it counted in while live.
+		l := &st.Plain
+		switch {
+		case sh.kind == shardRegion:
 			l = &st.Region
-		case shardOverlay:
+		case len(sh.comp.regionShards) > 0:
 			l = &st.Overlay
-		default:
-			continue
 		}
 		// Retired shards still contribute their cumulative admission and
 		// failure counters (their drained sessions hold no live state);
@@ -782,7 +792,7 @@ func (e *ShardedEngine) statsLocked() EngineStats {
 func (e *ShardedEngine) Budget() int { return e.budget }
 
 // OverlayBudgetSlice returns the overlay band a budgeted engine
-// reserves per two-level component (0 when no budget is set).
+// reserves per component with region lanes (0 when no budget is set).
 func (e *ShardedEngine) OverlayBudgetSlice() int {
 	if e.budget <= 0 {
 		return 0
@@ -791,27 +801,20 @@ func (e *ShardedEngine) OverlayBudgetSlice() int {
 }
 
 // OverlayLambdaStrong returns the maximum number of overlay wavelength
-// classes across components — the band the two-level aggregation stacks
-// above the region maximum (0 when no overlay lane holds a request) —
-// read under the engine mutex (see OverlayLambda for the snapshot
-// form).
+// classes across components with region lanes — the band the
+// aggregation stacks above the region maximum (0 when no such overlay
+// lane holds a request) — read under the engine mutex (see
+// OverlayLambda for the snapshot form). The error is always nil.
 func (e *ShardedEngine) OverlayLambdaStrong() (int, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	max := 0
+	n := 0
 	for _, c := range e.comps {
-		if c.dead || !c.twoLevel() {
-			continue
-		}
-		n, err := c.overlay.sess.NumLambda()
-		if err != nil {
-			return 0, fmt.Errorf("wdm: component %d overlay: %w", c.idx, err)
-		}
-		if n > max {
-			max = n
+		if !c.dead && len(c.regionShards) > 0 {
+			n = max(n, c.overlay.lambda())
 		}
 	}
-	return max, nil
+	return n, nil
 }
 
 // ── Dispatch ───────────────────────────────────────────────────────────
@@ -819,9 +822,8 @@ func (e *ShardedEngine) OverlayLambdaStrong() (int, error) {
 // dispatchAdd resolves the executable shard of an add request and the
 // request in that shard's local identifiers. Out-of-range endpoints and
 // cross-component pairs (which no dipath can satisfy — the same answer
-// a full search would reach) are rejected in O(1); two-level components
-// route co-region pairs to the region lane and everything else to the
-// overlay lane.
+// a full search would reach) are rejected in O(1); co-region pairs go
+// to their region lane and everything else to the overlay lane.
 func (e *ShardedEngine) dispatchAdd(req route.Request) (*engineShard, route.Request, error) {
 	n := len(e.label)
 	if req.Src < 0 || req.Dst < 0 || int(req.Src) >= n || int(req.Dst) >= n {
@@ -839,11 +841,10 @@ func (e *ShardedEngine) dispatchAdd(req route.Request) (*engineShard, route.Requ
 		// inside the component would exhaust itself reaching.
 		return nil, req, route.ErrNoRoute{Req: req}
 	}
-	if !c.twoLevel() {
-		return c.plain, route.Request{Src: lsrc, Dst: ldst}, nil
-	}
-	if r, ru, rv, ok := c.regions.CommonRegionNewest(lsrc, ldst); ok {
-		return c.regionShards[r], route.Request{Src: ru, Dst: rv}, nil
+	if c.regions != nil {
+		if r, ru, rv, ok := c.regions.CommonRegionNewest(lsrc, ldst); ok {
+			return c.regionShards[r], route.Request{Src: ru, Dst: rv}, nil
+		}
 	}
 	return c.overlay, route.Request{Src: lsrc, Dst: ldst}, nil
 }
@@ -904,10 +905,10 @@ func (sh *engineShard) globalizeErr(prefix string, err error) error {
 // or the resolved shard-local session id (BatchRemove/BatchReroute —
 // dispatch already chased forward maps, so so.id is live here even
 // when op.ID names a retired shard; results keep reporting the
-// caller's original handle). Region and overlay lanes log the path
-// deltas for the phase-2 tracker reconciliation through their
+// caller's original handle). Lanes of components with region lanes log
+// the path deltas for the phase-2 tracker reconciliation through their
 // session's path-delta hook — every tracker mutation (op-driven or
-// storm-driven) lands in sh.deltas, so apply itself no longer captures
+// storm-driven) lands in sh.deltas, so apply itself captures no
 // before/after paths.
 func (sh *engineShard) apply(e *ShardedEngine, op BatchOp, so shardOp) BatchResult {
 	sh.dirty = true // even a failed op may have mutated admission counters
@@ -934,13 +935,13 @@ func (sh *engineShard) apply(e *ShardedEngine, op BatchOp, so shardOp) BatchResu
 // ── Batch execution ────────────────────────────────────────────────────
 
 // ApplyBatch applies a slice of churn events, grouping them by owning
-// shard and executing phase 1 (plain components and region lanes) in
-// parallel on the persistent pool, then phase 2 (overlay lanes and the
-// two-level tracker reconciliation) with one serialized task per
-// touched component. Results are parallel to ops; per-shard event order
-// is the input order. Ops that cannot be dispatched (out-of-range
-// vertices, cross-component requests, unknown shards) fail
-// individually without aborting the batch.
+// shard and executing phase 1 (region lanes) in parallel on the
+// persistent pool, then phase 2 (overlay lanes and the tracker
+// reconciliation) with one serialized task per touched component,
+// components in parallel. Results are parallel to ops; per-shard event
+// order is the input order. Ops that cannot be dispatched (out-of-range
+// vertices, cross-component requests, unknown shards) fail individually
+// without aborting the batch.
 func (e *ShardedEngine) ApplyBatch(ops []BatchOp) []BatchResult {
 	return e.ApplyBatchInto(ops, nil)
 }
@@ -982,7 +983,7 @@ func (e *ShardedEngine) applyLocked(ops []BatchOp, results []BatchResult) {
 	serial := len(ops) <= serialBatchThreshold
 	e.fanOut(serial, len(p1), func(i int) {
 		sh := e.shards[p1[i]]
-		escalating := sh.kind == shardRegion && sh.comp.escalate
+		escalating := sh.comp.escalate
 		for _, so := range sh.ops {
 			res := sh.apply(e, ops[so.idx], so)
 			if escalating && res.Err != nil && ops[so.idx].Kind == BatchAdd {
@@ -1016,18 +1017,18 @@ func (e *ShardedEngine) applyLocked(ops []BatchOp, results []BatchResult) {
 }
 
 // group routes each op to its shard's mailbox, failing undispatchable
-// ops in place. It returns the phase-1 shards (plain and region, in
-// first-touch order) and the two-level components that need a phase-2
-// task (any region or overlay traffic this batch).
+// ops in place. It returns the phase-1 region lanes (in first-touch
+// order) and the components that need a phase-2 task (any traffic this
+// batch), also in first-touch order.
 func (e *ShardedEngine) group(ops []BatchOp, results []BatchResult) (p1, p2 []int32) {
 	p1, p2 = e.p1Scratch[:0], e.p2Scratch[:0]
 	e.batchSerial++
 	enqueue := func(sh *engineShard, i int, req route.Request, lid SessionID) {
-		if sh.kind != shardPlain && e.compStamp[sh.comp.idx] != e.batchSerial {
+		if e.compStamp[sh.comp.idx] != e.batchSerial {
 			e.compStamp[sh.comp.idx] = e.batchSerial
 			p2 = append(p2, sh.comp.idx)
 		}
-		if sh.kind != shardOverlay && len(sh.ops) == 0 {
+		if sh.kind == shardRegion && len(sh.ops) == 0 {
 			p1 = append(p1, sh.idx)
 		}
 		sh.events++
@@ -1055,7 +1056,7 @@ func (e *ShardedEngine) group(ops []BatchOp, results []BatchResult) (p1, p2 []in
 	return p1, p2
 }
 
-// overlayPhase is a two-level component's phase-2 task, serialized per
+// overlayPhase is a component's phase-2 task, serialized per
 // component: (a) fold the region lanes' batch deltas into the overlay
 // tracker — after which it is the component's exact combined load view
 // again; (b) apply the overlay lane's ops in input order; (c) scatter
@@ -1115,15 +1116,13 @@ func (c *engineComponent) foldRegionDeltas() {
 func (c *engineComponent) scatterOverlayDeltas() {
 	for _, d := range c.overlay.deltas {
 		for _, a := range d.path.Arcs() {
-			ri := c.regions.ArcRegion[a]
-			if ri < 0 {
+			rs, la := c.regionArc(a)
+			if rs == nil {
 				// Overlay-owned arc (a capacity add that bridges regions
 				// belongs to no region lane); its load lives only in the
 				// overlay tracker.
 				continue
 			}
-			rs := c.regionShards[ri]
-			la := c.regions.LocalArc[a]
 			if d.add {
 				rs.sess.tracker.AddArc(la)
 			} else {
@@ -1132,6 +1131,20 @@ func (c *engineComponent) scatterOverlayDeltas() {
 		}
 	}
 	c.overlay.deltas = c.overlay.deltas[:0]
+}
+
+// regionArc resolves a component-local arc to the region lane that
+// owns it and the arc's identifier there. It returns a nil lane for
+// overlay-owned arcs and on components without region lanes.
+func (c *engineComponent) regionArc(ca digraph.ArcID) (*engineShard, digraph.ArcID) {
+	if c.regions == nil {
+		return nil, -1
+	}
+	ri := c.regions.ArcRegion[ca]
+	if ri < 0 {
+		return nil, -1
+	}
+	return c.regionShards[ri], c.regions.LocalArc[ca]
 }
 
 // Add provisions a single request (see ApplyBatch for the batched
@@ -1269,7 +1282,7 @@ func (sh *engineShard) globalPath(e *ShardedEngine, p *dipath.Path) (*dipath.Pat
 }
 
 // compLocalPath translates a shard-local dipath to its component's
-// view (identity for plain and overlay shards).
+// view (identity for overlay lanes, which run on the view itself).
 func (sh *engineShard) compLocalPath(p *dipath.Path) (*dipath.Path, error) {
 	if sh.kind != shardRegion {
 		return p, nil
@@ -1301,38 +1314,15 @@ func (e *ShardedEngine) PathStrong(id ShardedID) (*dipath.Path, error) {
 	return sh.globalPath(e, p)
 }
 
-// regionLambdaMax returns the maximum λ across a two-level component's
-// region lanes — the base of the overlay lane's wavelength band.
-func (c *engineComponent) regionLambdaMax() (int, error) {
-	max := 0
+// regionLambdaMax returns the maximum λ across a component's region
+// lanes (0 without region lanes) — the base of the overlay lane's
+// wavelength band.
+func (c *engineComponent) regionLambdaMax() int {
+	n := 0
 	for _, rs := range c.regionShards {
-		n, err := rs.sess.NumLambda()
-		if err != nil {
-			return 0, fmt.Errorf("wdm: component %d region: %w", c.idx, err)
-		}
-		if n > max {
-			max = n
-		}
+		n = max(n, rs.lambda())
 	}
-	return max, nil
-}
-
-// lambda returns a component's wavelength count: the per-shard λ for
-// plain components, the region maximum plus the overlay band for
-// two-level ones.
-func (c *engineComponent) lambda() (int, error) {
-	if !c.twoLevel() {
-		return c.plain.sess.NumLambda()
-	}
-	base, err := c.regionLambdaMax()
-	if err != nil {
-		return 0, err
-	}
-	on, err := c.overlay.sess.NumLambda()
-	if err != nil {
-		return 0, fmt.Errorf("wdm: component %d overlay: %w", c.idx, err)
-	}
-	return base + on, nil
+	return n
 }
 
 // WavelengthStrong returns the current wavelength of a live request,
@@ -1351,11 +1341,7 @@ func (e *ShardedEngine) WavelengthStrong(id ShardedID) (int, error) {
 	if err != nil || sh.kind != shardOverlay || w < 0 {
 		return w, err
 	}
-	base, err := sh.comp.regionLambdaMax()
-	if err != nil {
-		return -1, err
-	}
-	return base + w, nil
+	return sh.comp.regionLambdaMax() + w, nil
 }
 
 // LenStrong returns the number of live requests across all shards,
@@ -1372,25 +1358,16 @@ func (e *ShardedEngine) LenStrong() int {
 
 // PiStrong returns the load π of the live routing — the maximum over
 // components — read under the engine mutex (see Pi for the snapshot
-// form). A two-level component's overlay tracker holds the exact
-// combined load view (region lanes reconcile into it at every batch
-// boundary), so π stays exact under sub-sharding.
+// form). A component's overlay tracker holds the exact combined load
+// view (region lanes reconcile into it at every batch boundary), so π
+// stays exact under sub-sharding.
 func (e *ShardedEngine) PiStrong() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	pi := 0
 	for _, c := range e.comps {
-		if c.dead {
-			continue
-		}
-		var p int
-		if c.twoLevel() {
-			p = c.overlay.sess.tracker.Pi()
-		} else {
-			p = c.plain.sess.Pi()
-		}
-		if p > pi {
-			pi = p
+		if !c.dead {
+			pi = max(pi, c.overlay.sess.Pi())
 		}
 	}
 	return pi
@@ -1398,24 +1375,17 @@ func (e *ShardedEngine) PiStrong() int {
 
 // NumLambdaStrong returns the number of wavelengths in use: the
 // maximum over components (offset-free union — wavelengths of
-// independent components overlap rather than stack), where a two-level
+// independent components overlap rather than stack), where a
 // component counts its region maximum plus its overlay band. It reads
-// under the engine mutex (see NumLambda for the snapshot form) and is
-// the materialising path for deferred coloring strategies.
+// under the engine mutex (see NumLambda for the snapshot form); the
+// error is always nil.
 func (e *ShardedEngine) NumLambdaStrong() (int, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	num := 0
 	for _, c := range e.comps {
-		if c.dead {
-			continue
-		}
-		n, err := c.lambda()
-		if err != nil {
-			return 0, err
-		}
-		if n > num {
-			num = n
+		if !c.dead {
+			num = max(num, c.regionLambdaMax()+c.overlay.lambda())
 		}
 	}
 	return num, nil
@@ -1429,33 +1399,22 @@ func (e *ShardedEngine) ArcLoadsStrong() []int {
 	defer e.mu.Unlock()
 	loads := make([]int, e.net.Topology.NumArcs())
 	for _, c := range e.comps {
-		if c.dead {
-			continue
-		}
-		if c.twoLevel() {
+		if !c.dead {
 			// The overlay tracker is the component's combined view.
 			c.overlay.sess.tracker.ScatterLoads(loads, c.view.ToGlobalArc)
-		} else {
-			c.plain.sess.tracker.ScatterLoads(loads, c.view.ToGlobalArc)
 		}
 	}
 	return loads
 }
 
-// verify checks one component's live assignment: a plain component
-// defers to its session; a two-level component materialises every
-// lane's paths in component identifiers with their effective (banded)
-// wavelengths and checks the combined assignment against the conflict
-// invariant — the strongest form, since it would catch a band collision
-// between lanes, not just per-lane improprieties.
+// verify checks one component's live assignment: it materialises
+// every lane's paths in component identifiers with their effective
+// (banded) wavelengths and checks the combined assignment against the
+// conflict invariant — the strongest form, since it would catch a band
+// collision between lanes, not just per-lane improprieties. Without
+// region lanes this is exactly the overlay session's own Verify.
 func (c *engineComponent) verify() error {
-	if !c.twoLevel() {
-		return c.plain.sess.Verify()
-	}
-	offset, err := c.regionLambdaMax()
-	if err != nil {
-		return err
-	}
+	offset := c.regionLambdaMax()
 	var fam dipath.Family
 	var colors []int
 	numColors := 0
@@ -1512,10 +1471,10 @@ func (e *ShardedEngine) Verify() error {
 }
 
 // Provisioning materialises the engine's current state: shards
-// materialise concurrently, then merge in component order — a two-level
-// component lists its region lanes in index order, then its overlay
-// lane, each in slot order — so the output is deterministic regardless
-// of worker scheduling. Paths are translated to the engine topology
+// materialise concurrently, then merge in component order — a component
+// lists its region lanes in index order, then its overlay lane, each in
+// slot order — so the output is deterministic regardless of worker
+// scheduling. Paths are translated to the engine topology
 // through the trusted (no-revalidation) constructor; overlay
 // wavelengths are lifted into their component's effective band, and
 // ADMs are deduplicated globally (cut vertices can terminate lightpaths
@@ -1564,33 +1523,24 @@ func (e *ShardedEngine) Provisioning() (*Provisioning, error) {
 		if c.dead {
 			continue
 		}
-		var compLambda int
 		var compMethod core.Method
-		if !c.twoLevel() {
-			if err := appendShard(c.plain, 0); err != nil {
+		offset := 0
+		for _, rs := range c.regionShards {
+			if err := appendShard(rs, 0); err != nil {
 				return nil, err
 			}
-			compLambda = provs[c.plain.idx].NumLambda
-			compMethod = provs[c.plain.idx].Method
-		} else {
-			offset := 0
-			for _, rs := range c.regionShards {
-				if err := appendShard(rs, 0); err != nil {
-					return nil, err
-				}
-				if p := provs[rs.idx]; p.NumLambda > offset {
-					offset = p.NumLambda
-					compMethod = p.Method
-				}
+			if p := provs[rs.idx]; p.NumLambda > offset {
+				offset = p.NumLambda
+				compMethod = p.Method
 			}
-			if err := appendShard(c.overlay, offset); err != nil {
-				return nil, err
-			}
-			if op := provs[c.overlay.idx]; op.NumLambda > 0 {
-				compMethod = op.Method
-			}
-			compLambda = offset + provs[c.overlay.idx].NumLambda
 		}
+		if err := appendShard(c.overlay, offset); err != nil {
+			return nil, err
+		}
+		if op := provs[c.overlay.idx]; op.NumLambda > 0 {
+			compMethod = op.Method
+		}
+		compLambda := offset + provs[c.overlay.idx].NumLambda
 		if compLambda > merged.NumLambda {
 			merged.NumLambda = compLambda
 			merged.Method = compMethod // the binding component names the method
@@ -1603,22 +1553,17 @@ func (e *ShardedEngine) Provisioning() (*Provisioning, error) {
 
 // ShardRecolorStats reports a shard's incremental-colorer recolor
 // counters — warm (drifts absorbed by the class-seeded repack) and cold
-// (from-scratch pipeline runs) — when its coloring strategy maintains
-// an incremental colorer; ok is false otherwise. Shards index the
-// flattened layout (plain components, region lanes, overlay lanes; see
-// NumShards). The counters are read under the engine lock, so the call
-// is safe concurrently with batches (handing out the live colorer
-// itself would not be).
+// (from-scratch pipeline runs); ok is false for an index outside the
+// flattened layout (overlay and region lanes; see NumShards). The
+// counters are read under the engine lock, so the call is safe
+// concurrently with batches (handing out the live colorer itself would
+// not be).
 func (e *ShardedEngine) ShardRecolorStats(shard int) (warm, cold int, ok bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if shard < 0 || shard >= len(e.shards) {
 		return 0, 0, false
 	}
-	st, ok := e.shards[shard].sess.coloring.(*incrementalState)
-	if !ok {
-		return 0, 0, false
-	}
-	ic := st.Incremental()
+	ic := e.shards[shard].sess.coloring.(*incrementalState).Incremental()
 	return ic.WarmRecolors(), ic.FullRecolors(), true
 }

@@ -15,17 +15,17 @@ import (
 // historically returned without republishing, leaving lock-free readers
 // on a snapshot that disagreed with the mutex-guarded strong reads.
 
-// desyncArc returns a global arc owned by a plain component, with its
-// component and local identifier.
+// desyncArc returns a global arc owned by a component without region
+// lanes, with its component and local identifier.
 func desyncArc(t *testing.T, eng *ShardedEngine) (digraph.ArcID, *engineComponent, digraph.ArcID) {
 	t.Helper()
 	for a := range eng.arcComp {
 		c := eng.comps[eng.arcComp[a]]
-		if !c.twoLevel() {
+		if len(c.regionShards) == 0 {
 			return digraph.ArcID(a), c, eng.arcLoc[a]
 		}
 	}
-	t.Skip("no plain component in this topology")
+	t.Skip("no component without region lanes in this topology")
 	return 0, nil, 0
 }
 
@@ -40,7 +40,7 @@ func TestFailArcPublishesOnStormError(t *testing.T) {
 
 	// Cut the arc in the component's private view only: the next engine
 	// FailArc cuts the global topology, then errors in the storm.
-	if _, err := c.plain.sess.FailArc(la); err != nil {
+	if _, err := c.overlay.sess.FailArc(la); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.FailArc(ga); err == nil {
@@ -75,7 +75,7 @@ func TestRestoreArcPublishesOnSweepError(t *testing.T) {
 	if _, err := eng.FailArc(ga); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.plain.sess.RestoreArc(la); err != nil {
+	if _, err := c.overlay.sess.RestoreArc(la); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.RestoreArc(ga); err == nil {

@@ -22,11 +22,11 @@ func (s *Session) Revive() int {
 }
 
 // FailArc cuts an arc of the engine topology and runs the restoration
-// storm on the owning component. Plain components storm on their single
-// session; a two-level component storms the owning region lane first,
-// folds its deltas into the overlay tracker, storms the overlay lane
-// (whose paths may also cross the arc), scatters the overlay deltas
-// back, and gives region dark entries a cross-lane revival chance. The
+// storm on the owning component: the region lane owning the arc (if
+// any) storms first, its deltas fold into the overlay tracker, the
+// overlay lane storms (its paths may also cross the arc), the overlay
+// deltas scatter back, and region dark entries get a cross-lane revival
+// chance. Without region lanes only the overlay lane storms. The
 // component's live labels are refreshed, so requests a split made
 // unroutable are rejected in O(1) at dispatch. Cutting an unknown or
 // already-cut arc is an error with no state change; after Close it
@@ -60,40 +60,29 @@ func (e *ShardedEngine) FailArc(a digraph.ArcID) (StormReport, error) {
 		c.markAllDirty()
 		e.publishLocked()
 	}()
-	var rep StormReport
-	if !c.twoLevel() {
-		r, err := c.plain.sess.FailArc(ca)
+	var rrep StormReport
+	if rs, rla := c.regionArc(ca); rs != nil {
+		r, err := rs.sess.FailArc(rla)
 		if err != nil {
-			return StormReport{}, fmt.Errorf("wdm: component %d: %w", c.idx, err)
+			return StormReport{}, fmt.Errorf("wdm: component %d region: %w", c.idx, err)
 		}
-		rep = r
-	} else {
-		var rrep StormReport
-		if ri := c.regions.ArcRegion[ca]; ri >= 0 {
-			rs := c.regionShards[ri]
-			r, err := rs.sess.FailArc(c.regions.LocalArc[ca])
-			if err != nil {
-				return StormReport{}, fmt.Errorf("wdm: component %d region: %w", c.idx, err)
-			}
-			rrep = r
-		}
-		// Overlay-owned arcs (ri < 0: capacity adds that bridge regions)
-		// storm only the overlay lane — no region session knows them.
-		c.foldRegionDeltas()
-		orep, err := c.overlay.sess.FailArc(ca)
-		if err != nil {
-			return StormReport{}, fmt.Errorf("wdm: component %d overlay: %w", c.idx, err)
-		}
-		c.scatterOverlayDeltas()
-		c.crossLaneRevive()
-		rep = StormReport{
-			Affected: rrep.Affected + orep.Affected,
-			Restored: rrep.Restored + orep.Restored,
-			Parked:   rrep.Parked + orep.Parked,
-			Retries:  rrep.Retries + orep.Retries,
-		}
+		rrep = r
 	}
-	return rep, nil
+	// Overlay-owned arcs (capacity adds that bridge regions) storm only
+	// the overlay lane — no region session knows them.
+	c.foldRegionDeltas()
+	orep, err := c.overlay.sess.FailArc(ca)
+	if err != nil {
+		return StormReport{}, fmt.Errorf("wdm: component %d overlay: %w", c.idx, err)
+	}
+	c.scatterOverlayDeltas()
+	c.crossLaneRevive()
+	return StormReport{
+		Affected: rrep.Affected + orep.Affected,
+		Restored: rrep.Restored + orep.Restored,
+		Parked:   rrep.Parked + orep.Parked,
+		Retries:  rrep.Retries + orep.Retries,
+	}, nil
 }
 
 // RestoreArc repairs a cut arc and runs the re-admission sweeps on the
@@ -125,38 +114,26 @@ func (e *ShardedEngine) RestoreArc(a digraph.ArcID) (int, error) {
 		c.markAllDirty()
 		e.publishLocked()
 	}()
-	revived := 0
-	if !c.twoLevel() {
-		n, err := c.plain.sess.RestoreArc(ca)
+	n1 := 0
+	if rs, rla := c.regionArc(ca); rs != nil {
+		n, err := rs.sess.RestoreArc(rla)
 		if err != nil {
-			return 0, fmt.Errorf("wdm: component %d: %w", c.idx, err)
+			return 0, fmt.Errorf("wdm: component %d region: %w", c.idx, err)
 		}
-		revived = n
-	} else {
-		n1 := 0
-		if ri := c.regions.ArcRegion[ca]; ri >= 0 {
-			rs := c.regionShards[ri]
-			n, err := rs.sess.RestoreArc(c.regions.LocalArc[ca])
-			if err != nil {
-				return 0, fmt.Errorf("wdm: component %d region: %w", c.idx, err)
-			}
-			n1 = n
-		}
-		c.foldRegionDeltas()
-		n2, err := c.overlay.sess.RestoreArc(ca)
-		if err != nil {
-			return 0, fmt.Errorf("wdm: component %d overlay: %w", c.idx, err)
-		}
-		c.scatterOverlayDeltas()
-		revived = n1 + n2 + c.crossLaneRevive()
+		n1 = n
 	}
-	return revived, nil
+	c.foldRegionDeltas()
+	n2, err := c.overlay.sess.RestoreArc(ca)
+	if err != nil {
+		return 0, fmt.Errorf("wdm: component %d overlay: %w", c.idx, err)
+	}
+	c.scatterOverlayDeltas()
+	return n1 + n2 + c.crossLaneRevive(), nil
 }
 
 // Revive runs the re-admission sweep across every lane on demand:
 // removals already revive within their own lane, but capacity freed in
-// one lane of a two-level component can unblock dark entries of
-// another, and only failure events sweep across lanes — this is the
+// one lane of a component can unblock dark entries of another, and only failure events sweep across lanes — this is the
 // explicit trigger. It returns how many entries came back; after Close
 // it returns ErrEngineClosed.
 func (e *ShardedEngine) Revive() (int, error) {
@@ -168,10 +145,6 @@ func (e *ShardedEngine) Revive() (int, error) {
 	revived := 0
 	for _, c := range e.comps {
 		if c.dead {
-			continue
-		}
-		if !c.twoLevel() {
-			revived += c.plain.sess.Revive()
 			continue
 		}
 		n := c.crossLaneRevive()
@@ -186,7 +159,7 @@ func (e *ShardedEngine) Revive() (int, error) {
 	return revived, nil
 }
 
-// crossLaneRevive gives a two-level component's region dark entries a
+// crossLaneRevive gives a component's region dark entries a
 // revival chance after the overlay lane mutated: overlay parks or
 // teardowns free capacity the region sweeps could not see when they
 // last ran. Revived paths' deltas fold back into the overlay tracker so

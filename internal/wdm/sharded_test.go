@@ -3,6 +3,7 @@ package wdm
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -26,6 +27,22 @@ func multiComponentNetwork(t testing.TB, comps int, seed int64) *Network {
 	}
 	g, _ := gen.DisjointUnion(parts...)
 	return &Network{Topology: g}
+}
+
+// TestShardedEngineRejectsDeferredColoring pins the eager-λ contract:
+// every lane must color incrementally, because publication reads λ at
+// every mutation boundary, so a forwarded deferred coloring strategy is
+// refused at construction, for lanes with and without regions alike.
+func TestShardedEngineRejectsDeferredColoring(t *testing.T) {
+	full := WithShardSessionOptions(WithColoringStrategyName(ColoringFull))
+	if _, err := multiComponentNetwork(t, 2, 41).NewShardedEngine(full); err == nil {
+		t.Fatal("engine accepted the deferred coloring strategy")
+	} else if !strings.Contains(err.Error(), ColoringFull) {
+		t.Fatalf("error %q does not name the rejected strategy", err)
+	}
+	if _, err := giantComponentNetwork(t, 3, 503).NewShardedEngine(full, WithSubshardThreshold(8)); err == nil {
+		t.Fatal("two-level engine accepted the deferred coloring strategy")
+	}
 }
 
 // TestShardedEquivalence pins the sharded engine to a single Session

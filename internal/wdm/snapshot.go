@@ -1,7 +1,6 @@
 package wdm
 
 import (
-	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -28,14 +27,6 @@ import (
 // snapshot across many batches reads stable data for as long as it
 // wants; it only delays buffer reuse, never correctness.
 
-// errLambdaDeferred is returned by snapshot λ queries on engines whose
-// coloring strategy defers wavelength assignment: a deferred strategy
-// materialises λ on demand (a full solve), which publication refuses to
-// pay per batch. NumLambda and OverlayLambda on the engine fall back to
-// the Strong path transparently; only direct snapshot reads see this.
-var errLambdaDeferred = errors.New(
-	"wdm: λ is not materialised in snapshots under a deferred coloring strategy; use NumLambdaStrong")
-
 // Snapshot entry states.
 const (
 	snapFree uint8 = iota // slot unoccupied (or recycled under a newer generation)
@@ -51,7 +42,7 @@ const (
 type snapRow struct {
 	gen        uint32
 	state      uint8
-	wavelength int32 // banded engine wavelength; -1 when dark or deferred
+	wavelength int32 // banded engine wavelength; -1 when dark
 	path       *dipath.Path
 }
 
@@ -101,7 +92,6 @@ type EngineSnapshot struct {
 	epoch         uint64
 	lambda        int
 	overlayLambda int
-	lambdaErr     error
 	pi            int
 	live          int
 	dark          int
@@ -146,17 +136,17 @@ func (s *EngineSnapshot) DarkLive() int { return s.dark }
 //wavedag:lockfree
 func (s *EngineSnapshot) Pi() int { return s.pi }
 
-// NumLambda returns the wavelength count at publication. On engines
-// running a deferred coloring strategy it returns an error (λ is only
-// materialised on demand there — use ShardedEngine.NumLambdaStrong).
+// NumLambda returns the wavelength count at publication. The error is
+// always nil: engine lanes color incrementally, so λ is materialised at
+// every publication.
 //wavedag:lockfree
-func (s *EngineSnapshot) NumLambda() (int, error) { return s.lambda, s.lambdaErr }
+func (s *EngineSnapshot) NumLambda() (int, error) { return s.lambda, nil }
 
-// OverlayLambda returns the maximum overlay band across components at
-// publication (see ShardedEngine.OverlayLambda); like NumLambda it
-// errors under a deferred coloring strategy.
+// OverlayLambda returns the maximum overlay band across components with
+// region lanes at publication (see ShardedEngine.OverlayLambda); the
+// error is always nil.
 //wavedag:lockfree
-func (s *EngineSnapshot) OverlayLambda() (int, error) { return s.overlayLambda, s.lambdaErr }
+func (s *EngineSnapshot) OverlayLambda() (int, error) { return s.overlayLambda, nil }
 
 // NumArcs returns the length of the snapshot's arc-load vector.
 //wavedag:lockfree
@@ -237,7 +227,7 @@ func (s *EngineSnapshot) Path(id ShardedID) (*dipath.Path, error) {
 }
 
 // Wavelength returns the banded engine wavelength the request held at
-// publication, or -1 when it was parked dark or assignment is deferred.
+// publication, or -1 when it was parked dark.
 //wavedag:lockfree
 func (s *EngineSnapshot) Wavelength(id ShardedID) (int, error) {
 	r, _, err := s.lookupRow(id)
@@ -358,30 +348,16 @@ func (e *ShardedEngine) DarkLive() int { return e.snap.Load().dark }
 func (e *ShardedEngine) NumFailedArcs() int { return e.snap.Load().stats.FailedArcs }
 
 // NumLambda returns the number of wavelengths in use (max over
-// components; a two-level component counts its region maximum plus its
-// overlay band), from the current snapshot. Engines running a deferred
-// coloring strategy fall back to the mutex-serialised strong read — a
-// deferred λ is a full solve, which publication does not pay per batch.
+// components; a component counts its region maximum plus its overlay
+// band), from the current snapshot. The error is always nil.
 //wavedag:lockfree
-func (e *ShardedEngine) NumLambda() (int, error) {
-	s := e.snap.Load()
-	if errors.Is(s.lambdaErr, errLambdaDeferred) {
-		return e.NumLambdaStrong() //wavedag:allow-blocking (documented deferred-λ fallback)
-	}
-	return s.lambda, s.lambdaErr
-}
+func (e *ShardedEngine) NumLambda() (int, error) { return e.snap.Load().lambda, nil }
 
-// OverlayLambda returns the maximum overlay band across components
-// (see OverlayLambdaStrong), from the current snapshot; deferred
-// coloring strategies fall back to the strong read like NumLambda.
+// OverlayLambda returns the maximum overlay band across components with
+// region lanes (see OverlayLambdaStrong), from the current snapshot.
+// The error is always nil.
 //wavedag:lockfree
-func (e *ShardedEngine) OverlayLambda() (int, error) {
-	s := e.snap.Load()
-	if errors.Is(s.lambdaErr, errLambdaDeferred) {
-		return e.OverlayLambdaStrong() //wavedag:allow-blocking (documented deferred-λ fallback)
-	}
-	return s.overlayLambda, s.lambdaErr
-}
+func (e *ShardedEngine) OverlayLambda() (int, error) { return e.snap.Load().overlayLambda, nil }
 
 // ArcLoads returns the per-arc load vector over the engine's topology,
 // from the current snapshot. Use ArcLoadsInto to reuse a buffer.
@@ -417,7 +393,7 @@ func (e *ShardedEngine) Path(id ShardedID) (*dipath.Path, error) {
 // Wavelength returns the wavelength of a live request as of the
 // current snapshot. Overlay lane wavelengths are reported in the
 // component's effective band (region maximum + overlay class) as of the
-// same boundary; -1 when parked dark or assignment is deferred.
+// same boundary; -1 when parked dark.
 //wavedag:lockfree
 func (e *ShardedEngine) Wavelength(id ShardedID) (int, error) {
 	s := e.Snapshot()
@@ -476,9 +452,6 @@ func (c *engineComponent) snapDirty() bool {
 	if c.dead {
 		return false
 	}
-	if !c.twoLevel() {
-		return c.plain.dirty
-	}
 	if c.overlay.dirty {
 		return true
 	}
@@ -497,10 +470,6 @@ func (c *engineComponent) markAllDirty() {
 	if c.dead {
 		return
 	}
-	if !c.twoLevel() {
-		c.plain.dirty = true
-		return
-	}
 	for _, rs := range c.regionShards {
 		rs.dirty = true
 	}
@@ -512,52 +481,27 @@ func (c *engineComponent) markAllDirty() {
 // its live sessions. Called under e.mu for components the last interval
 // dirtied; clean components keep their cache. Dead components aggregate
 // as zero — their traffic lives on in the component that absorbed them.
-func (e *ShardedEngine) refreshCompAggregates(c *engineComponent) {
+// The overlay band of a regionless component is its whole λ, not a band
+// above regions, so it stays out of the OverlayLambda aggregate.
+func (c *engineComponent) refreshCompAggregates() {
 	if c.dead {
-		c.aggLambda, c.aggLambdaErr, c.aggRegionBase, c.aggOverlayLambda = 0, nil, 0, 0
+		c.aggLambda, c.aggRegionBase, c.aggOverlayLambda = 0, 0, 0
 		c.aggPi, c.aggLive, c.aggDark = 0, 0, 0
 		return
 	}
-	if !c.twoLevel() {
-		c.aggRegionBase = 0
-		c.aggOverlayLambda = 0
-		c.aggPi = c.plain.sess.Pi()
-		c.aggLive = c.plain.sess.Len()
-		c.aggDark = c.plain.sess.DarkLive()
-		if !e.lambdaEager {
-			c.aggLambda, c.aggLambdaErr = 0, errLambdaDeferred
-			return
-		}
-		c.aggLambda, c.aggLambdaErr = c.plain.sess.NumLambda()
-		return
-	}
-	c.aggPi = c.overlay.sess.tracker.Pi()
-	c.aggLive, c.aggDark = 0, 0
+	c.aggPi = c.overlay.sess.Pi()
+	c.aggLive, c.aggDark = c.overlay.sess.Len(), c.overlay.sess.DarkLive()
 	for _, rs := range c.regionShards {
 		c.aggLive += rs.sess.Len()
 		c.aggDark += rs.sess.DarkLive()
 	}
-	c.aggLive += c.overlay.sess.Len()
-	c.aggDark += c.overlay.sess.DarkLive()
-	if !e.lambdaEager {
-		c.aggRegionBase, c.aggOverlayLambda = 0, 0
-		c.aggLambda, c.aggLambdaErr = 0, errLambdaDeferred
-		return
+	c.aggRegionBase = c.regionLambdaMax()
+	on := c.overlay.lambda()
+	c.aggLambda = c.aggRegionBase + on
+	c.aggOverlayLambda = 0
+	if len(c.regionShards) > 0 {
+		c.aggOverlayLambda = on
 	}
-	base, err := c.regionLambdaMax()
-	if err != nil {
-		c.aggRegionBase, c.aggLambda, c.aggLambdaErr = 0, 0, err
-		return
-	}
-	on, err := c.overlay.sess.NumLambda()
-	if err != nil {
-		c.aggLambdaErr = fmt.Errorf("wdm: component %d overlay: %w", c.idx, err)
-		return
-	}
-	c.aggRegionBase = base
-	c.aggOverlayLambda = on
-	c.aggLambda = base + on
-	c.aggLambdaErr = nil
 }
 
 // publishLocked rebuilds the engine snapshot and publishes it. The
@@ -581,19 +525,17 @@ func (e *ShardedEngine) publishLocked() {
 	next.refs.Store(1)
 
 	// Component dirtiness, resolved before the table loop clears the
-	// per-shard flags. A dirty two-level component forces its overlay
-	// table dirty: overlay rows carry banded wavelengths, and the band's
-	// base (the region λ maximum) moves with region growth.
+	// per-shard flags. A dirty component forces its overlay table dirty:
+	// overlay rows carry banded wavelengths, and the band's base (the
+	// region λ maximum) moves with region growth.
 	anyDirty := false
 	for i, c := range e.comps {
 		dirty := prev == nil || c.snapDirty()
 		e.snapCompDirty[i] = dirty
 		if dirty {
 			anyDirty = true
-			e.refreshCompAggregates(c)
-			if c.twoLevel() {
-				c.overlay.dirty = true
-			}
+			c.refreshCompAggregates()
+			c.overlay.dirty = true
 		}
 	}
 
@@ -621,12 +563,8 @@ func (e *ShardedEngine) publishLocked() {
 			if prev != nil && !e.snapCompDirty[i] {
 				continue
 			}
-			if c.twoLevel() {
-				// The overlay tracker is the component's combined view.
-				c.overlay.sess.tracker.ScatterLoads(vec.arr, c.view.ToGlobalArc)
-			} else {
-				c.plain.sess.tracker.ScatterLoads(vec.arr, c.view.ToGlobalArc)
-			}
+			// The overlay tracker is the component's combined view.
+			c.overlay.sess.tracker.ScatterLoads(vec.arr, c.view.ToGlobalArc)
 		}
 		vec.refs.Store(1)
 		next.loads = vec
@@ -661,18 +599,9 @@ func (e *ShardedEngine) publishLocked() {
 	// Global aggregates from the per-component caches, and the stats
 	// block (O(shards) of constant-time counter reads).
 	for _, c := range e.comps {
-		if c.aggLambdaErr != nil && next.lambdaErr == nil {
-			next.lambdaErr = c.aggLambdaErr
-		}
-		if c.aggLambda > next.lambda {
-			next.lambda = c.aggLambda
-		}
-		if c.aggOverlayLambda > next.overlayLambda {
-			next.overlayLambda = c.aggOverlayLambda
-		}
-		if c.aggPi > next.pi {
-			next.pi = c.aggPi
-		}
+		next.lambda = max(next.lambda, c.aggLambda)
+		next.overlayLambda = max(next.overlayLambda, c.aggOverlayLambda)
+		next.pi = max(next.pi, c.aggPi)
 		next.live += c.aggLive
 		next.dark += c.aggDark
 	}

@@ -100,8 +100,9 @@
 // (Network.NewShardedEngine) is the concurrent engine: the topology is
 // partitioned into its weakly connected components (one O(V+A) pass,
 // compact per-component views — no shard ever copies the full graph)
-// and every small component gets its own Session; giant components are
-// further sub-sharded (next section). Dipaths cannot cross components,
+// and every component gets an overlay lane, its own Session over the
+// component view; giant components additionally get region lanes (next
+// section). Dipaths cannot cross components,
 // so shards share no mutable state: each owns its router, load
 // tracker, conflict graph and colorer outright, and the per-event hot
 // path takes no locks or atomics.
@@ -123,8 +124,8 @@
 //   - The per-shard Sessions must not be driven directly; the engine
 //     owns them. Wavelength reports are offset-free across components:
 //     components share no arcs, so they color independently from 0 and
-//     the global λ is the max over components (two-level components
-//     report their region maximum plus their overlay band), and the
+//     the global λ is the max over components (each reports its region
+//     maximum, 0 without region lanes, plus its overlay band), and the
 //     merged assignment is proper as-is.
 //
 // # Two-level sharding: giant components
@@ -134,8 +135,10 @@
 // components at or above WithSubshardThreshold vertices (default 64)
 // into arc-disjoint regions — the biconnected blocks of the underlying
 // undirected graph, computed by Graph.PartitionRegions — and runs one
-// sub-session per region plus one serialized overlay lane per
-// component. The soundness argument has two halves:
+// region lane (a sub-session) per region beside the component's
+// serialized overlay lane. A component below the threshold, or one
+// that is a single block, has no region lanes: its overlay lane carries
+// all its traffic, and the reconciliation below is empty for it. The soundness argument has two halves:
 //
 //   - Confinement: blocks meet only at cut vertices, so every simple
 //     path between two co-region vertices stays inside the region, and
@@ -164,7 +167,7 @@
 // and Close stops the pool: in-flight batches finish first, later
 // mutations fail with ErrEngineClosed, and queries keep answering —
 // lock-free — from the final published snapshot (next section). Both
-// the sharded dispatcher and the plain Router
+// the sharded dispatcher and the unsharded Router
 // reject infeasible cross-component requests in O(1) from component
 // labels (the Router computes them lazily, on its first exhausted
 // search) instead of repeating exhausted searches. ApplyBatchInto is
@@ -196,10 +199,10 @@
 // EngineSnapshot.Release; retired buffers recycle through pools only
 // after the last pin drops). Every query also has a ...Strong variant
 // that takes the engine mutex and reads live state — the linearizable
-// form, and the fallback NumLambda/OverlayLambda use when a non-default
-// coloring strategy prices λ lazily (a full solve is too expensive to
-// pay at every publication). Provisioning and Verify, which
-// materialise merged state, always run under the mutex.
+// form. Every engine lane colors incrementally (NewShardedEngine
+// rejects a deferred strategy such as ColoringFull), so λ is read at
+// every publication in O(1) per dirty lane. Provisioning and Verify,
+// which materialise merged state, always run under the mutex.
 //
 // # Admission control & budgets
 //
@@ -239,13 +242,15 @@
 // ShardedEngine takes the budget via WithEngineWavelengthBudget: λ
 // aggregates as a max over components and over the arc-disjoint regions
 // inside one, so a global budget is exactly a per-shard budget and
-// admission stays on the lock-free per-shard hot path. Two-level
-// components band the budget — region lanes admit against w minus the
+// admission stays on the lock-free per-shard hot path. Components with
+// region lanes band the budget — region lanes admit against w minus the
 // overlay slice (WithOverlayBudgetSlice, default w/4), the overlay lane
-// against its slice — so the banded aggregation can never exceed w.
+// against its slice — so the banded aggregation can never exceed w; a
+// component without region lanes admits against w on its overlay lane.
 // Per-lane admission outcomes and traffic shares aggregate into
-// EngineStats (LaneStats for plain/region/overlay), making overlay
-// pressure observable without a profiler.
+// EngineStats (LaneStats Plain for the lanes of components without
+// region lanes, Region, and Overlay for the overlay lanes of components
+// with them), making overlay pressure observable without a profiler.
 //
 // The static max-request solvers (MaxRequestsGreedy/Exact/OnPath) have
 // an online counterpart, MaxRequestsOnline: dipaths offered one at a
@@ -412,8 +417,8 @@
 //
 //   - Adaptive budget banding (WithAdaptiveBanding, requires an engine
 //     budget): every lane maintains pressure gauges — an admission
-//     saturation EWMA and, under eager λ accounting, a budget occupancy
-//     EWMA, both visible in LaneStats. When a two-level component's
+//     saturation EWMA and a budget occupancy EWMA, both visible in
+//     LaneStats. When a two-level component's
 //     overlay lane sustains pressure at the high watermark while its
 //     region lanes sit at the low one (or vice versa), the engine moves
 //     BandStep wavelengths between the region band and the overlay
@@ -438,8 +443,8 @@
 //     one region joins that region's lane; an arc bridging two regions
 //     becomes overlay-owned (and turns the component escalating, since
 //     cross-region routes may now exist); an arc joining two components
-//     merges them into one, relocating every lightpath of both into a
-//     fresh lane. The engine clones the topology on the first add — the
+//     merges them into one without region lanes, relocating every
+//     lightpath of both into a fresh overlay lane. The engine clones the topology on the first add — the
 //     caller's Network and previously pinned snapshots are never
 //     mutated.
 //
