@@ -35,6 +35,7 @@ benchcheck:
 fuzzsmoke:
 	$(GO) test -run=NONE -fuzz=FuzzTheorem1Precheck -fuzztime=10s ./internal/wdm
 	$(GO) test -run=NONE -fuzz=FuzzPartitionRegions -fuzztime=10s ./internal/digraph
+	$(GO) test -run=NONE -fuzz=FuzzMinLoadPath -fuzztime=10s ./internal/route
 
 test: verify
 

@@ -8,12 +8,18 @@ import (
 	"wavedag/internal/load"
 )
 
-// Router holds preallocated search state for routing many requests over
-// one digraph. The free functions of this package allocate fresh BFS
-// state per request — O(requests·n) churn on AllToAll-scale batches —
-// whereas a Router allocates once and reuses: the visited set is an
-// epoch-stamped array (reset is a counter bump, not a clear), and the
-// predecessor, queue and Dijkstra arrays are recycled across calls.
+// Router holds reusable search state for routing many requests over one
+// digraph. The free functions of this package allocate fresh BFS state
+// per request — O(requests·n) churn on AllToAll-scale batches — whereas
+// a Router allocates once and reuses: every per-vertex label is
+// epoch-stamped (a new search is a counter bump, not an O(n) clear),
+// and the predecessor, queue, heap and Dijkstra arrays are recycled
+// across calls. The arrays grow with the graph: vertices added after
+// NewRouter are routed like the others.
+//
+// Min-load searches are pruned to the ancestors of the destination —
+// the vertices with a dipath to it — kept as one lazily computed bitset
+// per destination (see the anc field and MinLoadPath).
 //
 // A Router is not safe for concurrent use; create one per goroutine.
 type Router struct {
@@ -32,16 +38,32 @@ type Router struct {
 	comp      []int32
 	compEpoch uint64
 
-	// BFS state, valid where stamp[v] == epoch.
+	// anc[d], when non-nil, is the ancestor set of destination d: a
+	// bitset of ⌈n/64⌉ words marking d and every vertex with a dipath
+	// to d over every arc, failed or not. It is built by one reverse
+	// DFS the first time d is asked for, so a router holds at most
+	// n·⌈n/64⌉ words of sets. Cuts and restorations only shrink or
+	// regrow live reachability inside the set, so it stays a valid
+	// superset across them; only added arcs or vertices can create an
+	// ancestor it misses. The cache is therefore keyed on the arc and
+	// vertex counts the sets were built at (both only ever grow), not
+	// on the topology epoch every cut moves.
+	anc      [][]uint64
+	ancArcs  int
+	ancVerts int
+
+	// Search state, valid where stamp[v] == epoch.
 	epoch   int
 	stamp   []int
 	prevArc []digraph.ArcID
 	queue   []digraph.Vertex
 
-	// Lexicographic (load, hops) Dijkstra state for bottleneck routing.
+	// Lexicographic (load, hops) Dijkstra labels for bottleneck
+	// routing, valid where stamp[v] == epoch; v is settled where
+	// done[v] == epoch.
 	bestLoad []int
 	bestHops []int
-	done     []bool
+	done     []int
 	heap     []heapItem // reusable binary heap (lazy deletion)
 }
 
@@ -98,17 +120,9 @@ func heapLess(a, b heapItem) bool {
 	return a.v < b.v // deterministic order among equal priorities
 }
 
-// NewRouter returns a router over g.
-func NewRouter(g *digraph.Digraph) *Router {
-	n := g.NumVertices()
-	return &Router{
-		g:       g,
-		stamp:   make([]int, n),
-		prevArc: make([]digraph.ArcID, n),
-		queue:   make([]digraph.Vertex, 0, n),
-		epoch:   0,
-	}
-}
+// NewRouter returns a router over g. Its search state is sized at the
+// first search and grows with g.
+func NewRouter(g *digraph.Digraph) *Router { return &Router{g: g} }
 
 // Graph returns the digraph the router routes over.
 func (r *Router) Graph() *digraph.Digraph { return r.g }
@@ -125,10 +139,9 @@ func (r *Router) rejectCrossComponent(src, dst digraph.Vertex) bool {
 }
 
 // noteExhausted records that a search just exhausted without reaching
-// its destination: the live component labels are (re)computed — at most
-// the cost of the search that already ran — so the next infeasible
-// request on this router is rejected in O(1) instead of by another
-// search.
+// its destination: the live component labels are (re)computed, once per
+// topology epoch, so the next cross-component request on this router is
+// rejected in O(1) instead of by another search.
 func (r *Router) noteExhausted() {
 	if r.comp == nil || r.compEpoch != r.g.TopologyEpoch() || len(r.comp) != r.g.NumVertices() {
 		r.comp = r.g.LiveComponentLabels()
@@ -137,9 +150,24 @@ func (r *Router) noteExhausted() {
 }
 
 // visit begins a new search: previous visited marks become stale in O(1).
+// The stamp and predecessor arrays are first grown to the graph's
+// current vertex count, since vertices may have been added since the
+// last search.
 func (r *Router) visit() {
+	n := r.g.NumVertices()
+	r.stamp = grow(r.stamp, n)
+	r.prevArc = grow(r.prevArc, n)
 	r.epoch++
 	r.queue = r.queue[:0]
+}
+
+// grow extends s with zero values to length n. A zero stamp never
+// equals a live epoch, since visit bumps the epoch before any search.
+func grow[T any](s []T, n int) []T {
+	if len(s) < n {
+		s = append(s, make([]T, n-len(s))...)
+	}
+	return s
 }
 
 func (r *Router) seen(v digraph.Vertex) bool { return r.stamp[v] == r.epoch }
@@ -251,6 +279,14 @@ func (r *Router) MinLoadSequential(reqs []Request) (dipath.Family, error) {
 // lexicographic Dijkstra. It does not modify t — callers owning a
 // long-lived Tracker (wdm sessions, MinLoadSequential) add the chosen
 // path themselves.
+//
+// The search is pruned to anc(dst), the cached ancestor set of the
+// destination (see the anc field): a source outside it is rejected
+// without a search, and a relaxed head outside it is skipped. The
+// returned dipath is the one the unpruned search would return, arc for
+// arc: a vertex outside anc(dst) has no arc into anc(dst), so it never
+// relaxes a kept vertex; kept vertices get the same labels and
+// predecessors and settle in the same (load, hops, vertex) order.
 func (r *Router) MinLoadPath(req Request, t *load.Tracker) (*dipath.Path, error) {
 	g := r.g
 	n := g.NumVertices()
@@ -265,16 +301,15 @@ func (r *Router) MinLoadPath(req Request, t *load.Tracker) (*dipath.Path, error)
 		// components, so the Dijkstra below could only exhaust itself.
 		return nil, ErrNoRoute{req}
 	}
-	if r.bestLoad == nil {
-		r.bestLoad = make([]int, n)
-		r.bestHops = make([]int, n)
-		r.done = make([]bool, n)
-	}
-	const inf = int(^uint(0) >> 1)
-	for v := 0; v < n; v++ {
-		r.bestLoad[v], r.bestHops[v], r.done[v] = inf, inf, false
+	anc := r.ancestors(req.Dst)
+	if !inSet(anc, req.Src) {
+		// No dipath to dst even over failed arcs.
+		return nil, ErrNoRoute{req}
 	}
 	r.visit() // reuse the epoch-stamped prevArc as the predecessor store
+	r.bestLoad = grow(r.bestLoad, n)
+	r.bestHops = grow(r.bestHops, n)
+	r.done = grow(r.done, n)
 	r.mark(req.Src, -1)
 	r.bestLoad[req.Src], r.bestHops[req.Src] = 0, 0
 	r.heap = r.heap[:0]
@@ -285,19 +320,19 @@ func (r *Router) MinLoadPath(req Request, t *load.Tracker) (*dipath.Path, error)
 		// longer matches the vertex's best) are skipped lazily.
 		it := r.heapPop()
 		u := it.v
-		if r.done[u] || it.load != r.bestLoad[u] || it.hops != r.bestHops[u] {
+		if r.done[u] == r.epoch || it.load != r.bestLoad[u] || it.hops != r.bestHops[u] {
 			continue
 		}
 		if u == req.Dst {
 			return r.assemble(req.Src, req.Dst)
 		}
-		r.done[u] = true
+		r.done[u] = r.epoch
 		for _, a := range g.OutArcs(u) {
 			if g.ArcFailed(a) {
 				continue
 			}
 			h := g.Arc(a).Head
-			if r.done[h] {
+			if !inSet(anc, h) || r.done[h] == r.epoch {
 				continue
 			}
 			nl := r.bestLoad[u]
@@ -305,7 +340,7 @@ func (r *Router) MinLoadPath(req Request, t *load.Tracker) (*dipath.Path, error)
 				nl = t.Load(a) + 1
 			}
 			nh := r.bestHops[u] + 1
-			if nl < r.bestLoad[h] || (nl == r.bestLoad[h] && nh < r.bestHops[h]) {
+			if !r.seen(h) || nl < r.bestLoad[h] || (nl == r.bestLoad[h] && nh < r.bestHops[h]) {
 				r.bestLoad[h], r.bestHops[h] = nl, nh
 				r.mark(h, a)
 				r.heapPush(heapItem{nl, nh, h})
@@ -315,6 +350,40 @@ func (r *Router) MinLoadPath(req Request, t *load.Tracker) (*dipath.Path, error)
 	r.noteExhausted()
 	return nil, ErrNoRoute{req}
 }
+
+// ancestors returns anc(dst), computing it by one reverse DFS over
+// InArcs (failed arcs included) the first time dst is asked for since
+// the graph last gained an arc or a vertex.
+func (r *Router) ancestors(dst digraph.Vertex) []uint64 {
+	g := r.g
+	n := g.NumVertices()
+	if r.ancArcs != g.NumArcs() || r.ancVerts != n {
+		r.anc = make([][]uint64, n)
+		r.ancArcs, r.ancVerts = g.NumArcs(), n
+	}
+	if set := r.anc[dst]; set != nil {
+		return set
+	}
+	set := make([]uint64, (n+63)/64)
+	set[dst>>6] |= 1 << (dst & 63)
+	stack := append(r.queue[:0], dst)
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, a := range g.InArcs(v) {
+			if u := g.Arc(a).Tail; !inSet(set, u) {
+				set[u>>6] |= 1 << (u & 63)
+				stack = append(stack, u)
+			}
+		}
+	}
+	r.queue = stack[:0]
+	r.anc[dst] = set
+	return set
+}
+
+// inSet reports whether v is in the vertex bitset set.
+func inSet(set []uint64, v digraph.Vertex) bool { return set[v>>6]&(1<<(v&63)) != 0 }
 
 // Multicast routes a one-to-many instance: dipaths from origin to every
 // destination along a BFS tree, so the routes form an out-arborescence.

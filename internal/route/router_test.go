@@ -2,9 +2,11 @@ package route
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"wavedag/internal/digraph"
+	"wavedag/internal/dipath"
 	"wavedag/internal/gen"
 	"wavedag/internal/load"
 )
@@ -214,17 +216,349 @@ func TestRouterCrossComponentAfterGrowth(t *testing.T) {
 	}
 
 	// Vertex growth: an unreachable new vertex must produce a clean
-	// ErrNoRoute — the rejection guard must not index past the label
-	// snapshot. (The Dijkstra scratch arrays are probed through a
-	// router that has not warmed them yet: their sizing at first use is
-	// a pre-existing preallocation contract, not the guard's.)
-	r2 := NewRouter(g)
+	// ErrNoRoute — neither the rejection guard nor the search may index
+	// past state sized before the vertex existed.
 	v := g.AddVertex("")
 	g.MustAddArc(v, 0)
 	if _, err := r.ShortestPath(0, v); err == nil {
 		t.Fatal("unreachable grown vertex routed")
 	}
-	if _, err := r2.MinLoadPath(Request{0, v}, load.NewTracker(g)); err == nil {
+	if _, err := r.MinLoadPath(Request{0, v}, load.NewTracker(g)); err == nil {
 		t.Fatal("min-load unreachable grown vertex routed")
+	}
+}
+
+// TestRouterGrowthReachableVertex is the regression test for a router
+// whose graph grows a reachable vertex after its search state was
+// sized: both searches must route to it instead of indexing past their
+// scratch arrays.
+func TestRouterGrowthReachableVertex(t *testing.T) {
+	g := digraph.New(3)
+	g.MustAddArc(0, 1)
+	g.MustAddArc(1, 2)
+	r := NewRouter(g)
+	tr := load.NewTracker(g)
+	if _, err := r.ShortestPath(0, 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.MinLoadPath(Request{0, 2}, tr); err != nil {
+		t.Fatal(err)
+	}
+	v := g.AddVertex("")
+	g.MustAddArc(2, v)
+	tr.GrowArcs(g.NumArcs())
+	p, err := r.ShortestPath(0, v)
+	if err != nil || p.NumArcs() != 3 {
+		t.Fatalf("ShortestPath to grown vertex = %v, %v; want 0->1->2->v", p, err)
+	}
+	p, err = r.MinLoadPath(Request{0, v}, tr)
+	if err != nil || p.NumArcs() != 3 {
+		t.Fatalf("MinLoadPath to grown vertex = %v, %v; want 0->1->2->v", p, err)
+	}
+}
+
+// TestRouterUnreachableSameComponentO1 pins the O(1) rejection of a
+// pair in one component with no dipath between its endpoints, such as
+// the reversal of a routable DAG request: once the destination's
+// ancestor set is cached, MinLoadPath must reject it without a search
+// and without allocating beyond the error, the way
+// TestRouterCrossComponentO1 pins the cross-component case.
+func TestRouterUnreachableSameComponentO1(t *testing.T) {
+	g, err := gen.RandomNoInternalCycleDAG(25, 5, 5, 0.25, 51)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := AllToAll(g)[0]
+	rev := Request{req.Dst, req.Src}
+	r := NewRouter(g)
+	tr := load.NewTracker(g)
+	if _, err := r.MinLoadPath(req, tr); err != nil {
+		t.Fatal(err)
+	}
+	// The first reversed request builds the source's ancestor set.
+	if _, err := r.MinLoadPath(rev, tr); err == nil {
+		t.Fatal("reversed DAG request routed")
+	}
+	before := r.epoch
+	run := func() error {
+		_, err := r.MinLoadPath(rev, tr)
+		return err
+	}
+	var noRoute ErrNoRoute
+	if err := run(); !errors.As(err, &noRoute) {
+		t.Fatalf("got %v, want ErrNoRoute", err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = run() }); allocs > 1 {
+		t.Fatalf("%v allocs/op on the rejection path, want <= 1 (the error)", allocs)
+	}
+	if r.epoch != before {
+		t.Fatalf("search expansion detected (epoch %d -> %d)", before, r.epoch)
+	}
+}
+
+// oracleMinLoadPath is the min-load search without ancestor pruning
+// and with every label reset per call: a lexicographic (load, hops)
+// Dijkstra over every vertex reachable from the source. It is the
+// reference Router.MinLoadPath must match arc for arc on valid
+// requests.
+func oracleMinLoadPath(g *digraph.Digraph, req Request, t *load.Tracker) (*dipath.Path, error) {
+	n := g.NumVertices()
+	if req.Src == req.Dst {
+		return dipath.FromVertices(g, req.Src)
+	}
+	const inf = int(^uint(0) >> 1)
+	bestLoad := make([]int, n)
+	bestHops := make([]int, n)
+	done := make([]bool, n)
+	prevArc := make([]digraph.ArcID, n)
+	for v := 0; v < n; v++ {
+		bestLoad[v], bestHops[v], prevArc[v] = inf, inf, -1
+	}
+	bestLoad[req.Src], bestHops[req.Src] = 0, 0
+	h := &Router{} // borrowed for its heap only
+	h.heapPush(heapItem{0, 0, req.Src})
+	for len(h.heap) > 0 {
+		it := h.heapPop()
+		u := it.v
+		if done[u] || it.load != bestLoad[u] || it.hops != bestHops[u] {
+			continue
+		}
+		if u == req.Dst {
+			var arcs []digraph.ArcID
+			for v := req.Dst; v != req.Src; v = g.Arc(prevArc[v]).Tail {
+				arcs = append(arcs, prevArc[v])
+			}
+			for i, j := 0, len(arcs)-1; i < j; i, j = i+1, j-1 {
+				arcs[i], arcs[j] = arcs[j], arcs[i]
+			}
+			return dipath.FromArcs(g, arcs...)
+		}
+		done[u] = true
+		for _, a := range g.OutArcs(u) {
+			if g.ArcFailed(a) {
+				continue
+			}
+			v := g.Arc(a).Head
+			if done[v] {
+				continue
+			}
+			nl := bestLoad[u]
+			if t.Load(a)+1 > nl {
+				nl = t.Load(a) + 1
+			}
+			nh := bestHops[u] + 1
+			if nl < bestLoad[v] || (nl == bestLoad[v] && nh < bestHops[v]) {
+				bestLoad[v], bestHops[v], prevArc[v] = nl, nh, a
+				h.heapPush(heapItem{nl, nh, v})
+			}
+		}
+	}
+	return nil, ErrNoRoute{req}
+}
+
+// minLoadEquiv drives one Router through a stream of requests and
+// topology and load mutations, checking every min-load answer against
+// oracleMinLoadPath on the same graph and loads.
+type minLoadEquiv struct {
+	t     testing.TB
+	g     *digraph.Digraph
+	r     *Router
+	tr    *load.Tracker
+	paths []*dipath.Path // routed paths currently added to tr
+}
+
+func newMinLoadEquiv(t testing.TB, g *digraph.Digraph) *minLoadEquiv {
+	return &minLoadEquiv{t: t, g: g, r: NewRouter(g), tr: load.NewTracker(g)}
+}
+
+// route asks both searches for req and fails on any difference; a
+// routed path is added to the loads when keep is set. It reports
+// whether req routed.
+func (e *minLoadEquiv) route(req Request, keep bool) bool {
+	e.t.Helper()
+	got, gotErr := e.r.MinLoadPath(req, e.tr)
+	want, wantErr := oracleMinLoadPath(e.g, req, e.tr)
+	var nr ErrNoRoute
+	switch {
+	case wantErr != nil:
+		if !errors.As(wantErr, &nr) || !errors.As(gotErr, &nr) {
+			e.t.Fatalf("%d->%d on %v: router %v, %v; oracle %v", req.Src, req.Dst, e.g, got, gotErr, wantErr)
+		}
+		return false
+	case gotErr != nil || !got.Equal(want):
+		e.t.Fatalf("%d->%d on %v: router %v, %v; oracle %v", req.Src, req.Dst, e.g, got, gotErr, want)
+	}
+	if keep && got.NumArcs() > 0 {
+		e.tr.Add(got)
+		e.paths = append(e.paths, got)
+	}
+	return true
+}
+
+// remove takes the i-th kept path (mod their count) off the loads.
+func (e *minLoadEquiv) remove(i int) {
+	if len(e.paths) == 0 {
+		return
+	}
+	i %= len(e.paths)
+	e.tr.Remove(e.paths[i])
+	e.paths[i] = e.paths[len(e.paths)-1]
+	e.paths = e.paths[:len(e.paths)-1]
+}
+
+// cutAndRestore fails arc a, routes across it, restores it and routes
+// across it again: an ancestor set built while the arc was down must
+// not hide it afterwards.
+func (e *minLoadEquiv) cutAndRestore(a digraph.ArcID) {
+	e.t.Helper()
+	if e.g.ArcFailed(a) {
+		return
+	}
+	arc := e.g.Arc(a)
+	if err := e.g.FailArc(a); err != nil {
+		e.t.Fatal(err)
+	}
+	e.route(Request{arc.Tail, arc.Head}, false)
+	if err := e.g.RestoreArc(a); err != nil {
+		e.t.Fatal(err)
+	}
+	if !e.route(Request{arc.Tail, arc.Head}, false) {
+		e.t.Fatalf("restored arc %d->%d not routed", arc.Tail, arc.Head)
+	}
+}
+
+// addArc adds u->v after routing to v, so an ancestor set of v built
+// before the arc existed is in place, then routes u->v over it.
+func (e *minLoadEquiv) addArc(u, v digraph.Vertex) {
+	e.t.Helper()
+	if u == v {
+		return
+	}
+	e.route(Request{u, v}, false)
+	e.g.MustAddArc(u, v)
+	e.tr.GrowArcs(e.g.NumArcs())
+	if !e.route(Request{u, v}, false) {
+		e.t.Fatalf("new arc %d->%d not routed", u, v)
+	}
+}
+
+// addVertex adds a vertex joined to u by one arc, into it when in is
+// set and out of it otherwise, and routes across that arc.
+func (e *minLoadEquiv) addVertex(u digraph.Vertex, in bool) {
+	e.t.Helper()
+	v := e.g.AddVertex("")
+	req := Request{v, u}
+	if in {
+		req = Request{u, v}
+	}
+	e.g.MustAddArc(req.Src, req.Dst)
+	e.tr.GrowArcs(e.g.NumArcs())
+	if !e.route(req, true) {
+		e.t.Fatalf("arc into grown vertex %d->%d not routed", req.Src, req.Dst)
+	}
+}
+
+// step applies one mutation or request chosen by op, with x and y
+// selecting its vertices, arc or path.
+func (e *minLoadEquiv) step(op, x, y int) {
+	e.t.Helper()
+	n, m := e.g.NumVertices(), e.g.NumArcs()
+	u, v := digraph.Vertex(x%n), digraph.Vertex(y%n)
+	switch op % 8 {
+	case 0, 1, 2:
+		e.route(Request{u, v}, true)
+	case 3:
+		e.remove(x)
+	case 4:
+		if m > 0 {
+			e.cutAndRestore(digraph.ArcID(x % m))
+		}
+	case 5:
+		// A cut left in place until a later step restores it.
+		if m == 0 {
+			return
+		}
+		a := digraph.ArcID(x % m)
+		var err error
+		if e.g.ArcFailed(a) {
+			err = e.g.RestoreArc(a)
+		} else {
+			err = e.g.FailArc(a)
+		}
+		if err != nil {
+			e.t.Fatal(err)
+		}
+	case 6:
+		e.addArc(u, v)
+	case 7:
+		e.addVertex(u, y%2 == 0)
+	}
+}
+
+// TestMinLoadPathMatchesUnprunedSearch checks the pruned, epoch-stamped
+// search against oracleMinLoadPath, path by path, on random DAGs
+// without and with internal cycles and with parallel arcs, under
+// interleaved load changes, cuts, restorations and growth.
+func TestMinLoadPathMatchesUnprunedSearch(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		noCycle, err := gen.RandomNoInternalCycleDAG(20, 4, 4, 0.2, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parallel := gen.RandomDAG(20, 40, seed)
+		for a := 0; a < parallel.NumArcs(); a += 3 {
+			arc := parallel.Arc(digraph.ArcID(a))
+			parallel.MustAddArc(arc.Tail, arc.Head)
+		}
+		graphs := map[string]*digraph.Digraph{
+			"no-internal-cycle": noCycle,
+			"internal-cycles":   gen.RandomDAG(20, 45, seed),
+			"parallel-arcs":     parallel,
+		}
+		for name, g := range graphs {
+			e := newMinLoadEquiv(t, g)
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 400; i++ {
+				// Requests dominate, as in a routing batch; mutations
+				// are spread between them.
+				op := rng.Intn(16)
+				if op >= 8 {
+					op = 0
+				}
+				e.step(op, rng.Intn(1<<16), rng.Intn(1<<16))
+			}
+			if len(e.paths) == 0 {
+				t.Fatalf("%s seed %d: nothing routed", name, seed)
+			}
+		}
+	}
+}
+
+// sinkFamily keeps benchmark results live.
+var sinkFamily dipath.Family
+
+// BenchmarkMinLoadSequential routes one batch of 5000 seeded reachable
+// requests on the large Theorem-1 topology through a fresh Router per
+// iteration, as a one-shot Provision does: the route layer alone,
+// ancestor sets included.
+func BenchmarkMinLoadSequential(b *testing.B) {
+	g, err := gen.RandomNoInternalCycleDAG(500, 8, 8, 0.2, 500)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pool := AllToAll(g)
+	rng := rand.New(rand.NewSource(1))
+	reqs := make([]Request, 5000)
+	for i := range reqs {
+		reqs[i] = pool[rng.Intn(len(pool))]
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fam, err := NewRouter(g).MinLoadSequential(reqs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkFamily = fam
 	}
 }

@@ -60,8 +60,10 @@
 //     neighbour iteration uses ConflictGraph.ForEachNeighbor rather
 //     than slice-returning Neighbors.
 //   - Batch routing goes through NewRouter, which reuses epoch-stamped
-//     BFS/Dijkstra state across requests instead of allocating per
-//     request; incremental load bookkeeping goes through NewLoadTracker.
+//     BFS/Dijkstra state across requests instead of allocating or
+//     clearing per request, and prunes each min-load search to the
+//     destination's ancestors, cached as one bitset per destination;
+//     incremental load bookkeeping goes through NewLoadTracker.
 //
 // # Sessions: the dynamic provisioning engine
 //
@@ -926,9 +928,12 @@ func NewConflictGraph(g *Graph, fam Family) *ConflictGraph {
 }
 
 // NewRouter returns a Router over g: routing state (visited stamps,
-// predecessor chains, queues, the Dijkstra heap) is allocated once and
-// reused across requests, which is the fast path for AllToAll-scale
-// batches. A Router is not safe for concurrent use.
+// predecessor chains, queues, epoch-stamped Dijkstra labels and heap)
+// is allocated once and reused across requests, which is the fast path
+// for AllToAll-scale batches. Min-load searches visit only the
+// destination's ancestors, from a per-destination bitset cached until g
+// gains an arc or a vertex (⌈n/64⌉ words per distinct destination). A
+// Router is not safe for concurrent use.
 func NewRouter(g *Graph) *Router { return route.NewRouter(g) }
 
 // NewLoadTracker returns an empty incremental load tracker for g: Add
