@@ -5,14 +5,21 @@
 
 GO ?= go
 
-.PHONY: verify lint benchcheck fuzzsmoke benchsmoke bench test
+GOFMT ?= gofmt
+
+.PHONY: verify fmtcheck lint benchcheck fuzzsmoke benchsmoke bench test
 
 verify:
 	$(GO) build ./...
 	$(GO) vet ./...
+	$(MAKE) fmtcheck
 	$(GO) test ./...
 	$(MAKE) lint
 	$(MAKE) benchcheck
+
+# Fails, listing the files, when any Go file differs from gofmt's output.
+fmtcheck:
+	@out=$$($(GOFMT) -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # wavedaglint enforces the concurrency and admission contracts
 # (lockfree, publish, poolpair, errwrap, registry — see the "Static
@@ -36,6 +43,7 @@ fuzzsmoke:
 	$(GO) test -run=NONE -fuzz=FuzzTheorem1Precheck -fuzztime=10s ./internal/wdm
 	$(GO) test -run=NONE -fuzz=FuzzPartitionRegions -fuzztime=10s ./internal/digraph
 	$(GO) test -run=NONE -fuzz=FuzzMinLoadPath -fuzztime=10s ./internal/route
+	$(GO) test -run=NONE -fuzz=FuzzIncrementalOps -fuzztime=10s ./internal/core
 
 test: verify
 

@@ -7,35 +7,30 @@ import (
 	"wavedag/internal/dipath"
 )
 
-// Dynamic is a mutable conflict graph over a fixed digraph: a set of
+// Dynamic is a mutable conflict layer over a fixed digraph: a set of
 // dipaths that can be inserted and removed one at a time while the
-// adjacency ("shares an arc") relation, vertex degrees, and a χ/ω lower
-// bound are maintained incrementally. It is the conflict layer of the
-// dynamic provisioning engine (wdm.Session): a one-shot FromFamily +
-// full solve per request arrival would pay the whole pipeline again,
-// whereas Dynamic pays only for the paths the new dipath actually
-// touches.
+// "shares an arc" relation and a χ/ω lower bound are maintained
+// incrementally. It is the conflict layer of the dynamic provisioning
+// engine (wdm.Session): a one-shot FromFamily + full solve per request
+// arrival would pay the whole pipeline again, whereas Dynamic pays only
+// for the arcs the new dipath traverses.
 //
 // Dipaths occupy slots, small dense integers handed out by AddPath and
-// recycled by RemovePath; adjacency rows are bitsets over slots, so the
-// neighbour iteration the incremental coloring hammers on is the same
-// word-parallel forEach the static Graph uses.
-//
-// Insertion is arc-indexed: the per-arc incidence lists record which
-// live slots traverse each arc, so inserting a path costs
-// O(len(path) + paths sharing its arcs) rather than the O(n·len)
-// all-pairs scan. The incidence lists double as an arc-load table, from
-// which LowerBound maintains max-arc-load in O(1) amortised per update:
-// the dipaths through the most loaded arc pairwise conflict, so
-// maxload ≤ ω ≤ χ.
+// recycled by RemovePath. The relation is kept in its arc form only:
+// per-arc incidence lists record which live slots traverse each arc,
+// and two slots conflict exactly when they share a list. Nothing is
+// stored per pair of slots, so inserting or removing a path costs
+// O(len(path)) plus the scan of its arcs' lists on removal. The
+// incidence lists double as an arc-load table, from which LowerBound
+// maintains max-arc-load in O(1) amortised per update: the dipaths
+// through the most loaded arc pairwise conflict, so maxload ≤ ω ≤ χ.
+// Callers that need the conflict graph itself build it with FromFamily
+// over Family().
 //
 // A Dynamic is not safe for concurrent use.
 type Dynamic struct {
-	g     *digraph.Digraph
-	words int // words per adjacency row at the current capacity
+	g *digraph.Digraph
 
-	rows  []row          // rows[s] = neighbourhood bitset of slot s
-	deg   []int          // deg[s] = live neighbours of slot s
 	paths []*dipath.Path // paths[s] = dipath in slot s; nil = free
 	free  []int          // recycled slots
 	live  int            // number of occupied slots
@@ -45,7 +40,7 @@ type Dynamic struct {
 	maxLoad   int     // max over arcs of len(arcPaths[a])
 }
 
-// NewDynamic returns an empty mutable conflict graph for dipaths of g.
+// NewDynamic returns an empty mutable conflict layer for dipaths of g.
 func NewDynamic(g *digraph.Digraph) *Dynamic {
 	return &Dynamic{
 		g:        g,
@@ -71,26 +66,6 @@ func (d *Dynamic) Path(s int) *dipath.Path {
 	return d.paths[s]
 }
 
-// Degree returns the number of live dipaths conflicting with slot s.
-func (d *Dynamic) Degree(s int) int { return d.deg[s] }
-
-// HasConflict reports whether the dipaths in slots s and t share an arc.
-func (d *Dynamic) HasConflict(s, t int) bool {
-	if s < 0 || t < 0 || s >= len(d.paths) || t >= len(d.paths) || s == t {
-		return false
-	}
-	return d.rows[s].get(t)
-}
-
-// ForEachConflict calls f on every live slot whose dipath shares an arc
-// with slot s, in increasing slot order, without allocating.
-func (d *Dynamic) ForEachConflict(s int, f func(t int)) {
-	d.rows[s].forEach(f)
-}
-
-// ArcLoad returns the number of live dipaths traversing arc a.
-func (d *Dynamic) ArcLoad(a digraph.ArcID) int { return len(d.arcPaths[a]) }
-
 // ForEachOnArc calls f on every live slot whose dipath traverses arc a.
 // The order is unspecified (the incidence buckets are maintained by
 // swap-removal); f must not mutate d. This is the arc-indexed incidence
@@ -107,8 +82,8 @@ func (d *Dynamic) ForEachOnArc(a digraph.ArcID, f func(slot int)) {
 
 // GrowArcs extends the per-arc incidence to cover n arcs. No live
 // dipath traverses an arc that did not exist when it was validated, so
-// loads, adjacency and the lower bound are all unchanged — the new
-// buckets start empty. Live-capacity hook; see load.Tracker.GrowArcs.
+// loads and the lower bound are unchanged — the new buckets start
+// empty. Live-capacity hook; see load.Tracker.GrowArcs.
 // n at or below the current arc count is a no-op.
 func (d *Dynamic) GrowArcs(n int) {
 	for len(d.arcPaths) < n {
@@ -122,8 +97,7 @@ func (d *Dynamic) GrowArcs(n int) {
 // It is maintained incrementally (a load histogram), so the call is O(1).
 func (d *Dynamic) LowerBound() int { return d.maxLoad }
 
-// AddPath inserts p and returns its slot. The cost is O(len(p)) plus
-// one bitset update per live dipath sharing an arc with p.
+// AddPath inserts p and returns its slot in O(len(p)).
 func (d *Dynamic) AddPath(p *dipath.Path) (int, error) {
 	if p == nil {
 		return -1, fmt.Errorf("conflict: nil dipath")
@@ -133,17 +107,8 @@ func (d *Dynamic) AddPath(p *dipath.Path) (int, error) {
 	}
 	s := d.takeSlot()
 	for _, a := range p.Arcs() {
-		bucket := d.arcPaths[a]
-		for _, t := range bucket {
-			if !d.rows[s].get(t) {
-				d.rows[s].set(t)
-				d.rows[t].set(s)
-				d.deg[s]++
-				d.deg[t]++
-			}
-		}
-		d.arcPaths[a] = append(bucket, s)
-		d.bumpLoad(len(bucket) + 1)
+		d.arcPaths[a] = append(d.arcPaths[a], s)
+		d.bumpLoad(len(d.arcPaths[a]))
 	}
 	d.paths[s] = p
 	d.live++
@@ -151,7 +116,8 @@ func (d *Dynamic) AddPath(p *dipath.Path) (int, error) {
 }
 
 // RemovePath deletes the dipath in slot s; the slot is recycled. The
-// cost mirrors AddPath: O(len(path) + conflicting paths).
+// cost is O(len(path) + paths sharing its arcs): each arc's list is
+// scanned for s.
 func (d *Dynamic) RemovePath(s int) error {
 	if s < 0 || s >= len(d.paths) || d.paths[s] == nil {
 		return fmt.Errorf("conflict: slot %d is not live", s)
@@ -168,13 +134,6 @@ func (d *Dynamic) RemovePath(s int) error {
 		}
 		d.dropLoad(len(bucket) - 1)
 	}
-	rs := d.rows[s]
-	rs.forEach(func(t int) {
-		d.rows[t].clear(s)
-		d.deg[t]--
-	})
-	rs.zero()
-	d.deg[s] = 0
 	d.paths[s] = nil
 	d.free = append(d.free, s)
 	d.live--
@@ -206,42 +165,16 @@ func (d *Dynamic) dropLoad(l int) {
 	}
 }
 
-// takeSlot returns a free slot, growing the adjacency structure
-// (capacity doubling, so growth is amortised O(1) per insertion) when
-// none is available.
+// takeSlot returns a free slot, appending a new one when none is
+// recycled.
 func (d *Dynamic) takeSlot() int {
 	if n := len(d.free); n > 0 {
 		s := d.free[n-1]
 		d.free = d.free[:n-1]
 		return s
 	}
-	s := len(d.paths)
-	if s >= d.words*64 {
-		d.grow(s + 1)
-	}
 	d.paths = append(d.paths, nil)
-	d.deg = append(d.deg, 0)
-	d.rows = append(d.rows, newRow(d.words*64))
-	return s
-}
-
-// grow widens every adjacency row to cover at least minSlots slots.
-// Rows are reallocated individually (they are appended over time, so
-// unlike the static Graph they do not share one backing array).
-func (d *Dynamic) grow(minSlots int) {
-	words := (minSlots + 63) / 64
-	if w := 2 * d.words; w > words {
-		words = w // capacity doubling
-	}
-	if words < 1 {
-		words = 1
-	}
-	for i, r := range d.rows {
-		nr := make(row, words)
-		copy(nr, r)
-		d.rows[i] = nr
-	}
-	d.words = words
+	return len(d.paths) - 1
 }
 
 // LiveSlots returns the live slots in increasing order.
@@ -264,29 +197,4 @@ func (d *Dynamic) Family() dipath.Family {
 		}
 	}
 	return fam
-}
-
-// Snapshot compacts the live slots into a static Graph (vertex i of the
-// result is slots[i]) for the one-shot solvers — the full-recolor
-// fallback of the incremental coloring and the invariant checks.
-func (d *Dynamic) Snapshot() (*Graph, []int) {
-	slots := d.LiveSlots()
-	pos := make([]int, len(d.paths))
-	for i, s := range slots {
-		pos[s] = i
-	}
-	g := NewGraph(len(slots))
-	for i, s := range slots {
-		// Adjacency rows only ever hold live slots (RemovePath clears the
-		// removed slot from every neighbour), so pos[t] is always valid.
-		d.rows[s].forEach(func(t int) {
-			if j := pos[t]; j > i {
-				g.rows[i].set(j)
-				g.rows[j].set(i)
-				g.deg[i]++
-				g.deg[j]++
-			}
-		})
-	}
-	return g, slots
 }

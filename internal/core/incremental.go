@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"wavedag/internal/conflict"
@@ -24,7 +25,7 @@ const defaultRecolorBudget = 4
 // the cold from-scratch pipeline must run again. Only the cold pipeline
 // can discover that χ dropped as the family churned, so the budget is
 // the staleness bound on the ceiling; between cold probes, a gate
-// crossing costs O(Σ degree) instead of a conflict-graph rebuild plus
+// crossing costs O(Σ len(path)) instead of a conflict-graph rebuild plus
 // theorem run.
 const warmRecolorBudget = 8
 
@@ -41,10 +42,14 @@ const warmRecolorBudget = 8
 //     ceiling and recoloring is suppressed until the incremental state
 //     drifts above it.
 //
-// Mechanics: a new path is first-fit colored against its conflict
-// neighbourhood (a palette scratch reset via a touched-list, so the cost
-// is O(degree) not O(n)); a removal frees the slot's color and then runs
-// a bounded local repair that tries to recolor the highest color classes
+// Mechanics: coloring state is kept per arc as well as per slot. Every
+// arc carries a wavelength mask (occ) with bit c set when a live path on
+// the arc has wavelength c; a proper coloring uses each wavelength at
+// most once per arc, so the colors blocked for a path are the OR of the
+// masks along its arcs. A new path is first-fit colored from that OR in
+// O(len(path)·⌈λ/64⌉) words, without walking its conflict
+// neighbourhood; a removal frees the slot's color and then runs a
+// bounded local repair that tries to recolor the highest color classes
 // away while they are small; when NumLambda still drifts past the slack,
 // a warm-start repack reseeds the coloring from the surviving color
 // classes (class-grouped greedy, never more colors than the seed), and
@@ -62,12 +67,14 @@ type Incremental struct {
 	posIn   []int   // slot -> index in classes[colors[slot]]
 	numUsed int     // distinct wavelengths in use
 
+	// occ holds the per-arc wavelength masks, words uint64s per arc:
+	// bit c of arc a is set when a live slot on a has wavelength c. The
+	// width doubles when a color at or above 64·words is assigned.
+	occ   []uint64
+	words int
+
 	slack         int
 	recolorBudget int
-
-	// used/touched is the first-fit palette scratch.
-	used    []bool
-	touched []int
 
 	fullRecolors  int
 	warmRecolors  int
@@ -98,18 +105,26 @@ func NewIncremental(g *digraph.Digraph, slack int) *Incremental {
 	return &Incremental{
 		g:             g,
 		dyn:           conflict.NewDynamic(g),
+		occ:           make([]uint64, g.NumArcs()),
+		words:         1,
 		slack:         slack,
 		recolorBudget: defaultRecolorBudget,
 	}
 }
 
-// Dynamic exposes the underlying mutable conflict graph (read-only use).
+// Dynamic exposes the underlying mutable conflict layer (read-only use).
 func (ic *Incremental) Dynamic() *conflict.Dynamic { return ic.dyn }
 
-// GrowArcs extends the conflict layer's arc space to n arcs (see
-// conflict.Dynamic.GrowArcs). Coloring state is per-slot, not per-arc,
-// so the assignment, the palette and the drift ceiling are unaffected.
-func (ic *Incremental) GrowArcs(n int) { ic.dyn.GrowArcs(n) }
+// GrowArcs extends the conflict layer's arc space and the wavelength
+// masks to n arcs (see conflict.Dynamic.GrowArcs). No live path uses a
+// new arc, so its mask starts empty and the assignment, the palette and
+// the drift ceiling are unaffected.
+func (ic *Incremental) GrowArcs(n int) {
+	ic.dyn.GrowArcs(n)
+	if extra := n*ic.words - len(ic.occ); extra > 0 {
+		ic.occ = append(ic.occ, make([]uint64, extra)...)
+	}
+}
 
 // NumLambda returns the number of distinct wavelengths currently in use.
 func (ic *Incremental) NumLambda() int { return ic.numUsed }
@@ -137,7 +152,7 @@ func (ic *Incremental) Wavelength(s int) int {
 	return ic.colors[s]
 }
 
-// Add inserts p into the conflict graph, first-fit colors it, and
+// Add inserts p into the conflict layer, first-fit colors it, and
 // returns its slot. A full recolor is triggered only when the number of
 // wavelengths drifts past the slack gate.
 func (ic *Incremental) Add(p *dipath.Path) (int, error) {
@@ -189,41 +204,74 @@ func (ic *Incremental) ensureSlot(s int) {
 		ic.colors = append(ic.colors, -1)
 		ic.posIn = append(ic.posIn, 0)
 	}
-	// The palette scratch must fit any feasible color: at most one per
-	// live slot, plus one for the first-fit overflow probe.
-	for len(ic.used) <= ic.dyn.NumSlots()+1 {
-		ic.used = append(ic.used, false)
-	}
 }
 
-// firstFit returns the smallest color < limit not used by any conflict
-// neighbour of s. The scratch reset is O(degree) via the touched-list.
+// firstFit returns the smallest color < limit that no live path on s's
+// arcs uses: the lowest zero bit of the OR of their masks. s's own
+// color, if any, is in those masks, so a colored s needs
+// limit ≤ colors[s] (every caller probes strictly lower colors).
 func (ic *Incremental) firstFit(s, limit int) int {
-	ic.touched = ic.touched[:0]
-	ic.dyn.ForEachConflict(s, func(t int) {
-		if c := ic.colors[t]; c >= 0 && c < limit && !ic.used[c] {
-			ic.used[c] = true
-			ic.touched = append(ic.touched, c)
+	arcs := ic.dyn.Path(s).Arcs()
+	for w := 0; 64*w < limit; w++ {
+		var blocked uint64 // stays 0 past the mask width: no color there is used
+		if w < ic.words {
+			for _, a := range arcs {
+				blocked |= ic.occ[int(a)*ic.words+w]
+			}
 		}
-	})
-	c := 0
-	for c < limit && ic.used[c] {
-		c++
+		if blocked != ^uint64(0) {
+			if c := 64*w + bits.TrailingZeros64(^blocked); c < limit {
+				return c
+			}
+			return -1
+		}
 	}
-	for _, t := range ic.touched {
-		ic.used[t] = false
-	}
-	if c >= limit {
-		return -1
-	}
-	return c
+	return -1
 }
 
-// setColor assigns color c to slot s and updates the class bookkeeping.
+// markArcs sets (on) or clears wavelength c in the masks of s's arcs.
+func (ic *Incremental) markArcs(s, c int, on bool) {
+	w, bit := c/64, uint64(1)<<(c%64)
+	for _, a := range ic.dyn.Path(s).Arcs() {
+		if i := int(a)*ic.words + w; on {
+			ic.occ[i] |= bit
+		} else {
+			ic.occ[i] &^= bit
+		}
+	}
+}
+
+// widen doubles the mask width until color c fits.
+func (ic *Incremental) widen(c int) {
+	words := ic.words
+	for 64*words <= c {
+		words *= 2
+	}
+	arcs := len(ic.occ) / ic.words
+	occ := make([]uint64, arcs*words)
+	for a := 0; a < arcs; a++ {
+		copy(occ[a*words:], ic.occ[a*ic.words:(a+1)*ic.words])
+	}
+	ic.occ, ic.words = occ, words
+}
+
+// uncolor clears colored slot s's bit and marks it uncolored without
+// touching its class; the recolor resets rebuild the classes wholesale.
+func (ic *Incremental) uncolor(s int) {
+	ic.markArcs(s, ic.colors[s], false)
+	ic.colors[s] = -1
+}
+
+// setColor assigns color c to slot s and updates the class bookkeeping
+// and the masks of s's arcs.
 func (ic *Incremental) setColor(s, c int) {
 	for len(ic.classes) <= c {
 		ic.classes = append(ic.classes, nil)
 	}
+	if c >= 64*ic.words {
+		ic.widen(c)
+	}
+	ic.markArcs(s, c, true)
 	ic.colors[s] = c
 	if len(ic.classes[c]) == 0 {
 		ic.numUsed++
@@ -240,7 +288,7 @@ func (ic *Incremental) clearColor(s int) {
 	class[i] = class[last]
 	ic.posIn[class[i]] = i
 	ic.classes[c] = class[:last]
-	ic.colors[s] = -1
+	ic.uncolor(s)
 	if last == 0 {
 		ic.numUsed--
 	}
@@ -355,9 +403,9 @@ func (ic *Incremental) maybeFullRecolor() {
 // first i-1 classes — and in practice packs the palette well below it,
 // because every first-fit runs against the full current neighbourhood
 // instead of the arrival-order prefix that produced the drift. Cost is
-// O(Σ degree) over the live conflict graph, versus the cold pipeline's
-// conflict-graph rebuild plus theorem run, so drifts it absorbs cost a
-// repair, not a spike.
+// O(Σ len(path)) mask words over the live family, versus the cold
+// pipeline's conflict-graph rebuild plus theorem run, so drifts it
+// absorbs cost a repair, not a spike.
 func (ic *Incremental) warmRecolor() {
 	if ic.numUsed == 0 {
 		return
@@ -378,7 +426,7 @@ func (ic *Incremental) warmRecolor() {
 	}
 	limit := ic.numUsed // greedy over class groups is guaranteed to fit
 	for _, s := range ic.warmOrder {
-		ic.colors[s] = -1
+		ic.uncolor(s)
 	}
 	// Truncate the classes in place (warmOrder already snapshotted their
 	// members) so setColor refills the existing backing arrays — the
@@ -398,13 +446,13 @@ func (ic *Incremental) warmRecolor() {
 }
 
 // fullRecolor reassigns every live slot from a from-scratch ColorDAG run
-// (falling back to DSATUR on the conflict snapshot if the pipeline
-// errors, which keeps the session alive on adversarial inputs).
+// (falling back to DSATUR on the live family's conflict graph if the
+// pipeline errors, which keeps the session alive on adversarial inputs).
 func (ic *Incremental) fullRecolor() {
 	// Warm start: reseed from the surviving color classes first. When the
 	// repack alone brings the count back through the slack gate — or back
 	// under a still-plausible futile ceiling — the drift is absorbed for
-	// O(Σ degree) and the from-scratch pipeline is skipped entirely.
+	// O(Σ len(path)) and the from-scratch pipeline is skipped entirely.
 	ic.warmRecolor()
 	lb := ic.dyn.LowerBound()
 	switch {
@@ -455,15 +503,14 @@ func (ic *Incremental) coldRecolor() {
 	if res, _, err := ColorDAGPrevalidated(ic.g, fam); err == nil {
 		colors = res.Colors
 	} else {
-		snap, _ := ic.dyn.Snapshot()
-		colors = snap.DSATURColoring()
+		colors = conflict.FromFamily(ic.g, fam).DSATURColoring()
 	}
 	// Rebuild the class bookkeeping from the fresh assignment, then
 	// re-densify: Theorem 6 colorings can skip indices (a permutation
 	// cycle's freed base color may go unused), and the palette-density
 	// invariant must hold for Wavelength/Feasible consumers.
 	for _, s := range slots {
-		ic.colors[s] = -1
+		ic.uncolor(s)
 	}
 	ic.classes = ic.classes[:0]
 	ic.numUsed = 0
@@ -480,7 +527,7 @@ func (ic *Incremental) coldRecolor() {
 }
 
 // EnsureAtMost tries to bring the live assignment to at most limit
-// wavelengths: the warm class-seeded repack first (O(Σ degree)), the
+// wavelengths: the warm class-seeded repack first (O(Σ len(path))), the
 // from-scratch pipeline when the repack is not enough. It returns the
 // resulting count, which still exceeds limit exactly when even the
 // strongest applicable theorem needs more colors. On internal-cycle-
@@ -507,7 +554,7 @@ func (ic *Incremental) EnsureAtMost(limit int) int {
 // admitted: the live family is exactly as before (the repack may have
 // permuted colors, but never onto more wavelengths). This is the
 // general-DAG budget admission probe: unlike the Theorem-1 load test it
-// costs up to O(Σ degree), but it never disturbs the λ ≤ limit
+// costs up to O(Σ len(path)), but it never disturbs the λ ≤ limit
 // invariant of the paths already admitted. limit <= 0 means unlimited
 // and behaves like Add.
 func (ic *Incremental) AddUnderLimit(p *dipath.Path, limit int) (slot int, ok bool, err error) {

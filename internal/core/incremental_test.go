@@ -2,8 +2,11 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"wavedag/internal/conflict"
+	"wavedag/internal/digraph"
 	"wavedag/internal/dipath"
 	"wavedag/internal/gen"
 	"wavedag/internal/load"
@@ -11,14 +14,14 @@ import (
 )
 
 // checkIncrementalInvariants snapshots the colorer's state and asserts
-// the three Incremental invariants: proper coloring, exact distinct
-// count, and the slack gate (lower bound + slack, unless the from-
-// scratch pipeline itself could not reach it).
+// the Incremental invariants: proper coloring, exact distinct count,
+// the lower bound, and per-arc wavelength masks that equal the OR of
+// 1<<color over the arc's live slots.
 func checkIncrementalInvariants(t *testing.T, op int, ic *Incremental) {
 	t.Helper()
-	snap, slots := ic.Dynamic().Snapshot()
+	g, slots, fam := ic.Dynamic().Graph(), ic.Dynamic().LiveSlots(), ic.Dynamic().Family()
 	colors := ic.Colors(slots)
-	if err := snap.ValidateColoring(colors); err != nil {
+	if err := conflict.FromFamily(g, fam).ValidateColoring(colors); err != nil {
 		t.Fatalf("op %d: coloring invalid: %v", op, err)
 	}
 	distinct := make(map[int]bool)
@@ -35,9 +38,22 @@ func checkIncrementalInvariants(t *testing.T, op int, ic *Incremental) {
 	if len(distinct) != ic.NumLambda() {
 		t.Fatalf("op %d: NumLambda = %d, want %d", op, ic.NumLambda(), len(distinct))
 	}
-	fam := ic.Dynamic().Family()
-	if lb, pi := ic.LowerBound(), load.Pi(ic.Dynamic().Graph(), fam); lb != pi {
+	if lb, pi := ic.LowerBound(), load.Pi(g, fam); lb != pi {
 		t.Fatalf("op %d: lower bound %d, want π = %d", op, lb, pi)
+	}
+	if arcs := g.NumArcs(); len(ic.occ) != arcs*ic.words {
+		t.Fatalf("op %d: %d mask words for %d arcs × %d words", op, len(ic.occ), arcs, ic.words)
+	}
+	want := make([]uint64, ic.words)
+	for a := 0; a < g.NumArcs(); a++ {
+		clear(want)
+		ic.Dynamic().ForEachOnArc(digraph.ArcID(a), func(s int) {
+			c := ic.colors[s]
+			want[c/64] |= 1 << (c % 64)
+		})
+		if got := ic.occ[a*ic.words : (a+1)*ic.words]; !slices.Equal(got, want) {
+			t.Fatalf("op %d: arc %d mask %x, want %x", op, a, got, want)
+		}
 	}
 }
 

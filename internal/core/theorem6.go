@@ -357,13 +357,19 @@ func ceilDiv(a, b int) int { return (a + b - 1) / b }
 // (x_1, …, x_p) where the member of bundle leftBundle(x_j) takes left
 // color x_j and hands over to x_{j+1}. The multigraph has equal in- and
 // out-degree at every bundle, so the decomposition always exists.
+// Walks start from bundles in increasing order and follow transitions in
+// color order, so the same input always yields the same cycles.
 func simpleCycleDecomposition(pi int, leftBundle, rightBundle []int) ([][]int, error) {
 	type edge struct {
 		to    int // leftBundle(color)
 		color int
 		used  bool
 	}
-	out := map[int][]*edge{} // rightBundle -> outgoing transitions
+	nb := 0
+	for c := 0; c < pi; c++ {
+		nb = max(nb, leftBundle[c]+1, rightBundle[c]+1)
+	}
+	out := make([][]*edge, nb) // rightBundle -> outgoing transitions
 	remaining := 0
 	for c := 0; c < pi; c++ {
 		if leftBundle[c] == rightBundle[c] {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"wavedag/internal/conflict"
@@ -239,5 +241,41 @@ func TestColorDAGDispatch(t *testing.T) {
 	bad := dipath.Family{dipath.MustFromVertices(other, 0, 1)}
 	if _, _, err := ColorDAG(digraph.New(2), bad); err == nil {
 		t.Fatal("invalid family accepted")
+	}
+}
+
+// TestColorDAGDeterministic repeats ColorDAG on random subsets of the
+// doubled Theorem 2 gadget (one internal cycle, so Theorem 6 runs) and
+// requires the same coloring every time: the cycle decomposition of the
+// re-merge must not depend on map iteration order.
+func TestColorDAGDeterministic(t *testing.T) {
+	g, base, err := gen.InternalCycleGadget(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fam := base.Replicate(2)
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 40; trial++ {
+		perm := rng.Perm(len(fam))[:12]
+		sub := make(dipath.Family, len(perm))
+		for i, j := range perm {
+			sub[i] = fam[j]
+		}
+		first, method, err := ColorDAG(g, sub)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if method != MethodTheorem6 {
+			t.Fatalf("trial %d: method %s, want %s", trial, method, MethodTheorem6)
+		}
+		for rep := 1; rep < 8; rep++ {
+			res, _, err := ColorDAG(g, sub)
+			if err != nil {
+				t.Fatalf("trial %d rep %d: %v", trial, rep, err)
+			}
+			if !slices.Equal(res.Colors, first.Colors) {
+				t.Fatalf("trial %d rep %d: colors %v, first call gave %v", trial, rep, res.Colors, first.Colors)
+			}
+		}
 	}
 }

@@ -168,10 +168,12 @@ func (g *Digraph) checkVertex(v Vertex) error {
 func (g *Digraph) NumVertices() int { return len(g.labels) }
 
 // NumArcs reports the number of arcs.
+//
 //wavedag:lockfree
 func (g *Digraph) NumArcs() int { return len(g.arcs) }
 
 // Arc returns the arc with the given identifier.
+//
 //wavedag:lockfree
 func (g *Digraph) Arc(id ArcID) Arc { return g.arcs[id] }
 
@@ -234,6 +236,7 @@ func (g *Digraph) Sinks() []Vertex {
 
 // ArcBetween returns the identifier of an arc tail->head if at least one
 // exists. When parallel arcs exist it returns the first inserted one.
+//
 //wavedag:lockfree
 func (g *Digraph) ArcBetween(tail, head Vertex) (ArcID, bool) {
 	if tail < 0 || int(tail) >= len(g.labels) {

@@ -25,6 +25,7 @@ type Path struct {
 // FromVertices builds a path through the given vertex sequence, resolving
 // each consecutive pair to an arc of g (the first matching arc when
 // parallels exist). It rejects empty sequences and missing arcs.
+//
 //wavedag:lockfree
 //wavedag:allow-alloc (path construction)
 func FromVertices(g *digraph.Digraph, vertices ...digraph.Vertex) (*Path, error) {
@@ -75,6 +76,7 @@ func FromArcs(g *digraph.Digraph, arcs ...digraph.ArcID) (*Path, error) {
 // slice is retained by the path; callers must not mutate it. Feeding
 // arcs that do not chain silently builds a corrupt path — use FromArcs
 // for anything that did not come out of a trusted translation.
+//
 //wavedag:lockfree
 //wavedag:allow-alloc (path construction)
 func FromArcsTrusted(g *digraph.Digraph, arcs ...digraph.ArcID) *Path {
@@ -97,28 +99,34 @@ func MustFromVertices(g *digraph.Digraph, vertices ...digraph.Vertex) *Path {
 }
 
 // First returns the initial vertex.
+//
 //wavedag:lockfree
 func (p *Path) First() digraph.Vertex { return p.vertices[0] }
 
 // Last returns the terminal vertex.
+//
 //wavedag:lockfree
 func (p *Path) Last() digraph.Vertex { return p.vertices[len(p.vertices)-1] }
 
 // NumArcs returns the number of arcs (the length of the dipath).
+//
 //wavedag:lockfree
 func (p *Path) NumArcs() int { return len(p.arcs) }
 
 // NumVertices returns the number of vertices (NumArcs()+1).
+//
 //wavedag:lockfree
 func (p *Path) NumVertices() int { return len(p.vertices) }
 
 // Arcs returns the arc sequence. The slice is owned by the path and must
 // not be mutated.
+//
 //wavedag:lockfree
 func (p *Path) Arcs() []digraph.ArcID { return p.arcs }
 
 // Vertices returns the vertex sequence. The slice is owned by the path
 // and must not be mutated.
+//
 //wavedag:lockfree
 func (p *Path) Vertices() []digraph.Vertex { return p.vertices }
 

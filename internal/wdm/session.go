@@ -30,10 +30,11 @@ type SessionID int64
 //   - load: a load.Tracker accounts arc loads under Add/Remove in
 //     O(len(path));
 //   - conflicts: the coloring strategy's state (for "incremental", a
-//     conflict.Dynamic) maintains the conflict graph under churn with
-//     arc-indexed overlap detection;
-//   - wavelengths: maintained online (first-fit + bounded repair +
-//     slack-gated full recolor) instead of recomputed per event.
+//     conflict.Dynamic) indexes the live paths by the arcs they
+//     traverse, which is the conflict relation in arc form;
+//   - wavelengths: maintained online (first-fit from per-arc
+//     wavelength masks + bounded repair + slack-gated full recolor)
+//     instead of recomputed per event.
 //
 // So a request arrival or teardown costs work proportional to the paths
 // it actually touches, not to the whole live family — see the churn

@@ -30,8 +30,8 @@ import (
 // Snapshot entry states.
 const (
 	snapFree uint8 = iota // slot unoccupied (or recycled under a newer generation)
-	snapLit                // live, carrying a wavelength
-	snapDark               // parked dark by a restoration storm
+	snapLit               // live, carrying a wavelength
+	snapDark              // parked dark by a restoration storm
 )
 
 // snapRow is one request slot's row in a snapshot's per-shard entry
@@ -108,53 +108,64 @@ type EngineSnapshot struct {
 // Seq returns the snapshot's publication sequence number — strictly
 // increasing across publications, so two snapshots with equal Seq are
 // the same snapshot.
+//
 //wavedag:lockfree
 func (s *EngineSnapshot) Seq() uint64 { return s.seq }
 
 // TopologyEpoch returns the topology epoch at publication (see
 // digraph.TopologyEpoch — FailArc and RestoreArc bump it).
+//
 //wavedag:lockfree
 func (s *EngineSnapshot) TopologyEpoch() uint64 { return s.epoch }
 
 // Closed reports whether the engine was closed at publication.
+//
 //wavedag:lockfree
 func (s *EngineSnapshot) Closed() bool { return s.closed }
 
 // Stats returns the engine stats frozen at publication.
+//
 //wavedag:lockfree
 func (s *EngineSnapshot) Stats() EngineStats { return s.stats }
 
 // Len returns the number of live (lit) requests at publication.
+//
 //wavedag:lockfree
 func (s *EngineSnapshot) Len() int { return s.live }
 
 // DarkLive returns the number of dark-parked entries at publication.
+//
 //wavedag:lockfree
 func (s *EngineSnapshot) DarkLive() int { return s.dark }
 
 // Pi returns the load π at publication.
+//
 //wavedag:lockfree
 func (s *EngineSnapshot) Pi() int { return s.pi }
 
 // NumLambda returns the wavelength count at publication. The error is
 // always nil: engine lanes color incrementally, so λ is materialised at
 // every publication.
+//
 //wavedag:lockfree
 func (s *EngineSnapshot) NumLambda() (int, error) { return s.lambda, nil }
 
 // OverlayLambda returns the maximum overlay band across components with
 // region lanes at publication (see ShardedEngine.OverlayLambda); the
 // error is always nil.
+//
 //wavedag:lockfree
 func (s *EngineSnapshot) OverlayLambda() (int, error) { return s.overlayLambda, nil }
 
 // NumArcs returns the length of the snapshot's arc-load vector.
+//
 //wavedag:lockfree
 func (s *EngineSnapshot) NumArcs() int { return len(s.loads.arr) }
 
 // ArcLoadsInto copies the snapshot's per-arc load vector into dst,
 // reusing its capacity (growing only when too small), and returns the
 // resized slice.
+//
 //wavedag:lockfree
 //wavedag:allow-alloc (grow path when dst is too small)
 func (s *EngineSnapshot) ArcLoadsInto(dst []int) []int {
@@ -169,6 +180,7 @@ func (s *EngineSnapshot) ArcLoadsInto(dst []int) []int {
 }
 
 // ArcLoads returns a copy of the snapshot's per-arc load vector.
+//
 //wavedag:lockfree
 //wavedag:allow-alloc (delegates to the growing ArcLoadsInto)
 func (s *EngineSnapshot) ArcLoads() []int { return s.ArcLoadsInto(nil) }
@@ -177,6 +189,7 @@ func (s *EngineSnapshot) ArcLoads() []int { return s.ArcLoadsInto(nil) }
 // same error shape as the live session lookup. When the id's shard was
 // retired by a re-layout the table's forward map is chased (bounded by
 // the table count — forward chains only ever point at younger shards).
+//
 //wavedag:lockfree
 func (s *EngineSnapshot) lookupRow(id ShardedID) (snapRow, *snapTable, error) {
 	for hops := 0; ; hops++ {
@@ -201,6 +214,7 @@ func (s *EngineSnapshot) lookupRow(id ShardedID) (snapRow, *snapTable, error) {
 
 // translatePath lifts a shard-local path into the topology the snapshot
 // was published against, through the table's frozen identifier arrays.
+//
 //wavedag:lockfree
 //wavedag:allow-alloc (the translated path is a fresh object by contract)
 func (s *EngineSnapshot) translatePath(t *snapTable, p *dipath.Path) (*dipath.Path, error) {
@@ -216,6 +230,7 @@ func (s *EngineSnapshot) translatePath(t *snapTable, p *dipath.Path) (*dipath.Pa
 
 // Path returns the route the request held at publication, in the
 // engine topology's identifiers (for a dark entry, the parked route).
+//
 //wavedag:lockfree
 //wavedag:allow-alloc (the translated path is a fresh object by contract)
 func (s *EngineSnapshot) Path(id ShardedID) (*dipath.Path, error) {
@@ -228,6 +243,7 @@ func (s *EngineSnapshot) Path(id ShardedID) (*dipath.Path, error) {
 
 // Wavelength returns the banded engine wavelength the request held at
 // publication, or -1 when it was parked dark.
+//
 //wavedag:lockfree
 func (s *EngineSnapshot) Wavelength(id ShardedID) (int, error) {
 	r, _, err := s.lookupRow(id)
@@ -238,6 +254,7 @@ func (s *EngineSnapshot) Wavelength(id ShardedID) (int, error) {
 }
 
 // IsDark reports whether the request was parked dark at publication.
+//
 //wavedag:lockfree
 func (s *EngineSnapshot) IsDark(id ShardedID) (bool, error) {
 	r, _, err := s.lookupRow(id)
@@ -251,6 +268,7 @@ func (s *EngineSnapshot) IsDark(id ShardedID) (bool, error) {
 // already dropped — which can only happen to a snapshot that is no
 // longer the published one, so callers retry against the current
 // pointer.
+//
 //wavedag:lockfree
 //wavedag:refcount
 func (s *EngineSnapshot) acquire() bool {
@@ -269,6 +287,7 @@ func (s *EngineSnapshot) acquire() bool {
 // last drop (publisher reference included) sends the backing buffers
 // back to the recycling pools. Releasing more often than acquired
 // panics — the buffers would be recycled under a still-active reader.
+//
 //wavedag:lockfree
 //wavedag:refcount
 func (s *EngineSnapshot) Release() {
@@ -284,6 +303,7 @@ func (s *EngineSnapshot) Release() {
 // left; tables still shared with a newer snapshot stay out until their
 // own count drops. Row path pointers are left in place — the pool is
 // GC-backed and every rebuild overwrites the rows it hands out.
+//
 //wavedag:lockfree
 //wavedag:refcount
 func (s *EngineSnapshot) reclaim() {
@@ -302,6 +322,7 @@ func (s *EngineSnapshot) reclaim() {
 // one atomic load plus one atomic increment, no locks. Callers must
 // Release it when done. Successive calls may return the same snapshot
 // (nothing was published in between) but Seq never moves backwards.
+//
 //wavedag:lockfree
 //wavedag:acquire Release
 func (e *ShardedEngine) Snapshot() *EngineSnapshot {
@@ -323,44 +344,52 @@ func (e *ShardedEngine) Snapshot() *EngineSnapshot {
 
 // Stats reports the engine layout, overlay occupancy, per-lane traffic
 // shares and failure counters, from the current snapshot.
+//
 //wavedag:lockfree
 func (e *ShardedEngine) Stats() EngineStats { return e.snap.Load().stats }
 
 // Len returns the number of live requests across all shards, from the
 // current snapshot.
+//
 //wavedag:lockfree
 func (e *ShardedEngine) Len() int { return e.snap.Load().live }
 
 // Pi returns the load π of the live routing — the maximum over
 // components, exact under sub-sharding (see PiStrong for the aggregation
 // argument) — from the current snapshot.
+//
 //wavedag:lockfree
 func (e *ShardedEngine) Pi() int { return e.snap.Load().pi }
 
 // DarkLive returns the number of entries parked dark across all lanes,
 // from the current snapshot.
+//
 //wavedag:lockfree
 func (e *ShardedEngine) DarkLive() int { return e.snap.Load().dark }
 
 // NumFailedArcs reports how many arcs of the engine topology are cut,
 // from the current snapshot.
+//
 //wavedag:lockfree
 func (e *ShardedEngine) NumFailedArcs() int { return e.snap.Load().stats.FailedArcs }
 
 // NumLambda returns the number of wavelengths in use (max over
 // components; a component counts its region maximum plus its overlay
 // band), from the current snapshot. The error is always nil.
+//
 //wavedag:lockfree
 func (e *ShardedEngine) NumLambda() (int, error) { return e.snap.Load().lambda, nil }
 
 // OverlayLambda returns the maximum overlay band across components with
 // region lanes (see OverlayLambdaStrong), from the current snapshot.
 // The error is always nil.
+//
 //wavedag:lockfree
 func (e *ShardedEngine) OverlayLambda() (int, error) { return e.snap.Load().overlayLambda, nil }
 
 // ArcLoads returns the per-arc load vector over the engine's topology,
 // from the current snapshot. Use ArcLoadsInto to reuse a buffer.
+//
 //wavedag:lockfree
 //wavedag:allow-alloc (fresh copy by contract; ArcLoadsInto is the 0-alloc form)
 func (e *ShardedEngine) ArcLoads() []int { return e.ArcLoadsInto(nil) }
@@ -368,6 +397,7 @@ func (e *ShardedEngine) ArcLoads() []int { return e.ArcLoadsInto(nil) }
 // ArcLoadsInto copies the current snapshot's per-arc load vector into
 // dst, reusing its capacity — the allocation-free form of ArcLoads for
 // polling readers.
+//
 //wavedag:lockfree
 func (e *ShardedEngine) ArcLoadsInto(dst []int) []int {
 	s := e.Snapshot()
@@ -378,6 +408,7 @@ func (e *ShardedEngine) ArcLoadsInto(dst []int) []int {
 
 // Path returns the route of a live request as of the current snapshot,
 // in the engine topology's identifiers.
+//
 //wavedag:lockfree
 //wavedag:allow-alloc (the translated path is a fresh object by contract)
 func (e *ShardedEngine) Path(id ShardedID) (*dipath.Path, error) {
@@ -394,6 +425,7 @@ func (e *ShardedEngine) Path(id ShardedID) (*dipath.Path, error) {
 // current snapshot. Overlay lane wavelengths are reported in the
 // component's effective band (region maximum + overlay class) as of the
 // same boundary; -1 when parked dark.
+//
 //wavedag:lockfree
 func (e *ShardedEngine) Wavelength(id ShardedID) (int, error) {
 	s := e.Snapshot()
@@ -404,6 +436,7 @@ func (e *ShardedEngine) Wavelength(id ShardedID) (int, error) {
 
 // IsDark reports whether the request is parked dark, as of the current
 // snapshot.
+//
 //wavedag:lockfree
 func (e *ShardedEngine) IsDark(id ShardedID) (bool, error) {
 	s := e.Snapshot()
@@ -415,6 +448,7 @@ func (e *ShardedEngine) IsDark(id ShardedID) (bool, error) {
 // ── Publication ────────────────────────────────────────────────────────
 
 // getTable takes a table from the pool resized to n rows.
+//
 //wavedag:pool-handoff (ownership passes to the published snapshot; reclaim returns it)
 func (e *ShardedEngine) getTable(n int) *snapTable {
 	t, _ := e.tablePool.Get().(*snapTable)
@@ -430,6 +464,7 @@ func (e *ShardedEngine) getTable(n int) *snapTable {
 }
 
 // getVec takes an arc-load vector from the pool resized to n.
+//
 //wavedag:pool-handoff (ownership passes to the published snapshot; reclaim returns it)
 func (e *ShardedEngine) getVec(n int) *snapVec {
 	v, _ := e.vecPool.Get().(*snapVec)
@@ -510,6 +545,7 @@ func (c *engineComponent) refreshCompAggregates() {
 // their loads and refresh their aggregates; everything else carries
 // over from the previous snapshot — tables by shared reference, the
 // load vector by copy (or shared outright when nothing moved).
+//
 //wavedag:refcount
 func (e *ShardedEngine) publishLocked() {
 	prev := e.snap.Load()

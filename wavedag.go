@@ -532,8 +532,9 @@ type (
 	// ColoringStrategy is the pluggable wavelength-maintenance layer of
 	// sessions; register implementations with RegisterColoringStrategy.
 	ColoringStrategy = wdm.ColoringStrategy
-	// DynamicConflictGraph is a mutable conflict graph maintained under
-	// dipath insertion/removal (see NewDynamicConflictGraph).
+	// DynamicConflictGraph is the mutable conflict layer of the dynamic
+	// engine: live dipaths in recycled slots, indexed by the arcs they
+	// traverse (see NewDynamicConflictGraph).
 	DynamicConflictGraph = conflict.Dynamic
 	// IncrementalColorer maintains a wavelength assignment online over a
 	// mutable conflict graph (see NewIncrementalColorer).
@@ -848,9 +849,12 @@ func RoutingStrategyNames() []string { return wdm.RoutingStrategyNames() }
 // sorted.
 func ColoringStrategyNames() []string { return wdm.ColoringStrategyNames() }
 
-// NewDynamicConflictGraph returns an empty mutable conflict graph for
-// dipaths of g: AddPath/RemovePath maintain adjacency with arc-indexed
-// overlap detection and an O(1) χ/ω lower bound.
+// NewDynamicConflictGraph returns an empty mutable conflict layer for
+// dipaths of g: AddPath/RemovePath maintain per-arc incidence lists
+// (two dipaths conflict when they share one) and an O(1) χ/ω lower
+// bound, the maximum arc load. It stores no pairwise adjacency; build
+// the static conflict graph with NewConflictGraph over Family when
+// needed.
 func NewDynamicConflictGraph(g *Graph) *DynamicConflictGraph {
 	return conflict.NewDynamic(g)
 }
