@@ -7,6 +7,7 @@ package wavedag_test
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"wavedag"
@@ -14,6 +15,7 @@ import (
 	"wavedag/internal/conflict"
 	"wavedag/internal/core"
 	"wavedag/internal/cycles"
+	"wavedag/internal/digraph"
 	"wavedag/internal/gen"
 	"wavedag/internal/load"
 	"wavedag/internal/route"
@@ -325,6 +327,36 @@ func BenchmarkRWAPipeline(b *testing.B) {
 			}
 		})
 	}
+	// The plan-theorem1 shape: 5000 min-load requests on the
+	// 500-internal-vertex large/theorem1 topology.
+	b.Run("large", func(b *testing.B) {
+		g, err := gen.RandomNoInternalCycleDAG(500, 8, 8, 0.2, 500)
+		if err != nil {
+			b.Fatal(err)
+		}
+		large := &wdm.Network{Topology: g}
+		reqs := largePlanRequests(g, 5000)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := large.Provision(reqs, wdm.RouteMinLoad); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// largePlanRequests draws count requests uniformly from the routable
+// pairs of g with a fixed seed, as wavebench's plan-theorem1 draws its
+// request sets.
+func largePlanRequests(g *digraph.Digraph, count int) []route.Request {
+	pool := route.NewRouter(g).AllToAll()
+	rng := rand.New(rand.NewSource(1))
+	reqs := make([]route.Request, count)
+	for i := range reqs {
+		reqs[i] = pool[rng.Intn(len(pool))]
+	}
+	return reqs
 }
 
 // Dynamic provisioning engine: steady-state churn (one teardown + one

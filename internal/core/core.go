@@ -82,7 +82,7 @@ func ColorDAG(g *digraph.Digraph, fam dipath.Family) (*Result, Method, error) {
 func ColorDAGPrevalidated(g *digraph.Digraph, fam dipath.Family) (*Result, Method, error) {
 	count := cycles.IndependentCycleCount(g)
 	if count == 0 {
-		res, err := colorNoInternalCycle(g, fam)
+		res, err := peelTheorem1(g, fam)
 		return res, MethodTheorem1, err
 	}
 	if count == 1 {

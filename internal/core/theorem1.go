@@ -36,19 +36,20 @@ func ColorNoInternalCycle(g *digraph.Digraph, fam dipath.Family) (*Result, error
 	if err := fam.Validate(g); err != nil {
 		return nil, err
 	}
-	return colorNoInternalCycle(g, fam)
-}
-
-// colorNoInternalCycle is ColorNoInternalCycle for pre-validated
-// families (ColorDAG validates once; session-internal families were
-// validated at construction).
-func colorNoInternalCycle(g *digraph.Digraph, fam dipath.Family) (*Result, error) {
 	if !dag.IsDAG(g) {
 		return nil, dag.ErrCyclic
 	}
 	if cycles.HasInternalCycle(g) {
 		return nil, ErrInternalCycle
 	}
+	return peelTheorem1(g, fam)
+}
+
+// peelTheorem1 runs the Theorem-1 peel on a pre-validated family over a
+// DAG g without internal cycle; callers establish the hypothesis (a zero
+// cycles.IndependentCycleCount rules out directed and internal cycles
+// alike).
+func peelTheorem1(g *digraph.Digraph, fam dipath.Family) (*Result, error) {
 	st, err := newPeelState(g, fam)
 	if err != nil {
 		return nil, err
@@ -99,6 +100,10 @@ type peelState struct {
 	colorGen  []int
 	colorBy   []int
 	colorMark int
+	// Scratch reused across insertions and chains: the alive suffixes
+	// through the arc being inserted, and a chain's frontier and next
+	// frontier.
+	alive, frontier, next []int
 }
 
 // markColors starts a fresh color-marking generation.
@@ -169,12 +174,13 @@ func (st *peelState) insertArc(e digraph.ArcID) error {
 		st.palette = pi0
 	}
 	// P0 of the proof: the alive (non-empty) suffixes of the dipaths of Q0.
-	var alive []int
+	alive := st.alive[:0]
 	for _, p := range q0 {
 		if st.start[p] < st.fam[p].NumArcs() {
 			alive = append(alive, p)
 		}
 	}
+	st.alive = alive
 	// Recolor until the alive suffixes have pairwise distinct colors.
 	for {
 		dupA, dupB, ok := st.findDuplicate(alive)
@@ -197,11 +203,13 @@ func (st *peelState) insertArc(e digraph.ArcID) error {
 	}
 	next := 0
 	for _, p := range q0 {
-		idx := st.fam[p].ArcIndex(e)
-		if st.start[p] != idx+1 {
-			return fmt.Errorf("core: internal error: dipath %d suffix start %d, expected %d", p, st.start[p], idx+1)
+		// e must be the arc just before the alive suffix: the dipath is
+		// simple, so this is the ArcIndex check in O(1).
+		start := st.start[p]
+		if start == 0 || st.fam[p].Arc(start-1) != e {
+			return fmt.Errorf("core: internal error: dipath %d suffix start %d, expected %d", p, start, st.fam[p].ArcIndex(e)+1)
 		}
-		st.start[p] = idx
+		st.start[p] = start - 1
 		st.active[e] = append(st.active[e], p)
 		if st.colors[p] >= 0 {
 			continue // alive suffix keeps its color
@@ -256,10 +264,11 @@ func (st *peelState) runChain(anchor, mover, beta int) error {
 	st.chainGen++
 	st.flipGen[mover] = st.chainGen
 	st.colors[mover] = beta
-	frontier := []int{mover}
+	frontier := append(st.frontier[:0], mover)
+	next := st.next[:0]
 	conflictColor, newColor := beta, alpha
 	for len(frontier) > 0 {
-		var next []int
+		next = next[:0]
 		for _, p := range frontier {
 			arcs := st.fam[p].Arcs()
 			for _, a := range arcs[st.start[p]:] {
@@ -281,8 +290,9 @@ func (st *peelState) runChain(anchor, mover, beta int) error {
 				}
 			}
 		}
-		frontier = next
+		frontier, next = next, frontier
 		conflictColor, newColor = newColor, conflictColor
 	}
+	st.frontier, st.next = frontier, next
 	return nil
 }

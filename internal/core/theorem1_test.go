@@ -134,6 +134,40 @@ func TestTheorem1RejectsCyclicDigraph(t *testing.T) {
 	}
 }
 
+// TestColorNoInternalCycleKeepsHypothesisChecks: ColorDAG goes straight
+// to the peel once its cycle count is zero, but the public entry point
+// still checks the hypothesis itself. A cyclic digraph is ErrCyclic and
+// a DAG with an internal cycle ErrInternalCycle, with or without paths,
+// and ColorDAG never reports Theorem 1 on either.
+func TestColorNoInternalCycleKeepsHypothesisChecks(t *testing.T) {
+	cyclic := digraph.New(3)
+	cyclic.MustAddArc(0, 1)
+	cyclic.MustAddArc(1, 2)
+	cyclic.MustAddArc(2, 0)
+	gadget, gadgetFam, err := gen.InternalCycleGadget(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		g    *digraph.Digraph
+		fam  dipath.Family
+		want error
+	}{
+		{"cyclic, empty", cyclic, nil, dag.ErrCyclic},
+		{"cyclic, paths", cyclic, dipath.Family{dipath.MustFromVertices(cyclic, 0, 1, 2), dipath.MustFromVertices(cyclic, 1, 2)}, dag.ErrCyclic},
+		{"internal cycle, empty", gadget, nil, ErrInternalCycle},
+		{"internal cycle, paths", gadget, gadgetFam, ErrInternalCycle},
+	} {
+		if _, err := ColorNoInternalCycle(tc.g, tc.fam); !errors.Is(err, tc.want) {
+			t.Fatalf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+		if _, method, err := ColorDAG(tc.g, tc.fam); err == nil && method == MethodTheorem1 {
+			t.Fatalf("%s: ColorDAG dispatched Theorem 1", tc.name)
+		}
+	}
+}
+
 func TestTheorem1RejectsForeignPaths(t *testing.T) {
 	g := digraph.New(3)
 	g.MustAddArc(0, 1)

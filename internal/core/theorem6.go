@@ -67,7 +67,7 @@ func colorOneInternalCycleUPP(g *digraph.Digraph, fam dipath.Family) (*Result, e
 	switch n := cycles.IndependentCycleCount(g); {
 	case n == 0:
 		// Degenerate but legal: Theorem 1 applies directly and is stronger.
-		return colorNoInternalCycle(g, fam)
+		return peelTheorem1(g, fam)
 	case n > 1:
 		return nil, fmt.Errorf("core: %d independent internal cycles, Theorem 6 needs exactly 1", n)
 	}

@@ -5,7 +5,6 @@ package dag
 
 import (
 	"errors"
-	"fmt"
 
 	"wavedag/internal/digraph"
 )
@@ -274,23 +273,21 @@ func ArcPeelingOrder(g *digraph.Digraph) ([]digraph.ArcID, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Stable counting sort by topo index of tail, in two passes into one
+	// slice: next[t] is where the next arc whose tail has index t goes.
 	m := g.NumArcs()
-	arcs := make([]digraph.ArcID, m)
-	for i := range arcs {
-		arcs[i] = digraph.ArcID(i)
+	next := make([]int, g.NumVertices()+1)
+	for a := 0; a < m; a++ {
+		next[pos[g.Arc(digraph.ArcID(a)).Tail]+1]++
 	}
-	// Stable counting sort by topo index of tail.
-	buckets := make([][]digraph.ArcID, g.NumVertices())
-	for _, id := range arcs {
-		t := pos[g.Arc(id).Tail]
-		buckets[t] = append(buckets[t], id)
+	for t := 1; t < len(next); t++ {
+		next[t] += next[t-1]
 	}
-	out := arcs[:0]
-	for _, b := range buckets {
-		out = append(out, b...)
-	}
-	if len(out) != m {
-		return nil, fmt.Errorf("dag: internal error, peeling order lost arcs")
+	out := make([]digraph.ArcID, m)
+	for a := 0; a < m; a++ {
+		t := pos[g.Arc(digraph.ArcID(a)).Tail]
+		out[next[t]] = digraph.ArcID(a)
+		next[t]++
 	}
 	return out, nil
 }

@@ -219,8 +219,10 @@ func (r *Router) ShortestPath(src, dst digraph.Vertex) (*dipath.Path, error) {
 	return nil, ErrNoRoute{Request{src, dst}}
 }
 
-// assemble rebuilds the dipath dst←src from the epoch-valid predecessor
-// chain.
+// assemble rebuilds the dipath dst←src (src ≠ dst) from the epoch-valid
+// predecessor chain. The chain is checked once, while counting it; the
+// path is then wrapped without FromArcs' second chain check, since
+// consecutive predecessor arcs share their vertex by construction.
 func (r *Router) assemble(src, dst digraph.Vertex) (*dipath.Path, error) {
 	g := r.g
 	count := 0
@@ -238,7 +240,7 @@ func (r *Router) assemble(src, dst digraph.Vertex) (*dipath.Path, error) {
 		arcs[i] = a
 		v = g.Arc(a).Tail
 	}
-	return dipath.FromArcs(g, arcs...)
+	return dipath.FromArcsTrusted(g, arcs...), nil
 }
 
 // ShortestPaths routes every request by shortest dipath, reusing the

@@ -1,9 +1,13 @@
 package wdm
 
 import (
+	"math/rand"
 	"testing"
 
+	"wavedag/internal/core"
+	"wavedag/internal/cycles"
 	"wavedag/internal/digraph"
+	"wavedag/internal/gen"
 	"wavedag/internal/route"
 )
 
@@ -142,6 +146,73 @@ func FuzzTheorem1Precheck(f *testing.F) {
 			if err := s.Verify(); err != nil {
 				t.Fatalf("%s session inconsistent: %v", name, err)
 			}
+		}
+	})
+}
+
+// FuzzProvisionOracle checks one-shot Provision against the Session
+// pipeline (sessionProvision: the policy's routing strategy and the
+// "full" coloring strategy, filled with the same requests): the same
+// Provisioning field for field, or the same error. A successful plan
+// must also pass core.Verify, and on a topology without internal cycle
+// it must use exactly π wavelengths (Theorem 1).
+//
+// The inputs decode to a topology kind and seed (a DAG without internal
+// cycle, a UPP-DAG, or a random DAG, which may have internal cycles), a
+// seed for the request draw (mostly routable pairs, with the odd
+// arbitrary pair that may be unroutable or single-vertex), a routing
+// policy with a fiber capacity, and an optional arc to cut first.
+func FuzzProvisionOracle(f *testing.F) {
+	f.Add(uint8(0), int64(1), int64(2), uint8(1), uint16(0))
+	f.Add(uint8(1), int64(7), int64(3), uint8(2), uint16(5))
+	f.Add(uint8(2), int64(11), int64(5), uint8(3), uint16(0))
+	f.Add(uint8(0), int64(29), int64(8), uint8(0), uint16(3))
+	f.Fuzz(func(t *testing.T, kind uint8, topoSeed, reqSeed int64, policyByte uint8, cut uint16) {
+		size := 3 + int(uint64(topoSeed)%18)
+		var g *digraph.Digraph
+		switch kind % 3 {
+		case 0:
+			var err error
+			if g, err = gen.RandomNoInternalCycleDAG(size, 1+size%3, 1+size%4, 0.3, topoSeed); err != nil {
+				t.Fatal(err)
+			}
+		case 1:
+			g = gen.RandomUPPDAG(size, 3*size, topoSeed)
+		default:
+			g = gen.RandomDAG(size, 2*size, topoSeed)
+		}
+		pool := route.AllToAll(g)
+		if cut > 0 && g.NumArcs() > 0 {
+			if err := g.FailArc(digraph.ArcID(int(cut-1) % g.NumArcs())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rng := rand.New(rand.NewSource(reqSeed))
+		reqs := make([]route.Request, 1+rng.Intn(40))
+		for i := range reqs {
+			if len(pool) == 0 || rng.Intn(16) == 0 {
+				n := g.NumVertices()
+				reqs[i] = route.Request{Src: digraph.Vertex(rng.Intn(n)), Dst: digraph.Vertex(rng.Intn(n))}
+			} else {
+				reqs[i] = pool[rng.Intn(len(pool))]
+			}
+		}
+		policy := RoutingPolicy(policyByte % 3)
+		net := &Network{Topology: g, Wavelengths: int(policyByte/3) % 8}
+
+		got, err := net.Provision(reqs, policy)
+		requireSameAsSession(t, policy.String(), net, reqs, policy, got, err)
+		if err != nil {
+			return
+		}
+		res := &core.Result{Colors: got.Wavelengths, NumColors: got.NumLambda, Pi: got.Pi}
+		if err := core.Verify(g, got.Paths, res); err != nil {
+			t.Fatalf("%v: %v", policy, err)
+		}
+		// Single-vertex paths carry no load and take wavelength 0, so a
+		// load-free plan still uses one wavelength.
+		if !cycles.HasInternalCycle(g) && got.NumLambda != max(got.Pi, 1) {
+			t.Fatalf("%v: λ = %d, π = %d on a DAG without internal cycle", policy, got.NumLambda, got.Pi)
 		}
 	})
 }

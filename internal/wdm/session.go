@@ -3,7 +3,6 @@ package wdm
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"wavedag/internal/core"
 	"wavedag/internal/cycles"
@@ -190,7 +189,7 @@ func WithSlack(slack int) SessionOption {
 
 // WithCapacityHint pre-sizes the session's request table for the
 // expected number of simultaneously live requests, avoiding growth
-// reallocations on the fill path (Provision passes len(reqs)).
+// reallocations when a caller fills the session with a known batch.
 func WithCapacityHint(n int) SessionOption {
 	return func(c *sessionConfig) error {
 		if n > 0 {
@@ -416,7 +415,7 @@ func (s *Session) TryAdd(req route.Request) (SessionID, Admission, error) {
 	if err != nil {
 		return 0, Admission{}, fmt.Errorf("wdm: routing: %w", err)
 	}
-	if s.pathCrossesFailure(p) {
+	if crossesFailure(s.net.Topology, p) {
 		// Failure-blind strategies (UPP's unique routing) can propose a
 		// path over a cut fiber; to the caller that is no route.
 		return 0, Admission{}, fmt.Errorf("wdm: routing: %w", route.ErrNoRoute{Req: req})
@@ -437,7 +436,7 @@ func (s *Session) TryAddPath(p *dipath.Path) (SessionID, Admission, error) {
 	if err := p.Validate(s.net.Topology); err != nil {
 		return 0, Admission{}, err
 	}
-	if s.pathCrossesFailure(p) {
+	if crossesFailure(s.net.Topology, p) {
 		return 0, Admission{}, fmt.Errorf("wdm: dipath crosses a failed arc")
 	}
 	return s.tryAdmit(route.Request{Src: p.First(), Dst: p.Last()}, p)
@@ -642,7 +641,7 @@ func (s *Session) Reroute(id SessionID) (bool, error) {
 	// would see them.
 	s.trackRemove(e.path)
 	p, err := s.routing.Route(e.req, s.tracker)
-	if err == nil && s.pathCrossesFailure(p) {
+	if err == nil && crossesFailure(s.net.Topology, p) {
 		err = route.ErrNoRoute{Req: e.req} // failure-blind strategy routed over a cut
 	}
 	if err != nil {
@@ -787,39 +786,12 @@ func (s *Session) fillSnapshotRows(rows []snapRow, band int) {
 // Provisioning materialises the session's current state as a
 // Provisioning, with paths and wavelengths in id order (see IDs).
 func (s *Session) Provisioning() (*Provisioning, error) {
-	return s.provisioning(false)
-}
-
-// provisioning materialises the live set. With aliasLive, a coloring
-// state whose slot table is dense (DenseFamilyState) hands its table
-// over directly — zero copies, but the resulting Provisioning aliases
-// live session state, so only callers that discard the session
-// afterwards (one-shot Provision) may ask for it.
-func (s *Session) provisioning(aliasLive bool) (*Provisioning, error) {
-	var slots []int
-	var fam dipath.Family
-	if aliasLive {
-		if ds, ok := s.coloring.(DenseFamilyState); ok {
-			fam, _ = ds.DenseFamily()
-		}
-	}
-	if fam == nil {
-		slots, fam = s.snapshot()
-	}
+	slots, fam := s.snapshot()
 	colors, num, method, err := s.coloring.Assignment(slots, fam)
 	if err != nil {
 		return nil, fmt.Errorf("wdm: wavelength assignment: %w", err)
 	}
-	p := &Provisioning{
-		Paths:       fam,
-		Wavelengths: colors,
-		NumLambda:   num,
-		Pi:          s.tracker.Pi(),
-		Method:      method,
-		ADMs:        countADMs(fam, colors),
-	}
-	p.Feasible = s.net.Wavelengths == 0 || p.NumLambda <= s.net.Wavelengths
-	return p, nil
+	return s.net.provisioning(fam, colors, num, s.tracker.Pi(), method), nil
 }
 
 // Verify checks the session's live wavelength assignment against the
@@ -966,21 +938,45 @@ func (s *Session) setBudget(w int) {
 // terminates lightpaths at each distinct (endpoint vertex, wavelength)
 // pair, so lightpaths that chain through a node on one wavelength share
 // the ADM there instead of being double-counted (the flat 2·|family|
-// the earlier versions reported). Terminations are packed into int64s
-// and sort-deduplicated — cheaper than a map at provisioning sizes.
+// the earlier versions reported). One counting pass groups the paths by
+// wavelength; a vertex stamp then counts each group's distinct
+// endpoints, in O(n + V + λ) with no sort. Wavelengths are offset by
+// their minimum, so an unassigned −1 is a wavelength of its own.
 func countADMs(fam dipath.Family, colors []int) int {
-	terms := make([]int64, 0, 2*len(fam))
-	pack := func(v digraph.Vertex, c int) int64 {
-		return int64(v)<<32 | int64(uint32(c))
+	if len(fam) == 0 {
+		return 0
 	}
+	lo, hi, nv := colors[0], colors[0], 0
 	for i, p := range fam {
-		terms = append(terms, pack(p.First(), colors[i]), pack(p.Last(), colors[i]))
+		lo, hi = min(lo, colors[i]), max(hi, colors[i])
+		nv = max(nv, int(p.First())+1, int(p.Last())+1)
 	}
-	slices.Sort(terms)
+	// next[c-lo] is where the next path of wavelength c goes in byColor.
+	next := make([]int32, hi-lo+1)
+	for _, c := range colors {
+		next[c-lo]++
+	}
+	sum := int32(0)
+	for c, k := range next {
+		next[c] = sum
+		sum += k
+	}
+	byColor := make([]int32, len(fam))
+	for i, c := range colors {
+		byColor[next[c-lo]] = int32(i)
+		next[c-lo]++
+	}
+	// stamp[v] = 1 + the offset wavelength of the last group counting v;
+	// the groups come contiguously, so an older stamp never matches.
+	stamp := make([]int32, nv)
 	count := 0
-	for i, t := range terms {
-		if i == 0 || t != terms[i-1] {
-			count++
+	for _, i := range byColor {
+		c, p := int32(colors[i]-lo)+1, fam[i]
+		for _, v := range [2]digraph.Vertex{p.First(), p.Last()} {
+			if stamp[v] != c {
+				stamp[v] = c
+				count++
+			}
 		}
 	}
 	return count

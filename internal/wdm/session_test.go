@@ -8,6 +8,7 @@ import (
 	"wavedag/internal/core"
 	"wavedag/internal/digraph"
 	"wavedag/internal/dipath"
+	"wavedag/internal/gen"
 	"wavedag/internal/load"
 	"wavedag/internal/route"
 )
@@ -105,49 +106,67 @@ func TestSessionChurnEquivalence(t *testing.T) {
 	}
 }
 
-// TestSessionProvisionEquivalence checks the one-shot Provision and a
-// session replaying the same requests agree on π and on λ within slack,
-// for every routing policy applicable to the topology.
+// TestSessionProvisionEquivalence pins the one-shot Provision to the
+// Session pipeline: a session with the policy's routing strategy and
+// the "full" coloring strategy, filled with the same requests, must
+// materialise the identical Provisioning, field for field (see
+// sessionProvision). An incremental session replaying the requests must
+// route them identically and agree on π, with λ within slack. It covers
+// the shortest and min-load policies on a Theorem-1 topology and all
+// three on the Havet UPP-DAG (one internal cycle, Theorem 6); the error
+// paths are TestProvisionErrorsMatchSession's.
 func TestSessionProvisionEquivalence(t *testing.T) {
-	net := testNetwork()
-	reqs := someRequests(net, 40)
-	for _, policy := range []RoutingPolicy{RouteShortest, RouteMinLoad} {
-		ref, err := net.Provision(reqs, policy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := net.NewSession(WithRoutingPolicy(policy))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, req := range reqs {
-			if _, err := s.Add(req); err != nil {
+	havet, _ := gen.Havet()
+	cases := []struct {
+		name     string
+		net      *Network
+		reqs     []route.Request
+		policies []RoutingPolicy
+	}{
+		{"theorem1", testNetwork(), someRequests(testNetwork(), 40), []RoutingPolicy{RouteShortest, RouteMinLoad}},
+		{"havet", &Network{Topology: havet, Wavelengths: 3}, route.AllToAll(havet), []RoutingPolicy{RouteShortest, RouteMinLoad, RouteUPP}},
+	}
+	for _, tc := range cases {
+		for _, policy := range tc.policies {
+			name := tc.name + "/" + policy.String()
+			ref, err := tc.net.Provision(tc.reqs, policy)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			requireSameAsSession(t, name, tc.net, tc.reqs, policy, ref, nil)
+			s, err := tc.net.NewSession(WithRoutingPolicy(policy))
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		prov, err := s.Provisioning()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if prov.Pi != ref.Pi {
-			t.Fatalf("%v: session π = %d, Provision π = %d", policy, prov.Pi, ref.Pi)
-		}
-		if prov.Method != core.MethodIncremental {
-			t.Fatalf("%v: method = %s", policy, prov.Method)
-		}
-		if prov.NumLambda > ref.NumLambda+core.DefaultSlack {
-			t.Fatalf("%v: session λ = %d, Provision λ = %d", policy, prov.NumLambda, ref.NumLambda)
-		}
-		// Routes must be identical path-for-path: both sides route the
-		// same requests in the same order through the same router logic.
-		for i := range reqs {
-			if !prov.Paths[i].Equal(ref.Paths[i]) {
-				t.Fatalf("%v: request %d routed differently: %s vs %s",
-					policy, i, prov.Paths[i], ref.Paths[i])
+			for _, req := range tc.reqs {
+				if _, err := s.Add(req); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		if err := s.Verify(); err != nil {
-			t.Fatal(err)
+			prov, err := s.Provisioning()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prov.Pi != ref.Pi {
+				t.Fatalf("%s: session π = %d, Provision π = %d", name, prov.Pi, ref.Pi)
+			}
+			if prov.Method != core.MethodIncremental {
+				t.Fatalf("%s: method = %s", name, prov.Method)
+			}
+			if prov.NumLambda > ref.NumLambda+core.DefaultSlack {
+				t.Fatalf("%s: session λ = %d, Provision λ = %d", name, prov.NumLambda, ref.NumLambda)
+			}
+			// Routes must be identical path-for-path: both sides route the
+			// same requests in the same order through the same router logic.
+			for i := range tc.reqs {
+				if !prov.Paths[i].Equal(ref.Paths[i]) {
+					t.Fatalf("%s: request %d routed differently: %s vs %s",
+						name, i, prov.Paths[i], ref.Paths[i])
+				}
+			}
+			if err := s.Verify(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

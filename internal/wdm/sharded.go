@@ -1546,9 +1546,7 @@ func (e *ShardedEngine) Provisioning() (*Provisioning, error) {
 			merged.Method = compMethod // the binding component names the method
 		}
 	}
-	merged.ADMs = countADMs(merged.Paths, merged.Wavelengths)
-	merged.Feasible = e.net.Wavelengths == 0 || merged.NumLambda <= e.net.Wavelengths
-	return merged, nil
+	return e.net.provisioning(merged.Paths, merged.Wavelengths, merged.NumLambda, merged.Pi, merged.Method), nil
 }
 
 // ShardRecolorStats reports a shard's incremental-colorer recolor

@@ -40,8 +40,7 @@ type RoutingState interface {
 // live dipaths. Like RoutingStrategy it is a registry-named factory;
 // the built-ins are "incremental" (first-fit + bounded repair +
 // slack-gated full recolor, the dynamic engine) and "full" (defer all
-// coloring to one from-scratch ColorDAG run — what one-shot Provision
-// uses).
+// coloring to one from-scratch ColorDAG run).
 type ColoringStrategy interface {
 	// Name is the registry key; it must be non-empty and unique.
 	Name() string
@@ -68,17 +67,6 @@ type ColoringState interface {
 	// (parallel to slots; fam holds the same slots' dipaths in the same
 	// order), the wavelength count, and the method that produced them.
 	Assignment(slots []int, fam dipath.Family) ([]int, int, core.Method, error)
-}
-
-// DenseFamilyState is an optional ColoringState extension: a state whose
-// slot table currently has no holes (slots are exactly 0..n-1 in
-// arrival order) can return it directly, letting one-shot consumers
-// skip the per-materialisation snapshot copy. The returned family
-// aliases the state — callers must not retain it past the next state
-// mutation. A state advertising a dense family must accept nil slots in
-// Assignment as the identity mapping.
-type DenseFamilyState interface {
-	DenseFamily() (dipath.Family, bool)
 }
 
 // ── Registries ─────────────────────────────────────────────────────────
@@ -312,8 +300,8 @@ func (s *incrementalState) GrowArcs(n int) { s.ic.GrowArcs(n) }
 // ColorDAG run: Add and Remove only track the live set, and Assignment
 // (or NumLambda) runs the strongest applicable theorem on the snapshot.
 // It is the rebuild-from-scratch baseline the dynamic engine is
-// measured against, and what one-shot Provision uses — making Provision
-// a thin wrapper over a throwaway session.
+// measured against; a session using it yields what one-shot Provision
+// computes directly.
 type fullColoring struct{}
 
 func (fullColoring) Name() string { return ColoringFull }
@@ -323,11 +311,10 @@ func (fullColoring) NewState(g *digraph.Digraph, _ int) (ColoringState, error) {
 }
 
 type fullState struct {
-	g         *digraph.Digraph
-	paths     []*dipath.Path // slot -> path; nil = free
-	free      []int
-	live      int
-	everFreed bool // a recycled slot breaks the arrival-order guarantee
+	g     *digraph.Digraph
+	paths []*dipath.Path // slot -> path; nil = free
+	free  []int
+	live  int
 }
 
 func (s *fullState) Add(p *dipath.Path) (int, error) {
@@ -361,7 +348,6 @@ func (s *fullState) Remove(slot int) error {
 	s.paths[slot] = nil
 	s.free = append(s.free, slot)
 	s.live--
-	s.everFreed = true
 	return nil
 }
 
@@ -389,18 +375,4 @@ func (s *fullState) Assignment(_ []int, fam dipath.Family) ([]int, int, core.Met
 		return nil, 0, "", err
 	}
 	return res.Colors, res.NumColors, method, nil
-}
-
-// DenseFamily exposes the state's slot table directly as the live family
-// when no slot was ever freed: slots are then exactly 0..n-1 in arrival
-// order and the returned slice aliases the state. A Remove+Add cycle
-// leaves the table hole-free but permutes it out of arrival order, so
-// everFreed (not the current free list) is the guard. One-shot
-// Provision — fill, materialise once, discard — reads it instead of
-// paying a snapshot copy per Provisioning call.
-func (s *fullState) DenseFamily() (dipath.Family, bool) {
-	if s.everFreed || s.live != len(s.paths) {
-		return nil, false
-	}
-	return dipath.Family(s.paths), true
 }

@@ -87,12 +87,11 @@ func (s *Session) unbindSlot(slot int) {
 	}
 }
 
-// pathCrossesFailure reports whether p traverses a currently failed
-// arc. The built-in routers skip failed arcs themselves; this is the
+// crossesFailure reports whether p traverses a currently failed arc of
+// g. The built-in routers skip failed arcs themselves; this is the
 // defensive check that keeps failure-blind strategies (UPP's unique
 // routing) from lighting a path over a cut fiber.
-func (s *Session) pathCrossesFailure(p *dipath.Path) bool {
-	g := s.net.Topology
+func crossesFailure(g *digraph.Digraph, p *dipath.Path) bool {
 	if g.NumFailedArcs() == 0 {
 		return false
 	}
@@ -219,7 +218,7 @@ func (s *Session) storm(idxs []int32) StormReport {
 // rejected the primary (the retry-alt-route machinery).
 func (s *Session) restoreEntry(idx int32, e *sessionEntry, retry *int) bool {
 	var primary *dipath.Path
-	if p, err := s.routing.Route(e.req, s.tracker); err == nil && !s.pathCrossesFailure(p) {
+	if p, err := s.routing.Route(e.req, s.tracker); err == nil && !crossesFailure(s.net.Topology, p) {
 		primary = p
 		if slot, ok, cerr := s.restoreCommit(p); cerr == nil && ok {
 			s.relight(idx, e, p, slot)
@@ -232,7 +231,7 @@ func (s *Session) restoreEntry(idx int32, e *sessionEntry, retry *int) bool {
 	*retry--
 	s.failStats.Retries++
 	alt, err := s.detourRouter().MinLoadPath(e.req, s.tracker)
-	if err != nil || s.pathCrossesFailure(alt) || (primary != nil && alt.Equal(primary)) {
+	if err != nil || crossesFailure(s.net.Topology, alt) || (primary != nil && alt.Equal(primary)) {
 		return false
 	}
 	if slot, ok, cerr := s.restoreCommit(alt); cerr == nil && ok {
@@ -334,7 +333,7 @@ func (s *Session) reviveDark() int {
 // so the detour is not charged to a retry budget).
 func (s *Session) reviveOne(idx int32, e *sessionEntry) bool {
 	var primary *dipath.Path
-	if p, err := s.routing.Route(e.req, s.tracker); err == nil && !s.pathCrossesFailure(p) {
+	if p, err := s.routing.Route(e.req, s.tracker); err == nil && !crossesFailure(s.net.Topology, p) {
 		primary = p
 		if slot, ok, cerr := s.restoreCommit(p); cerr == nil && ok {
 			s.unpark(idx, e, p, slot)
@@ -342,7 +341,7 @@ func (s *Session) reviveOne(idx int32, e *sessionEntry) bool {
 		}
 	}
 	alt, err := s.detourRouter().MinLoadPath(e.req, s.tracker)
-	if err != nil || s.pathCrossesFailure(alt) || (primary != nil && alt.Equal(primary)) {
+	if err != nil || crossesFailure(s.net.Topology, alt) || (primary != nil && alt.Equal(primary)) {
 		return false
 	}
 	if slot, ok, cerr := s.restoreCommit(alt); cerr == nil && ok {

@@ -77,31 +77,44 @@ type Provisioning struct {
 
 // Provision runs routing (per the policy's registered strategy) then
 // wavelength assignment (per the strongest applicable theorem) for the
-// requests. It is a thin wrapper over a throwaway Session with the
-// "full" coloring strategy: adds route and account load incrementally,
-// and the single Provisioning() call at the end colors once from
-// scratch — identical results to the historical one-shot pipeline.
+// requests, in one pass: each request is routed against a load tracker
+// of the paths routed before it, checked against failed arcs, validated
+// once and accounted; the family is then colored once, with π read off
+// the tracker. The result equals that of a Session with the "full"
+// coloring strategy filled with the same requests.
 func (n *Network) Provision(reqs []route.Request, policy RoutingPolicy) (*Provisioning, error) {
 	strat, err := policy.Strategy()
 	if err != nil {
 		return nil, err
 	}
-	s, err := n.NewSession(
-		WithRoutingStrategy(strat),
-		WithColoringStrategyName(ColoringFull),
-		WithCapacityHint(len(reqs)),
-	)
+	g := n.Topology
+	routing, err := strat.NewState(g)
 	if err != nil {
-		return nil, err // already layer-labelled by NewSession
+		return nil, fmt.Errorf("wdm: routing setup: %w", err)
 	}
-	for _, req := range reqs {
-		if _, err := s.Add(req); err != nil {
-			return nil, err
+	tracker := load.NewTracker(g)
+	fam := make(dipath.Family, len(reqs))
+	for i, req := range reqs {
+		p, err := routing.Route(req, tracker)
+		if err != nil {
+			return nil, fmt.Errorf("wdm: routing: %w", err)
 		}
+		if crossesFailure(g, p) {
+			// Failure-blind strategies (UPP's unique routing) can propose a
+			// path over a cut fiber; to the caller that is no route.
+			return nil, fmt.Errorf("wdm: routing: %w", route.ErrNoRoute{Req: req})
+		}
+		if err := p.Validate(g); err != nil {
+			return nil, fmt.Errorf("wdm: coloring: %w", err)
+		}
+		tracker.Add(p)
+		fam[i] = p
 	}
-	// The throwaway session is discarded right after materialisation, so
-	// the Provisioning may alias its slot table (no snapshot copy).
-	return s.provisioning(true)
+	res, method, err := core.ColorDAGPrevalidated(g, fam)
+	if err != nil {
+		return nil, fmt.Errorf("wdm: wavelength assignment: %w", err)
+	}
+	return n.provisioning(fam, res.Colors, res.NumColors, tracker.Pi(), method), nil
 }
 
 // Assign runs only the wavelength-assignment half on pre-routed dipaths.
@@ -110,16 +123,23 @@ func (n *Network) Assign(fam dipath.Family) (*Provisioning, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wdm: wavelength assignment: %w", err)
 	}
-	p := &Provisioning{
+	return n.provisioning(fam, res.Colors, res.NumColors, res.Pi, method), nil
+}
+
+// provisioning is the tail shared by Provision, Assign and the session
+// and engine materialisers: it assembles a colored family into a
+// Provisioning, counting its ADMs and checking it against the fiber
+// capacity.
+func (n *Network) provisioning(fam dipath.Family, colors []int, numLambda, pi int, method core.Method) *Provisioning {
+	return &Provisioning{
 		Paths:       fam,
-		Wavelengths: res.Colors,
-		NumLambda:   res.NumColors,
-		Pi:          res.Pi,
+		Wavelengths: colors,
+		NumLambda:   numLambda,
+		Pi:          pi,
 		Method:      method,
-		ADMs:        countADMs(fam, res.Colors),
+		Feasible:    n.Wavelengths == 0 || numLambda <= n.Wavelengths,
+		ADMs:        countADMs(fam, colors),
 	}
-	p.Feasible = n.Wavelengths == 0 || p.NumLambda <= n.Wavelengths
-	return p, nil
 }
 
 // Utilization returns, per arc, the fraction of the capacity in use

@@ -89,10 +89,12 @@
 // Session.Provisioning materialises a Provisioning snapshot. Routing
 // and coloring are pluggable strategies resolved from registries
 // (RegisterRoutingStrategy / RegisterColoringStrategy); the legacy
-// RoutingPolicy constants resolve to the built-in strategies, and
-// Provision itself is a thin wrapper over a throwaway session with the
-// "full" (defer-and-solve-once) coloring strategy. The randomized churn
-// equivalence tests pin the session to the one-shot pipeline:
+// RoutingPolicy constants resolve to the built-in strategies. Provision
+// is the flat one-shot pipeline (route, validate and account each
+// request, then color once); it equals a session with the "full"
+// (defer-and-solve-once) coloring strategy filled with the same
+// requests, field for field. The randomized churn equivalence tests pin
+// the session to the one-shot pipeline:
 // Verify-clean after every operation, exact π, and λ within the slack
 // of the from-scratch answer.
 //
