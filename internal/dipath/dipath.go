@@ -68,14 +68,17 @@ func FromArcs(g *digraph.Digraph, arcs ...digraph.ArcID) (*Path, error) {
 
 // FromArcsTrusted builds a path from a non-empty sequence of arc
 // identifiers of g without validating the chain: the vertex sequence is
-// read straight off the arcs. It exists for identifier-translated paths
-// whose validity is guaranteed by construction — the sharded engine's
-// view-to-parent translations preserve chaining and simplicity exactly,
-// so re-walking FromArcs' checks per merged path is pure overhead (see
-// BenchmarkAblationTrustedTranslation for the measured delta). The arcs
-// slice is retained by the path; callers must not mutate it. Feeding
-// arcs that do not chain silently builds a corrupt path — use FromArcs
-// for anything that did not come out of a trusted translation.
+// read straight off the arcs. It exists for paths whose validity is
+// guaranteed by construction, so re-walking FromArcs' checks per path is
+// pure overhead. Its callers are the sharded engine's view-to-parent
+// translations and the snapshot's path reads (translations preserve
+// chaining and simplicity exactly; see
+// BenchmarkAblationTrustedTranslation for the measured delta), and,
+// through Arena.FromArcsTrusted, route.Router's predecessor chains,
+// whose consecutive arcs share their vertex by construction. The
+// arcs slice is retained by the path; callers must not mutate it.
+// Feeding arcs that do not chain silently builds a corrupt path — use
+// FromArcs for anything that did not come out of a trusted construction.
 //
 //wavedag:lockfree
 //wavedag:allow-alloc (path construction)

@@ -1,9 +1,10 @@
 package gen
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"wavedag/internal/digraph"
 )
@@ -31,6 +32,22 @@ func FaultSchedule(g *digraph.Digraph, mtbf, mttr, horizon float64, seed int64) 
 	if horizon <= 0 {
 		return nil, fmt.Errorf("gen: fault schedule needs horizon > 0, got %g", horizon)
 	}
+	events := drawFaults(g, mtbf, mttr, horizon, seed)
+	sortFaults(events)
+	return events, nil
+}
+
+// sortFaults sorts events by time. The sort is stable, so events at
+// equal times keep their draw order and the schedule is fixed uniquely;
+// being generic, it avoids the reflection-based swapper of
+// sort.SliceStable, which dominated FaultSchedule on large schedules.
+func sortFaults(events []FaultEvent) {
+	slices.SortStableFunc(events, func(a, b FaultEvent) int { return cmp.Compare(a.At, b.At) })
+}
+
+// drawFaults samples the per-arc up-down cycles of FaultSchedule, arc
+// by arc, unsorted.
+func drawFaults(g *digraph.Digraph, mtbf, mttr, horizon float64, seed int64) []FaultEvent {
 	rng := rand.New(rand.NewSource(seed))
 	var events []FaultEvent
 	for a := 0; a < g.NumArcs(); a++ {
@@ -45,6 +62,5 @@ func FaultSchedule(g *digraph.Digraph, mtbf, mttr, horizon float64, seed int64) 
 			t += rng.ExpFloat64() * mtbf
 		}
 	}
-	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
-	return events, nil
+	return events
 }

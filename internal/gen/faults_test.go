@@ -1,6 +1,9 @@
 package gen
 
 import (
+	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"wavedag/internal/digraph"
@@ -57,5 +60,47 @@ func TestFaultScheduleValidAndDeterministic(t *testing.T) {
 	}
 	if _, err := FaultSchedule(g, 50, 10, 0, 1); err == nil {
 		t.Fatal("zero horizon accepted")
+	}
+}
+
+// TestFaultScheduleMatchesSliceStable checks the generic stable sort of
+// FaultSchedule against the reflection-based sort.SliceStable it
+// replaced, for several seeds and topologies: both sorts are stable, so
+// the schedules must be equal event for event. Drawn times almost never
+// tie, so the sorts are also compared on the same draws with their
+// times rounded to a coarse grid, where most events tie.
+func TestFaultScheduleMatchesSliceStable(t *testing.T) {
+	layered, err := RandomNoInternalCycleDAG(60, 6, 6, 0.2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := map[string]*digraph.Digraph{
+		"no-internal-cycle": layered,
+		"random-dag":        RandomDAG(40, 120, 5),
+	}
+	oracle := func(events []FaultEvent) []FaultEvent {
+		out := slices.Clone(events)
+		sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
+		return out
+	}
+	for name, g := range graphs {
+		for seed := int64(1); seed <= 4; seed++ {
+			got, err := FaultSchedule(g, 40, 8, 400, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			drawn := drawFaults(g, 40, 8, 400, seed)
+			if !slices.Equal(got, oracle(drawn)) {
+				t.Fatalf("%s seed %d: schedule differs from the sort.SliceStable oracle", name, seed)
+			}
+			for i := range drawn {
+				drawn[i].At = math.Floor(drawn[i].At / 50)
+			}
+			want := oracle(drawn)
+			sortFaults(drawn)
+			if !slices.Equal(drawn, want) {
+				t.Fatalf("%s seed %d: tied schedule differs from the sort.SliceStable oracle", name, seed)
+			}
+		}
 	}
 }

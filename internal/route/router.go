@@ -1,6 +1,7 @@
 package route
 
 import (
+	"errors"
 	"fmt"
 
 	"wavedag/internal/digraph"
@@ -17,9 +18,16 @@ import (
 // across calls. The arrays grow with the graph: vertices added after
 // NewRouter are routed like the others.
 //
-// Min-load searches are pruned to the ancestors of the destination —
-// the vertices with a dipath to it — kept as one lazily computed bitset
-// per destination (see the anc field and MinLoadPath).
+// Every search scans a private copy of the out-adjacency in compressed
+// sparse rows (see the start field), and min-load searches are pruned
+// to the ancestors of the destination — the vertices with a dipath to
+// it — kept as one lazily computed bitset per destination in a shared
+// slab (see the ancSlot field and MinLoadPath). Both are rebuilt when
+// the graph gains an arc or a vertex. The batch calls ShortestPaths and
+// MinLoadSequential carve the family they return from one dipath.Arena,
+// so a batch costs a handful of path allocations, not three per path;
+// other calls allocate each path on its own unless the caller passes an
+// arena (ShortestPathIn, MinLoadPathIn).
 //
 // A Router is not safe for concurrent use; create one per goroutine.
 type Router struct {
@@ -38,19 +46,37 @@ type Router struct {
 	comp      []int32
 	compEpoch uint64
 
-	// anc[d], when non-nil, is the ancestor set of destination d: a
-	// bitset of ⌈n/64⌉ words marking d and every vertex with a dipath
-	// to d over every arc, failed or not. It is built by one reverse
-	// DFS the first time d is asked for, so a router holds at most
-	// n·⌈n/64⌉ words of sets. Cuts and restorations only shrink or
-	// regrow live reachability inside the set, so it stays a valid
-	// superset across them; only added arcs or vertices can create an
-	// ancestor it misses. The cache is therefore keyed on the arc and
-	// vertex counts the sets were built at (both only ever grow), not
-	// on the topology epoch every cut moves.
-	anc      [][]uint64
-	ancArcs  int
-	ancVerts int
+	// The out-adjacency of g in compressed sparse rows: the out-arcs of
+	// v are arc[start[v]:start[v+1]], in OutArcs order, and head[i] is
+	// the head of arc[i]. A search scans these two contiguous runs
+	// instead of chasing g.OutArcs(v) and a 24-byte Arc per arc. The
+	// order is OutArcs order, so BFS order, Dijkstra tie-breaks and the
+	// choice among parallel arcs are those of a scan of g. Cuts are not
+	// copied; searches read them through g.ArcFailed.
+	start []int32
+	head  []int32
+	arc   []int32
+
+	// ancSlot[d], when non-zero, locates the ancestor set of
+	// destination d: words [(ancSlot[d]-1)·w, ancSlot[d]·w) of ancSlab,
+	// w = ⌈n/64⌉, a bitset marking d and every vertex with a dipath to d
+	// over every arc, failed or not. A set is built by one reverse DFS
+	// the first time d is asked for and appended to the slab, so the
+	// slab fills lazily up to n·w words and is never allocated whole (on
+	// a large graph that would be gigabytes). Cuts and restorations only
+	// shrink or regrow live reachability inside a set, so it stays a
+	// valid superset across them; only added arcs or vertices can
+	// create an ancestor it misses.
+	ancSlot []int32
+	ancSlab []uint64
+
+	// The CSR and the ancestor sets were built at these arc and vertex
+	// counts. Both counts only ever grow, so a moved count means the
+	// graph gained an arc or a vertex: the CSR is rebuilt and the sets
+	// are dropped, keeping the slab's capacity. Keying on the counts
+	// rather than on the topology epoch every cut moves keeps both
+	// across cuts and restorations.
+	builtArcs, builtVerts int
 
 	// Search state, valid where stamp[v] == epoch.
 	epoch   int
@@ -149,6 +175,35 @@ func (r *Router) noteExhausted() {
 	}
 }
 
+// sync rebuilds the CSR adjacency and drops the ancestor sets when the
+// graph has gained an arc or a vertex since they were built (see the
+// builtArcs field). Every search calls it first.
+func (r *Router) sync() {
+	g := r.g
+	n, m := g.NumVertices(), g.NumArcs()
+	if r.start != nil && r.builtArcs == m && r.builtVerts == n {
+		return
+	}
+	r.builtArcs, r.builtVerts = m, n
+	// The counts only grow, so growing the arrays sizes them exactly.
+	r.start = grow(r.start, n+1)
+	r.head = grow(r.head, m)
+	r.arc = grow(r.arc, m)
+	i := int32(0)
+	for v := 0; v < n; v++ {
+		r.start[v] = i
+		for _, a := range g.OutArcs(digraph.Vertex(v)) {
+			r.head[i] = int32(g.Arc(a).Head)
+			r.arc[i] = int32(a)
+			i++
+		}
+	}
+	r.start[n] = i
+	r.ancSlot = grow(r.ancSlot, n)
+	clear(r.ancSlot)
+	r.ancSlab = r.ancSlab[:0]
+}
+
 // visit begins a new search: previous visited marks become stale in O(1).
 // The stamp and predecessor arrays are first grown to the graph's
 // current vertex count, since vertices may have been added since the
@@ -177,17 +232,54 @@ func (r *Router) mark(v digraph.Vertex, via digraph.ArcID) {
 	r.prevArc[v] = via
 }
 
+// bfs runs a breadth-first search from src over the live arcs, marking
+// every reached vertex with its predecessor arc, and stops as soon as
+// dst is marked; a negative dst sweeps everything src reaches. It
+// reports whether dst was reached.
+func (r *Router) bfs(src, dst digraph.Vertex) bool {
+	r.sync()
+	g := r.g
+	failed := g.NumFailedArcs() > 0
+	r.visit()
+	r.mark(src, -1)
+	r.queue = append(r.queue, src)
+	for next := 0; next < len(r.queue); next++ {
+		v := r.queue[next]
+		for i := r.start[v]; i < r.start[v+1]; i++ {
+			h := digraph.Vertex(r.head[i])
+			if r.seen(h) {
+				continue
+			}
+			a := digraph.ArcID(r.arc[i])
+			if failed && g.ArcFailed(a) {
+				continue
+			}
+			r.mark(h, a)
+			if h == dst {
+				return true
+			}
+			r.queue = append(r.queue, h)
+		}
+	}
+	return false
+}
+
 // ShortestPath returns a dipath from src to dst minimising the number of
 // arcs (BFS), identical to the free ShortestPath but allocation-free up
 // to the returned path.
 func (r *Router) ShortestPath(src, dst digraph.Vertex) (*dipath.Path, error) {
-	g := r.g
-	n := g.NumVertices()
+	return r.ShortestPathIn(src, dst, nil)
+}
+
+// ShortestPathIn is ShortestPath with the returned dipath carved from
+// arena; a nil arena allocates it on its own.
+func (r *Router) ShortestPathIn(src, dst digraph.Vertex, arena *dipath.Arena) (*dipath.Path, error) {
+	n := r.g.NumVertices()
 	if src < 0 || dst < 0 || int(src) >= n || int(dst) >= n {
 		return nil, fmt.Errorf("route: vertex out of range")
 	}
 	if src == dst {
-		return dipath.FromVertices(g, src)
+		return dipath.FromVertices(r.g, src)
 	}
 	if r.rejectCrossComponent(src, dst) {
 		// No dipath crosses weakly connected components: the exhausted
@@ -195,61 +287,58 @@ func (r *Router) ShortestPath(src, dst digraph.Vertex) (*dipath.Path, error) {
 		// call instead of O(1).
 		return nil, ErrNoRoute{Request{src, dst}}
 	}
-	r.visit()
-	r.mark(src, -1)
-	r.queue = append(r.queue, src)
-	for head := 0; head < len(r.queue); head++ {
-		v := r.queue[head]
-		for _, a := range g.OutArcs(v) {
-			if g.ArcFailed(a) {
-				continue
-			}
-			h := g.Arc(a).Head
-			if r.seen(h) {
-				continue
-			}
-			r.mark(h, a)
-			if h == dst {
-				return r.assemble(src, dst)
-			}
-			r.queue = append(r.queue, h)
-		}
+	if r.bfs(src, dst) {
+		return r.assemble(src, dst, -1, arena)
 	}
 	r.noteExhausted()
 	return nil, ErrNoRoute{Request{src, dst}}
 }
 
 // assemble rebuilds the dipath dst←src (src ≠ dst) from the epoch-valid
-// predecessor chain. The chain is checked once, while counting it; the
-// path is then wrapped without FromArcs' second chain check, since
-// consecutive predecessor arcs share their vertex by construction.
-func (r *Router) assemble(src, dst digraph.Vertex) (*dipath.Path, error) {
+// predecessor chain, carving it from arena (nil: allocated on its own).
+// hops is the chain's length when the search knows it (the min-load
+// hop label), or negative, in which case a first walk counts it. The
+// chain is checked once, while it is walked; the path is then wrapped
+// without FromArcs' second chain check, since consecutive predecessor
+// arcs share their vertex by construction.
+func (r *Router) assemble(src, dst digraph.Vertex, hops int, arena *dipath.Arena) (*dipath.Path, error) {
 	g := r.g
-	count := 0
-	for v := dst; v != src; {
+	if hops < 0 {
+		hops = 0
+		for v := dst; v != src; hops++ {
+			a := r.prevArc[v]
+			if !r.seen(v) || a < 0 {
+				return nil, errBrokenChain
+			}
+			v = g.Arc(a).Tail
+		}
+	}
+	arcs := arena.Arcs(hops)
+	v := dst
+	for i := hops - 1; i >= 0; i-- {
 		a := r.prevArc[v]
 		if !r.seen(v) || a < 0 {
-			return nil, fmt.Errorf("route: internal error: broken predecessor chain")
+			return nil, errBrokenChain
 		}
-		count++
-		v = g.Arc(a).Tail
-	}
-	arcs := make([]digraph.ArcID, count)
-	for v, i := dst, count-1; v != src; i-- {
-		a := r.prevArc[v]
 		arcs[i] = a
 		v = g.Arc(a).Tail
 	}
-	return dipath.FromArcsTrusted(g, arcs...), nil
+	if v != src {
+		return nil, errBrokenChain
+	}
+	return arena.FromArcsTrusted(g, arcs), nil
 }
+
+var errBrokenChain = errors.New("route: internal error: broken predecessor chain")
 
 // ShortestPaths routes every request by shortest dipath, reusing the
 // router's state across requests; it fails on the first unroutable
-// request.
+// request. The returned paths share storage (one dipath.Arena per call).
 func (r *Router) ShortestPaths(reqs []Request) (dipath.Family, error) {
+	arena := new(dipath.Arena)
 	fam := make(dipath.Family, 0, len(reqs))
 	for _, req := range reqs {
-		p, err := r.ShortestPath(req.Src, req.Dst)
+		p, err := r.ShortestPathIn(req.Src, req.Dst, arena)
 		if err != nil {
 			return nil, err
 		}
@@ -262,11 +351,13 @@ func (r *Router) ShortestPaths(reqs []Request) (dipath.Family, error) {
 // dipath minimising the resulting maximum arc load (ties broken by hop
 // count, then by deterministic arc order). Loads accumulate in an
 // incremental load.Tracker; the Dijkstra arrays are reused per request.
+// The returned paths share storage (one dipath.Arena per call).
 func (r *Router) MinLoadSequential(reqs []Request) (dipath.Family, error) {
+	arena := new(dipath.Arena)
 	t := load.NewTracker(r.g)
 	fam := make(dipath.Family, 0, len(reqs))
 	for _, req := range reqs {
-		p, err := r.MinLoadPath(req, t)
+		p, err := r.MinLoadPathIn(req, t, arena)
 		if err != nil {
 			return nil, err
 		}
@@ -283,13 +374,19 @@ func (r *Router) MinLoadSequential(reqs []Request) (dipath.Family, error) {
 // path themselves.
 //
 // The search is pruned to anc(dst), the cached ancestor set of the
-// destination (see the anc field): a source outside it is rejected
+// destination (see the ancSlot field): a source outside it is rejected
 // without a search, and a relaxed head outside it is skipped. The
 // returned dipath is the one the unpruned search would return, arc for
 // arc: a vertex outside anc(dst) has no arc into anc(dst), so it never
 // relaxes a kept vertex; kept vertices get the same labels and
 // predecessors and settle in the same (load, hops, vertex) order.
 func (r *Router) MinLoadPath(req Request, t *load.Tracker) (*dipath.Path, error) {
+	return r.MinLoadPathIn(req, t, nil)
+}
+
+// MinLoadPathIn is MinLoadPath with the returned dipath carved from
+// arena; a nil arena allocates it on its own.
+func (r *Router) MinLoadPathIn(req Request, t *load.Tracker, arena *dipath.Arena) (*dipath.Path, error) {
 	g := r.g
 	n := g.NumVertices()
 	if req.Src < 0 || req.Dst < 0 || int(req.Src) >= n || int(req.Dst) >= n {
@@ -303,11 +400,13 @@ func (r *Router) MinLoadPath(req Request, t *load.Tracker) (*dipath.Path, error)
 		// components, so the Dijkstra below could only exhaust itself.
 		return nil, ErrNoRoute{req}
 	}
+	r.sync()
 	anc := r.ancestors(req.Dst)
 	if !inSet(anc, req.Src) {
 		// No dipath to dst even over failed arcs.
 		return nil, ErrNoRoute{req}
 	}
+	failed := g.NumFailedArcs() > 0
 	r.visit() // reuse the epoch-stamped prevArc as the predecessor store
 	r.bestLoad = grow(r.bestLoad, n)
 	r.bestHops = grow(r.bestHops, n)
@@ -326,22 +425,23 @@ func (r *Router) MinLoadPath(req Request, t *load.Tracker) (*dipath.Path, error)
 			continue
 		}
 		if u == req.Dst {
-			return r.assemble(req.Src, req.Dst)
+			return r.assemble(req.Src, req.Dst, it.hops, arena)
 		}
 		r.done[u] = r.epoch
-		for _, a := range g.OutArcs(u) {
-			if g.ArcFailed(a) {
-				continue
-			}
-			h := g.Arc(a).Head
+		for i := r.start[u]; i < r.start[u+1]; i++ {
+			h := digraph.Vertex(r.head[i])
 			if !inSet(anc, h) || r.done[h] == r.epoch {
 				continue
 			}
-			nl := r.bestLoad[u]
-			if t.Load(a)+1 > nl {
-				nl = t.Load(a) + 1
+			a := digraph.ArcID(r.arc[i])
+			if failed && g.ArcFailed(a) {
+				continue
 			}
-			nh := r.bestHops[u] + 1
+			nl := it.load
+			if l := t.Load(a) + 1; l > nl {
+				nl = l
+			}
+			nh := it.hops + 1
 			if !r.seen(h) || nl < r.bestLoad[h] || (nl == r.bestLoad[h] && nh < r.bestHops[h]) {
 				r.bestLoad[h], r.bestHops[h] = nl, nh
 				r.mark(h, a)
@@ -354,19 +454,31 @@ func (r *Router) MinLoadPath(req Request, t *load.Tracker) (*dipath.Path, error)
 }
 
 // ancestors returns anc(dst), computing it by one reverse DFS over
-// InArcs (failed arcs included) the first time dst is asked for since
-// the graph last gained an arc or a vertex.
+// InArcs (failed arcs included) into the next ⌈n/64⌉ words of the slab
+// the first time dst is asked for since the graph last gained an arc or
+// a vertex. The caller has synced the router. The returned set aliases
+// the slab, so it is valid until the next call.
 func (r *Router) ancestors(dst digraph.Vertex) []uint64 {
 	g := r.g
 	n := g.NumVertices()
-	if r.ancArcs != g.NumArcs() || r.ancVerts != n {
-		r.anc = make([][]uint64, n)
-		r.ancArcs, r.ancVerts = g.NumArcs(), n
+	w := (n + 63) / 64
+	if slot := int(r.ancSlot[dst]); slot != 0 {
+		return r.ancSlab[(slot-1)*w : slot*w]
 	}
-	if set := r.anc[dst]; set != nil {
-		return set
+	off := len(r.ancSlab)
+	if cap(r.ancSlab) < off+w {
+		// Double by hand, capped at the n sets the slab can hold
+		// (off ≤ (n-1)·w, so the new capacity fits one more set):
+		// append's 1.25x growth past 256 elements would allocate ~5x
+		// the final slab across its copies.
+		slab := make([]uint64, off, min(max(2*cap(r.ancSlab), 64*w), n*w))
+		copy(slab, r.ancSlab)
+		r.ancSlab = slab
 	}
-	set := make([]uint64, (n+63)/64)
+	r.ancSlab = r.ancSlab[:off+w]
+	clear(r.ancSlab[off:])
+	r.ancSlot[dst] = int32(off/w + 1)
+	set := r.ancSlab[off : off+w]
 	set[dst>>6] |= 1 << (dst & 63)
 	stack := append(r.queue[:0], dst)
 	for len(stack) > 0 {
@@ -380,7 +492,6 @@ func (r *Router) ancestors(dst digraph.Vertex) []uint64 {
 		}
 	}
 	r.queue = stack[:0]
-	r.anc[dst] = set
 	return set
 }
 
@@ -395,22 +506,7 @@ func (r *Router) Multicast(origin digraph.Vertex, dests []digraph.Vertex) (dipat
 	if origin < 0 || int(origin) >= n {
 		return nil, fmt.Errorf("route: origin out of range")
 	}
-	r.visit()
-	r.mark(origin, -1)
-	r.queue = append(r.queue, origin)
-	for head := 0; head < len(r.queue); head++ {
-		v := r.queue[head]
-		for _, a := range g.OutArcs(v) {
-			if g.ArcFailed(a) {
-				continue
-			}
-			h := g.Arc(a).Head
-			if !r.seen(h) {
-				r.mark(h, a)
-				r.queue = append(r.queue, h)
-			}
-		}
-	}
+	r.bfs(origin, -1)
 	fam := make(dipath.Family, 0, len(dests))
 	for _, d := range dests {
 		if d < 0 || int(d) >= n || !r.seen(d) {
@@ -421,7 +517,7 @@ func (r *Router) Multicast(origin digraph.Vertex, dests []digraph.Vertex) (dipat
 		if d == origin {
 			p, err = dipath.FromVertices(g, origin)
 		} else {
-			p, err = r.assemble(origin, d)
+			p, err = r.assemble(origin, d, -1, nil)
 		}
 		if err != nil {
 			return nil, err
@@ -434,27 +530,11 @@ func (r *Router) Multicast(origin digraph.Vertex, dests []digraph.Vertex) (dipat
 // AllToAll returns the request list {(u,v) : u != v, v reachable from u},
 // reusing the router's BFS state for the n reachability sweeps.
 func (r *Router) AllToAll() []Request {
-	g := r.g
-	n := g.NumVertices()
+	n := r.g.NumVertices()
 	var reqs []Request
 	for u := 0; u < n; u++ {
 		src := digraph.Vertex(u)
-		r.visit()
-		r.mark(src, -1)
-		r.queue = append(r.queue, src)
-		for head := 0; head < len(r.queue); head++ {
-			v := r.queue[head]
-			for _, a := range g.OutArcs(v) {
-				if g.ArcFailed(a) {
-					continue
-				}
-				h := g.Arc(a).Head
-				if !r.seen(h) {
-					r.mark(h, a)
-					r.queue = append(r.queue, h)
-				}
-			}
-		}
+		r.bfs(src, -1)
 		for v := 0; v < n; v++ {
 			if v != u && r.seen(digraph.Vertex(v)) {
 				reqs = append(reqs, Request{src, digraph.Vertex(v)})

@@ -3,6 +3,7 @@ package route
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"wavedag/internal/digraph"
@@ -495,25 +496,130 @@ func (e *minLoadEquiv) step(op, x, y int) {
 	}
 }
 
+// oracleBFS is the breadth-first search of ShortestPath and Multicast
+// over g's own adjacency lists, with labels reset per call: prev[v] is
+// the live arc v was first reached by from src, and reached[v] whether
+// it was reached at all.
+func oracleBFS(g *digraph.Digraph, src digraph.Vertex) (prev []digraph.ArcID, reached []bool) {
+	n := g.NumVertices()
+	prev = make([]digraph.ArcID, n)
+	reached = make([]bool, n)
+	reached[src], prev[src] = true, -1
+	queue := []digraph.Vertex{src}
+	for next := 0; next < len(queue); next++ {
+		for _, a := range g.OutArcs(queue[next]) {
+			if h := g.Arc(a).Head; !g.ArcFailed(a) && !reached[h] {
+				reached[h], prev[h] = true, a
+				queue = append(queue, h)
+			}
+		}
+	}
+	return prev, reached
+}
+
+// checkBFS checks the router's breadth-first searches on the current
+// graph, after whatever growth and cuts the stream applied, against the
+// free functions (a fresh Router each) and oracleBFS: AllToAll, and
+// from each origin, Multicast to every vertex it reaches and
+// ShortestPath to each of them.
+func (e *minLoadEquiv) checkBFS(origins ...digraph.Vertex) {
+	e.t.Helper()
+	g := e.g
+	n := g.NumVertices()
+	got, free := e.r.AllToAll(), AllToAll(g)
+	var want []Request
+	for u := 0; u < n; u++ {
+		_, reached := oracleBFS(g, digraph.Vertex(u))
+		for v := 0; v < n; v++ {
+			if v != u && reached[v] {
+				want = append(want, Request{digraph.Vertex(u), digraph.Vertex(v)})
+			}
+		}
+	}
+	if !slices.Equal(got, want) || !slices.Equal(free, want) {
+		e.t.Fatalf("AllToAll on %v: router %d requests, free %d, oracle %d", g, len(got), len(free), len(want))
+	}
+	for _, o := range origins {
+		o = digraph.Vertex(int(o) % n)
+		prev, reached := oracleBFS(g, o)
+		var dests []digraph.Vertex
+		var paths []*dipath.Path
+		for v := 0; v < n; v++ {
+			if !reached[v] || v == int(o) {
+				continue
+			}
+			var arcs []digraph.ArcID
+			for u := digraph.Vertex(v); u != o; u = g.Arc(prev[u]).Tail {
+				arcs = append([]digraph.ArcID{prev[u]}, arcs...)
+			}
+			p, err := dipath.FromArcs(g, arcs...)
+			if err != nil {
+				e.t.Fatal(err)
+			}
+			dests = append(dests, digraph.Vertex(v))
+			paths = append(paths, p)
+		}
+		mc, err := e.r.Multicast(o, dests)
+		if err != nil {
+			e.t.Fatalf("Multicast from %d: %v", o, err)
+		}
+		freeMC, err := Multicast(g, o, dests)
+		if err != nil {
+			e.t.Fatalf("free Multicast from %d: %v", o, err)
+		}
+		for i, d := range dests {
+			sp, err := e.r.ShortestPath(o, d)
+			if err != nil {
+				e.t.Fatalf("ShortestPath %d->%d: %v", o, d, err)
+			}
+			freeSP, err := ShortestPath(g, o, d)
+			if err != nil {
+				e.t.Fatalf("free ShortestPath %d->%d: %v", o, d, err)
+			}
+			for name, p := range map[string]*dipath.Path{
+				"Multicast": mc[i], "free Multicast": freeMC[i],
+				"ShortestPath": sp, "free ShortestPath": freeSP,
+			} {
+				if !p.Equal(paths[i]) {
+					e.t.Fatalf("%s %d->%d on %v: %v, oracle %v", name, o, d, g, p, paths[i])
+				}
+			}
+		}
+	}
+}
+
 // TestMinLoadPathMatchesUnprunedSearch checks the pruned, epoch-stamped
 // search against oracleMinLoadPath, path by path, on random DAGs
 // without and with internal cycles and with parallel arcs, under
-// interleaved load changes, cuts, restorations and growth.
+// interleaved load changes, cuts, restorations and growth. The larger
+// graphs have more than 64 vertices, so their ancestor sets span
+// several words of the slab, and one graph grows across the 64-vertex
+// boundary mid-stream, which resets the slab at a new set width. At the
+// end of each stream the router's breadth-first searches are checked
+// against the free functions and a plain BFS (checkBFS).
 func TestMinLoadPathMatchesUnprunedSearch(t *testing.T) {
+	withParallels := func(g *digraph.Digraph) *digraph.Digraph {
+		for a := 0; a < g.NumArcs(); a += 3 {
+			arc := g.Arc(digraph.ArcID(a))
+			g.MustAddArc(arc.Tail, arc.Head)
+		}
+		return g
+	}
 	for seed := int64(1); seed <= 6; seed++ {
 		noCycle, err := gen.RandomNoInternalCycleDAG(20, 4, 4, 0.2, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		parallel := gen.RandomDAG(20, 40, seed)
-		for a := 0; a < parallel.NumArcs(); a += 3 {
-			arc := parallel.Arc(digraph.ArcID(a))
-			parallel.MustAddArc(arc.Tail, arc.Head)
+		largeNoCycle, err := gen.RandomNoInternalCycleDAG(120, 8, 8, 0.2, seed)
+		if err != nil {
+			t.Fatal(err)
 		}
 		graphs := map[string]*digraph.Digraph{
-			"no-internal-cycle": noCycle,
-			"internal-cycles":   gen.RandomDAG(20, 45, seed),
-			"parallel-arcs":     parallel,
+			"no-internal-cycle":       noCycle,
+			"internal-cycles":         gen.RandomDAG(20, 45, seed),
+			"parallel-arcs":           withParallels(gen.RandomDAG(20, 40, seed)),
+			"large-no-internal-cycle": largeNoCycle,
+			"large-parallel-arcs":     withParallels(gen.RandomDAG(100, 220, seed)),
 		}
 		for name, g := range graphs {
 			e := newMinLoadEquiv(t, g)
@@ -530,7 +636,62 @@ func TestMinLoadPathMatchesUnprunedSearch(t *testing.T) {
 			if len(e.paths) == 0 {
 				t.Fatalf("%s seed %d: nothing routed", name, seed)
 			}
+			e.checkBFS(0, digraph.Vertex(rng.Intn(1<<16)), digraph.Vertex(rng.Intn(1<<16)))
 		}
+
+		// Growth across one bitset word: ancestor sets are built at 60
+		// vertices (one word), then vertices are added one at a time up
+		// to 72 (two words) with requests between them, each addition
+		// dropping the sets and refilling the slab at the new width.
+		// The 65th vertex comes without an arc, so only the vertex
+		// count moves the set width.
+		e := newMinLoadEquiv(t, gen.RandomDAG(60, 150, seed))
+		rng := rand.New(rand.NewSource(seed))
+		for e.g.NumVertices() < 72 {
+			for i := 0; i < 20; i++ {
+				e.step(0, rng.Intn(1<<16), rng.Intn(1<<16))
+			}
+			if e.g.NumVertices() == 64 {
+				lone := e.g.AddVertex("")
+				for v := digraph.Vertex(0); v < lone; v += 7 {
+					e.route(Request{v, lone}, true)
+					e.route(Request{lone, v}, true)
+				}
+				e.checkBFS(0, lone)
+			}
+			e.step(7, rng.Intn(1<<16), rng.Intn(1<<16))
+		}
+		for i := 0; i < 100; i++ {
+			e.step(0, rng.Intn(1<<16), rng.Intn(1<<16))
+		}
+		e.checkBFS(0, 63, 64, 71)
+	}
+}
+
+// TestMinLoadSequentialAllocs guards the allocation budget of batch
+// min-load routing at the plan-theorem1 shape: 5000 requests on the
+// 500-internal-vertex DAG without internal cycle through a fresh
+// Router, as a one-shot plan does. The paths come from one arena, the
+// ancestor sets from one slab and the adjacency from one CSR, so the
+// batch must stay within 0.1 allocations per request.
+func TestMinLoadSequentialAllocs(t *testing.T) {
+	g, err := gen.RandomNoInternalCycleDAG(500, 8, 8, 0.2, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := AllToAll(g)
+	rng := rand.New(rand.NewSource(1))
+	reqs := make([]Request, 5000)
+	for i := range reqs {
+		reqs[i] = pool[rng.Intn(len(pool))]
+	}
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, err := NewRouter(g).MinLoadSequential(reqs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perReq := allocs / float64(len(reqs)); perReq > 0.1 {
+		t.Fatalf("MinLoadSequential: %.3f allocations per request (%v per batch), want <= 0.1", perReq, allocs)
 	}
 }
 

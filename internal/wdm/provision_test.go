@@ -224,10 +224,12 @@ func TestCountADMsMatchesSortOracle(t *testing.T) {
 
 // TestProvisionAllocs guards the allocation budget of one-shot planning
 // at the plan-theorem1 shape: 5000 min-load requests on the
-// 500-internal-vertex DAG without internal cycle. Each routed path costs
-// its arc slice, its vertex slice and the Path; the router's
-// per-destination ancestor sets, the tracker, the Theorem-1 peel and the
-// ADM count must share the remaining 0.25 allocations per request.
+// 500-internal-vertex DAG without internal cycle. The routed paths come
+// from the plan's arena and the router's ancestor sets from one slab,
+// so the paths' blocks, the router, the tracker, the Theorem-1 peel and
+// the ADM count together must stay within 0.1 allocations per request
+// (a few hundred per plan, against three per path when each path was
+// allocated on its own).
 func TestProvisionAllocs(t *testing.T) {
 	g, err := gen.RandomNoInternalCycleDAG(500, 8, 8, 0.2, 500)
 	if err != nil {
@@ -245,7 +247,51 @@ func TestProvisionAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if perReq := allocs / float64(len(reqs)); perReq > 3.25 {
-		t.Fatalf("Provision: %.2f allocations per request (%v per plan), want <= 3.25", perReq, allocs)
+	if perReq := allocs / float64(len(reqs)); perReq > 0.1 {
+		t.Fatalf("Provision: %.3f allocations per request (%v per plan), want <= 0.1", perReq, allocs)
+	}
+}
+
+// TestProvisionPathsCapped checks the full-slice caps of the arena a
+// plan's paths are carved from, on every path of a plan-theorem1-shaped
+// Provision under both arena-backed policies: appending to any path's
+// Arcs or Vertices must leave every other path of the plan unchanged.
+func TestProvisionPathsCapped(t *testing.T) {
+	g, err := gen.RandomNoInternalCycleDAG(500, 8, 8, 0.2, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := route.NewRouter(g).AllToAll()
+	rng := rand.New(rand.NewSource(1))
+	reqs := make([]route.Request, 5000)
+	for i := range reqs {
+		reqs[i] = pool[rng.Intn(len(pool))]
+	}
+	n := &Network{Topology: g}
+	for _, policy := range []RoutingPolicy{RouteShortest, RouteMinLoad} {
+		prov, err := n.Provision(reqs, policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := make([]string, len(prov.Paths))
+		for i, p := range prov.Paths {
+			before[i] = fmt.Sprint(p.Arcs(), p.Vertices())
+			if cap(p.Arcs()) != p.NumArcs() || cap(p.Vertices()) != p.NumVertices() {
+				t.Fatalf("%v path %d: caps %d/%d for %d arcs, %d vertices", policy, i,
+					cap(p.Arcs()), cap(p.Vertices()), p.NumArcs(), p.NumVertices())
+			}
+		}
+		for _, p := range prov.Paths {
+			_ = append(p.Arcs(), -1)
+			_ = append(p.Vertices(), -1)
+		}
+		for i, p := range prov.Paths {
+			if got := fmt.Sprint(p.Arcs(), p.Vertices()); got != before[i] {
+				t.Fatalf("%v path %d changed by an append to another path: %s, was %s", policy, i, got, before[i])
+			}
+		}
+		if err := prov.Paths.Validate(g); err != nil {
+			t.Fatalf("%v: %v", policy, err)
+		}
 	}
 }

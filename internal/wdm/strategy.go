@@ -181,20 +181,38 @@ func init() {
 
 // ── Built-in routing strategies ────────────────────────────────────────
 
+// planStrategy is implemented by the built-in strategies whose routes a
+// one-shot plan can carve from one dipath.Arena. Provision owns every
+// path it routes until it returns them together, so they share one
+// lifetime; a session frees paths one by one and keeps NewState's
+// per-path allocation, so that a surviving path never pins a block.
+type planStrategy interface {
+	newPlanState(g *digraph.Digraph, arena *dipath.Arena) RoutingState
+}
+
 // shortestStrategy routes by BFS shortest dipath through a persistent
 // route.Router.
 type shortestStrategy struct{}
 
 func (shortestStrategy) Name() string { return RouteShortestName }
 
-func (shortestStrategy) NewState(g *digraph.Digraph) (RoutingState, error) {
-	return shortestState{route.NewRouter(g)}, nil
+func (s shortestStrategy) NewState(g *digraph.Digraph) (RoutingState, error) {
+	return s.newPlanState(g, nil), nil
 }
 
-type shortestState struct{ r *route.Router }
+func (shortestStrategy) newPlanState(g *digraph.Digraph, arena *dipath.Arena) RoutingState {
+	return &shortestState{route.NewRouter(g), arena}
+}
 
-func (s shortestState) Route(req route.Request, _ *load.Tracker) (*dipath.Path, error) {
-	return s.r.ShortestPath(req.Src, req.Dst)
+// shortestState carves its routes from arena, or allocates each on its
+// own when arena is nil.
+type shortestState struct {
+	r     *route.Router
+	arena *dipath.Arena
+}
+
+func (s *shortestState) Route(req route.Request, _ *load.Tracker) (*dipath.Path, error) {
+	return s.r.ShortestPathIn(req.Src, req.Dst, s.arena)
 }
 
 // minLoadStrategy routes each request to minimise the resulting maximum
@@ -203,14 +221,23 @@ type minLoadStrategy struct{}
 
 func (minLoadStrategy) Name() string { return RouteMinLoadName }
 
-func (minLoadStrategy) NewState(g *digraph.Digraph) (RoutingState, error) {
-	return minLoadState{route.NewRouter(g)}, nil
+func (s minLoadStrategy) NewState(g *digraph.Digraph) (RoutingState, error) {
+	return s.newPlanState(g, nil), nil
 }
 
-type minLoadState struct{ r *route.Router }
+func (minLoadStrategy) newPlanState(g *digraph.Digraph, arena *dipath.Arena) RoutingState {
+	return &minLoadState{route.NewRouter(g), arena}
+}
 
-func (s minLoadState) Route(req route.Request, loads *load.Tracker) (*dipath.Path, error) {
-	return s.r.MinLoadPath(req, loads)
+// minLoadState carves its routes from arena, or allocates each on its
+// own when arena is nil.
+type minLoadState struct {
+	r     *route.Router
+	arena *dipath.Arena
+}
+
+func (s *minLoadState) Route(req route.Request, loads *load.Tracker) (*dipath.Path, error) {
+	return s.r.MinLoadPathIn(req, loads, s.arena)
 }
 
 // uppStrategy routes on UPP-DAGs, where every request has at most one

@@ -82,14 +82,20 @@ type Provisioning struct {
 // once and accounted; the family is then colored once, with π read off
 // the tracker. The result equals that of a Session with the "full"
 // coloring strategy filled with the same requests.
+//
+// The built-in shortest and min-load strategies carve the paths of one
+// Provisioning from shared blocks (a dipath.Arena), so keeping any one
+// of its paths keeps the whole plan's path storage alive.
 func (n *Network) Provision(reqs []route.Request, policy RoutingPolicy) (*Provisioning, error) {
 	strat, err := policy.Strategy()
 	if err != nil {
 		return nil, err
 	}
 	g := n.Topology
-	routing, err := strat.NewState(g)
-	if err != nil {
+	var routing RoutingState
+	if ps, ok := strat.(planStrategy); ok {
+		routing = ps.newPlanState(g, new(dipath.Arena))
+	} else if routing, err = strat.NewState(g); err != nil {
 		return nil, fmt.Errorf("wdm: routing setup: %w", err)
 	}
 	tracker := load.NewTracker(g)

@@ -61,8 +61,11 @@
 //     than slice-returning Neighbors.
 //   - Batch routing goes through NewRouter, which reuses epoch-stamped
 //     BFS/Dijkstra state across requests instead of allocating or
-//     clearing per request, and prunes each min-load search to the
-//     destination's ancestors, cached as one bitset per destination;
+//     clearing per request, scans a compressed-sparse-row copy of the
+//     out-adjacency, and prunes each min-load search to the
+//     destination's ancestors, cached as one bitset per destination in
+//     one slab. A batch's routes (and a one-shot Provision's) are
+//     carved from one arena instead of three allocations per path;
 //     incremental load bookkeeping goes through NewLoadTracker.
 //
 // # Sessions: the dynamic provisioning engine
@@ -936,9 +939,12 @@ func NewConflictGraph(g *Graph, fam Family) *ConflictGraph {
 // NewRouter returns a Router over g: routing state (visited stamps,
 // predecessor chains, queues, epoch-stamped Dijkstra labels and heap)
 // is allocated once and reused across requests, which is the fast path
-// for AllToAll-scale batches. Min-load searches visit only the
-// destination's ancestors, from a per-destination bitset cached until g
-// gains an arc or a vertex (⌈n/64⌉ words per distinct destination). A
+// for AllToAll-scale batches. Searches scan a CSR copy of g's
+// out-adjacency, and min-load searches visit only the destination's
+// ancestors, from a per-destination bitset in one slab; both are kept
+// until g gains an arc or a vertex (⌈n/64⌉ slab words per distinct
+// destination). ShortestPaths and MinLoadSequential return families
+// carved from one arena per call, so their paths share storage. A
 // Router is not safe for concurrent use.
 func NewRouter(g *Graph) *Router { return route.NewRouter(g) }
 
