@@ -21,19 +21,6 @@ type ComponentView struct {
 // connect: the labelling describes the installed fiber plant, which is
 // what the static shard layout is built on.
 func (g *Digraph) ComponentLabels() []int32 {
-	return g.componentLabels(false)
-}
-
-// LiveComponentLabels is ComponentLabels restricted to non-failed arcs:
-// the connectivity traffic can actually use right now. When a cut
-// splits a component, vertices on opposite sides of the split get
-// different labels here while ComponentLabels still agrees — the
-// difference is exactly the set of pairs that became unroutable.
-func (g *Digraph) LiveComponentLabels() []int32 {
-	return g.componentLabels(true)
-}
-
-func (g *Digraph) componentLabels(skipFailed bool) []int32 {
 	n := g.NumVertices()
 	label := make([]int32, n)
 	for i := range label {
@@ -50,18 +37,12 @@ func (g *Digraph) componentLabels(skipFailed bool) []int32 {
 		for head := 0; head < len(queue); head++ {
 			v := queue[head]
 			for _, a := range g.out[v] {
-				if skipFailed && g.ArcFailed(a) {
-					continue
-				}
 				if h := g.arcs[a].Head; label[h] < 0 {
 					label[h] = ncomp
 					queue = append(queue, h)
 				}
 			}
 			for _, a := range g.in[v] {
-				if skipFailed && g.ArcFailed(a) {
-					continue
-				}
 				if t := g.arcs[a].Tail; label[t] < 0 {
 					label[t] = ncomp
 					queue = append(queue, t)

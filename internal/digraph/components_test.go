@@ -2,6 +2,7 @@ package digraph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -32,6 +33,16 @@ func TestComponentLabels(t *testing.T) {
 		if l != want[v] {
 			t.Fatalf("label[%d] = %d, want %d (all %v)", v, l, want[v], label)
 		}
+	}
+	// Failed arcs still connect: cutting every arc leaves the labels of
+	// the installed plant unchanged.
+	for a := 0; a < g.NumArcs(); a++ {
+		if err := g.FailArc(ArcID(a)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cut := g.ComponentLabels(); !slices.Equal(cut, label) {
+		t.Fatalf("labels after cutting every arc %v, want %v", cut, label)
 	}
 }
 

@@ -38,7 +38,7 @@ type Arc struct {
 // RestoreArc): a failed arc keeps its identifier, its endpoints and its
 // position in every adjacency list — loads, colorings and dipaths
 // indexed by arc stay valid — but failure-aware traversals (the routing
-// layer, LiveComponentLabels) skip it. This is the fiber-cut model of
+// layer's searches) skip it. This is the fiber-cut model of
 // the survivability engine: a cut removes capacity, never renames
 // anything.
 type Digraph struct {
@@ -142,8 +142,9 @@ func (g *Digraph) ArcFailed(id ArcID) bool {
 func (g *Digraph) NumFailedArcs() int { return g.numFailed }
 
 // TopologyEpoch is a counter bumped by every AddArc, FailArc and
-// RestoreArc. Derived structures (component snapshots, routers) record
-// the epoch they were computed at and recompute when it moves.
+// RestoreArc. Derived facts (a published engine snapshot, a session's
+// "no live route" stamp on a dark entry) record the epoch they were
+// computed at and are stale once it moves.
 func (g *Digraph) TopologyEpoch() uint64 { return g.topoEpoch }
 
 // MustAddArc is AddArc but panics on error. It is intended for

@@ -1,8 +1,7 @@
 package digraph
 
 // Fiber-cut primitive tests: FailArc/RestoreArc bookkeeping, the
-// topology epoch, failure-aware live component labels, and Clone
-// carrying failure state.
+// topology epoch, and Clone carrying failure state.
 
 import "testing"
 
@@ -70,39 +69,6 @@ func TestTopologyEpoch(t *testing.T) {
 	}
 	if g.TopologyEpoch() == e2 {
 		t.Fatal("RestoreArc did not bump the epoch")
-	}
-}
-
-func TestLiveComponentLabels(t *testing.T) {
-	// 0 -> 1 -> 2 plus an isolated 3: one chain component, one singleton.
-	g := New(4)
-	g.MustAddArc(0, 1)
-	bridge := g.MustAddArc(1, 2)
-	same := func(labels []int32, u, v Vertex) bool { return labels[u] == labels[v] }
-
-	live := g.LiveComponentLabels()
-	if !same(live, 0, 2) || same(live, 0, 3) {
-		t.Fatalf("intact labels wrong: %v", live)
-	}
-	if err := g.FailArc(bridge); err != nil {
-		t.Fatal(err)
-	}
-	// Static labels ignore failures (shard layout is stable); live
-	// labels see the split.
-	static := g.ComponentLabels()
-	if !same(static, 0, 2) {
-		t.Fatalf("static labels saw the cut: %v", static)
-	}
-	live = g.LiveComponentLabels()
-	if same(live, 0, 2) || !same(live, 0, 1) {
-		t.Fatalf("live labels missed the split: %v", live)
-	}
-	if err := g.RestoreArc(bridge); err != nil {
-		t.Fatal(err)
-	}
-	live = g.LiveComponentLabels()
-	if !same(live, 0, 2) {
-		t.Fatalf("live labels missed the repair: %v", live)
 	}
 }
 

@@ -45,8 +45,9 @@ func TestShortestPathSkipsFailedArcs(t *testing.T) {
 			t.Fatalf("route crosses failed arc %d", a)
 		}
 	}
-	// Cut the other branch too: the pair is disconnected, and after the
-	// first exhausted search the router answers from live labels.
+	// Cut the other branch too: the pair is disconnected, and every
+	// attempt is an exhausted search (0 stays an ancestor of 3 over the
+	// failed arcs).
 	if err := g.FailArc(arcs[2]); err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestShortestPathSkipsFailedArcs(t *testing.T) {
 			t.Fatalf("attempt %d: %v, want ErrNoRoute", i, err)
 		}
 	}
-	// Repair must invalidate the snapshot (epoch bump): routes return.
+	// A repair makes the pair routable again.
 	if err := g.RestoreArc(arcs[0]); err != nil {
 		t.Fatal(err)
 	}

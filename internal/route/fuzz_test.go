@@ -7,12 +7,13 @@ import (
 )
 
 // FuzzMinLoadPath checks Router.MinLoadPath against the unpruned
-// oracleMinLoadPath on graphs grown from the input: the first byte
-// sets the starting vertex count (2 to 141, so ancestor sets span one
-// to three words), and every following byte triple (op, x, y) is one
-// step of minLoadEquiv — a request, a load removal, an arc cut or
-// restoration, an added arc or an added vertex. Arcs may point either
-// way, so directed cycles are allowed as well. Once the input is
+// oracleMinLoadPath, and Router.ShortestPath's verdict and path against
+// a plain BFS, at every request on graphs grown from the input: the
+// first byte sets the starting vertex count (2 to 141, so ancestor sets
+// span one to three words), and every following byte triple (op, x, y)
+// is one step of minLoadEquiv — a request, a load removal, an arc cut
+// or restoration, an added arc or an added vertex. Arcs may point
+// either way, so directed cycles are allowed as well. Once the input is
 // consumed, the router's breadth-first searches are checked too
 // (checkBFS).
 func FuzzMinLoadPath(f *testing.F) {

@@ -19,32 +19,23 @@ import (
 // NewRouter are routed like the others.
 //
 // Every search scans a private copy of the out-adjacency in compressed
-// sparse rows (see the start field), and min-load searches are pruned
-// to the ancestors of the destination — the vertices with a dipath to
-// it — kept as one lazily computed bitset per destination in a shared
-// slab (see the ancSlot field and MinLoadPath). Both are rebuilt when
-// the graph gains an arc or a vertex. The batch calls ShortestPaths and
-// MinLoadSequential carve the family they return from one dipath.Arena,
-// so a batch costs a handful of path allocations, not three per path;
-// other calls allocate each path on its own unless the caller passes an
-// arena (ShortestPathIn, MinLoadPathIn).
+// sparse rows (see the start field), and the searches for one
+// destination (ShortestPath, MinLoadPath) are pruned to its ancestors —
+// the vertices with a dipath to it over every arc, failed or not — kept
+// as one lazily computed bitset per destination in a shared slab (see
+// the ancSlot field and MinLoadPath). The set is the router's only
+// reachability filter: a source outside it is rejected in O(1), and a
+// pair a cut disconnected costs one search bounded by the set. The CSR
+// and the sets are rebuilt when the graph gains an arc or a vertex. The
+// batch calls ShortestPaths and MinLoadSequential carve the family they
+// return from one dipath.Arena, so a batch costs a handful of path
+// allocations, not three per path; other calls allocate each path on
+// its own unless the caller passes an arena (ShortestPathIn,
+// MinLoadPathIn).
 //
 // A Router is not safe for concurrent use; create one per goroutine.
 type Router struct {
 	g *digraph.Digraph
-
-	// comp labels every vertex with its live weakly connected component
-	// (failed arcs excluded), so infeasible cross-component requests
-	// are rejected in O(1) instead of by an exhausted search (no dipath
-	// crosses components). The labels are computed lazily, the first
-	// time a search exhausts — one-shot routers never pay the O(V+A)
-	// labeling pass, persistent routers converge to O(1) rejection.
-	// compEpoch records the graph's topology epoch the labels were
-	// computed at: arcs added, failed or restored later change live
-	// connectivity, so a moved epoch falls back to the full search
-	// until the next exhausted search refreshes the snapshot.
-	comp      []int32
-	compEpoch uint64
 
 	// The out-adjacency of g in compressed sparse rows: the out-arcs of
 	// v are arc[start[v]:start[v+1]], in OutArcs order, and head[i] is
@@ -153,28 +144,6 @@ func NewRouter(g *digraph.Digraph) *Router { return &Router{g: g} }
 // Graph returns the digraph the router routes over.
 func (r *Router) Graph() *digraph.Digraph { return r.g }
 
-// rejectCrossComponent reports whether the request provably has no
-// route because its endpoints lie in different weakly connected
-// components, per the lazily maintained label snapshot (see the comp
-// field). False when no current snapshot exists — callers then search.
-func (r *Router) rejectCrossComponent(src, dst digraph.Vertex) bool {
-	return r.comp != nil &&
-		r.compEpoch == r.g.TopologyEpoch() &&
-		int(src) < len(r.comp) && int(dst) < len(r.comp) &&
-		r.comp[src] != r.comp[dst]
-}
-
-// noteExhausted records that a search just exhausted without reaching
-// its destination: the live component labels are (re)computed, once per
-// topology epoch, so the next cross-component request on this router is
-// rejected in O(1) instead of by another search.
-func (r *Router) noteExhausted() {
-	if r.comp == nil || r.compEpoch != r.g.TopologyEpoch() || len(r.comp) != r.g.NumVertices() {
-		r.comp = r.g.LiveComponentLabels()
-		r.compEpoch = r.g.TopologyEpoch()
-	}
-}
-
 // sync rebuilds the CSR adjacency and drops the ancestor sets when the
 // graph has gained an arc or a vertex since they were built (see the
 // builtArcs field). Every search calls it first.
@@ -233,11 +202,18 @@ func (r *Router) mark(v digraph.Vertex, via digraph.ArcID) {
 }
 
 // bfs runs a breadth-first search from src over the live arcs, marking
-// every reached vertex with its predecessor arc, and stops as soon as
-// dst is marked; a negative dst sweeps everything src reaches. It
-// reports whether dst was reached.
-func (r *Router) bfs(src, dst digraph.Vertex) bool {
-	r.sync()
+// every reached vertex with its predecessor arc. With a nil anc it
+// sweeps everything src reaches; otherwise anc is the ancestor set of
+// dst, heads outside it are skipped, and the search stops as soon as
+// dst is marked. It reports whether dst was reached. The caller has
+// synced the router.
+//
+// The pruned search marks dst with the predecessor arc the full one
+// would: every tail of an arc into an ancestor is itself an ancestor,
+// so the pruned queue is the full queue with the non-ancestors taken
+// out, and each ancestor is first reached from the same vertex over
+// the same arc.
+func (r *Router) bfs(src, dst digraph.Vertex, anc []uint64) bool {
 	g := r.g
 	failed := g.NumFailedArcs() > 0
 	r.visit()
@@ -247,7 +223,7 @@ func (r *Router) bfs(src, dst digraph.Vertex) bool {
 		v := r.queue[next]
 		for i := r.start[v]; i < r.start[v+1]; i++ {
 			h := digraph.Vertex(r.head[i])
-			if r.seen(h) {
+			if r.seen(h) || (anc != nil && !inSet(anc, h)) {
 				continue
 			}
 			a := digraph.ArcID(r.arc[i])
@@ -266,7 +242,8 @@ func (r *Router) bfs(src, dst digraph.Vertex) bool {
 
 // ShortestPath returns a dipath from src to dst minimising the number of
 // arcs (BFS), identical to the free ShortestPath but allocation-free up
-// to the returned path.
+// to the returned path. Like MinLoadPath it is pruned to anc(dst): a
+// source outside it is rejected without a search.
 func (r *Router) ShortestPath(src, dst digraph.Vertex) (*dipath.Path, error) {
 	return r.ShortestPathIn(src, dst, nil)
 }
@@ -281,16 +258,11 @@ func (r *Router) ShortestPathIn(src, dst digraph.Vertex, arena *dipath.Arena) (*
 	if src == dst {
 		return dipath.FromVertices(r.g, src)
 	}
-	if r.rejectCrossComponent(src, dst) {
-		// No dipath crosses weakly connected components: the exhausted
-		// BFS below would reach the same answer, in O(component) per
-		// call instead of O(1).
-		return nil, ErrNoRoute{Request{src, dst}}
-	}
-	if r.bfs(src, dst) {
+	r.sync()
+	anc := r.ancestors(dst)
+	if inSet(anc, src) && r.bfs(src, dst, anc) {
 		return r.assemble(src, dst, -1, arena)
 	}
-	r.noteExhausted()
 	return nil, ErrNoRoute{Request{src, dst}}
 }
 
@@ -395,11 +367,6 @@ func (r *Router) MinLoadPathIn(req Request, t *load.Tracker, arena *dipath.Arena
 	if req.Src == req.Dst {
 		return dipath.FromVertices(g, req.Src)
 	}
-	if r.rejectCrossComponent(req.Src, req.Dst) {
-		// Same O(1) rejection as ShortestPath: no dipath crosses
-		// components, so the Dijkstra below could only exhaust itself.
-		return nil, ErrNoRoute{req}
-	}
 	r.sync()
 	anc := r.ancestors(req.Dst)
 	if !inSet(anc, req.Src) {
@@ -449,7 +416,6 @@ func (r *Router) MinLoadPathIn(req Request, t *load.Tracker, arena *dipath.Arena
 			}
 		}
 	}
-	r.noteExhausted()
 	return nil, ErrNoRoute{req}
 }
 
@@ -506,7 +472,8 @@ func (r *Router) Multicast(origin digraph.Vertex, dests []digraph.Vertex) (dipat
 	if origin < 0 || int(origin) >= n {
 		return nil, fmt.Errorf("route: origin out of range")
 	}
-	r.bfs(origin, -1)
+	r.sync()
+	r.bfs(origin, -1, nil)
 	fam := make(dipath.Family, 0, len(dests))
 	for _, d := range dests {
 		if d < 0 || int(d) >= n || !r.seen(d) {
@@ -532,9 +499,10 @@ func (r *Router) Multicast(origin digraph.Vertex, dests []digraph.Vertex) (dipat
 func (r *Router) AllToAll() []Request {
 	n := r.g.NumVertices()
 	var reqs []Request
+	r.sync()
 	for u := 0; u < n; u++ {
 		src := digraph.Vertex(u)
-		r.bfs(src, -1)
+		r.bfs(src, -1, nil)
 		for v := 0; v < n; v++ {
 			if v != u && r.seen(digraph.Vertex(v)) {
 				reqs = append(reqs, Request{src, digraph.Vertex(v)})

@@ -132,11 +132,11 @@ func TestRouterMulticastMatchesWrapper(t *testing.T) {
 }
 
 // TestRouterCrossComponentO1 pins the O(1) infeasibility rejection:
-// after one exhausted search has labeled the components, a
-// cross-component request must fail with ErrNoRoute without starting
-// another search — the epoch stamp (bumped by every BFS/Dijkstra
-// visit) is the expansion probe, and allocs/op bound the whole call to
-// the error value itself.
+// once the destination's ancestor set is cached, a cross-component
+// request (whose source is outside that set) must fail with ErrNoRoute
+// without starting a search — the epoch stamp (bumped by every
+// BFS/Dijkstra visit) is the expansion probe, and allocs/op bound the
+// whole call to the error value itself.
 func TestRouterCrossComponentO1(t *testing.T) {
 	// Two disjoint directed paths: 0->1->2 and 3->4->5.
 	g := digraph.New(6)
@@ -154,8 +154,8 @@ func TestRouterCrossComponentO1(t *testing.T) {
 	if _, err := r.MinLoadPath(Request{0, 2}, tr); err != nil {
 		t.Fatal(err)
 	}
-	// The first infeasible request pays one exhausted search and labels
-	// the components; everything after it must be O(1).
+	// The first infeasible request builds the destination's ancestor
+	// set; everything after it must be O(1).
 	if _, err := r.ShortestPath(0, 5); err == nil {
 		t.Fatal("cross-component pair routed")
 	}
@@ -191,10 +191,10 @@ func TestRouterCrossComponentO1(t *testing.T) {
 	}
 }
 
-// TestRouterCrossComponentAfterGrowth checks the O(1) rejection is a
-// construction-time snapshot with a safe fallback: arcs added after
-// NewRouter can merge components, and the router must then find the new
-// route by search instead of trusting the stale labels.
+// TestRouterCrossComponentAfterGrowth checks the O(1) rejection follows
+// growth: arcs added after a rejection can merge components, and the
+// router must then find the new route instead of trusting the ancestor
+// set it cached before the arc existed.
 func TestRouterCrossComponentAfterGrowth(t *testing.T) {
 	g := digraph.New(4)
 	g.MustAddArc(0, 1)
@@ -206,7 +206,7 @@ func TestRouterCrossComponentAfterGrowth(t *testing.T) {
 	g.MustAddArc(1, 2) // bridges the components after construction
 	p, err := r.ShortestPath(0, 3)
 	if err != nil {
-		t.Fatalf("bridged pair not routed past the stale labels: %v", err)
+		t.Fatalf("bridged pair not routed past the stale ancestor set: %v", err)
 	}
 	if p.NumArcs() != 3 {
 		t.Fatalf("route %v, want 0->1->2->3", p)
@@ -359,7 +359,8 @@ func oracleMinLoadPath(g *digraph.Digraph, req Request, t *load.Tracker) (*dipat
 
 // minLoadEquiv drives one Router through a stream of requests and
 // topology and load mutations, checking every min-load answer against
-// oracleMinLoadPath on the same graph and loads.
+// oracleMinLoadPath and every shortest-path answer against oracleBFS on
+// the same graph and loads.
 type minLoadEquiv struct {
 	t     testing.TB
 	g     *digraph.Digraph
@@ -372,11 +373,13 @@ func newMinLoadEquiv(t testing.TB, g *digraph.Digraph) *minLoadEquiv {
 	return &minLoadEquiv{t: t, g: g, r: NewRouter(g), tr: load.NewTracker(g)}
 }
 
-// route asks both searches for req and fails on any difference; a
-// routed path is added to the loads when keep is set. It reports
-// whether req routed.
+// route asks the router's min-load and shortest-path searches for req
+// and fails on any difference from their oracles, in the verdict or the
+// path; a routed min-load path is added to the loads when keep is set.
+// It reports whether req routed.
 func (e *minLoadEquiv) route(req Request, keep bool) bool {
 	e.t.Helper()
+	e.checkShortest(req)
 	got, gotErr := e.r.MinLoadPath(req, e.tr)
 	want, wantErr := oracleMinLoadPath(e.g, req, e.tr)
 	var nr ErrNoRoute
@@ -517,6 +520,47 @@ func oracleBFS(g *digraph.Digraph, src digraph.Vertex) (prev []digraph.ArcID, re
 	return prev, reached
 }
 
+// oraclePath rebuilds the dipath src→dst from oracleBFS's predecessor
+// arcs; dst must have been reached.
+func oraclePath(t testing.TB, g *digraph.Digraph, prev []digraph.ArcID, src, dst digraph.Vertex) *dipath.Path {
+	t.Helper()
+	if src == dst {
+		p, err := dipath.FromVertices(g, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	var arcs []digraph.ArcID
+	for u := dst; u != src; u = g.Arc(prev[u]).Tail {
+		arcs = append([]digraph.ArcID{prev[u]}, arcs...)
+	}
+	p, err := dipath.FromArcs(g, arcs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// checkShortest checks Router.ShortestPath for req against oracleBFS
+// on the current graph: ErrNoRoute exactly when the oracle does not
+// reach the destination, and otherwise the oracle's path, arc for arc.
+func (e *minLoadEquiv) checkShortest(req Request) {
+	e.t.Helper()
+	got, err := e.r.ShortestPath(req.Src, req.Dst)
+	prev, reached := oracleBFS(e.g, req.Src)
+	if !reached[req.Dst] {
+		var nr ErrNoRoute
+		if !errors.As(err, &nr) {
+			e.t.Fatalf("ShortestPath %d->%d on %v: %v, %v; oracle no route", req.Src, req.Dst, e.g, got, err)
+		}
+		return
+	}
+	if want := oraclePath(e.t, e.g, prev, req.Src, req.Dst); err != nil || !got.Equal(want) {
+		e.t.Fatalf("ShortestPath %d->%d on %v: %v, %v; oracle %v", req.Src, req.Dst, e.g, got, err, want)
+	}
+}
+
 // checkBFS checks the router's breadth-first searches on the current
 // graph, after whatever growth and cuts the stream applied, against the
 // free functions (a fresh Router each) and oracleBFS: AllToAll, and
@@ -548,16 +592,8 @@ func (e *minLoadEquiv) checkBFS(origins ...digraph.Vertex) {
 			if !reached[v] || v == int(o) {
 				continue
 			}
-			var arcs []digraph.ArcID
-			for u := digraph.Vertex(v); u != o; u = g.Arc(prev[u]).Tail {
-				arcs = append([]digraph.ArcID{prev[u]}, arcs...)
-			}
-			p, err := dipath.FromArcs(g, arcs...)
-			if err != nil {
-				e.t.Fatal(err)
-			}
 			dests = append(dests, digraph.Vertex(v))
-			paths = append(paths, p)
+			paths = append(paths, oraclePath(e.t, g, prev, o, digraph.Vertex(v)))
 		}
 		mc, err := e.r.Multicast(o, dests)
 		if err != nil {
@@ -594,9 +630,11 @@ func (e *minLoadEquiv) checkBFS(origins ...digraph.Vertex) {
 // interleaved load changes, cuts, restorations and growth. The larger
 // graphs have more than 64 vertices, so their ancestor sets span
 // several words of the slab, and one graph grows across the 64-vertex
-// boundary mid-stream, which resets the slab at a new set width. At the
-// end of each stream the router's breadth-first searches are checked
-// against the free functions and a plain BFS (checkBFS).
+// boundary mid-stream, which resets the slab at a new set width. Every
+// request also checks ShortestPath's verdict and path against a plain
+// BFS, and at the end of each stream the router's breadth-first
+// searches are checked against the free functions and a plain BFS
+// (checkBFS).
 func TestMinLoadPathMatchesUnprunedSearch(t *testing.T) {
 	withParallels := func(g *digraph.Digraph) *digraph.Digraph {
 		for a := 0; a < g.NumArcs(); a += 3 {

@@ -723,10 +723,8 @@ func (e *ShardedEngine) AddArc(tail, head digraph.Vertex) (digraph.ArcID, error)
 		if rs, rla := c.regionArc(la); rs != nil {
 			_ = rs.sess.net.Topology.FailArc(rla)
 		}
-		c.refreshLiveLabel()
 		return -1, fmt.Errorf("wdm: add arc: %w", gerr)
 	}
-	c.refreshLiveLabel() // a new live arc can heal a cut-split component
 	e.arcAdds++
 	return ga, nil
 }
@@ -809,7 +807,6 @@ func (e *ShardedEngine) mergeComps(topo *digraph.Digraph, ga digraph.ArcID, ci, 
 		}
 		e.relocateShard(src.overlay, nc.overlay)
 	}
-	nc.refreshLiveLabel()
 	return nil
 }
 

@@ -68,7 +68,8 @@ type Session struct {
 	// Survivability (see survive.go): dark-parked entries, the storm
 	// retry budget, failure counters, the slot→entry reverse index the
 	// arc-incidence affected lookup resolves through, the lazily built
-	// detour router, and the engine's path-delta observer.
+	// detour router, the engine's path-delta observer, and the
+	// revival sweeps' scratch.
 	dark          int
 	darkSeq       uint64
 	stormRetries  int
@@ -76,6 +77,7 @@ type Session struct {
 	slotEntry     []int32
 	stormRouter   *route.Router
 	pathDeltaHook func(add bool, p *dipath.Path)
+	darkRefs      []int32
 }
 
 type sessionEntry struct {
@@ -87,6 +89,12 @@ type sessionEntry struct {
 	darkAt     uint64 // park order stamp (oldest-first revival)
 	req        route.Request
 	path       *dipath.Path
+
+	// noRouteAt is the session graph's TopologyEpoch()+1 at which a
+	// revival's min-load detour found no live dipath for req (0 = not
+	// known). While the epoch stays put no search can find one, so
+	// revival sweeps skip the entry (see reviveOne).
+	noRouteAt uint64
 }
 
 func packID(idx int32, gen uint32) SessionID {
@@ -870,7 +878,7 @@ func (s *Session) adoptDark(req route.Request, p *dipath.Path) SessionID {
 	}
 	e := &s.entries[idx]
 	s.darkSeq++
-	e.alive, e.dark, e.slot, e.darkAt, e.req, e.path = true, true, -1, s.darkSeq, req, p
+	e.alive, e.dark, e.slot, e.darkAt, e.noRouteAt, e.req, e.path = true, true, -1, s.darkSeq, 0, req, p
 	s.dark++
 	return packID(idx, e.gen)
 }

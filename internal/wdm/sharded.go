@@ -297,12 +297,6 @@ type engineComponent struct {
 	dead         bool
 	escalate     bool
 
-	// liveLabel relabels the component's vertices by live connectivity
-	// while any of its arcs is cut — the incremental re-shard a failure
-	// induces: pairs the cut split are rejected in O(1) at dispatch, and
-	// the label is dropped (nil) when the last cut heals. nil = intact.
-	liveLabel []int32
-
 	// Snapshot aggregate cache (see snapshot.go): λ (with the overlay
 	// banding base), π, and live/dark counts as of the last publication
 	// that found this component dirty. Maintained under e.mu.
@@ -823,7 +817,9 @@ func (e *ShardedEngine) OverlayLambdaStrong() (int, error) {
 // request in that shard's local identifiers. Out-of-range endpoints and
 // cross-component pairs (which no dipath can satisfy — the same answer
 // a full search would reach) are rejected in O(1); co-region pairs go
-// to their region lane and everything else to the overlay lane.
+// to their region lane and everything else to the overlay lane. A pair
+// a fiber cut split goes to its lane too, whose search answers
+// ErrNoRoute.
 func (e *ShardedEngine) dispatchAdd(req route.Request) (*engineShard, route.Request, error) {
 	n := len(e.label)
 	if req.Src < 0 || req.Dst < 0 || int(req.Src) >= n || int(req.Dst) >= n {
@@ -835,12 +831,6 @@ func (e *ShardedEngine) dispatchAdd(req route.Request) (*engineShard, route.Requ
 	}
 	c := e.comps[ci]
 	lsrc, ldst := e.localV[req.Src], e.localV[req.Dst]
-	if ll := c.liveLabel; ll != nil && ll[lsrc] != ll[ldst] {
-		// A fiber cut split the component: the pair is unroutable until
-		// the cut heals, and the O(1) answer here is what a full search
-		// inside the component would exhaust itself reaching.
-		return nil, req, route.ErrNoRoute{Req: req}
-	}
 	if c.regions != nil {
 		if r, ru, rv, ok := c.regions.CommonRegionNewest(lsrc, ldst); ok {
 			return c.regionShards[r], route.Request{Src: ru, Dst: rv}, nil

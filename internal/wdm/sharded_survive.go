@@ -9,8 +9,7 @@ import (
 
 // This file is the engine half of the survivability layer: fiber cuts
 // dispatched to the owning shard, restoration storms sequenced through
-// the two-level reconciliation, incremental re-sharding of split
-// components via live labels, and the failure counters Stats reports.
+// the two-level reconciliation, and the failure counters Stats reports.
 
 // Revive runs a re-admission sweep outside any failure event: dark
 // entries are retried oldest-first and best-effort traffic re-promoted,
@@ -26,11 +25,9 @@ func (s *Session) Revive() int {
 // any) storms first, its deltas fold into the overlay tracker, the
 // overlay lane storms (its paths may also cross the arc), the overlay
 // deltas scatter back, and region dark entries get a cross-lane revival
-// chance. Without region lanes only the overlay lane storms. The
-// component's live labels are refreshed, so requests a split made
-// unroutable are rejected in O(1) at dispatch. Cutting an unknown or
-// already-cut arc is an error with no state change; after Close it
-// returns ErrEngineClosed.
+// chance. Without region lanes only the overlay lane storms. Cutting an
+// unknown or already-cut arc is an error with no state change; after
+// Close it returns ErrEngineClosed.
 func (e *ShardedEngine) FailArc(a digraph.ArcID) (StormReport, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -48,13 +45,12 @@ func (e *ShardedEngine) FailArc(a digraph.ArcID) (StormReport, error) {
 	c := e.comps[e.arcComp[a]]
 	ca := e.arcLoc[a]
 	// The topology mutated above, so every return path from here on —
-	// including a storm that errors out mid-way — must refresh the live
-	// labels, account the cut, and publish: a lock-free reader must
-	// never observe the cut arc without a matching snapshot. A storm can
-	// reroute, park or revive entries in any of the component's lanes;
-	// mark them all for a table rebuild.
+	// including a storm that errors out mid-way — must account the cut
+	// and publish: a lock-free reader must never observe the cut arc
+	// without a matching snapshot. A storm can reroute, park or revive
+	// entries in any of the component's lanes; mark them all for a
+	// table rebuild.
 	defer func() {
-		c.refreshLiveLabel()
 		e.cuts++
 		e.stormNanos += time.Since(start).Nanoseconds()
 		c.markAllDirty()
@@ -87,10 +83,9 @@ func (e *ShardedEngine) FailArc(a digraph.ArcID) (StormReport, error) {
 
 // RestoreArc repairs a cut arc and runs the re-admission sweeps on the
 // owning component's lanes (region first, overlay after the fold, with
-// a cross-lane revival chance at the end), then refreshes the live
-// labels. It returns how many dark entries revived. Restoring an
-// unknown or uncut arc is an error with no state change; after Close it
-// returns ErrEngineClosed.
+// a cross-lane revival chance at the end). It returns how many dark
+// entries revived. Restoring an unknown or uncut arc is an error with
+// no state change; after Close it returns ErrEngineClosed.
 func (e *ShardedEngine) RestoreArc(a digraph.ArcID) (int, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -107,9 +102,8 @@ func (e *ShardedEngine) RestoreArc(a digraph.ArcID) (int, error) {
 	c := e.comps[e.arcComp[a]]
 	ca := e.arcLoc[a]
 	// As in FailArc: the topology mutated, so every return path must
-	// refresh the labels, account the repair, and publish.
+	// account the repair and publish.
 	defer func() {
-		c.refreshLiveLabel()
 		e.restores++
 		c.markAllDirty()
 		e.publishLocked()
@@ -175,17 +169,6 @@ func (c *engineComponent) crossLaneRevive() int {
 		c.foldRegionDeltas()
 	}
 	return revived
-}
-
-// refreshLiveLabel recomputes the component's live connectivity labels
-// after a cut or repair; an intact component drops them (nil), keeping
-// the unfailed dispatch path exactly as cheap as before.
-func (c *engineComponent) refreshLiveLabel() {
-	if c.view.G.NumFailedArcs() == 0 {
-		c.liveLabel = nil
-		return
-	}
-	c.liveLabel = c.view.G.LiveComponentLabels()
 }
 
 // NumFailedArcsStrong reports how many arcs of the engine topology are

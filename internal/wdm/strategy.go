@@ -31,7 +31,8 @@ type RoutingStrategy interface {
 // RoutingState is per-session routing state. Route picks a dipath for
 // req; loads is the session's live load tracker, which load-aware
 // strategies consult (and must NOT mutate — the session accounts the
-// chosen path itself).
+// chosen path itself). A revival sweep may skip Route for a dark entry
+// that has no live dipath: no route it could propose would be lit.
 type RoutingState interface {
 	Route(req route.Request, loads *load.Tracker) (*dipath.Path, error)
 }

@@ -1,6 +1,8 @@
 package wdm
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"wavedag/internal/digraph"
@@ -285,6 +287,7 @@ func (s *Session) park(e *sessionEntry) {
 	e.dark = true
 	s.darkSeq++
 	e.darkAt = s.darkSeq
+	e.noRouteAt = 0
 	if e.bestEffort {
 		e.bestEffort = false
 		s.bestEffortLive--
@@ -299,25 +302,18 @@ func (s *Session) park(e *sessionEntry) {
 // reviveDark attempts to re-admit every dark entry, oldest-first, and
 // returns how many came back. An entry revives when a live route exists
 // (primary strategy route or a min-load detour) and passes the budget
-// check; the rest stay dark for the next sweep. Runs after RestoreArc,
-// after every Remove (capacity frees may unblock a dark entry), and at
-// the end of a storm (paths parked by the storm free capacity an older
-// dark entry may fit in).
+// check; the rest stay dark for the next sweep. An entry whose last
+// detour found no live dipath is skipped without a search until the
+// session graph's topology epoch moves (see reviveOne). Runs after
+// RestoreArc, after every Remove (capacity frees may unblock a dark
+// entry), and at the end of a storm (paths parked by the storm free
+// capacity an older dark entry may fit in).
 func (s *Session) reviveDark() int {
 	if s.dark == 0 {
 		return 0
 	}
-	refs := make([]int32, 0, s.dark)
-	for idx := range s.entries {
-		if e := &s.entries[idx]; e.alive && e.dark {
-			refs = append(refs, int32(idx))
-		}
-	}
-	sort.Slice(refs, func(i, j int) bool {
-		return s.entries[refs[i]].darkAt < s.entries[refs[j]].darkAt
-	})
 	revived := 0
-	for _, idx := range refs {
+	for _, idx := range s.darkOrder() {
 		if s.reviveOne(idx, &s.entries[idx]) {
 			revived++
 		}
@@ -328,10 +324,37 @@ func (s *Session) reviveDark() int {
 	return revived
 }
 
+// darkOrder returns the indices of the dark entries, oldest park first,
+// in the session's scratch slice (valid until the next call). The
+// darkAt stamps are unique, since darkSeq only grows.
+func (s *Session) darkOrder() []int32 {
+	refs := s.darkRefs[:0]
+	for idx := range s.entries {
+		if e := &s.entries[idx]; e.alive && e.dark {
+			refs = append(refs, int32(idx))
+		}
+	}
+	slices.SortFunc(refs, func(a, b int32) int {
+		return cmp.Compare(s.entries[a].darkAt, s.entries[b].darkAt)
+	})
+	s.darkRefs = refs
+	return refs
+}
+
 // reviveOne attempts to relight one dark entry (primary route, then a
 // min-load detour — revival sweeps are off the storm's critical path,
-// so the detour is not charged to a retry budget).
+// so the detour is not charged to a retry budget). When the detour
+// finds no live dipath, the entry is stamped with the session graph's
+// topology epoch, and later attempts at the same epoch fail before any
+// search: whether a live dipath exists depends on that graph alone,
+// every FailArc, RestoreArc and AddArc on it moves the epoch, and the
+// min-load search over live arcs is complete. An entry blocked only by
+// the budget carries no stamp and is retried on every sweep.
 func (s *Session) reviveOne(idx int32, e *sessionEntry) bool {
+	epoch := s.net.Topology.TopologyEpoch() + 1
+	if e.noRouteAt == epoch {
+		return false
+	}
 	var primary *dipath.Path
 	if p, err := s.routing.Route(e.req, s.tracker); err == nil && !crossesFailure(s.net.Topology, p) {
 		primary = p
@@ -341,6 +364,9 @@ func (s *Session) reviveOne(idx int32, e *sessionEntry) bool {
 		}
 	}
 	alt, err := s.detourRouter().MinLoadPath(e.req, s.tracker)
+	if _, none := err.(route.ErrNoRoute); none {
+		e.noRouteAt = epoch
+	}
 	if err != nil || crossesFailure(s.net.Topology, alt) || (primary != nil && alt.Equal(primary)) {
 		return false
 	}
@@ -419,15 +445,7 @@ func (s *Session) DarkIDs() []SessionID {
 	if s.dark == 0 {
 		return nil
 	}
-	refs := make([]int32, 0, s.dark)
-	for idx := range s.entries {
-		if e := &s.entries[idx]; e.alive && e.dark {
-			refs = append(refs, int32(idx))
-		}
-	}
-	sort.Slice(refs, func(i, j int) bool {
-		return s.entries[refs[i]].darkAt < s.entries[refs[j]].darkAt
-	})
+	refs := s.darkOrder()
 	ids := make([]SessionID, len(refs))
 	for i, idx := range refs {
 		ids[i] = packID(idx, s.entries[idx].gen)

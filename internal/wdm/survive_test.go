@@ -17,6 +17,7 @@ import (
 
 	"wavedag/internal/digraph"
 	"wavedag/internal/dipath"
+	"wavedag/internal/load"
 	"wavedag/internal/route"
 )
 
@@ -165,6 +166,154 @@ func TestSessionRemoveDarkEntry(t *testing.T) {
 	// And it is gone: the id no longer resolves.
 	if err := sess.Remove(id); !errors.Is(err, ErrUnknownSession) {
 		t.Fatalf("removed dark id resolves: %v", err)
+	}
+}
+
+// countingRouting is the shortest strategy with a log of every Route
+// call's request, in call order.
+type countingRouting struct{ log *[]route.Request }
+
+func (countingRouting) Name() string { return "counting-shortest" }
+
+func (c countingRouting) NewState(g *digraph.Digraph) (RoutingState, error) {
+	inner, err := shortestStrategy{}.NewState(g)
+	if err != nil {
+		return nil, err
+	}
+	return &countingState{inner, c.log}, nil
+}
+
+type countingState struct {
+	inner RoutingState
+	log   *[]route.Request
+}
+
+func (s *countingState) Route(req route.Request, loads *load.Tracker) (*dipath.Path, error) {
+	*s.log = append(*s.log, req)
+	return s.inner.Route(req, loads)
+}
+
+// TestReviveSkipsUnroutableDarkEntries pins the revival skip: a dark
+// entry whose pair a cut disconnected is not routed again until the
+// session's topology changes, while an entry parked only by the budget
+// is retried on every Remove and relights on the one that frees its
+// capacity. A repair relights the disconnected entries oldest park
+// first, and an entry index recycled after a skip does not inherit it.
+func TestReviveSkipsUnroutableDarkEntries(t *testing.T) {
+	// a -> b -> c; x -> y beside x -> m -> y; p -> q.
+	g := digraph.New(8)
+	const a, b, c, x, m, y, p, q = 0, 1, 2, 3, 4, 5, 6, 7
+	ab := g.MustAddArc(a, b)
+	bc := g.MustAddArc(b, c)
+	xy := g.MustAddArc(x, y)
+	g.MustAddArc(x, m)
+	g.MustAddArc(m, y)
+	g.MustAddArc(p, q)
+	var log []route.Request
+	calls := func(req route.Request) int {
+		n := 0
+		for _, r := range log {
+			if r == req {
+				n++
+			}
+		}
+		return n
+	}
+	sess, err := (&Network{Topology: g}).NewSession(
+		WithWavelengthBudget(2), WithRoutingStrategy(countingRouting{&log}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	add := func(src, dst digraph.Vertex) SessionID {
+		t.Helper()
+		id, err := sess.Add(route.Request{Src: src, Dst: dst})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	ac, bcID := add(a, c), add(b, c)
+	xyID := add(x, y)
+	xm1, _, my1, _ := add(x, m), add(x, m), add(m, y), add(m, y)
+	pq1, pq2 := add(p, q), add(p, q)
+	reqAC, reqBC, reqXY := route.Request{Src: a, Dst: c}, route.Request{Src: b, Dst: c}, route.Request{Src: x, Dst: y}
+
+	// Cutting b -> c disconnects both chain pairs. The storm parks the
+	// shorter one first, so the park order is the reverse of the index
+	// order.
+	if rep, err := sess.FailArc(bc); err != nil || rep.Parked != 2 {
+		t.Fatalf("storm %+v, %v", rep, err)
+	}
+	if ids := sess.DarkIDs(); len(ids) != 2 || ids[0] != bcID || ids[1] != ac {
+		t.Fatalf("DarkIDs = %v, want [%v %v]", ids, bcID, ac)
+	}
+	// Cutting x -> y parks x -> y behind the budget: x -> m -> y is
+	// live but full. The new epoch retries the chain pairs once.
+	if rep, err := sess.FailArc(xy); err != nil || rep.Parked != 1 {
+		t.Fatalf("storm %+v, %v", rep, err)
+	}
+	nAC, nBC, nXY := calls(reqAC), calls(reqBC), calls(reqXY)
+
+	// Removals free capacity but change no topology: the disconnected
+	// pairs are not routed again, the budget-parked one is, every time.
+	for i, id := range []SessionID{pq1, pq2, xm1} {
+		if err := sess.Remove(id); err != nil {
+			t.Fatal(err)
+		}
+		if calls(reqAC) != nAC || calls(reqBC) != nBC {
+			t.Fatalf("remove %d routed a disconnected dark entry: a->c %d -> %d, b->c %d -> %d",
+				i, nAC, calls(reqAC), nBC, calls(reqBC))
+		}
+		if calls(reqXY) != nXY+i+1 {
+			t.Fatalf("remove %d: x->y routed %d times, want %d", i, calls(reqXY)-nXY, i+1)
+		}
+	}
+	if dark, err := sess.IsDark(xyID); err != nil || !dark {
+		t.Fatalf("x->y relit while m -> y is full: dark=%v, %v", dark, err)
+	}
+	// Freeing m -> y relights x -> y on that very Remove.
+	if err := sess.Remove(my1); err != nil {
+		t.Fatal(err)
+	}
+	if dark, err := sess.IsDark(xyID); err != nil || dark {
+		t.Fatalf("x->y still dark after its capacity freed: dark=%v, %v", dark, err)
+	}
+	if calls(reqAC) != nAC || calls(reqBC) != nBC {
+		t.Fatal("a Remove routed a disconnected dark entry")
+	}
+
+	// The repair relights both chain pairs, oldest park first.
+	from := len(log)
+	if n, err := sess.RestoreArc(bc); err != nil || n != 2 {
+		t.Fatalf("RestoreArc revived %d, %v", n, err)
+	}
+	if got := log[from:]; len(got) < 2 || got[0] != reqBC || got[1] != reqAC {
+		t.Fatalf("repair routed %v, want b->c before a->c", got)
+	}
+	if sess.DarkLive() != 0 {
+		t.Fatalf("dark = %d after the repair", sess.DarkLive())
+	}
+
+	// Recycling: a->c is parked and skipped, then removed; a dark entry
+	// adopted into its index at the same epoch must still be tried.
+	if rep, err := sess.FailArc(ab); err != nil || rep.Parked != 1 {
+		t.Fatalf("storm %+v, %v", rep, err)
+	}
+	if err := sess.Remove(ac); err != nil {
+		t.Fatal(err)
+	}
+	adopted := sess.adoptDark(route.Request{Src: p, Dst: q}, nil)
+	if uint32(adopted) != uint32(ac) {
+		t.Fatalf("adopted entry landed on index %d, want the recycled %d", uint32(adopted), uint32(ac))
+	}
+	if n := sess.Revive(); n != 1 {
+		t.Fatalf("Revive relit %d entries, want the adopted one", n)
+	}
+	if dark, err := sess.IsDark(adopted); err != nil || dark {
+		t.Fatalf("adopted entry dark=%v, %v", dark, err)
+	}
+	if err := sess.Verify(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -413,41 +562,109 @@ func TestEngineFailArcPlainComponent(t *testing.T) {
 	}
 }
 
-// TestEngineFailArcSplitsComponent pins the incremental re-shard: a cut
-// that disconnects a component's only route between two vertices must
-// reject requests for that pair in O(1) at dispatch, and the repair
-// must make them routable again.
+// TestEngineFailArcSplitsComponent pins the contract for a pair a cut
+// disconnected inside its component: the add fails with ErrNoRoute
+// naming the global request, from whichever lane the pair dispatches
+// to (the lane's search answers it; dispatch keeps no live
+// connectivity labels), and an added arc that bridges the cut, or the
+// repair, makes the pair routable again.
 func TestEngineFailArcSplitsComponent(t *testing.T) {
-	// 0 -> 1 -> 2: a path component; cutting 1->2 splits it.
-	g := digraph.New(3)
-	g.MustAddArc(0, 1)
-	bridge := g.MustAddArc(1, 2)
-	net := &Network{Topology: g}
-	eng, err := net.NewShardedEngine()
-	if err != nil {
-		t.Fatal(err)
+	wantNoRoute := func(t *testing.T, eng *ShardedEngine, req route.Request) {
+		t.Helper()
+		var nr route.ErrNoRoute
+		if _, err := eng.Add(req); !errors.As(err, &nr) || nr.Req != req {
+			t.Fatalf("split-pair add %v: %v, want ErrNoRoute naming it", req, err)
+		}
 	}
-	defer eng.Close()
-	if _, err := eng.FailArc(bridge); err != nil {
-		t.Fatal(err)
-	}
-	var nr route.ErrNoRoute
-	if _, err := eng.Add(route.Request{Src: 0, Dst: 2}); !errors.As(err, &nr) {
-		t.Fatalf("split-pair add: %v, want ErrNoRoute", err)
-	}
-	// The surviving half keeps admitting.
-	if _, err := eng.Add(route.Request{Src: 0, Dst: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.RestoreArc(bridge); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Add(route.Request{Src: 0, Dst: 2}); err != nil {
-		t.Fatalf("post-repair add: %v", err)
-	}
-	if err := eng.Verify(); err != nil {
-		t.Fatal(err)
-	}
+	t.Run("one-lane", func(t *testing.T) {
+		// 0 -> 1 -> 2: a path component; cutting 1->2 splits it.
+		g := digraph.New(3)
+		g.MustAddArc(0, 1)
+		bridge := g.MustAddArc(1, 2)
+		net := &Network{Topology: g}
+		eng, err := net.NewShardedEngine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		if _, err := eng.FailArc(bridge); err != nil {
+			t.Fatal(err)
+		}
+		wantNoRoute(t, eng, route.Request{Src: 0, Dst: 2})
+		// The surviving half keeps admitting.
+		if _, err := eng.Add(route.Request{Src: 0, Dst: 1}); err != nil {
+			t.Fatal(err)
+		}
+		// A second fiber 1 -> 2 bridges the cut.
+		if _, err := eng.AddArc(1, 2); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Add(route.Request{Src: 0, Dst: 2}); err != nil {
+			t.Fatalf("add over the bridging arc: %v", err)
+		}
+		if _, err := eng.RestoreArc(bridge); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Add(route.Request{Src: 0, Dst: 2}); err != nil {
+			t.Fatalf("post-repair add: %v", err)
+		}
+		if err := eng.Verify(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("two-level", func(t *testing.T) {
+		net := giantComponentNetwork(t, 3, 811)
+		eng := twoLevelEngine(t, net)
+		defer eng.Close()
+		g := net.Topology
+		// A destination reached by a region-lane pair and an
+		// overlay-lane pair; cutting every arc into it splits both.
+		var regionReq, overlayReq route.Request
+		found := false
+		for d := 0; d < g.NumVertices() && !found; d++ {
+			var haveRegion, haveOverlay bool
+			for _, req := range route.NewRouter(g).AllToAll() {
+				if int(req.Dst) != d {
+					continue
+				}
+				sh, _, err := eng.dispatchAdd(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sh.kind == shardRegion && !haveRegion {
+					regionReq, haveRegion = req, true
+				} else if sh.kind == shardOverlay && !haveOverlay {
+					overlayReq, haveOverlay = req, true
+				}
+			}
+			found = haveRegion && haveOverlay
+		}
+		if !found {
+			t.Fatal("no destination reached from both lane kinds")
+		}
+		dst := regionReq.Dst
+		for _, a := range g.InArcs(dst) {
+			if _, err := eng.FailArc(a); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wantNoRoute(t, eng, regionReq)
+		wantNoRoute(t, eng, overlayReq)
+		// Bridging arcs from each source straight into dst: the region
+		// pair's arc joins its region lane, the overlay pair's arc
+		// bridges regions and is the overlay lane's alone.
+		for _, req := range []route.Request{regionReq, overlayReq} {
+			if _, err := eng.AddArc(req.Src, dst); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eng.Add(req); err != nil {
+				t.Fatalf("add %v over the bridging arc: %v", req, err)
+			}
+		}
+		if err := eng.Verify(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestTwoLevelEngineFailArc(t *testing.T) {

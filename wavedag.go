@@ -173,11 +173,11 @@
 // construction — batches pay no goroutine-spawn cost, however small —
 // and Close stops the pool: in-flight batches finish first, later
 // mutations fail with ErrEngineClosed, and queries keep answering —
-// lock-free — from the final published snapshot (next section). Both
-// the sharded dispatcher and the unsharded Router
-// reject infeasible cross-component requests in O(1) from component
-// labels (the Router computes them lazily, on its first exhausted
-// search) instead of repeating exhausted searches. ApplyBatchInto is
+// lock-free — from the final published snapshot (next section). The
+// sharded dispatcher rejects cross-component requests in O(1) from the
+// static component labels, and the Router rejects a source outside the
+// destination's ancestor set in O(1) (the set is cached per
+// destination), so neither repeats exhausted searches. ApplyBatchInto is
 // ApplyBatch with a caller-pooled results buffer — steady-state batch
 // loops recycle one slice instead of allocating per call.
 //
@@ -271,11 +271,11 @@
 // The engines survive live fiber cuts. Graph.FailArc marks an arc
 // failed in place — identifiers, endpoints and adjacency positions are
 // all preserved, so live loads, colorings and dipaths stay index-valid
-// — and every failure-aware traversal (routing, reachability, live
-// component labels) simply skips failed arcs; Graph.RestoreArc heals
-// the cut. Session.FailArc is the dynamic entry point: it locates the
-// affected live paths through the arc-indexed conflict incidence (no
-// family scan), then runs a bounded restoration storm — all affected
+// — and every failure-aware traversal (routing, reachability) simply
+// skips failed arcs; Graph.RestoreArc heals the cut. Session.FailArc is
+// the dynamic entry point: it locates the affected live paths through
+// the arc-indexed conflict incidence (no family scan), then runs a
+// bounded restoration storm — all affected
 // paths are torn down first (the cut kills them simultaneously), then
 // rerouted shortest-first, each allowed one min-load detour charged
 // against a per-storm retry budget (WithStormRetryBudget; default 2×
@@ -285,15 +285,17 @@
 // heals an arc and runs a re-admission sweep that revives dark entries
 // oldest-first under the wavelength budget, and Session.Revive (or
 // ShardedEngine.Revive, which also sweeps across the two-level lanes)
-// runs the same sweep on demand; removals and repairs also re-promote
-// best-effort ("degrade"-admitted) traffic to budgeted service once λ
-// fits the budget again, restoring the λ ≤ w guarantee.
+// runs the same sweep on demand. A dark entry whose last sweep found no
+// live dipath waits, without a search, until its session's topology
+// changes (a cut, a repair or an added arc). Removals and repairs also
+// re-promote best-effort ("degrade"-admitted) traffic to budgeted
+// service once λ fits the budget again, restoring the λ ≤ w guarantee.
 //
 // ShardedEngine.FailArc/RestoreArc dispatch cuts to the owning shard
 // (region lane first, then the overlay lane, with the two-level
-// reconciliation folding storm-driven path deltas between them), track
-// split components incrementally via live component labels — requests
-// a cut made unroutable are rejected in O(1) at dispatch — and count
+// reconciliation folding storm-driven path deltas between them). A
+// request a cut made unroutable is dispatched to its lane like any
+// other, and the lane's search answers ErrNoRoute. The engine counts
 // cuts, affected/restored/parked/revived paths and storm latency into
 // EngineStats/LaneStats. FailureStats and StormReport carry the same
 // counters at session and per-storm granularity; Session.DarkIDs /
