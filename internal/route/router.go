@@ -3,6 +3,7 @@ package route
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"wavedag/internal/digraph"
 	"wavedag/internal/dipath"
@@ -18,20 +19,26 @@ import (
 // across calls. The arrays grow with the graph: vertices added after
 // NewRouter are routed like the others.
 //
-// Every search scans a private copy of the out-adjacency in compressed
-// sparse rows (see the start field), and the searches for one
-// destination (ShortestPath, MinLoadPath) are pruned to its ancestors —
-// the vertices with a dipath to it over every arc, failed or not — kept
-// as one lazily computed bitset per destination in a shared slab (see
-// the ancSlot field and MinLoadPath). The set is the router's only
-// reachability filter: a source outside it is rejected in O(1), and a
-// pair a cut disconnected costs one search bounded by the set. The CSR
-// and the sets are rebuilt when the graph gains an arc or a vertex. The
-// batch calls ShortestPaths and MinLoadSequential carve the family they
-// return from one dipath.Arena, so a batch costs a handful of path
-// allocations, not three per path; other calls allocate each path on
-// its own unless the caller passes an arena (ShortestPathIn,
-// MinLoadPathIn).
+// Breadth-first searches scan a private copy of the out-adjacency in
+// compressed sparse rows (see the start field), and the searches for
+// one destination (ShortestPath, MinLoadPath) are pruned to its
+// ancestors — the vertices with a dipath to it over every arc, failed
+// or not — kept as one lazily computed bitset per destination in a
+// shared slab (see the ancSlot field and MinLoadPath). The set is the
+// router's only reachability filter: a source outside it is rejected in
+// O(1), and a pair a cut disconnected costs one search bounded by the
+// set. The min-load search does not test heads one arc at a time: it
+// reads a settled vertex's out-neighbours as a sparse bitset (see the
+// nbr field) and ANDs it with the set a word of 64 vertex IDs at a
+// time, so it touches only the arcs into anc(dst). The CSR, the
+// neighbour words (built by the first min-load search) and the sets are
+// rebuilt when the graph gains an arc or a vertex; the CSR and the
+// words take at most 28 bytes per arc and 8 per vertex, and the sets
+// ⌈n/64⌉ words per distinct destination. The batch calls ShortestPaths
+// and MinLoadSequential carve the family they return from one
+// dipath.Arena, so a batch costs a handful of path allocations, not
+// three per path; other calls allocate each path on its own unless the
+// caller passes an arena (ShortestPathIn, MinLoadPathIn).
 //
 // A Router is not safe for concurrent use; create one per goroutine.
 type Router struct {
@@ -41,12 +48,24 @@ type Router struct {
 	// v are arc[start[v]:start[v+1]], in OutArcs order, and head[i] is
 	// the head of arc[i]. A search scans these two contiguous runs
 	// instead of chasing g.OutArcs(v) and a 24-byte Arc per arc. The
-	// order is OutArcs order, so BFS order, Dijkstra tie-breaks and the
-	// choice among parallel arcs are those of a scan of g. Cuts are not
-	// copied; searches read them through g.ArcFailed.
+	// order is OutArcs order, so BFS order and the min-load choice among
+	// parallel arcs are those of a scan of g. Cuts are not copied;
+	// searches read them through g.ArcFailed.
 	start []int32
 	head  []int32
 	arc   []int32
+
+	// The out-neighbours of v as a sparse bitset, for the min-load
+	// search: nbr[nbrStart[v]:nbrStart[v+1]] are the non-zero words of
+	// v's out-neighbour set, in word order; nbrStart is empty until
+	// the first min-load search after a sync. The heads of one word map,
+	// in vertex order, onto adj[at:]: adj holds, per distinct head of
+	// v, the ID of the only arc v→head, or the complement ^ID of one of
+	// them when v has parallel arcs to that head (the search then
+	// relaxes them all in CSR order from v's CSR row).
+	nbrStart []int32
+	nbr      []nbrWord
+	adj      []int32
 
 	// ancSlot[d], when non-zero, locates the ancestor set of
 	// destination d: words [(ancSlot[d]-1)·w, ancSlot[d]·w) of ancSlab,
@@ -82,6 +101,14 @@ type Router struct {
 	bestHops []int
 	done     []int
 	heap     []heapItem // reusable binary heap (lazy deletion)
+}
+
+// nbrWord is one non-zero 64-vertex word of a vertex's out-neighbour
+// set: the heads word·64 + b for every set bit b of mask, whose arcs
+// are adj[at], adj[at+1], … in that order.
+type nbrWord struct {
+	mask     uint64
+	word, at int32
 }
 
 // heapItem is a (priority, vertex) entry of the bottleneck Dijkstra heap.
@@ -144,9 +171,10 @@ func NewRouter(g *digraph.Digraph) *Router { return &Router{g: g} }
 // Graph returns the digraph the router routes over.
 func (r *Router) Graph() *digraph.Digraph { return r.g }
 
-// sync rebuilds the CSR adjacency and drops the ancestor sets when the
-// graph has gained an arc or a vertex since they were built (see the
-// builtArcs field). Every search calls it first.
+// sync rebuilds the CSR adjacency and drops the neighbour words and
+// the ancestor sets when the graph has gained an arc or a vertex since
+// they were built (see the builtArcs field). Every search calls it
+// first.
 func (r *Router) sync() {
 	g := r.g
 	n, m := g.NumVertices(), g.NumArcs()
@@ -168,9 +196,63 @@ func (r *Router) sync() {
 		}
 	}
 	r.start[n] = i
+	r.nbrStart = r.nbrStart[:0]
 	r.ancSlot = grow(r.ancSlot, n)
 	clear(r.ancSlot)
 	r.ancSlab = r.ancSlab[:0]
+}
+
+// buildWords lays out the neighbour words (see the nbr field) of the
+// synced graph. The first min-load search after a sync calls it, so a
+// router that only runs breadth-first searches never builds them.
+func (r *Router) buildWords() {
+	g := r.g
+	n, m := g.NumVertices(), g.NumArcs()
+	// One sweep over the heads in vertex order hands each tail u its
+	// distinct heads in vertex order, into adj from start[u] on; a
+	// second arc u→h complements the entry instead. nbrStart serves as
+	// the fill cursor until the words are laid out.
+	r.adj = grow(r.adj, m)
+	r.nbrStart = grow(r.nbrStart, n+1)
+	fill := r.nbrStart[:n]
+	copy(fill, r.start[:n])
+	words := 0
+	for h := 0; h < n; h++ {
+		for _, a := range g.InArcs(digraph.Vertex(h)) {
+			u := g.Arc(a).Tail
+			f := fill[u]
+			if f > r.start[u] {
+				prev := g.Arc(adjArc(r.adj[f-1])).Head
+				if prev == digraph.Vertex(h) {
+					r.adj[f-1] = ^int32(adjArc(r.adj[f-1]))
+					continue
+				}
+				if prev>>6 != digraph.Vertex(h)>>6 {
+					words++
+				}
+			} else {
+				words++
+			}
+			r.adj[f] = int32(a)
+			fill[u] = f + 1
+		}
+	}
+	if cap(r.nbr) < words {
+		r.nbr = make([]nbrWord, 0, words)
+	}
+	r.nbr = r.nbr[:0]
+	for u := 0; u < n; u++ {
+		end := fill[u] // read before nbrStart[u], its alias, is set
+		r.nbrStart[u] = int32(len(r.nbr))
+		for k := r.start[u]; k < end; k++ {
+			h := g.Arc(adjArc(r.adj[k])).Head
+			if w := int32(h >> 6); len(r.nbr) == int(r.nbrStart[u]) || r.nbr[len(r.nbr)-1].word != w {
+				r.nbr = append(r.nbr, nbrWord{word: w, at: k})
+			}
+			r.nbr[len(r.nbr)-1].mask |= 1 << (h & 63)
+		}
+	}
+	r.nbrStart[n] = int32(len(r.nbr))
 }
 
 // visit begins a new search: previous visited marks become stale in O(1).
@@ -192,6 +274,15 @@ func grow[T any](s []T, n int) []T {
 		s = append(s, make([]T, n-len(s))...)
 	}
 	return s
+}
+
+// adjArc returns the arc of an adj entry: its ID, or, for a head
+// reached by parallel arcs, the complemented ID of one of them.
+func adjArc(x int32) digraph.ArcID {
+	if x < 0 {
+		x = ^x
+	}
+	return digraph.ArcID(x)
 }
 
 func (r *Router) seen(v digraph.Vertex) bool { return r.stamp[v] == r.epoch }
@@ -347,11 +438,17 @@ func (r *Router) MinLoadSequential(reqs []Request) (dipath.Family, error) {
 //
 // The search is pruned to anc(dst), the cached ancestor set of the
 // destination (see the ancSlot field): a source outside it is rejected
-// without a search, and a relaxed head outside it is skipped. The
-// returned dipath is the one the unpruned search would return, arc for
-// arc: a vertex outside anc(dst) has no arc into anc(dst), so it never
-// relaxes a kept vertex; kept vertices get the same labels and
-// predecessors and settle in the same (load, hops, vertex) order.
+// without a search, and a settled vertex relaxes only its arcs into
+// it, found by ANDing its out-neighbour words with the set (see the
+// nbr field). The returned dipath is the one the unpruned search would
+// return, arc for arc: a vertex outside anc(dst) has no arc into
+// anc(dst), so it never relaxes a kept vertex; kept vertices get the
+// same labels and predecessors and settle in the same (load, hops,
+// vertex) order. The heads of one settled vertex are relaxed in vertex
+// order rather than CSR order, which changes nothing: relaxing one
+// head never touches another's label, the heap pops by (load, hops,
+// vertex) whatever the push order, and the parallel arcs to one head
+// are still relaxed in CSR order.
 func (r *Router) MinLoadPath(req Request, t *load.Tracker) (*dipath.Path, error) {
 	return r.MinLoadPathIn(req, t, nil)
 }
@@ -368,6 +465,9 @@ func (r *Router) MinLoadPathIn(req Request, t *load.Tracker, arena *dipath.Arena
 		return dipath.FromVertices(g, req.Src)
 	}
 	r.sync()
+	if len(r.nbrStart) == 0 {
+		r.buildWords()
+	}
 	anc := r.ancestors(req.Dst)
 	if !inSet(anc, req.Src) {
 		// No dipath to dst even over failed arcs.
@@ -395,28 +495,46 @@ func (r *Router) MinLoadPathIn(req Request, t *load.Tracker, arena *dipath.Arena
 			return r.assemble(req.Src, req.Dst, it.hops, arena)
 		}
 		r.done[u] = r.epoch
-		for i := r.start[u]; i < r.start[u+1]; i++ {
-			h := digraph.Vertex(r.head[i])
-			if !inSet(anc, h) || r.done[h] == r.epoch {
-				continue
-			}
-			a := digraph.ArcID(r.arc[i])
-			if failed && g.ArcFailed(a) {
-				continue
-			}
-			nl := it.load
-			if l := t.Load(a) + 1; l > nl {
-				nl = l
-			}
-			nh := it.hops + 1
-			if !r.seen(h) || nl < r.bestLoad[h] || (nl == r.bestLoad[h] && nh < r.bestHops[h]) {
-				r.bestLoad[h], r.bestHops[h] = nl, nh
-				r.mark(h, a)
-				r.heapPush(heapItem{nl, nh, h})
+		for _, e := range r.nbr[r.nbrStart[u]:r.nbrStart[u+1]] {
+			for hits := e.mask & anc[e.word]; hits != 0; hits &= hits - 1 {
+				b := bits.TrailingZeros64(hits)
+				h := digraph.Vertex(e.word)<<6 | digraph.Vertex(b)
+				if r.done[h] == r.epoch {
+					continue
+				}
+				x := r.adj[e.at+int32(bits.OnesCount64(e.mask&(1<<b-1)))]
+				if x >= 0 {
+					r.relax(it, h, digraph.ArcID(x), t, failed)
+					continue
+				}
+				for i := r.start[u]; i < r.start[u+1]; i++ {
+					if digraph.Vertex(r.head[i]) == h {
+						r.relax(it, h, digraph.ArcID(r.arc[i]), t, failed)
+					}
+				}
 			}
 		}
 	}
 	return nil, ErrNoRoute{req}
+}
+
+// relax offers h the label of the settled entry it extended by arc a,
+// unless a is cut: h takes it when it is unlabelled or the label is
+// lexicographically smaller in (load, hops).
+func (r *Router) relax(it heapItem, h digraph.Vertex, a digraph.ArcID, t *load.Tracker, failed bool) {
+	if failed && r.g.ArcFailed(a) {
+		return
+	}
+	nl := it.load
+	if l := t.Load(a) + 1; l > nl {
+		nl = l
+	}
+	nh := it.hops + 1
+	if !r.seen(h) || nl < r.bestLoad[h] || (nl == r.bestLoad[h] && nh < r.bestHops[h]) {
+		r.bestLoad[h], r.bestHops[h] = nl, nh
+		r.mark(h, a)
+		r.heapPush(heapItem{nl, nh, h})
+	}
 }
 
 // ancestors returns anc(dst), computing it by one reverse DFS over

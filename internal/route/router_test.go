@@ -2,6 +2,7 @@ package route
 
 import (
 	"errors"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -703,6 +704,109 @@ func TestMinLoadPathMatchesUnprunedSearch(t *testing.T) {
 			e.step(0, rng.Intn(1<<16), rng.Intn(1<<16))
 		}
 		e.checkBFS(0, 63, 64, 71)
+	}
+}
+
+// requireNeighbourWords fails unless the router's neighbour words
+// decode, for every vertex u, to u's distinct out-neighbours in vertex
+// order, each mapped to the only arc u→h, or to the complement of one
+// of the arcs u→h when there are several; words must be non-zero and in
+// increasing order. A sync must drop them: they are built by the next
+// min-load search, here by buildWords itself.
+func requireNeighbourWords(t *testing.T, name string, r *Router) {
+	t.Helper()
+	g := r.Graph()
+	r.sync()
+	if len(r.nbrStart) != 0 {
+		t.Fatalf("%s: neighbour words kept across a sync", name)
+	}
+	r.buildWords()
+	for v := 0; v < g.NumVertices(); v++ {
+		u := digraph.Vertex(v)
+		arcsTo := map[digraph.Vertex][]digraph.ArcID{}
+		var want []digraph.Vertex
+		for _, a := range g.OutArcs(u) {
+			h := g.Arc(a).Head
+			if arcsTo[h] == nil {
+				want = append(want, h)
+			}
+			arcsTo[h] = append(arcsTo[h], a)
+		}
+		slices.Sort(want)
+		var got []digraph.Vertex
+		words := r.nbr[r.nbrStart[u]:r.nbrStart[u+1]]
+		for i, e := range words {
+			if e.mask == 0 || (i > 0 && e.word <= words[i-1].word) {
+				t.Fatalf("%s: vertex %d: words %v not non-zero and increasing", name, u, words)
+			}
+			k := e.at
+			for m := e.mask; m != 0; m &= m - 1 {
+				h := digraph.Vertex(e.word)<<6 | digraph.Vertex(bits.TrailingZeros64(m))
+				got = append(got, h)
+				x, arcs := r.adj[k], arcsTo[h]
+				k++
+				switch {
+				case len(arcs) == 1 && x != int32(arcs[0]):
+					t.Fatalf("%s: arc %d->%d: entry %d, want %d", name, u, h, x, arcs[0])
+				case len(arcs) > 1 && (x >= 0 || !slices.Contains(arcs, adjArc(x))):
+					t.Fatalf("%s: parallel arcs %d->%d %v: entry %d", name, u, h, arcs, x)
+				}
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: vertex %d: heads %v, want %v", name, u, got, want)
+		}
+	}
+}
+
+// TestRouterNeighbourWords checks the neighbour words the min-load
+// search scans against OutArcs on the plan-theorem1 topology (sources
+// with over a hundred out-arcs across every word) and the churn-giant
+// one (eight glued parts beside a small satellite), with a cut arc;
+// then again after each graph gains a parallel arc, which rebuilds the
+// words, and a vertex with two arcs into it.
+func TestRouterNeighbourWords(t *testing.T) {
+	plan, err := gen.RandomNoInternalCycleDAG(500, 8, 8, 0.2, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := make([]*digraph.Digraph, 8)
+	for i := range parts {
+		if parts[i], err = gen.RandomNoInternalCycleDAG(64, 6, 6, 0.2, 53+int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	glued, _, err := gen.GlueChain(parts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sat, err := gen.RandomNoInternalCycleDAG(12, 2, 2, 0.2, 1053)
+	if err != nil {
+		t.Fatal(err)
+	}
+	giant, _ := gen.DisjointUnion(gen.Instance{G: glued}, gen.Instance{G: sat})
+
+	for name, g := range map[string]*digraph.Digraph{"plan": plan, "churn-giant": giant} {
+		if err := g.FailArc(digraph.ArcID(g.NumArcs() / 2)); err != nil {
+			t.Fatal(err)
+		}
+		r := NewRouter(g)
+		requireNeighbourWords(t, name, r)
+
+		busiest := digraph.Vertex(0)
+		for v := 0; v < g.NumVertices(); v++ {
+			if g.OutDegree(digraph.Vertex(v)) > g.OutDegree(busiest) {
+				busiest = digraph.Vertex(v)
+			}
+		}
+		first := g.Arc(g.OutArcs(busiest)[0])
+		g.MustAddArc(first.Tail, first.Head)
+		g.MustAddArc(first.Tail, first.Head)
+		requireNeighbourWords(t, name+"+parallel", r)
+		lone := g.AddVertex("")
+		g.MustAddArc(first.Head, lone)
+		g.MustAddArc(busiest, lone)
+		requireNeighbourWords(t, name+"+vertex", r)
 	}
 }
 

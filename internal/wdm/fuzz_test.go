@@ -162,6 +162,11 @@ func FuzzTheorem1Precheck(f *testing.F) {
 // seed for the request draw (mostly routable pairs, with the odd
 // arbitrary pair that may be unroutable or single-vertex), a routing
 // policy with a fiber capacity, and an optional arc to cut first.
+//
+// The same requests are then planned again on the same Network after
+// flipping the cut: the cut arc is restored, or, when none was cut, an
+// arc picked by the request seed is cut. The second plan is held to the
+// same checks.
 func FuzzProvisionOracle(f *testing.F) {
 	f.Add(uint8(0), int64(1), int64(2), uint8(1), uint16(0))
 	f.Add(uint8(1), int64(7), int64(3), uint8(2), uint16(5))
@@ -200,19 +205,33 @@ func FuzzProvisionOracle(f *testing.F) {
 		policy := RoutingPolicy(policyByte % 3)
 		net := &Network{Topology: g, Wavelengths: int(policyByte/3) % 8}
 
-		got, err := net.Provision(reqs, policy)
-		requireSameAsSession(t, policy.String(), net, reqs, policy, got, err)
-		if err != nil {
+		plan := func(name string) {
+			got, err := net.Provision(reqs, policy)
+			requireSameAsSession(t, name, net, reqs, policy, got, err)
+			if err != nil {
+				return
+			}
+			res := &core.Result{Colors: got.Wavelengths, NumColors: got.NumLambda, Pi: got.Pi}
+			if err := core.Verify(g, got.Paths, res); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			// Single-vertex paths carry no load and take wavelength 0, so
+			// a load-free plan still uses one wavelength.
+			if !cycles.HasInternalCycle(g) && got.NumLambda != max(got.Pi, 1) {
+				t.Fatalf("%s: λ = %d, π = %d on a DAG without internal cycle", name, got.NumLambda, got.Pi)
+			}
+		}
+		plan(policy.String())
+		if g.NumArcs() == 0 {
 			return
 		}
-		res := &core.Result{Colors: got.Wavelengths, NumColors: got.NumLambda, Pi: got.Pi}
-		if err := core.Verify(g, got.Paths, res); err != nil {
-			t.Fatalf("%v: %v", policy, err)
+		if cut > 0 {
+			if err := g.RestoreArc(digraph.ArcID(int(cut-1) % g.NumArcs())); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := g.FailArc(digraph.ArcID(uint64(reqSeed) % uint64(g.NumArcs()))); err != nil {
+			t.Fatal(err)
 		}
-		// Single-vertex paths carry no load and take wavelength 0, so a
-		// load-free plan still uses one wavelength.
-		if !cycles.HasInternalCycle(g) && got.NumLambda != max(got.Pi, 1) {
-			t.Fatalf("%v: λ = %d, π = %d on a DAG without internal cycle", policy, got.NumLambda, got.Pi)
-		}
+		plan(policy.String() + "/flipped")
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"wavedag/internal/digraph"
@@ -134,6 +135,131 @@ func TestProvisionErrorsMatchSession(t *testing.T) {
 	requireSameAsSession(t, "non-upp", n, someRequests(n, 5), RouteUPP, nil, err)
 }
 
+// requireSameAsFresh fails unless n's plan of reqs (got, err) equals a
+// fresh Network's plan on the same topology and capacity: the same
+// Provisioning field for field, or the same error text.
+func requireSameAsFresh(t testing.TB, name string, n *Network, reqs []route.Request, policy RoutingPolicy, got *Provisioning, err error) {
+	t.Helper()
+	want, werr := (&Network{Topology: n.Topology, Wavelengths: n.Wavelengths}).Provision(reqs, policy)
+	if (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
+		t.Fatalf("%s: err = %v, fresh Network's err = %v", name, err, werr)
+	}
+	if err == nil {
+		if d := provisioningDiff(got, want); d != "" {
+			t.Fatalf("%s: plan differs from a fresh Network's: %s", name, d)
+		}
+	}
+}
+
+// drawRequests draws count requests from the pairs g routes between
+// with its live arcs.
+func drawRequests(g *digraph.Digraph, count int, rng *rand.Rand) []route.Request {
+	pool := route.NewRouter(g).AllToAll()
+	reqs := make([]route.Request, count)
+	for i := range reqs {
+		reqs[i] = pool[rng.Intn(len(pool))]
+	}
+	return reqs
+}
+
+// TestProvisionReuseMatchesFresh plans request sets on one Network
+// while the topology changes between plans: an arc is cut and restored,
+// the graph gains an arc and a vertex, and Topology is swapped for
+// another graph and back. Every plan, under both router-backed
+// policies, must equal a fresh Network's: Provision carries no state
+// from one call to the next that such a change could leave stale. A
+// parallel case then runs four goroutines planning on one Network;
+// each result must equal the sequential one.
+func TestProvisionReuseMatchesFresh(t *testing.T) {
+	g, err := gen.RandomNoInternalCycleDAG(80, 5, 5, 0.2, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := gen.RandomNoInternalCycleDAG(40, 4, 4, 0.3, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := &Network{Topology: g, Wavelengths: 12}
+	rng := rand.New(rand.NewSource(9))
+	// Each step plans a routable set under both policies, then the
+	// same set with an arbitrary pair appended, which may fail.
+	plan := func(step string) {
+		t.Helper()
+		for _, policy := range []RoutingPolicy{RouteShortest, RouteMinLoad} {
+			reqs := drawRequests(n.Topology, 60, rng)
+			name := fmt.Sprintf("%s/%v", step, policy)
+			got, err := n.Provision(reqs, policy)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			requireSameAsFresh(t, name, n, reqs, policy, got, err)
+			nv := n.Topology.NumVertices()
+			reqs = append(reqs, route.Request{Src: digraph.Vertex(rng.Intn(nv)), Dst: digraph.Vertex(rng.Intn(nv))})
+			got, err = n.Provision(reqs, policy)
+			requireSameAsFresh(t, name+"/arbitrary", n, reqs, policy, got, err)
+		}
+	}
+
+	plan("first")
+	busy := g.OutArcs(g.Sources()[0])[0]
+	if err := g.FailArc(busy); err != nil {
+		t.Fatal(err)
+	}
+	plan("cut")
+	if err := g.RestoreArc(busy); err != nil {
+		t.Fatal(err)
+	}
+	plan("restored")
+	arc := g.Arc(busy)
+	g.MustAddArc(arc.Tail, arc.Head)
+	plan("arc added")
+	v := g.AddVertex("")
+	g.MustAddArc(arc.Head, v)
+	g.MustAddArc(arc.Tail, v)
+	plan("vertex added")
+
+	n.Topology = other
+	plan("swapped")
+	n.Topology = g
+	plan("swapped back")
+
+	// Parallel: each goroutine plans every set, in its own order, and
+	// must get the plans of a sequential run.
+	sets := make([][]route.Request, 6)
+	want := make([]*Provisioning, len(sets))
+	for i := range sets {
+		sets[i] = drawRequests(g, 80, rng)
+		if want[i], err = (&Network{Topology: g}).Provision(sets[i], RouteMinLoad); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shared := &Network{Topology: g}
+	var wg sync.WaitGroup
+	errs := make(chan string, 4*len(sets))
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := range sets {
+				i := (k + w) % len(sets)
+				got, err := shared.Provision(sets[i], RouteMinLoad)
+				if err != nil {
+					errs <- fmt.Sprintf("goroutine %d set %d: %v", w, i, err)
+					continue
+				}
+				if d := provisioningDiff(got, want[i]); d != "" {
+					errs <- fmt.Sprintf("goroutine %d set %d: %s", w, i, d)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+}
+
 // oracleCountADMs is the sort-deduplicating ADM count the linear
 // countADMs replaced: terminations packed into int64s (vertex high,
 // wavelength low, so −1 is a wavelength of its own), sorted, and the
@@ -231,16 +357,7 @@ func TestCountADMsMatchesSortOracle(t *testing.T) {
 // (a few hundred per plan, against three per path when each path was
 // allocated on its own).
 func TestProvisionAllocs(t *testing.T) {
-	g, err := gen.RandomNoInternalCycleDAG(500, 8, 8, 0.2, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := route.NewRouter(g).AllToAll()
-	rng := rand.New(rand.NewSource(1))
-	reqs := make([]route.Request, 5000)
-	for i := range reqs {
-		reqs[i] = pool[rng.Intn(len(pool))]
-	}
+	g, reqs := planTheorem1(t)
 	n := &Network{Topology: g}
 	allocs := testing.AllocsPerRun(2, func() {
 		if _, err := n.Provision(reqs, RouteMinLoad); err != nil {
@@ -257,16 +374,7 @@ func TestProvisionAllocs(t *testing.T) {
 // Provision under both arena-backed policies: appending to any path's
 // Arcs or Vertices must leave every other path of the plan unchanged.
 func TestProvisionPathsCapped(t *testing.T) {
-	g, err := gen.RandomNoInternalCycleDAG(500, 8, 8, 0.2, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := route.NewRouter(g).AllToAll()
-	rng := rand.New(rand.NewSource(1))
-	reqs := make([]route.Request, 5000)
-	for i := range reqs {
-		reqs[i] = pool[rng.Intn(len(pool))]
-	}
+	g, reqs := planTheorem1(t)
 	n := &Network{Topology: g}
 	for _, policy := range []RoutingPolicy{RouteShortest, RouteMinLoad} {
 		prov, err := n.Provision(reqs, policy)
@@ -293,5 +401,40 @@ func TestProvisionPathsCapped(t *testing.T) {
 		if err := prov.Paths.Validate(g); err != nil {
 			t.Fatalf("%v: %v", policy, err)
 		}
+	}
+}
+
+// planTheorem1 is the plan-theorem1 shape: the 500-internal-vertex DAG
+// without internal cycle and 5000 seeded routable requests.
+func planTheorem1(t testing.TB) (*digraph.Digraph, []route.Request) {
+	g, err := gen.RandomNoInternalCycleDAG(500, 8, 8, 0.2, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := route.NewRouter(g).AllToAll()
+	rng := rand.New(rand.NewSource(1))
+	reqs := make([]route.Request, 5000)
+	for i := range reqs {
+		reqs[i] = pool[rng.Intn(len(pool))]
+	}
+	return g, reqs
+}
+
+// sinkProvisioning keeps benchmark results live.
+var sinkProvisioning *Provisioning
+
+// BenchmarkProvisionCold plans the plan-theorem1 shape on a fresh
+// Network per iteration: the whole one-shot pipeline, the router's
+// CSR, in-adjacency, neighbour words and ancestor sets included.
+func BenchmarkProvisionCold(b *testing.B) {
+	g, reqs := planTheorem1(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		prov, err := (&Network{Topology: g}).Provision(reqs, RouteMinLoad)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkProvisioning = prov
 	}
 }

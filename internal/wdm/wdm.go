@@ -21,7 +21,9 @@ import (
 )
 
 // Network is an optical network: a DAG topology plus a uniform per-fiber
-// wavelength capacity.
+// wavelength capacity. Provision keeps nothing in the Network between
+// calls: each call builds its own routing state, so concurrent Provision
+// calls on one Network are safe while its Topology is not modified.
 type Network struct {
 	Topology    *digraph.Digraph
 	Wavelengths int // capacity W of every fiber; 0 means unlimited

@@ -64,9 +64,12 @@
 //     clearing per request, scans a compressed-sparse-row copy of the
 //     out-adjacency, and prunes each min-load search to the
 //     destination's ancestors, cached as one bitset per destination in
-//     one slab. A batch's routes (and a one-shot Provision's) are
-//     carved from one arena instead of three allocations per path;
-//     incremental load bookkeeping goes through NewLoadTracker.
+//     one slab: a settled vertex ANDs its out-neighbours, kept as a
+//     sparse bitset of a few words, with that set, so the search looks
+//     only at arcs into it. A batch's routes (and a one-shot
+//     Provision's) are carved from one arena instead of three
+//     allocations per path; incremental load bookkeeping goes through
+//     NewLoadTracker.
 //
 // # Sessions: the dynamic provisioning engine
 //
@@ -943,9 +946,11 @@ func NewConflictGraph(g *Graph, fam Family) *ConflictGraph {
 // is allocated once and reused across requests, which is the fast path
 // for AllToAll-scale batches. Searches scan a CSR copy of g's
 // out-adjacency, and min-load searches visit only the destination's
-// ancestors, from a per-destination bitset in one slab; both are kept
-// until g gains an arc or a vertex (⌈n/64⌉ slab words per distinct
-// destination). ShortestPaths and MinLoadSequential return families
+// ancestors, from a per-destination bitset in one slab, reading each
+// vertex's out-neighbours as a sparse bitset ANDed with that set; all
+// are kept until g gains an arc or a vertex (⌈n/64⌉ slab words per
+// distinct destination, at most 28 bytes per arc for the CSR and the
+// neighbour words). ShortestPaths and MinLoadSequential return families
 // carved from one arena per call, so their paths share storage. A
 // Router is not safe for concurrent use.
 func NewRouter(g *Graph) *Router { return route.NewRouter(g) }
