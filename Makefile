@@ -1,13 +1,14 @@
 # Repro/CI targets for the wavedag reproduction. `make verify` is the
-# tier-1 gate; `make benchsmoke` compiles and runs every benchmark once
-# so the measurement suite cannot silently rot; `make bench` refreshes a
-# full perf snapshot (see BENCH_PR1.json for the PR-1 baseline format).
+# tier-1 gate; `make repro` regenerates the paper's experiments and
+# fails when one misses its predicted value; `make benchsmoke` compiles
+# and runs every benchmark once so the measurement suite cannot
+# silently rot. wavebench/ is the performance benchmark.
 
 GO ?= go
 
 GOFMT ?= gofmt
 
-.PHONY: verify fmtcheck lint benchcheck fuzzsmoke benchsmoke bench test
+.PHONY: verify fmtcheck lint benchcheck repro fuzzsmoke benchsmoke test
 
 verify:
 	$(GO) build ./...
@@ -16,6 +17,7 @@ verify:
 	$(GO) test ./...
 	$(MAKE) lint
 	$(MAKE) benchcheck
+	$(MAKE) repro
 
 # Fails, listing the files, when any Go file differs from gofmt's output.
 fmtcheck:
@@ -37,6 +39,11 @@ benchcheck:
 	$(GO) -C wavebench vet ./...
 	$(GO) -C wavebench test ./...
 
+# Every paper experiment (E1–E13) against its predicted value: exits
+# non-zero when a measured value misses the paper's.
+repro:
+	$(GO) run ./cmd/repro
+
 # Ten seconds per fuzz target: enough to exercise the generators and
 # the oracles on every CI run without turning the gate into a soak.
 fuzzsmoke:
@@ -54,6 +61,3 @@ test: verify
 # coalescer, adaptive re-layout) can silently rot.
 benchsmoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x -cpu=1,4 ./...
-
-bench:
-	$(GO) run ./cmd/bench -benchtime 1s -out bench-latest.json

@@ -360,8 +360,7 @@ func largePlanRequests(g *digraph.Digraph, count int) []route.Request {
 }
 
 // Dynamic provisioning engine: steady-state churn (one teardown + one
-// arrival per iteration) on a session, against the one-shot pipeline's
-// per-event rebuild measured by cmd/bench's churn/scratch entries.
+// arrival per iteration) on a session.
 func BenchmarkSessionChurn(b *testing.B) {
 	topo, err := gen.RandomNoInternalCycleDAG(40, 6, 6, 0.2, 12)
 	if err != nil {
@@ -404,8 +403,7 @@ func BenchmarkSessionChurn(b *testing.B) {
 // BenchmarkShardedChurn measures the concurrent engine's per-event cost
 // (batched remove+add pairs through ApplyBatch) on a multi-component
 // topology, through the public API. Run with -cpu=1,4 to see the
-// worker-count axis; cmd/bench's churn/sharded entries are the
-// calibrated snapshot form.
+// worker-count axis.
 func BenchmarkShardedChurn(b *testing.B) {
 	parts := make([]gen.Instance, 4)
 	for i := range parts {
@@ -465,8 +463,7 @@ func BenchmarkShardedChurn(b *testing.B) {
 // PartitionComponents cannot split — under a 90%-region-local trace,
 // with sub-sharding off (the whole component serialises onto one
 // session) and on (region lanes fan out, cross-region traffic rides the
-// overlay lane). Run with -cpu=1,4 for the worker axis; cmd/bench's
-// churn/sharded/giant-* entries are the calibrated snapshot form.
+// overlay lane). Run with -cpu=1,4 for the worker axis.
 func BenchmarkSubshardChurn(b *testing.B) {
 	parts := make([]*wavedag.Graph, 4)
 	for i := range parts {
@@ -536,8 +533,7 @@ func BenchmarkSubshardChurn(b *testing.B) {
 // against a finite wavelength budget — the plain session, the budgeted
 // sharded engine (batched through the pooled ApplyBatchInto), and the
 // rejection-cost pair (Theorem-1 precheck vs the color-and-rollback
-// probe it replaces). Run with -cpu=1,4 for the worker axis;
-// cmd/bench's admission/* entries are the calibrated snapshot form.
+// probe it replaces). Run with -cpu=1,4 for the worker axis.
 func BenchmarkAdmissionChurn(b *testing.B) {
 	topo, err := gen.RandomNoInternalCycleDAG(40, 6, 6, 0.2, 12)
 	if err != nil {
@@ -884,8 +880,7 @@ func BenchmarkSurviveChurn(b *testing.B) {
 // hot (topological-prefix cuts land between layers), shrinking the
 // per-event search space to a few layers. The uniform load pair bounds
 // the adaptive bookkeeping overhead when there is nothing to adapt to.
-// Run with -cpu=1,4 for the worker axis; cmd/bench -adapt emits the
-// calibrated snapshot form (BENCH_PR10.json).
+// Run with -cpu=1,4 for the worker axis.
 func BenchmarkAdaptChurn(b *testing.B) {
 	topo := gen.LayeredDAG(15, 20, 0.25, 77)
 	const period = 500

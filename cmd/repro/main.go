@@ -1,6 +1,8 @@
-// Command repro regenerates every experiment of the reproduction (E1–E13
-// in DESIGN.md), printing one table per paper figure/theorem with the
-// paper-predicted value next to the measured one.
+// Command repro regenerates every experiment of the reproduction
+// (E1–E13, listed in main below; the paper's abstract is in PAPER.md),
+// printing one table per paper figure/theorem with the paper-predicted
+// value next to the measured one. It exits non-zero when a measured
+// value misses its prediction.
 //
 // Usage:
 //

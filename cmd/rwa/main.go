@@ -5,7 +5,6 @@
 //
 //	rwa analyze  [file]          # load, internal cycles, UPP, conflict stats
 //	rwa color    [file]          # wavelength assignment (strongest theorem)
-//	rwa verify   [file]          # re-check a coloring given as a last line "colors c0 c1 ..."
 //	rwa gen <instance> [args]    # emit a paper instance (fig1 k | fig3 | gadget k | havet)
 //	rwa dot      [file]          # Graphviz export
 //

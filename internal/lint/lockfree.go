@@ -19,8 +19,8 @@ import (
 // paths is the intended use. Escape hatches: //wavedag:allow-alloc on
 // the function waives the allocation checks (grow paths, translation
 // buffers); //wavedag:allow-blocking trailing a line waives the
-// blocking/callee checks for that line (documented fallbacks to a
-// mutex-serialised strong read).
+// blocking/callee checks for that line (a documented fallback that
+// takes a lock).
 var lockfreeAnalyzer = &Analyzer{
 	Name: "lockfree",
 	Doc:  "functions marked //wavedag:lockfree must not block, allocate, or call unannotated in-module code",

@@ -54,7 +54,7 @@ type AdaptiveConfig struct {
 }
 
 // DefaultAdaptiveConfig returns the tuning the adaptive plane was
-// calibrated with (see BENCH_PR10.json).
+// calibrated with under BenchmarkAdaptChurn's drifting hotspot.
 func DefaultAdaptiveConfig() AdaptiveConfig {
 	return AdaptiveConfig{
 		Alpha:             0.3,

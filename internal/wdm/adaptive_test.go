@@ -52,7 +52,7 @@ func replayEquivalence(t *testing.T, eng *ShardedEngine, topo *digraph.Digraph) 
 		t.Fatalf("from-scratch session not Verify-clean: %v", err)
 	}
 	if w := eng.Budget(); w > 0 {
-		n, err := eng.NumLambdaStrong()
+		n, err := strongNumLambda(eng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +157,7 @@ func TestAddArcPlainComponent(t *testing.T) {
 	if net.Topology.NumArcs() != arcsBefore {
 		t.Fatalf("AddArc mutated the caller's Network: %d arcs, want %d", net.Topology.NumArcs(), arcsBefore)
 	}
-	if st := eng.StatsStrong(); st.ArcAdds != 1 {
+	if st := strongStats(eng); st.ArcAdds != 1 {
 		t.Fatalf("ArcAdds = %d, want 1", st.ArcAdds)
 	}
 	// The reverse pair is now routable — over the new arc.
@@ -165,7 +165,7 @@ func TestAddArcPlainComponent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("add over the new arc: %v", err)
 	}
-	p, err := eng.PathStrong(back)
+	p, err := strongPath(eng, back)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestAddArcPlainComponent(t *testing.T) {
 		t.Fatalf("RestoreArc on added arc: %v", err)
 	}
 	for _, id := range ids {
-		if _, err := eng.PathStrong(id); err != nil {
+		if _, err := strongPath(eng, id); err != nil {
 			t.Fatalf("pre-add id lost: %v", err)
 		}
 	}
@@ -285,12 +285,12 @@ scan:
 	if _, err := eng.FailArc(ga2); err != nil {
 		t.Fatalf("FailArc on bridge arc: %v", err)
 	}
-	dark, err := eng.IsDarkStrong(bid)
+	dark, err := strongIsDark(eng, bid)
 	if err != nil {
 		t.Fatalf("bridge id lost after the cut: %v", err)
 	}
 	if !dark {
-		p, err := eng.PathStrong(bid)
+		p, err := strongPath(eng, bid)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -337,7 +337,7 @@ func TestAddArcMerge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := eng.PathStrong(id)
+		p, err := strongPath(eng, id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -375,7 +375,7 @@ func TestAddArcMerge(t *testing.T) {
 	snap := eng.Snapshot()
 	defer snap.Release()
 	for _, h := range ids {
-		p, err := eng.PathStrong(h.id)
+		p, err := strongPath(eng, h.id)
 		if err != nil {
 			t.Fatalf("pre-merge id lost (strong): %v", err)
 		}
@@ -395,7 +395,7 @@ func TestAddArcMerge(t *testing.T) {
 	if err != nil {
 		t.Fatalf("add across the merged components: %v", err)
 	}
-	p, err := eng.PathStrong(mid)
+	p, err := strongPath(eng, mid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,7 +528,7 @@ func TestRebandHysteresis(t *testing.T) {
 				burst(eng, regional, 20, rng)
 			}
 		}
-		if st := eng.StatsStrong(); st.Rebands != 0 {
+		if st := strongStats(eng); st.Rebands != 0 {
 			t.Fatalf("oscillating load re-banded %d times, want 0", st.Rebands)
 		}
 	})
@@ -541,7 +541,7 @@ func TestRebandHysteresis(t *testing.T) {
 		for batch := 0; batch < batches; batch++ {
 			burst(eng, cross, 20, rng)
 		}
-		st := eng.StatsStrong()
+		st := strongStats(eng)
 		if st.Rebands < 1 {
 			t.Fatal("sustained overlay pressure never re-banded")
 		}
@@ -553,7 +553,7 @@ func TestRebandHysteresis(t *testing.T) {
 		if err := eng.Verify(); err != nil {
 			t.Fatal(err)
 		}
-		if n, err := eng.NumLambdaStrong(); err != nil || n > eng.Budget() {
+		if n, err := strongNumLambda(eng); err != nil || n > eng.Budget() {
 			t.Fatalf("λ = %d exceeds budget %d after re-banding (err=%v)", n, eng.Budget(), err)
 		}
 	})
@@ -597,7 +597,7 @@ func TestResplitHotRegion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := eng.PathStrong(id)
+		p, err := strongPath(eng, id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -624,7 +624,7 @@ func TestResplitHotRegion(t *testing.T) {
 			}
 		}
 		eng.ApplyBatch(ops)
-		split = eng.StatsStrong().Resplits > 0
+		split = strongStats(eng).Resplits > 0
 	}
 	if !split {
 		t.Fatal("hot region was never re-split")
@@ -638,7 +638,7 @@ func TestResplitHotRegion(t *testing.T) {
 	// Once no lane dominates the component's event share any more, the
 	// re-splitting settles: equilibrium, not thrash. Run the same load
 	// on and require the layout to hold still.
-	settled := eng.StatsStrong().Resplits
+	settled := strongStats(eng).Resplits
 	lanesSettled := len(c.regionShards)
 	for batch := 0; batch < 10; batch++ {
 		ops := make([]BatchOp, 0, 16)
@@ -654,7 +654,7 @@ func TestResplitHotRegion(t *testing.T) {
 		}
 		eng.ApplyBatch(ops)
 	}
-	if st := eng.StatsStrong(); st.Resplits > settled+1 || len(c.regionShards) > lanesSettled+1 {
+	if st := strongStats(eng); st.Resplits > settled+1 || len(c.regionShards) > lanesSettled+1 {
 		t.Fatalf("re-splitting did not settle: %d re-splits (was %d), %d lanes (was %d)",
 			st.Resplits, settled, len(c.regionShards), lanesSettled)
 	}
@@ -663,7 +663,7 @@ func TestResplitHotRegion(t *testing.T) {
 	}
 	// Old ids resolve to their exact routes through the forward map.
 	for _, h := range ids {
-		p, err := eng.PathStrong(h.id)
+		p, err := strongPath(eng, h.id)
 		if err != nil {
 			t.Fatalf("pre-split id lost: %v", err)
 		}
@@ -785,7 +785,7 @@ func TestAdaptiveRandomizedEquivalence(t *testing.T) {
 		}
 		replayEquivalence(t, eng, topo)
 	}
-	st := eng.StatsStrong()
+	st := strongStats(eng)
 	if st.Resplits == 0 && st.Rebands == 0 {
 		t.Log("randomized churn triggered no re-layouts (valid but weak run)")
 	}

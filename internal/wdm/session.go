@@ -36,9 +36,8 @@ type SessionID int64
 //     instead of recomputed per event.
 //
 // So a request arrival or teardown costs work proportional to the paths
-// it actually touches, not to the whole live family — see the churn
-// benchmarks in cmd/bench for the measured per-event speedup over
-// rebuild-from-scratch.
+// it actually touches, not to the whole live family (BenchmarkSessionChurn
+// measures the per-event cost).
 //
 // A Session is not safe for concurrent use.
 type Session struct {

@@ -129,8 +129,7 @@ type BatchResult struct {
 // Reads never block writes: every mutation boundary publishes an
 // immutable EngineSnapshot through one atomic pointer (see
 // snapshot.go), and the read-only API answers from it without touching
-// the engine mutex. The ...Strong variants take the mutex and read
-// live state — the linearizable form.
+// the engine mutex.
 type ShardedEngine struct {
 	mu      sync.Mutex
 	net     *Network
@@ -721,18 +720,8 @@ func (st EngineStats) Restored() int {
 	return st.Plain.Restored + st.Region.Restored + st.Overlay.Restored
 }
 
-// StatsStrong reports the engine layout, overlay occupancy and
-// per-lane traffic shares read under the engine mutex — the
-// strongly-consistent twin of Stats, which answers from the published
-// snapshot.
-func (e *ShardedEngine) StatsStrong() EngineStats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.statsLocked()
-}
-
 // statsLocked assembles EngineStats from the live sessions; the caller
-// holds e.mu. Shared by StatsStrong and snapshot publication.
+// holds e.mu. Snapshot publication stores its result as Stats.
 func (e *ShardedEngine) statsLocked() EngineStats {
 	st := EngineStats{
 		Components: len(e.comps),
@@ -792,23 +781,6 @@ func (e *ShardedEngine) OverlayBudgetSlice() int {
 		return 0
 	}
 	return e.overlaySlice
-}
-
-// OverlayLambdaStrong returns the maximum number of overlay wavelength
-// classes across components with region lanes — the band the
-// aggregation stacks above the region maximum (0 when no such overlay
-// lane holds a request) — read under the engine mutex (see
-// OverlayLambda for the snapshot form). The error is always nil.
-func (e *ShardedEngine) OverlayLambdaStrong() (int, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	n := 0
-	for _, c := range e.comps {
-		if !c.dead && len(c.regionShards) > 0 {
-			n = max(n, c.overlay.lambda())
-		}
-	}
-	return n, nil
 }
 
 // ── Dispatch ───────────────────────────────────────────────────────────
@@ -964,8 +936,8 @@ func (e *ShardedEngine) ApplyBatchInto(ops []BatchOp, results []BatchResult) []B
 // ApplyBatch runs entirely inline: distributing ~1µs events across
 // workers costs more in handoff and wake-up (~2µs) than it saves, so
 // tiny batches skip the pool altogether — cheaper than both the pool
-// handoff and the per-batch goroutine spawn it replaced (see the
-// churn/sharded/.../batch=8 entries in BENCH_PR4.json).
+// handoff and the per-batch goroutine spawn it replaced (measured on
+// batch=8 churn over a four-component topology).
 const serialBatchThreshold = 16
 
 func (e *ShardedEngine) applyLocked(ops []BatchOp, results []BatchResult) {
@@ -1287,23 +1259,6 @@ func (sh *engineShard) compLocalPath(p *dipath.Path) (*dipath.Path, error) {
 	return dipath.FromArcsTrusted(sh.comp.view.G, arcs...), nil
 }
 
-// PathStrong returns the current route of a live request, in the
-// engine topology's vertex and arc identifiers, read under the engine
-// mutex (see Path for the snapshot form).
-func (e *ShardedEngine) PathStrong(id ShardedID) (*dipath.Path, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	sh, lid, err := e.resolveID(id)
-	if err != nil {
-		return nil, err
-	}
-	p, err := sh.sess.Path(lid)
-	if err != nil {
-		return nil, err
-	}
-	return sh.globalPath(e, p)
-}
-
 // regionLambdaMax returns the maximum λ across a component's region
 // lanes (0 without region lanes) — the base of the overlay lane's
 // wavelength band.
@@ -1313,88 +1268,6 @@ func (c *engineComponent) regionLambdaMax() int {
 		n = max(n, rs.lambda())
 	}
 	return n
-}
-
-// WavelengthStrong returns the current wavelength of a live request,
-// read under the engine mutex (see Wavelength for the snapshot form).
-// Overlay lane wavelengths are reported in the component's effective
-// band (region maximum + overlay class), so the answer may shift
-// upward as region lanes grow; it is exact as of the call.
-func (e *ShardedEngine) WavelengthStrong(id ShardedID) (int, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	sh, lid, err := e.resolveID(id)
-	if err != nil {
-		return -1, err
-	}
-	w, err := sh.sess.Wavelength(lid)
-	if err != nil || sh.kind != shardOverlay || w < 0 {
-		return w, err
-	}
-	return sh.comp.regionLambdaMax() + w, nil
-}
-
-// LenStrong returns the number of live requests across all shards,
-// read under the engine mutex (see Len for the snapshot form).
-func (e *ShardedEngine) LenStrong() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	total := 0
-	for _, sh := range e.shards {
-		total += sh.sess.Len()
-	}
-	return total
-}
-
-// PiStrong returns the load π of the live routing — the maximum over
-// components — read under the engine mutex (see Pi for the snapshot
-// form). A component's overlay tracker holds the exact combined load
-// view (region lanes reconcile into it at every batch boundary), so π
-// stays exact under sub-sharding.
-func (e *ShardedEngine) PiStrong() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	pi := 0
-	for _, c := range e.comps {
-		if !c.dead {
-			pi = max(pi, c.overlay.sess.Pi())
-		}
-	}
-	return pi
-}
-
-// NumLambdaStrong returns the number of wavelengths in use: the
-// maximum over components (offset-free union — wavelengths of
-// independent components overlap rather than stack), where a
-// component counts its region maximum plus its overlay band. It reads
-// under the engine mutex (see NumLambda for the snapshot form); the
-// error is always nil.
-func (e *ShardedEngine) NumLambdaStrong() (int, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	num := 0
-	for _, c := range e.comps {
-		if !c.dead {
-			num = max(num, c.regionLambdaMax()+c.overlay.lambda())
-		}
-	}
-	return num, nil
-}
-
-// ArcLoadsStrong returns the per-arc load vector over the engine's
-// topology, scattered from the shard-local trackers under the engine
-// mutex (see ArcLoads/ArcLoadsInto for the snapshot forms).
-func (e *ShardedEngine) ArcLoadsStrong() []int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	loads := make([]int, e.net.Topology.NumArcs())
-	for _, c := range e.comps {
-		if !c.dead {
-			// The overlay tracker is the component's combined view.
-			c.overlay.sess.tracker.ScatterLoads(loads, c.view.ToGlobalArc)
-		}
-	}
-	return loads
 }
 
 // verify checks one component's live assignment: it materialises

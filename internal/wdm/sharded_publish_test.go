@@ -49,11 +49,11 @@ func TestFailArcPublishesOnStormError(t *testing.T) {
 
 	// The global cut happened, so it must have been published: the
 	// lock-free snapshot read and the strong read must agree.
-	if got, want := eng.NumFailedArcs(), eng.NumFailedArcsStrong(); got != want {
+	if got, want := eng.NumFailedArcs(), strongNumFailedArcs(eng); got != want {
 		t.Fatalf("snapshot NumFailedArcs=%d, strong=%d: FailArc error path did not publish", got, want)
 	}
-	if eng.NumFailedArcsStrong() != 1 {
-		t.Fatalf("strong NumFailedArcs=%d, want 1", eng.NumFailedArcsStrong())
+	if strongNumFailedArcs(eng) != 1 {
+		t.Fatalf("strong NumFailedArcs=%d, want 1", strongNumFailedArcs(eng))
 	}
 	if eng.Stats().Cuts != 1 {
 		t.Fatalf("Stats().Cuts=%d, want 1 (the cut did land)", eng.Stats().Cuts)
@@ -83,11 +83,11 @@ func TestRestoreArcPublishesOnSweepError(t *testing.T) {
 	}
 
 	// The global repair happened, so it must have been published.
-	if got, want := eng.NumFailedArcs(), eng.NumFailedArcsStrong(); got != want {
+	if got, want := eng.NumFailedArcs(), strongNumFailedArcs(eng); got != want {
 		t.Fatalf("snapshot NumFailedArcs=%d, strong=%d: RestoreArc error path did not publish", got, want)
 	}
-	if eng.NumFailedArcsStrong() != 0 {
-		t.Fatalf("strong NumFailedArcs=%d, want 0", eng.NumFailedArcsStrong())
+	if strongNumFailedArcs(eng) != 0 {
+		t.Fatalf("strong NumFailedArcs=%d, want 0", strongNumFailedArcs(eng))
 	}
 }
 

@@ -13,10 +13,7 @@ import (
 // immutable EngineSnapshot at every boundary and publishes it through
 // an atomic pointer; the read-only API answers from the current
 // snapshot without touching the engine mutex, so monitoring readers
-// never stall the write path and a write never stalls a reader. The
-// ...Strong variants (sharded.go) keep the mutex-serialised reads for
-// tests and for callers that need the in-flight, not-yet-published
-// state.
+// never stall the write path and a write never stalls a reader.
 //
 // Publication is incremental and double-buffered: only shards a batch
 // actually touched rebuild their entry tables (untouched tables are
@@ -355,8 +352,10 @@ func (e *ShardedEngine) Stats() EngineStats { return e.snap.Load().stats }
 func (e *ShardedEngine) Len() int { return e.snap.Load().live }
 
 // Pi returns the load π of the live routing — the maximum over
-// components, exact under sub-sharding (see PiStrong for the aggregation
-// argument) — from the current snapshot.
+// components — from the current snapshot. A component's overlay
+// tracker holds the exact combined load view (region lanes reconcile
+// into it at every batch boundary), so π stays exact under
+// sub-sharding.
 //
 //wavedag:lockfree
 func (e *ShardedEngine) Pi() int { return e.snap.Load().pi }
@@ -381,8 +380,9 @@ func (e *ShardedEngine) NumFailedArcs() int { return e.snap.Load().stats.FailedA
 func (e *ShardedEngine) NumLambda() (int, error) { return e.snap.Load().lambda, nil }
 
 // OverlayLambda returns the maximum overlay band across components with
-// region lanes (see OverlayLambdaStrong), from the current snapshot.
-// The error is always nil.
+// region lanes — the band the aggregation stacks above the region
+// maximum (0 when no such overlay lane holds a request) — from the
+// current snapshot. The error is always nil.
 //
 //wavedag:lockfree
 func (e *ShardedEngine) OverlayLambda() (int, error) { return e.snap.Load().overlayLambda, nil }

@@ -12,10 +12,11 @@ import (
 )
 
 // Tests for the lock-free query plane (snapshot.go): the consistency
-// contract between snapshots and the ...Strong reads, sequence-number
-// monotonicity, staleness bounds, pin-based buffer lifetime, the
-// post-Close behaviour, the zero-allocation guarantees, and a reader
-// storm racing a writer through batches, fiber cuts and Close.
+// contract between snapshots and the strong-read oracles
+// (strong_test.go), sequence-number monotonicity, staleness bounds,
+// pin-based buffer lifetime, the post-Close behaviour, the
+// zero-allocation guarantees, and a reader storm racing a writer
+// through batches, fiber cuts and Close.
 
 // checkSnapshotAgainstStrong asserts, under quiescence, that the
 // current snapshot agrees with every mutex-serialised strong read —
@@ -25,30 +26,30 @@ func checkSnapshotAgainstStrong(t *testing.T, eng *ShardedEngine, ids []ShardedI
 	t.Helper()
 	s := eng.Snapshot()
 	defer s.Release()
-	if got, want := s.Len(), eng.LenStrong(); got != want {
+	if got, want := s.Len(), strongLen(eng); got != want {
 		t.Fatalf("snapshot Len = %d, strong %d", got, want)
 	}
-	if got, want := s.Pi(), eng.PiStrong(); got != want {
+	if got, want := s.Pi(), strongPi(eng); got != want {
 		t.Fatalf("snapshot Pi = %d, strong %d", got, want)
 	}
-	if got, want := s.DarkLive(), eng.DarkLiveStrong(); got != want {
+	if got, want := s.DarkLive(), strongDarkLive(eng); got != want {
 		t.Fatalf("snapshot DarkLive = %d, strong %d", got, want)
 	}
 	gl, gerr := s.NumLambda()
-	wl, werr := eng.NumLambdaStrong()
+	wl, werr := strongNumLambda(eng)
 	if (gerr == nil) != (werr == nil) || gl != wl {
 		t.Fatalf("snapshot NumLambda = %d (%v), strong %d (%v)", gl, gerr, wl, werr)
 	}
 	go1, _ := s.OverlayLambda()
-	wo1, _ := eng.OverlayLambdaStrong()
+	wo1, _ := strongOverlayLambda(eng)
 	if go1 != wo1 {
 		t.Fatalf("snapshot OverlayLambda = %d, strong %d", go1, wo1)
 	}
-	if got, want := s.Stats(), eng.StatsStrong(); got != want {
+	if got, want := s.Stats(), strongStats(eng); got != want {
 		t.Fatalf("snapshot Stats = %+v, strong %+v", got, want)
 	}
 	gotLoads := s.ArcLoads()
-	wantLoads := eng.ArcLoadsStrong()
+	wantLoads := strongArcLoads(eng)
 	if len(gotLoads) != len(wantLoads) {
 		t.Fatalf("snapshot ArcLoads len = %d, strong %d", len(gotLoads), len(wantLoads))
 	}
@@ -63,7 +64,7 @@ func checkSnapshotAgainstStrong(t *testing.T, eng *ShardedEngine, ids []ShardedI
 	}
 	for _, id := range ids {
 		gp, gerr := s.Path(id)
-		wp, werr := eng.PathStrong(id)
+		wp, werr := strongPath(eng, id)
 		if (gerr == nil) != (werr == nil) {
 			t.Fatalf("id %v: snapshot Path err %v, strong err %v", id, gerr, werr)
 		}
@@ -77,12 +78,12 @@ func checkSnapshotAgainstStrong(t *testing.T, eng *ShardedEngine, ids []ShardedI
 			t.Fatalf("id %v: snapshot Path %v, strong %v", id, gp, wp)
 		}
 		gw, _ := s.Wavelength(id)
-		ww, _ := eng.WavelengthStrong(id)
+		ww, _ := strongWavelength(eng, id)
 		if gw != ww {
 			t.Fatalf("id %v: snapshot Wavelength %d, strong %d", id, gw, ww)
 		}
 		gd, _ := s.IsDark(id)
-		wd, _ := eng.IsDarkStrong(id)
+		wd, _ := strongIsDark(eng, id)
 		if gd != wd {
 			t.Fatalf("id %v: snapshot IsDark %v, strong %v", id, gd, wd)
 		}
@@ -550,15 +551,14 @@ func BenchmarkSnapshotQuery(b *testing.B) {
 	b.Run("stats-strong", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = eng.StatsStrong()
+			_ = strongStats(eng)
 		}
 	})
 }
 
-// BenchmarkSnapshotReaders is the in-package smoke version of the
-// cmd/bench query-plane driver: four readers hammer the engine while
-// the benchmark loop applies batches, in snapshot (lock-free) and
-// mutex (...Strong) modes.
+// BenchmarkSnapshotReaders: four readers hammer the engine while the
+// benchmark loop applies batches, in snapshot (lock-free) and mutex
+// (strong-read oracle) modes.
 func BenchmarkSnapshotReaders(b *testing.B) {
 	for _, mode := range []string{"snapshot", "mutex"} {
 		b.Run(mode, func(b *testing.B) {
@@ -597,9 +597,9 @@ func BenchmarkSnapshotReaders(b *testing.B) {
 							buf = eng.ArcLoadsInto(buf)
 							_, _ = eng.Wavelength(id)
 						} else {
-							_ = eng.StatsStrong()
-							buf = eng.ArcLoadsStrong()
-							_, _ = eng.WavelengthStrong(id)
+							_ = strongStats(eng)
+							buf = strongArcLoads(eng)
+							_, _ = strongWavelength(eng, id)
 						}
 						n += 3
 					}

@@ -202,17 +202,16 @@
 //
 // The staleness contract: a snapshot is an exact, internally
 // consistent image of the engine at a mutation boundary, at most one
-// event behind the strong reads — and never behind for the caller that
+// event behind the live state — and never behind for the caller that
 // applied the event, because publication happens before the mutation
 // returns. Queries therefore always agree with each other when asked
 // of one pinned snapshot (ShardedEngine.Snapshot, released with
 // EngineSnapshot.Release; retired buffers recycle through pools only
-// after the last pin drops). Every query also has a ...Strong variant
-// that takes the engine mutex and reads live state — the linearizable
-// form. Every engine lane colors incrementally (NewShardedEngine
-// rejects a deferred strategy such as ColoringFull), so λ is read at
-// every publication in O(1) per dirty lane. Provisioning and Verify,
-// which materialise merged state, always run under the mutex.
+// after the last pin drops). Every engine lane colors incrementally
+// (NewShardedEngine rejects a deferred strategy such as ColoringFull),
+// so λ is read at every publication in O(1) per dirty lane.
+// Provisioning and Verify, which materialise merged state, always run
+// under the mutex.
 //
 // # Admission control & budgets
 //
@@ -305,7 +304,7 @@
 // ShardedEngine.DarkLive expose the parked population. For measurement,
 // NewFaultSchedule draws a deterministic MTBF/MTTR alternating-renewal
 // cut/repair event stream ([]FaultEvent) over a topology's arcs, the
-// workload `go run ./cmd/bench -survive` replays against churn.
+// workload BenchmarkSurviveChurn replays against churn.
 //
 // # Serving & overload
 //
@@ -348,29 +347,17 @@
 // is answered, then the engine closes — queries keep serving from the
 // final snapshot. The open-loop Poisson driver (NewPoissonArrivals,
 // with a configurable rate ramp) exists to push this machinery past
-// saturation honestly; `go run ./cmd/bench -serve` measures sustained
-// events/sec, accepted-write p50/p99, shed% and drain time at offered
-// loads around measured capacity, and `go run ./cmd/served` is the
-// HTTP/JSON binary over the same front-end. The chaos soak
-// (concurrent writers + fault storms + budget pressure) pins the
-// exactly-once contract under -race.
+// saturation honestly, and `go run ./cmd/served` is the HTTP/JSON
+// binary over the same front-end. The chaos soak (concurrent writers +
+// fault storms + budget pressure) pins the exactly-once contract under
+// -race.
 //
-// BENCH_PR1.json records the measured baseline (ns/op, B/op, allocs/op,
-// before/after) for the E1–E12 experiment pipelines and the large-
-// instance workloads of cmd/bench; BENCH_PR2.json adds the churn
-// workloads (session vs rebuild-from-scratch per event, with
-// configurable hold times); BENCH_PR3.json adds the sharded-engine
-// churn sweep (worker-count axis, batched ApplyBatch events) and the
-// warm-start recolor numbers; BENCH_PR4.json adds the giant-component
-// churn sweep (sub-shard threshold axis, locality-controlled traffic),
-// the small-batch worker-pool numbers and the trusted-translation merge
-// cost; BENCH_PR6.json adds the survivability sweep (restoration
-// latency, restored%, parked/revived counts and budget violations over
-// a 3-point MTBF axis); BENCH_PR8.json adds the serving sweep (offered
-// load at {0.5x, 1x, 2x} of measured capacity: throughput, accepted-
-// write p50/p99, shed%, drain time, shedding on vs off); `make
-// benchsmoke` (and `make benchsmoke-survive`, `make benchsmoke-serve`)
-// keeps every benchmark compiling and running.
+// The go-test benchmarks time the E1–E12 experiment pipelines, the
+// ablations and the churn, survivability, snapshot-read and serving
+// workloads; `make benchsmoke` keeps every one of them compiling and
+// running. wavebench/ is the end-to-end benchmark (serve-poisson,
+// churn-giant, plan-theorem1), and `go run ./cmd/repro` checks every
+// experiment against the paper's predicted value.
 //
 // # Static analysis & invariants
 //
@@ -461,18 +448,18 @@
 //     mutated.
 //
 // Every re-layout retires its old lanes behind immutable forward maps,
-// so ShardedIDs issued before keep resolving (strong and snapshot reads
-// alike), and AdaptiveConfig (WithAdaptiveConfig) carries the tuning:
-// EWMA alpha, watermarks, hysteresis, re-split share and size floor.
+// so ShardedIDs issued before keep resolving, and AdaptiveConfig
+// (WithAdaptiveConfig) carries the tuning: EWMA alpha, watermarks,
+// hysteresis, re-split share and size floor.
 // EngineStats counts re-bands, re-splits and capacity adds. The
 // randomized equivalence suite pins every re-layout shape: after any
 // mix of churn, cuts, adds and re-layouts the engine's merged
 // provisioning must re-admit path-for-path into a from-scratch session
 // on the final topology with exactly equal π, a proper merged coloring,
-// and λ within the budget. `go run ./cmd/bench -adapt` measures the
-// payoff (BENCH_PR10.json): under a drifting hotspot the adaptive
-// engine re-localizes traffic that a static layout funnels through its
-// overlay lane, and under uniform load the gauges' overhead is noise.
+// and λ within the budget. BenchmarkAdaptChurn measures the payoff:
+// under a drifting hotspot the adaptive engine re-localizes traffic
+// that a static layout funnels through its overlay lane, and under
+// uniform load the gauges' overhead is noise.
 //
 // The sub-packages under internal/ hold the implementation; this package
 // re-exports the stable API.
@@ -1011,13 +998,6 @@ func RestoreArcRequest(a ArcID) ServeRequest { return serve.RestoreArcRequest(a)
 
 // WithMaxBatch caps how many coalesced ops one engine batch may carry.
 func WithMaxBatch(n int) ServeOption { return serve.WithMaxBatch(n) }
-
-// WithLatencyCap has no effect; it still rejects d <= 0. The dispatcher
-// applies whatever is queued as soon as it is free, so there is no wait
-// to cap.
-//
-// Deprecated: batching no longer waits on a timer; drop the option.
-func WithLatencyCap(d time.Duration) ServeOption { return serve.WithLatencyCap(d) }
 
 // WithQueueCapacity sets the Server's submission queue bound.
 func WithQueueCapacity(n int) ServeOption { return serve.WithQueueCapacity(n) }

@@ -235,9 +235,8 @@ func TestAdmissionFacade(t *testing.T) {
 }
 
 // TestSnapshotFacade exercises the lock-free query plane through the
-// facade: the snapshot-backed engine reads, their ...Strong
-// counterparts, and a pinned wavedag.EngineSnapshot surviving churn
-// and Close.
+// facade: the snapshot-backed engine reads agreeing with a pinned
+// wavedag.EngineSnapshot, and that snapshot surviving churn and Close.
 func TestSnapshotFacade(t *testing.T) {
 	g := wavedag.NewGraph(4)
 	g.MustAddArc(0, 1)
@@ -252,14 +251,15 @@ func TestSnapshotFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.Len() != 1 || eng.LenStrong() != 1 || eng.Pi() != eng.PiStrong() {
-		t.Fatalf("lock-free reads disagree with strong reads: len %d/%d", eng.Len(), eng.LenStrong())
+	var snap *wavedag.EngineSnapshot = eng.Snapshot()
+	defer snap.Release()
+	if eng.Len() != 1 || snap.Len() != 1 || eng.Pi() != snap.Pi() {
+		t.Fatalf("engine reads disagree with the pinned snapshot: len %d/%d, pi %d/%d",
+			eng.Len(), snap.Len(), eng.Pi(), snap.Pi())
 	}
 	if w, err := eng.Wavelength(id); err != nil || w < 0 {
 		t.Fatalf("Wavelength = %d (%v)", w, err)
 	}
-	var snap *wavedag.EngineSnapshot = eng.Snapshot()
-	defer snap.Release()
 	if _, err := eng.Add(wavedag.Request{Src: 1, Dst: 2}); err != nil {
 		t.Fatal(err)
 	}
