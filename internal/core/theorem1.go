@@ -79,9 +79,8 @@ type peelState struct {
 	peelPos []int // peelPos[arc] = index of arc in peel
 
 	// pathsOnArcAll[a] = indices of family members containing arc a.
+	// Once a is inserted, all of them have a in their alive suffix.
 	pathsOnArcAll [][]int
-	// active[a] = indices of family members whose alive suffix contains a.
-	active [][]int
 	// start[p] = index into fam[p].Arcs() of the first alive arc
 	// (len(arcs) when the whole dipath is still deleted).
 	start []int
@@ -124,24 +123,11 @@ func newPeelState(g *digraph.Digraph, fam dipath.Family) (*peelState, error) {
 		peel:          peel,
 		peelPos:       make([]int, g.NumArcs()),
 		pathsOnArcAll: dipath.ArcIncidence(g, fam),
-		active:        make([][]int, g.NumArcs()),
 		start:         make([]int, len(fam)),
 		colors:        make([]int, len(fam)),
 		flipGen:       make([]int, len(fam)),
 		colorGen:      make([]int, len(fam)+1),
 		colorBy:       make([]int, len(fam)+1),
-	}
-	// active[a] fills up to the arc's full incidence list; carve the
-	// per-arc slices out of one exactly-sized backing array.
-	total := 0
-	for _, paths := range st.pathsOnArcAll {
-		total += len(paths)
-	}
-	activeBacking := make([]int, total)
-	offset := 0
-	for a, paths := range st.pathsOnArcAll {
-		st.active[a] = activeBacking[offset : offset : offset+len(paths)]
-		offset += len(paths)
 	}
 	for i, a := range peel {
 		st.peelPos[a] = i
@@ -173,10 +159,11 @@ func (st *peelState) insertArc(e digraph.ArcID) error {
 	if pi0 > st.palette {
 		st.palette = pi0
 	}
-	// P0 of the proof: the alive (non-empty) suffixes of the dipaths of Q0.
+	// P0 of the proof: the alive (non-empty) suffixes of the dipaths of
+	// Q0, the ones colored so far.
 	alive := st.alive[:0]
 	for _, p := range q0 {
-		if st.start[p] < st.fam[p].NumArcs() {
+		if st.colors[p] >= 0 {
 			alive = append(alive, p)
 		}
 	}
@@ -210,7 +197,6 @@ func (st *peelState) insertArc(e digraph.ArcID) error {
 			return fmt.Errorf("core: internal error: dipath %d suffix start %d, expected %d", p, start, st.fam[p].ArcIndex(e)+1)
 		}
 		st.start[p] = start - 1
-		st.active[e] = append(st.active[e], p)
 		if st.colors[p] >= 0 {
 			continue // alive suffix keeps its color
 		}
@@ -272,7 +258,7 @@ func (st *peelState) runChain(anchor, mover, beta int) error {
 		for _, p := range frontier {
 			arcs := st.fam[p].Arcs()
 			for _, a := range arcs[st.start[p]:] {
-				for _, q := range st.active[a] {
+				for _, q := range st.pathsOnArcAll[a] {
 					if q == p || st.colors[q] != conflictColor {
 						continue
 					}

@@ -63,10 +63,10 @@ func TestFaultScheduleValidAndDeterministic(t *testing.T) {
 	}
 }
 
-// TestFaultScheduleMatchesSliceStable checks the generic stable sort of
-// FaultSchedule against the reflection-based sort.SliceStable it
-// replaced, for several seeds and topologies: both sorts are stable, so
-// the schedules must be equal event for event. Drawn times almost never
+// TestFaultScheduleMatchesSliceStable checks the radix sort of
+// FaultSchedule against sort.SliceStable, for several seeds and
+// topologies: both sorts are stable, so the schedules must be equal
+// event for event. Drawn times almost never
 // tie, so the sorts are also compared on the same draws with their
 // times rounded to a coarse grid, where most events tie.
 func TestFaultScheduleMatchesSliceStable(t *testing.T) {
@@ -103,4 +103,65 @@ func TestFaultScheduleMatchesSliceStable(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFaultScheduleRejectsNonFinite checks that a NaN or infinite mtbf,
+// mttr or horizon is an error. An infinite horizon used to pass the
+// "> 0" check and draw forever; a NaN one returned an empty schedule.
+func TestFaultScheduleRejectsNonFinite(t *testing.T) {
+	g := RandomDAG(10, 20, 1)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for i, args := range [][3]float64{{bad, 10, 500}, {50, bad, 500}, {50, 10, bad}} {
+			if _, err := FaultSchedule(g, args[0], args[1], args[2], 1); err == nil {
+				t.Errorf("parameter %d = %g accepted", i, bad)
+			}
+		}
+	}
+}
+
+// FuzzFaultSchedule decodes a small DAG, the fault-process parameters
+// and a time grid from bytes, and compares FaultSchedule with the
+// sort.SliceStable oracle, on the drawn times and on the same draws
+// rounded to the grid, where many events tie.
+func FuzzFaultSchedule(f *testing.F) {
+	f.Add(uint8(12), uint8(30), 40.0, 8.0, 400.0, 50.0, int64(1))
+	f.Add(uint8(3), uint8(2), 1.0, 1e-9, 30.0, 0.0, int64(2))
+	f.Add(uint8(20), uint8(60), 5.0, 300.0, 1000.0, 1.0, int64(3))
+	f.Add(uint8(5), uint8(4), math.NaN(), 1.0, math.Inf(1), 0.0, int64(4))
+	f.Fuzz(func(t *testing.T, n, m uint8, mtbf, mttr, horizon, grid float64, seed int64) {
+		g := RandomDAG(int(n%24), int(m%80), seed)
+		valid := positiveFinite(mtbf) && positiveFinite(mttr) && positiveFinite(horizon)
+		// Skip processes with more than a few dozen cycles per arc: the
+		// schedule grows with horizon/(mtbf+mttr).
+		if valid && horizon/(mtbf+mttr) > 64 {
+			return
+		}
+		events, err := FaultSchedule(g, mtbf, mttr, horizon, seed)
+		if (err == nil) != valid {
+			t.Fatalf("mtbf=%g mttr=%g horizon=%g: err = %v", mtbf, mttr, horizon, err)
+		}
+		if !valid {
+			return
+		}
+		oracle := func(events []FaultEvent) []FaultEvent {
+			out := slices.Clone(events)
+			sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
+			return out
+		}
+		drawn := drawFaults(g, mtbf, mttr, horizon, seed)
+		if !slices.Equal(events, oracle(drawn)) {
+			t.Fatal("schedule differs from the sort.SliceStable oracle")
+		}
+		if !positiveFinite(grid) {
+			return
+		}
+		for i := range drawn {
+			drawn[i].At = math.Floor(drawn[i].At / grid)
+		}
+		want := oracle(drawn)
+		sortFaults(drawn)
+		if !slices.Equal(drawn, want) {
+			t.Fatal("schedule on the grid differs from the sort.SliceStable oracle")
+		}
+	})
 }

@@ -9,6 +9,7 @@ package gen
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -280,67 +281,35 @@ func GlueChain(parts ...*digraph.Digraph) (*digraph.Digraph, [][]digraph.Vertex,
 // of region-confined traffic a two-level sharded engine can fan out —
 // the locality axis of the giant-component churn benchmarks. If either
 // class is empty the other fills the pool; a graph with no routable
-// pairs at all yields an empty pool.
+// pairs at all, or a size <= 0, yields an empty pool.
 func LocalityRequestPool(g *digraph.Digraph, groups [][]digraph.Vertex, frac float64, size int, seed int64) [][2]digraph.Vertex {
-	// Group memberships per vertex (glue vertices belong to two).
-	member := make([][]int, g.NumVertices())
-	for gi, vs := range groups {
-		for _, v := range vs {
-			member[v] = append(member[v], gi)
-		}
-	}
-	shareGroup := func(u, v digraph.Vertex) bool {
-		for _, a := range member[u] {
-			for _, b := range member[v] {
-				if a == b {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	n := g.NumVertices()
-	var local, cross [][2]digraph.Vertex
-	seen := make([]bool, n)
-	queue := make([]digraph.Vertex, 0, n)
-	for u := 0; u < n; u++ {
-		for i := range seen {
-			seen[i] = false
-		}
-		src := digraph.Vertex(u)
-		seen[src] = true
-		queue = append(queue[:0], src)
-		for head := 0; head < len(queue); head++ {
-			for _, a := range g.OutArcs(queue[head]) {
-				if h := g.Arc(a).Head; !seen[h] {
-					seen[h] = true
-					queue = append(queue, h)
-				}
-			}
-		}
-		for v := 0; v < n; v++ {
-			if v == u || !seen[v] {
-				continue
-			}
-			pair := [2]digraph.Vertex{src, digraph.Vertex(v)}
-			if shareGroup(src, digraph.Vertex(v)) {
-				local = append(local, pair)
-			} else {
-				cross = append(cross, pair)
-			}
-		}
-	}
-	if len(local) == 0 && len(cross) == 0 {
+	all := reachablePairs(g)
+	if all.len() == 0 {
 		return nil
 	}
+	// together.row(u): the vertices sharing a group with u (glue
+	// vertices belong to two).
+	together := newBitRows(g.NumVertices())
+	group := make([]uint64, together.words)
+	for _, vs := range groups {
+		clear(group)
+		for _, v := range vs {
+			setBit(group, v)
+		}
+		for _, v := range vs {
+			orInto(together.row(int(v)), group)
+		}
+	}
+	local := all.intersect(together.row)
+	cross := all.minus(local)
 	rng := rand.New(rand.NewSource(seed))
-	pool := make([][2]digraph.Vertex, 0, size)
+	pool := make([][2]digraph.Vertex, 0, max(size, 0))
 	for i := 0; i < size; i++ {
 		pick := local
-		if len(local) == 0 || (rng.Float64() >= frac && len(cross) > 0) {
+		if local.len() == 0 || (rng.Float64() >= frac && cross.len() > 0) {
 			pick = cross
 		}
-		pool = append(pool, pick[rng.Intn(len(pick))])
+		pool = append(pool, pick.at(rng.Intn(pick.len())))
 	}
 	return pool
 }
@@ -354,41 +323,24 @@ func LocalityRequestPool(g *digraph.Digraph, groups [][]digraph.Vertex, frac flo
 // routable pairs. Replaying such a pool against a finite wavelength
 // budget drives the hot arcs past any budget long before the cold ones:
 // the overload regime the admission-control benchmarks sweep. If too
-// few hot pairs are routable the uniform class fills the pool; a graph
-// with no routable pairs yields an empty pool.
+// few hot pairs are routable, or hotCount <= 0, the uniform class fills
+// the pool; a graph with no routable pairs, or a size <= 0, yields an
+// empty pool.
 func HotspotRequestPool(g *digraph.Digraph, hotCount int, hotFrac float64, size int, seed int64) [][2]digraph.Vertex {
 	n := g.NumVertices()
-	outReach := make([]int, n)
-	inReach := make([]int, n)
-	var all [][2]digraph.Vertex
-	seen := make([]bool, n)
-	queue := make([]digraph.Vertex, 0, n)
-	for u := 0; u < n; u++ {
-		for i := range seen {
-			seen[i] = false
-		}
-		src := digraph.Vertex(u)
-		seen[src] = true
-		queue = append(queue[:0], src)
-		for head := 0; head < len(queue); head++ {
-			for _, a := range g.OutArcs(queue[head]) {
-				if h := g.Arc(a).Head; !seen[h] {
-					seen[h] = true
-					queue = append(queue, h)
-				}
-			}
-		}
-		for v := 0; v < n; v++ {
-			if v == u || !seen[v] {
-				continue
-			}
-			outReach[u]++
-			inReach[v]++
-			all = append(all, [2]digraph.Vertex{src, digraph.Vertex(v)})
-		}
-	}
-	if len(all) == 0 {
+	all := reachablePairs(g)
+	if all.len() == 0 {
 		return nil
+	}
+	// reach[v]: the vertices v reaches plus the vertices reaching v.
+	reach := make([]int, n)
+	for u := 0; u < n; u++ {
+		reach[u] += all.prefix[u+1] - all.prefix[u]
+		for i, w := range all.row(u) {
+			for ; w != 0; w &= w - 1 {
+				reach[i*64+bits.TrailingZeros64(w)]++
+			}
+		}
 	}
 	// Hot set: top hotCount vertices by combined reach.
 	order := make([]int, n)
@@ -396,33 +348,30 @@ func HotspotRequestPool(g *digraph.Digraph, hotCount int, hotFrac float64, size 
 		order[i] = i
 	}
 	sort.Slice(order, func(a, b int) bool {
-		ra, rb := outReach[order[a]]+inReach[order[a]], outReach[order[b]]+inReach[order[b]]
+		ra, rb := reach[order[a]], reach[order[b]]
 		if ra != rb {
 			return ra > rb
 		}
 		return order[a] < order[b]
 	})
-	if hotCount > n {
-		hotCount = n
+	hotSet := make([]uint64, all.words)
+	for _, v := range order[:min(max(hotCount, 0), n)] {
+		setBit(hotSet, digraph.Vertex(v))
 	}
-	hotSet := make([]bool, n)
-	for _, v := range order[:hotCount] {
-		hotSet[v] = true
-	}
-	var hot [][2]digraph.Vertex
-	for _, pair := range all {
-		if hotSet[pair[0]] && hotSet[pair[1]] {
-			hot = append(hot, pair)
+	hot := all.intersect(func(u int) []uint64 {
+		if hasBit(hotSet, digraph.Vertex(u)) {
+			return hotSet
 		}
-	}
+		return nil
+	})
 	rng := rand.New(rand.NewSource(seed))
-	pool := make([][2]digraph.Vertex, 0, size)
+	pool := make([][2]digraph.Vertex, 0, max(size, 0))
 	for i := 0; i < size; i++ {
 		pick := all
-		if len(hot) > 0 && rng.Float64() < hotFrac {
+		if hot.len() > 0 && rng.Float64() < hotFrac {
 			pick = hot
 		}
-		pool = append(pool, pick[rng.Intn(len(pick))])
+		pool = append(pool, pick.at(rng.Intn(pick.len())))
 	}
 	return pool
 }
@@ -442,82 +391,56 @@ func HotspotRequestPool(g *digraph.Digraph, hotCount int, hotFrac float64, size 
 // relighting a different partition: the workload the adaptive layout
 // plane (hot-region re-splitting, budget re-banding) is built for,
 // while HotspotRequestPool is the static special case any fixed layout
-// can be pre-tuned to. A graph with no routable pairs yields an empty
-// pool; k <= 0 means the hotspot never moves.
+// can be pre-tuned to. A graph with no routable pairs, or a size <= 0,
+// yields an empty pool; k <= 0 means the hotspot never moves.
 func DriftingHotspotRequestPool(g *digraph.Digraph, hotCount int, hotFrac float64, size, k int, seed int64) [][2]digraph.Vertex {
 	n := g.NumVertices()
-	var all [][2]digraph.Vertex
-	seen := make([]bool, n)
-	queue := make([]digraph.Vertex, 0, n)
-	for u := 0; u < n; u++ {
-		for i := range seen {
-			seen[i] = false
-		}
-		src := digraph.Vertex(u)
-		seen[src] = true
-		queue = append(queue[:0], src)
-		for head := 0; head < len(queue); head++ {
-			for _, a := range g.OutArcs(queue[head]) {
-				if h := g.Arc(a).Head; !seen[h] {
-					seen[h] = true
-					queue = append(queue, h)
-				}
-			}
-		}
-		for v := 0; v < n; v++ {
-			if v != u && seen[v] {
-				all = append(all, [2]digraph.Vertex{src, digraph.Vertex(v)})
-			}
-		}
-	}
-	if len(all) == 0 {
+	all := reachablePairs(g)
+	if all.len() == 0 {
 		return nil
 	}
-	if hotCount > n {
-		hotCount = n
-	}
-	if hotCount < 1 {
-		hotCount = 1
-	}
+	hotCount = min(max(hotCount, 1), n)
 	// Hot pairs per window start, computed lazily: starts repeat once the
 	// window wraps, so long pools reuse the scans.
-	hotCache := make(map[int][][2]digraph.Vertex)
-	hotFor := func(start int) [][2]digraph.Vertex {
+	hotCache := make(map[int]pairClass)
+	hotFor := func(start int) pairClass {
 		if hot, ok := hotCache[start]; ok {
 			return hot
 		}
-		inWin := func(v digraph.Vertex) bool {
-			d := (int(v) - start + n) % n
-			return d < hotCount
+		win := make([]uint64, all.words)
+		for d := 0; d < hotCount; d++ {
+			setBit(win, digraph.Vertex((start+d)%n))
 		}
-		var hot [][2]digraph.Vertex
+		var arcs pairList
 		for _, a := range g.Arcs() {
-			if a.Tail != a.Head && inWin(a.Tail) && inWin(a.Head) && !g.ArcFailed(a.ID) {
-				hot = append(hot, [2]digraph.Vertex{a.Tail, a.Head})
+			if a.Tail != a.Head && hasBit(win, a.Tail) && hasBit(win, a.Head) && !g.ArcFailed(a.ID) {
+				arcs = append(arcs, [2]digraph.Vertex{a.Tail, a.Head})
 			}
 		}
-		if len(hot) == 0 {
-			for _, pair := range all {
-				if inWin(pair[0]) && inWin(pair[1]) {
-					hot = append(hot, pair)
+		var hot pairClass = arcs
+		if len(arcs) == 0 {
+			hot = all.intersect(func(u int) []uint64 {
+				if hasBit(win, digraph.Vertex(u)) {
+					return win
 				}
-			}
+				return nil
+			})
 		}
 		hotCache[start] = hot
 		return hot
 	}
 	rng := rand.New(rand.NewSource(seed))
-	pool := make([][2]digraph.Vertex, 0, size)
+	pool := make([][2]digraph.Vertex, 0, max(size, 0))
 	for i := 0; i < size; i++ {
 		start := 0
 		if k > 0 {
 			start = (i / k * hotCount) % n
 		}
-		pick := all
-		if hot := hotFor(start); len(hot) > 0 && rng.Float64() < hotFrac {
+		var pick pairClass = all
+		if hot := hotFor(start); hot.len() > 0 && rng.Float64() < hotFrac {
 			pick = hot
 		}
-		pool = append(pool, pick[rng.Intn(len(pick))])
+		pool = append(pool, pick.at(rng.Intn(pick.len())))
 	}
 	return pool
 }

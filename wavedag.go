@@ -957,6 +957,8 @@ func NewLoadTrackerFromFamily(g *Graph, fam Family) *LoadTracker {
 // distributed up (mean mtbf) and down (mean mttr) periods out to the
 // horizon, and the merged time-sorted cut/repair stream is returned.
 // Replaying it in order against FailArc/RestoreArc is always valid.
+// mtbf, mttr and horizon must each be finite and > 0: a NaN or an
+// infinity is an error.
 func NewFaultSchedule(g *Graph, mtbf, mttr, horizon float64, seed int64) ([]FaultEvent, error) {
 	return gen.FaultSchedule(g, mtbf, mttr, horizon, seed)
 }
