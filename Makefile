@@ -52,6 +52,7 @@ fuzzsmoke:
 	$(GO) test -run=NONE -fuzz=FuzzPartitionRegions -fuzztime=10s ./internal/digraph
 	$(GO) test -run=NONE -fuzz=FuzzMinLoadPath -fuzztime=10s ./internal/route
 	$(GO) test -run=NONE -fuzz=FuzzIncrementalOps -fuzztime=10s ./internal/core
+	$(GO) test -run=NONE -fuzz=FuzzTheorem1Peel -fuzztime=10s ./internal/core
 	$(GO) test -run=NONE -fuzz=FuzzFaultSchedule -fuzztime=10s ./internal/gen
 	$(GO) test -run=NONE -fuzz=FuzzRequestPools -fuzztime=10s ./internal/gen
 

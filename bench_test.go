@@ -16,6 +16,7 @@ import (
 	"wavedag/internal/core"
 	"wavedag/internal/cycles"
 	"wavedag/internal/digraph"
+	"wavedag/internal/dipath"
 	"wavedag/internal/gen"
 	"wavedag/internal/load"
 	"wavedag/internal/route"
@@ -56,8 +57,17 @@ func BenchmarkFig3InternalCycle(b *testing.B) {
 }
 
 // E3 / Theorem 1: w = π via the constructive algorithm on random
-// internal-cycle-free instances of growing size.
+// internal-cycle-free instances of growing size, and on the
+// plan-theorem1 shape: the 500-internal-vertex DAG with 5000 min-load
+// routed requests. Each family's coloring is checked once, outside the
+// timed loop, so the loop times the peel alone.
 func BenchmarkTheorem1(b *testing.B) {
+	type instance struct {
+		name string
+		g    *digraph.Digraph
+		fam  dipath.Family
+	}
+	var cases []instance
 	for _, cfg := range []struct{ nInt, paths int }{
 		{15, 40}, {60, 250}, {120, 600}, {240, 1500},
 	} {
@@ -66,14 +76,35 @@ func BenchmarkTheorem1(b *testing.B) {
 			b.Fatal(err)
 		}
 		fam := gen.RandomWalkFamily(g, cfg.paths, 8, int64(cfg.paths))
-		b.Run(fmt.Sprintf("n=%d/paths=%d", cfg.nInt, cfg.paths), func(b *testing.B) {
+		cases = append(cases, instance{fmt.Sprintf("n=%d/paths=%d", cfg.nInt, cfg.paths), g, fam})
+	}
+	g, err := gen.RandomNoInternalCycleDAG(500, 8, 8, 0.2, 500)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pool := route.NewRouter(g).AllToAll()
+	rng := rand.New(rand.NewSource(1))
+	reqs := make([]route.Request, 5000)
+	for i := range reqs {
+		reqs[i] = pool[rng.Intn(len(pool))]
+	}
+	fam, err := route.NewRouter(g).MinLoadSequential(reqs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cases = append(cases, instance{"plan/n=500/paths=5000-minload", g, fam})
+	for _, c := range cases {
+		res, err := core.ColorNoInternalCycle(c.g, c.fam)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := check.WavelengthsWithinLoad(c.g, c.fam, res.Colors); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := core.ColorNoInternalCycle(g, fam)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := check.WavelengthsWithinLoad(g, fam, res.Colors); err != nil {
+				if _, err := core.ColorNoInternalCycle(c.g, c.fam); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -138,7 +169,7 @@ func BenchmarkTheorem6(b *testing.B) {
 	gH, famH := gen.Havet()
 	workloads := []struct {
 		name string
-		fam  wavedag.Family
+		fam  dipath.Family
 	}{
 		{"havet-x3", famH.Replicate(3)},
 		{"havet-x8", famH.Replicate(8)},

@@ -27,9 +27,11 @@ func Coloring(g *digraph.Digraph, fam dipath.Family, colors []int) error {
 		}
 	}
 	inc := dipath.ArcIncidence(g, fam)
-	for a, paths := range inc {
+	for a := 0; a < inc.NumArcs(); a++ {
+		paths := inc.On(digraph.ArcID(a))
 		byColor := make(map[int]int, len(paths))
-		for _, p := range paths {
+		for _, q := range paths {
+			p := int(q)
 			if q, clash := byColor[colors[p]]; clash {
 				return fmt.Errorf("check: dipaths %d and %d share arc %d and wavelength %d", q, p, a, colors[p])
 			}

@@ -196,15 +196,16 @@ func FromFamily(g *digraph.Digraph, f dipath.Family) *Graph {
 	// Bucket paths by arc so construction is output-sensitive rather than
 	// all-pairs-times-length.
 	inc := dipath.ArcIncidence(g, f)
-	for a, paths := range inc {
+	for a := 0; a < inc.NumArcs(); a++ {
+		paths := inc.On(digraph.ArcID(a))
 		for i := 0; i < len(paths); i++ {
-			pi := paths[i]
+			pi := int(paths[i])
 			for j := i + 1; j < len(paths); j++ {
 				// Inlined AddEdge (this pairwise loop is the construction
 				// hot path): indices come from the family, so only the
 				// self-loop guard can fire — a dipath listed twice on one
 				// arc, which AddEdge used to reject loudly.
-				pj := paths[j]
+				pj := int(paths[j])
 				if pi == pj {
 					panic(fmt.Sprintf("conflict: dipath %d traverses arc %d twice", pi, a))
 				}

@@ -98,6 +98,14 @@ func ColorDAGPrevalidated(g *digraph.Digraph, fam dipath.Family) (*Result, Metho
 
 // Verify checks that res is a proper wavelength assignment for fam on g
 // (conflicting dipaths have different wavelengths).
+//
+// A proper assignment is accepted by OR-ing each dipath's wavelength
+// bit into per-arc masks, in time linear in the family's arcs. Anything
+// else — an uncolored entry, a wavelength bit already set on an arc (a
+// conflict, or a dipath repeating an arc), or masks that would outgrow
+// the n²-bit rows of the conflict graph — goes to the dense check over
+// conflict.FromFamily, so every verdict and error text is the dense
+// check's.
 func Verify(g *digraph.Digraph, fam dipath.Family, res *Result) error {
 	if res == nil {
 		return fmt.Errorf("core: nil result")
@@ -105,6 +113,43 @@ func Verify(g *digraph.Digraph, fam dipath.Family, res *Result) error {
 	if len(res.Colors) != len(fam) {
 		return fmt.Errorf("core: %d colors for %d dipaths", len(res.Colors), len(fam))
 	}
-	cg := conflict.FromFamily(g, fam)
-	return cg.ValidateColoring(res.Colors)
+	if !properByArcMasks(g, fam, res.Colors) {
+		return conflict.FromFamily(g, fam).ValidateColoring(res.Colors)
+	}
+	return nil
+}
+
+// properByArcMasks reports whether colors is a proper assignment it can
+// confirm with per-arc wavelength masks: every color non-negative, no
+// wavelength twice on one arc, and masks no larger than the conflict
+// graph's rows. False means "not confirmed", not "improper".
+func properByArcMasks(g *digraph.Digraph, fam dipath.Family, colors []int) bool {
+	maxC := -1
+	for _, c := range colors {
+		if c < 0 {
+			return false
+		}
+		maxC = max(maxC, c)
+	}
+	if maxC < 0 {
+		return true // no dipaths
+	}
+	// w mask words per arc; m·w must not exceed the dense rows' words.
+	w := maxC/64 + 1
+	if dense := len(fam) * ((len(fam) + 63) / 64); w > dense/max(g.NumArcs(), 1) {
+		return false
+	}
+	masks := make([]uint64, g.NumArcs()*w)
+	for i, p := range fam {
+		c := colors[i]
+		bit := uint64(1) << (c & 63)
+		for _, a := range p.Arcs() {
+			word := &masks[int(a)*w+c>>6]
+			if *word&bit != 0 {
+				return false
+			}
+			*word |= bit
+		}
+	}
+	return true
 }

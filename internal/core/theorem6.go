@@ -309,8 +309,8 @@ func colorOneInternalCycleUPP(g *digraph.Digraph, fam dipath.Family) (*Result, e
 	}
 	conflictsOf := func(qi int) bool {
 		for _, a := range work[qi].Arcs() {
-			for _, oi := range inc[a] {
-				if oi != qi && finalColors[oi] == finalColors[qi] {
+			for _, oi := range inc.On(a) {
+				if int(oi) != qi && finalColors[oi] == finalColors[qi] {
 					return true
 				}
 			}
@@ -320,7 +320,8 @@ func colorOneInternalCycleUPP(g *digraph.Digraph, fam dipath.Family) (*Result, e
 	for _, grp := range groups {
 		for _, wi := range grp.members {
 			for _, a := range work[wi].Arcs() {
-				for _, qi := range inc[a] {
+				for _, q := range inc.On(a) {
+					qi := int(q)
 					if qi == wi || isThrough[qi] || finalColors[qi] != finalColors[wi] {
 						continue
 					}
@@ -533,12 +534,12 @@ func splitFamily(sg *digraph.Digraph, work dipath.Family, ab digraph.ArcID, arcM
 // `multiplicity` colors, adjacent classes get disjoint sets, and colors
 // of adjacent through-dipaths are forbidden — which collapses the twin
 // symmetry of replicated tightness families (deviation D1 in DESIGN.md).
-func repairSearch(work dipath.Family, inc [][]int, isThrough []bool, finalColors []int, bound int) error {
+func repairSearch(work dipath.Family, inc dipath.Incidence, isThrough []bool, finalColors []int, bound int) error {
 	conflictFree := true
 scan:
-	for a := range inc {
+	for a := 0; a < inc.NumArcs(); a++ {
 		byColor := map[int]bool{}
-		for _, qi := range inc[a] {
+		for _, qi := range inc.On(digraph.ArcID(a)) {
 			if byColor[finalColors[qi]] {
 				conflictFree = false
 				break scan
@@ -558,11 +559,11 @@ scan:
 	// Stage 2: per-path DSATUR-backtracking completion with through
 	// finals fixed — effective on heterogeneous workloads.
 	cg := conflict.NewGraph(len(work))
-	for a := range inc {
-		paths := inc[a]
+	for a := 0; a < inc.NumArcs(); a++ {
+		paths := inc.On(digraph.ArcID(a))
 		for i := 0; i < len(paths); i++ {
 			for j := i + 1; j < len(paths); j++ {
-				if err := cg.AddEdge(paths[i], paths[j]); err != nil {
+				if err := cg.AddEdge(int(paths[i]), int(paths[j])); err != nil {
 					return err
 				}
 			}
@@ -600,7 +601,7 @@ scan:
 // applied. The search is attempted only when the movable dipaths form at
 // most maxClasses route classes — the regime the group/pattern solver is
 // built for.
-func repairQuotient(work dipath.Family, inc [][]int, movable func(int) bool, finalColors []int, bound, maxClasses int) bool {
+func repairQuotient(work dipath.Family, inc dipath.Incidence, movable func(int) bool, finalColors []int, bound, maxClasses int) bool {
 	classIdx := map[string]int{}
 	var members [][]int
 	classOf := make([]int, len(work))
@@ -629,8 +630,8 @@ func repairQuotient(work dipath.Family, inc [][]int, movable func(int) bool, fin
 		forbidden[ci] = map[int]bool{}
 		adj[ci] = map[int]bool{}
 	}
-	for a := range inc {
-		paths := inc[a]
+	for a := 0; a < inc.NumArcs(); a++ {
+		paths := inc.On(digraph.ArcID(a))
 		for i := 0; i < len(paths); i++ {
 			for j := i + 1; j < len(paths); j++ {
 				p, q := paths[i], paths[j]

@@ -19,61 +19,58 @@ var ErrCyclic = errors.New("dag: digraph contains a directed cycle")
 // identifier is taken first.
 func TopoSort(g *digraph.Digraph) ([]digraph.Vertex, error) {
 	n := g.NumVertices()
-	indeg := make([]int, n)
-	for v := 0; v < n; v++ {
-		indeg[v] = g.InDegree(digraph.Vertex(v))
-	}
+	indeg := make([]int32, n)
 	// Min-heap on vertex id for determinism; n is small enough that a
 	// simple binary heap is ideal.
 	heap := make([]digraph.Vertex, 0, n)
-	push := func(v digraph.Vertex) {
-		heap = append(heap, v)
-		for i := len(heap) - 1; i > 0; {
-			p := (i - 1) / 2
-			if heap[p] <= heap[i] {
-				break
-			}
-			heap[p], heap[i] = heap[i], heap[p]
-			i = p
-		}
-	}
-	pop := func() digraph.Vertex {
-		top := heap[0]
-		last := len(heap) - 1
-		heap[0] = heap[last]
-		heap = heap[:last]
-		for i := 0; ; {
-			l, r := 2*i+1, 2*i+2
-			s := i
-			if l < last && heap[l] < heap[s] {
-				s = l
-			}
-			if r < last && heap[r] < heap[s] {
-				s = r
-			}
-			if s == i {
-				break
-			}
-			heap[i], heap[s] = heap[s], heap[i]
-			i = s
-		}
-		return top
-	}
 	for v := 0; v < n; v++ {
-		if indeg[v] == 0 {
-			push(digraph.Vertex(v))
+		if indeg[v] = int32(g.InDegree(digraph.Vertex(v))); indeg[v] == 0 {
+			heap = append(heap, digraph.Vertex(v)) // increasing: already a heap
 		}
 	}
 	order := make([]digraph.Vertex, 0, n)
 	for len(heap) > 0 {
-		v := pop()
+		v := heap[0]
 		order = append(order, v)
+		// Pop: sift the last entry down from the root.
+		last := len(heap) - 1
+		x := heap[last]
+		heap = heap[:last]
+		if last > 0 {
+			i := 0
+			for {
+				c := 2*i + 1
+				if c >= last {
+					break
+				}
+				if c+1 < last && heap[c+1] < heap[c] {
+					c++
+				}
+				if x <= heap[c] {
+					break
+				}
+				heap[i] = heap[c]
+				i = c
+			}
+			heap[i] = x
+		}
 		for _, a := range g.OutArcs(v) {
 			h := g.Arc(a).Head
-			indeg[h]--
-			if indeg[h] == 0 {
-				push(h)
+			if indeg[h]--; indeg[h] != 0 {
+				continue
 			}
+			// Push: sift h up from a new leaf.
+			i := len(heap)
+			heap = append(heap, h)
+			for i > 0 {
+				p := (i - 1) / 2
+				if heap[p] <= h {
+					break
+				}
+				heap[i] = heap[p]
+				i = p
+			}
+			heap[i] = h
 		}
 	}
 	if len(order) != n {
@@ -269,25 +266,16 @@ func IsArborescence(g *digraph.Digraph) (digraph.Vertex, bool) {
 // arcs entering its tail (whose tails are strictly earlier) are already
 // deleted.
 func ArcPeelingOrder(g *digraph.Digraph) ([]digraph.ArcID, error) {
-	pos, err := TopoIndex(g)
+	order, err := TopoSort(g)
 	if err != nil {
 		return nil, err
 	}
-	// Stable counting sort by topo index of tail, in two passes into one
-	// slice: next[t] is where the next arc whose tail has index t goes.
-	m := g.NumArcs()
-	next := make([]int, g.NumVertices()+1)
-	for a := 0; a < m; a++ {
-		next[pos[g.Arc(digraph.ArcID(a)).Tail]+1]++
-	}
-	for t := 1; t < len(next); t++ {
-		next[t] += next[t-1]
-	}
-	out := make([]digraph.ArcID, m)
-	for a := 0; a < m; a++ {
-		t := pos[g.Arc(digraph.ArcID(a)).Tail]
-		out[next[t]] = digraph.ArcID(a)
-		next[t]++
+	// The out-arcs of each tail in topological order: OutArcs lists a
+	// vertex's arcs in insertion order, which is increasing id, so this
+	// is the stable sort of the arcs by their tail's topological index.
+	out := make([]digraph.ArcID, 0, g.NumArcs())
+	for _, v := range order {
+		out = append(out, g.OutArcs(v)...)
 	}
 	return out, nil
 }

@@ -235,8 +235,9 @@ func TestArcPeelingOrderInvariant(t *testing.T) {
 }
 
 // oracleArcPeelingOrder is the per-vertex bucket sort ArcPeelingOrder
-// used before its two-pass counting sort: arcs appended in id order to
-// the bucket of their tail's topological index, buckets concatenated.
+// used before it read the out-arcs off the topological order: arcs
+// appended in id order to the bucket of their tail's topological index,
+// buckets concatenated.
 func oracleArcPeelingOrder(g *digraph.Digraph) ([]digraph.ArcID, error) {
 	pos, err := TopoIndex(g)
 	if err != nil {
@@ -254,7 +255,7 @@ func oracleArcPeelingOrder(g *digraph.Digraph) ([]digraph.ArcID, error) {
 	return out, nil
 }
 
-// TestArcPeelingOrderMatchesBucketOracle pins the counting sort to the
+// TestArcPeelingOrderMatchesBucketOracle pins ArcPeelingOrder to the
 // bucket sort it replaced, arc for arc, on random DAGs with relabelled
 // vertices (so topological and vertex order differ), parallel arcs and
 // isolated vertices, and on the empty graph; both reject a cycle.
@@ -293,6 +294,44 @@ func TestArcPeelingOrderMatchesBucketOracle(t *testing.T) {
 }
 
 // Property: topological order is a permutation and respects every arc.
+// TestTopoSortSmallestReadyFirst pins TopoSort's order to its
+// definition, checked by a quadratic oracle that takes the smallest
+// ready vertex at every step, on random DAGs whose vertex ids are
+// permuted so the order is not the id order.
+func TestTopoSortSmallestReadyFirst(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(60)
+		perm := rng.Perm(n)
+		g := digraph.New(n)
+		for i, m := 0, rng.Intn(4*n); i < m && n > 1; i++ {
+			u := rng.Intn(n - 1)
+			v := u + 1 + rng.Intn(n-u-1)
+			g.MustAddArc(digraph.Vertex(perm[u]), digraph.Vertex(perm[v]))
+		}
+		got, err := TopoSort(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		indeg := make([]int, n)
+		for _, a := range g.Arcs() {
+			indeg[a.Head]++
+		}
+		for i := 0; i < n; i++ {
+			// Ordered vertices drop to -1, so the first 0 is the
+			// smallest ready vertex.
+			v := slices.Index(indeg, 0)
+			if got[i] != digraph.Vertex(v) {
+				t.Fatalf("trial %d: position %d is %d, want %d (order %v)", trial, i, got[i], v, got)
+			}
+			indeg[v] = -1
+			for _, a := range g.OutArcs(digraph.Vertex(v)) {
+				indeg[g.Arc(a).Head]--
+			}
+		}
+	}
+}
+
 func TestTopoSortProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

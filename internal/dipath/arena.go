@@ -42,52 +42,40 @@ func nextBlock(prev, n int) int {
 	return max(min(max(2*prev, arenaMinBlock), arenaMaxBlock), n)
 }
 
-// Arcs returns a zeroed arc sequence of length n (and capacity n) for
-// the caller to fill and then hand to FromArcsTrusted.
+// Carve returns a path of hops ≥ 1 arcs whose arc sequence (length
+// hops) and vertex sequence (length hops+1) are zeroed for the caller
+// to fill in place: arcs[i] must run from vertices[i] to
+// vertices[i+1]. Nothing checks that they do, so Carve is for builders
+// that have the chain by construction, such as a router walking its
+// predecessor arcs; the path must not be read until it is filled. A
+// nil arena allocates the three on their own.
 //
 //wavedag:lockfree
 //wavedag:allow-alloc (path construction)
-func (a *Arena) Arcs(n int) []digraph.ArcID {
+func (a *Arena) Carve(hops int) (p *Path, arcs []digraph.ArcID, vertices []digraph.Vertex) {
 	if a == nil {
-		return make([]digraph.ArcID, n)
+		arcs, vertices = make([]digraph.ArcID, hops), make([]digraph.Vertex, hops+1)
+		return &Path{vertices: vertices, arcs: arcs}, arcs, vertices
 	}
-	if len(a.arcs) < n {
-		a.arcBlock = nextBlock(a.arcBlock, n)
+	if len(a.arcs) < hops {
+		a.arcBlock = nextBlock(a.arcBlock, hops)
 		a.arcs = make([]digraph.ArcID, a.arcBlock)
 	}
-	s := a.arcs[:n:n]
-	a.arcs = a.arcs[n:]
-	return s
-}
-
-// FromArcsTrusted is the package-level FromArcsTrusted with the vertex
-// sequence and the Path header carved from the arena; arcs is retained
-// as the path's arc sequence, typically as returned by Arcs. Like the
-// package-level function it does not check that the arcs chain.
-//
-//wavedag:lockfree
-//wavedag:allow-alloc (path construction)
-func (a *Arena) FromArcsTrusted(g *digraph.Digraph, arcs []digraph.ArcID) *Path {
-	if a == nil {
-		return FromArcsTrusted(g, arcs...)
-	}
-	n := len(arcs) + 1
+	arcs = a.arcs[:hops:hops]
+	a.arcs = a.arcs[hops:]
+	n := hops + 1
 	if len(a.vertices) < n {
 		a.vertexBlock = nextBlock(a.vertexBlock, n)
 		a.vertices = make([]digraph.Vertex, a.vertexBlock)
 	}
-	vertices := a.vertices[:n:n]
+	vertices = a.vertices[:n:n]
 	a.vertices = a.vertices[n:]
-	vertices[0] = g.Arc(arcs[0]).Tail
-	for i, id := range arcs {
-		vertices[i+1] = g.Arc(id).Head
-	}
 	if len(a.paths) == 0 {
 		a.pathBlock = nextBlock(a.pathBlock, 1)
 		a.paths = make([]Path, a.pathBlock)
 	}
-	p := &a.paths[0]
+	p = &a.paths[0]
 	a.paths = a.paths[1:]
 	*p = Path{vertices: vertices, arcs: arcs}
-	return p
+	return p, arcs, vertices
 }

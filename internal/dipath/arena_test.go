@@ -16,13 +16,17 @@ func chain(n int) *digraph.Digraph {
 }
 
 // carve builds the subpath of a chain from vertex from over k arcs in
-// arena, filling its arcs the way a router does.
+// arena, filling its arcs and vertices backwards the way a router does.
 func carve(g *digraph.Digraph, arena *Arena, from, k int) *Path {
-	arcs := arena.Arcs(k)
-	for i := range arcs {
+	p, arcs, vertices := arena.Carve(k)
+	v := digraph.Vertex(from + k)
+	vertices[k] = v
+	for i := k - 1; i >= 0; i-- {
 		arcs[i] = digraph.ArcID(from + i)
+		v = g.Arc(arcs[i]).Tail
+		vertices[i] = v
 	}
-	return arena.FromArcsTrusted(g, arcs)
+	return p
 }
 
 // checkChainPath fails unless p is the subpath of a chain from vertex

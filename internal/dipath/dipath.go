@@ -73,10 +73,10 @@ func FromArcs(g *digraph.Digraph, arcs ...digraph.ArcID) (*Path, error) {
 // pure overhead. Its callers are the sharded engine's view-to-parent
 // translations and the snapshot's path reads (translations preserve
 // chaining and simplicity exactly; see
-// BenchmarkAblationTrustedTranslation for the measured delta), and,
-// through Arena.FromArcsTrusted, route.Router's predecessor chains,
-// whose consecutive arcs share their vertex by construction. The
-// arcs slice is retained by the path; callers must not mutate it.
+// BenchmarkAblationTrustedTranslation for the measured delta). The
+// router builds its paths through Arena.Carve instead, filling arcs
+// and vertices in one walk of its predecessor chains. The arcs slice
+// is retained by the path; callers must not mutate it.
 // Feeding arcs that do not chain silently builds a corrupt path — use
 // FromArcs for anything that did not come out of a trusted construction.
 //
@@ -349,30 +349,46 @@ func (f Family) Replicate(h int) Family {
 	return out
 }
 
-// ArcIncidence returns, for each arc of g, the indices of the family
-// members traversing it. The per-arc lists share one exactly-sized
-// backing array (built CSR-style in two passes), so the whole structure
-// costs three allocations however large the family.
-func ArcIncidence(g *digraph.Digraph, f Family) [][]int {
-	counts := make([]int, g.NumArcs())
-	total := 0
+// Incidence lists, for each arc of a digraph, the indices of the family
+// members traversing it, in family order, in compressed sparse rows of
+// int32: the members on arc a are paths[start[a]:start[a+1]]. The rows
+// hold no pointers, so the whole structure is two allocations the
+// garbage collector never scans.
+type Incidence struct {
+	start []int32
+	paths []int32
+}
+
+// ArcIncidence returns the arc incidence of f over g, built in two
+// passes over the family's arcs: one counts each arc's members, the
+// second fills the rows.
+func ArcIncidence(g *digraph.Digraph, f Family) Incidence {
+	m := g.NumArcs()
+	// start[a+2] counts arc a's members; after the prefix sum, start[a+1]
+	// is where arc a's row begins, and the fill advances it to where the
+	// row ends, which is start[a+1] of the finished rows.
+	start := make([]int32, m+2)
 	for _, p := range f {
 		for _, a := range p.Arcs() {
-			counts[a]++
-			total++
+			start[a+2]++
 		}
 	}
-	backing := make([]int, total)
-	inc := make([][]int, g.NumArcs())
-	offset := 0
-	for a := range inc {
-		inc[a] = backing[offset : offset : offset+counts[a]]
-		offset += counts[a]
+	for a := 2; a < len(start); a++ {
+		start[a] += start[a-1]
 	}
+	paths := make([]int32, start[m+1])
 	for i, p := range f {
 		for _, a := range p.Arcs() {
-			inc[a] = append(inc[a], i)
+			paths[start[a+1]] = int32(i)
+			start[a+1]++
 		}
 	}
-	return inc
+	return Incidence{start: start[:m+1], paths: paths}
 }
+
+// NumArcs returns the number of arcs the incidence covers.
+func (inc Incidence) NumArcs() int { return max(len(inc.start)-1, 0) }
+
+// On returns the indices of the members traversing arc a, in family
+// order. The slice aliases the incidence and must not be modified.
+func (inc Incidence) On(a digraph.ArcID) []int32 { return inc.paths[inc.start[a]:inc.start[a+1]] }

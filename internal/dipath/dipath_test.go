@@ -1,6 +1,7 @@
 package dipath
 
 import (
+	"slices"
 	"testing"
 
 	"wavedag/internal/digraph"
@@ -291,19 +292,23 @@ func TestArcIncidence(t *testing.T) {
 		MustFromVertices(g, 0, 1, 2), // arcs 0,1
 		MustFromVertices(g, 1, 2, 3), // arcs 1,2
 		MustFromVertices(g, 4),       // no arcs
+		MustFromVertices(g, 1, 2),    // arc 1
 	}
 	inc := ArcIncidence(g, f)
-	if len(inc) != g.NumArcs() {
-		t.Fatalf("incidence rows = %d", len(inc))
+	if inc.NumArcs() != g.NumArcs() {
+		t.Fatalf("incidence rows = %d, want %d", inc.NumArcs(), g.NumArcs())
 	}
-	if len(inc[0]) != 1 || inc[0][0] != 0 {
-		t.Fatalf("inc[0] = %v", inc[0])
+	want := [][]int32{{0}, {0, 1, 3}, {1}, {}}
+	for a, w := range want {
+		if got := inc.On(digraph.ArcID(a)); !slices.Equal(got, w) {
+			t.Fatalf("arc %d: members %v, want %v", a, got, w)
+		}
 	}
-	if len(inc[1]) != 2 || inc[1][0] != 0 || inc[1][1] != 1 {
-		t.Fatalf("inc[1] = %v", inc[1])
+	if empty := ArcIncidence(g, nil); empty.NumArcs() != g.NumArcs() || len(empty.On(3)) != 0 {
+		t.Fatalf("empty family: %d rows", empty.NumArcs())
 	}
-	if len(inc[3]) != 0 {
-		t.Fatalf("inc[3] = %v", inc[3])
+	if none := ArcIncidence(digraph.New(2), nil); none.NumArcs() != 0 {
+		t.Fatalf("arcless graph: %d rows", none.NumArcs())
 	}
 }
 

@@ -23,8 +23,12 @@ import (
 // compressed sparse rows (see the start field), and the searches for
 // one destination (ShortestPath, MinLoadPath) are pruned to its
 // ancestors — the vertices with a dipath to it over every arc, failed
-// or not — kept as one lazily computed bitset per destination in a
-// shared slab (see the ancSlot field and MinLoadPath). The set is the
+// or not — kept as one lazily built bitset per destination in a shared
+// slab (see the ancSlot field and MinLoadPath). A set's reverse DFS
+// takes the sets already built whole instead of walking through them,
+// and the batch calls build their destinations' sets up front in
+// topological order (PrimeAncestors), so a batch's sets cost about one
+// sweep of the in-arcs. The set is the
 // router's only reachability filter: a source outside it is rejected in
 // O(1), and a pair a cut disconnected costs one search bounded by the
 // set. The min-load search does not test heads one arc at a time: it
@@ -70,15 +74,19 @@ type Router struct {
 	// ancSlot[d], when non-zero, locates the ancestor set of
 	// destination d: words [(ancSlot[d]-1)·w, ancSlot[d]·w) of ancSlab,
 	// w = ⌈n/64⌉, a bitset marking d and every vertex with a dipath to d
-	// over every arc, failed or not. A set is built by one reverse DFS
-	// the first time d is asked for and appended to the slab, so the
-	// slab fills lazily up to n·w words and is never allocated whole (on
-	// a large graph that would be gigabytes). Cuts and restorations only
+	// over every arc, failed or not. A set is built the first time d is
+	// asked for (or primed with its batch) and appended to the slab, by
+	// a reverse DFS that ORs in the sets of the vertices it meets that
+	// already have one. Only destinations get sets, so the slab fills
+	// lazily up to n·w words and is never allocated whole (on a large
+	// graph that would be gigabytes). Cuts and restorations only
 	// shrink or regrow live reachability inside a set, so it stays a
 	// valid superset across them; only added arcs or vertices can
 	// create an ancestor it misses.
 	ancSlot []int32
 	ancSlab []uint64
+	// Scratch of PrimeAncestors: in-degrees and Kahn's order.
+	indeg, order []int32
 
 	// The CSR and the ancestor sets were built at these arc and vertex
 	// counts. Both counts only ever grow, so a moved count means the
@@ -95,12 +103,11 @@ type Router struct {
 	queue   []digraph.Vertex
 
 	// Lexicographic (load, hops) Dijkstra labels for bottleneck
-	// routing, valid where stamp[v] == epoch; v is settled where
-	// done[v] == epoch.
-	bestLoad []int
-	bestHops []int
-	done     []int
-	heap     []heapItem // reusable binary heap (lazy deletion)
+	// routing, packed by label, valid where stamp[v] == epoch; v is
+	// settled where done[v] == epoch.
+	best []uint64
+	done []int
+	heap []heapItem // reusable binary heap (lazy deletion)
 }
 
 // nbrWord is one non-zero 64-vertex word of a vertex's out-neighbour
@@ -111,11 +118,18 @@ type nbrWord struct {
 	word, at int32
 }
 
-// heapItem is a (priority, vertex) entry of the bottleneck Dijkstra heap.
+// heapItem is a (priority, vertex) entry of the bottleneck Dijkstra
+// heap; prio is the entry's (load, hops) label packed by label.
 type heapItem struct {
-	load, hops int
-	v          digraph.Vertex
+	prio uint64
+	v    digraph.Vertex
 }
+
+// label packs a (load, hops) label into one word, load in the high 32
+// bits, so that one unsigned comparison orders labels
+// lexicographically. A load counts the paths on one arc and hops are
+// fewer than the vertices, so both fit in 32 bits.
+func label(load, hops int) uint64 { return uint64(load)<<32 | uint64(hops) }
 
 func (r *Router) heapPush(it heapItem) {
 	r.heap = append(r.heap, it)
@@ -155,11 +169,8 @@ func (r *Router) heapPop() heapItem {
 }
 
 func heapLess(a, b heapItem) bool {
-	if a.load != b.load {
-		return a.load < b.load
-	}
-	if a.hops != b.hops {
-		return a.hops < b.hops
+	if a.prio != b.prio {
+		return a.prio < b.prio
 	}
 	return a.v < b.v // deterministic order among equal priorities
 }
@@ -360,10 +371,10 @@ func (r *Router) ShortestPathIn(src, dst digraph.Vertex, arena *dipath.Arena) (*
 // assemble rebuilds the dipath dst←src (src ≠ dst) from the epoch-valid
 // predecessor chain, carving it from arena (nil: allocated on its own).
 // hops is the chain's length when the search knows it (the min-load
-// hop label), or negative, in which case a first walk counts it. The
-// chain is checked once, while it is walked; the path is then wrapped
-// without FromArcs' second chain check, since consecutive predecessor
-// arcs share their vertex by construction.
+// hop label), or negative, in which case a first walk counts it. One
+// backward walk checks the chain and fills the path's arcs and
+// vertices together; consecutive predecessor arcs share their vertex
+// by construction, so the path needs no second chain check.
 func (r *Router) assemble(src, dst digraph.Vertex, hops int, arena *dipath.Arena) (*dipath.Path, error) {
 	g := r.g
 	if hops < 0 {
@@ -376,8 +387,9 @@ func (r *Router) assemble(src, dst digraph.Vertex, hops int, arena *dipath.Arena
 			v = g.Arc(a).Tail
 		}
 	}
-	arcs := arena.Arcs(hops)
+	p, arcs, vertices := arena.Carve(hops)
 	v := dst
+	vertices[hops] = v
 	for i := hops - 1; i >= 0; i-- {
 		a := r.prevArc[v]
 		if !r.seen(v) || a < 0 {
@@ -385,11 +397,12 @@ func (r *Router) assemble(src, dst digraph.Vertex, hops int, arena *dipath.Arena
 		}
 		arcs[i] = a
 		v = g.Arc(a).Tail
+		vertices[i] = v
 	}
 	if v != src {
 		return nil, errBrokenChain
 	}
-	return arena.FromArcsTrusted(g, arcs), nil
+	return p, nil
 }
 
 var errBrokenChain = errors.New("route: internal error: broken predecessor chain")
@@ -398,6 +411,7 @@ var errBrokenChain = errors.New("route: internal error: broken predecessor chain
 // router's state across requests; it fails on the first unroutable
 // request. The returned paths share storage (one dipath.Arena per call).
 func (r *Router) ShortestPaths(reqs []Request) (dipath.Family, error) {
+	r.PrimeAncestors(reqs)
 	arena := new(dipath.Arena)
 	fam := make(dipath.Family, 0, len(reqs))
 	for _, req := range reqs {
@@ -416,6 +430,7 @@ func (r *Router) ShortestPaths(reqs []Request) (dipath.Family, error) {
 // incremental load.Tracker; the Dijkstra arrays are reused per request.
 // The returned paths share storage (one dipath.Arena per call).
 func (r *Router) MinLoadSequential(reqs []Request) (dipath.Family, error) {
+	r.PrimeAncestors(reqs)
 	arena := new(dipath.Arena)
 	t := load.NewTracker(r.g)
 	fam := make(dipath.Family, 0, len(reqs))
@@ -475,24 +490,23 @@ func (r *Router) MinLoadPathIn(req Request, t *load.Tracker, arena *dipath.Arena
 	}
 	failed := g.NumFailedArcs() > 0
 	r.visit() // reuse the epoch-stamped prevArc as the predecessor store
-	r.bestLoad = grow(r.bestLoad, n)
-	r.bestHops = grow(r.bestHops, n)
+	r.best = grow(r.best, n)
 	r.done = grow(r.done, n)
 	r.mark(req.Src, -1)
-	r.bestLoad[req.Src], r.bestHops[req.Src] = 0, 0
+	r.best[req.Src] = 0
 	r.heap = r.heap[:0]
-	r.heapPush(heapItem{0, 0, req.Src})
+	r.heapPush(heapItem{0, req.Src})
 	for len(r.heap) > 0 {
 		// Extract the unfinished vertex with the lexicographically
 		// smallest (load, hops); stale heap entries (whose priority no
 		// longer matches the vertex's best) are skipped lazily.
 		it := r.heapPop()
 		u := it.v
-		if r.done[u] == r.epoch || it.load != r.bestLoad[u] || it.hops != r.bestHops[u] {
+		if r.done[u] == r.epoch || it.prio != r.best[u] {
 			continue
 		}
 		if u == req.Dst {
-			return r.assemble(req.Src, req.Dst, it.hops, arena)
+			return r.assemble(req.Src, req.Dst, int(uint32(it.prio)), arena)
 		}
 		r.done[u] = r.epoch
 		for _, e := range r.nbr[r.nbrStart[u]:r.nbrStart[u+1]] {
@@ -525,23 +539,28 @@ func (r *Router) relax(it heapItem, h digraph.Vertex, a digraph.ArcID, t *load.T
 	if failed && r.g.ArcFailed(a) {
 		return
 	}
-	nl := it.load
+	nl := int(it.prio >> 32)
 	if l := t.Load(a) + 1; l > nl {
 		nl = l
 	}
-	nh := it.hops + 1
-	if !r.seen(h) || nl < r.bestLoad[h] || (nl == r.bestLoad[h] && nh < r.bestHops[h]) {
-		r.bestLoad[h], r.bestHops[h] = nl, nh
+	nb := label(nl, int(uint32(it.prio))+1)
+	if !r.seen(h) || nb < r.best[h] {
+		r.best[h] = nb
 		r.mark(h, a)
-		r.heapPush(heapItem{nl, nh, h})
+		r.heapPush(heapItem{nb, h})
 	}
 }
 
-// ancestors returns anc(dst), computing it by one reverse DFS over
-// InArcs (failed arcs included) into the next ⌈n/64⌉ words of the slab
-// the first time dst is asked for since the graph last gained an arc or
-// a vertex. The caller has synced the router. The returned set aliases
-// the slab, so it is valid until the next call.
+// ancestors returns anc(dst), building it the first time dst is asked
+// for since the graph last gained an arc or a vertex into the next
+// ⌈n/64⌉ words of the slab. The build is a reverse DFS over InArcs
+// (failed arcs included) that stops at every vertex u whose set is
+// already built and ORs anc(u) in whole: u ∈ anc(dst) implies
+// anc(u) ⊆ anc(dst) in any digraph, so the set is the one a plain
+// reverse DFS builds. PrimeAncestors builds a batch's sets in an order
+// that makes most of that reuse hit. The caller has synced the router.
+// The returned set aliases the slab, so it is valid until the next
+// call.
 func (r *Router) ancestors(dst digraph.Vertex) []uint64 {
 	g := r.g
 	n := g.NumVertices()
@@ -569,14 +588,102 @@ func (r *Router) ancestors(dst digraph.Vertex) []uint64 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, a := range g.InArcs(v) {
-			if u := g.Arc(a).Tail; !inSet(set, u) {
-				set[u>>6] |= 1 << (u & 63)
-				stack = append(stack, u)
+			u := g.Arc(a).Tail
+			if inSet(set, u) {
+				continue
 			}
+			if slot := int(r.ancSlot[u]); slot != 0 {
+				for i, x := range r.ancSlab[(slot-1)*w : slot*w] {
+					set[i] |= x
+				}
+				continue
+			}
+			set[u>>6] |= 1 << (u & 63)
+			stack = append(stack, u)
 		}
 	}
 	r.queue = stack[:0]
 	return set
+}
+
+// PrimeAncestors builds the ancestor sets of the distinct destinations
+// of reqs that later searches would build one by one, in topological
+// order of the destinations (Kahn's order over the CSR; vertices on or
+// behind a directed cycle come last, in vertex order). A destination's
+// ancestors then come before it, so each reverse DFS stops at the sets
+// of the destinations it meets, and a batch whose destinations cover
+// most vertices builds its sets in about one sweep of the in-arcs. The
+// slab ends up holding the sets the searches would have built, in
+// another order: requests with src = dst or a vertex out of range get
+// none, as they get none from a search. ShortestPaths and
+// MinLoadSequential call it first; a caller that routes a batch request
+// by request (a one-shot plan) calls it with the whole batch.
+func (r *Router) PrimeAncestors(reqs []Request) {
+	if len(reqs) < 2 {
+		return // nothing to order
+	}
+	n := r.g.NumVertices()
+	r.sync()
+	// Mark the destinations still without a set (stamp == epoch).
+	r.visit()
+	wanted := 0
+	for _, req := range reqs {
+		s, d := req.Src, req.Dst
+		if s == d || s < 0 || d < 0 || int(s) >= n || int(d) >= n || r.seen(d) || r.ancSlot[d] != 0 {
+			continue
+		}
+		r.mark(d, -1)
+		wanted++
+	}
+	if wanted < 2 {
+		return // nothing to order
+	}
+	// Kahn's order over the CSR, in r.order; indeg counts the in-arcs
+	// of each vertex not yet ordered.
+	r.indeg = grow(r.indeg, n)
+	indeg := r.indeg[:n]
+	clear(indeg)
+	for _, h := range r.head[:r.start[n]] {
+		indeg[h]++
+	}
+	order := r.order[:0]
+	for v := 0; v < n; v++ {
+		if indeg[v] == 0 {
+			order = append(order, int32(v))
+		}
+	}
+	for i := 0; i < len(order); i++ {
+		v := order[i]
+		for _, h := range r.head[r.start[v]:r.start[v+1]] {
+			if indeg[h]--; indeg[h] == 0 {
+				order = append(order, h)
+			}
+		}
+	}
+	if len(order) < n {
+		for v := 0; v < n; v++ {
+			if indeg[v] > 0 {
+				order = append(order, int32(v))
+			}
+		}
+	}
+	r.order = order
+	// Room for exactly the sets about to be built, so the slab is not
+	// regrown (and copied) while they are.
+	w := (n + 63) / 64
+	if need := len(r.ancSlab) + wanted*w; cap(r.ancSlab) < need {
+		slab := make([]uint64, len(r.ancSlab), need)
+		copy(slab, r.ancSlab)
+		r.ancSlab = slab
+	}
+	for _, v := range order {
+		if d := digraph.Vertex(v); r.seen(d) {
+			r.ancestors(d)
+			if wanted--; wanted == 0 {
+				break
+			}
+		}
+	}
 }
 
 // inSet reports whether v is in the vertex bitset set.

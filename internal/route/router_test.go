@@ -1,6 +1,7 @@
 package route
 
 import (
+	"container/heap"
 	"errors"
 	"math/bits"
 	"math/rand"
@@ -300,9 +301,9 @@ func TestRouterUnreachableSameComponentO1(t *testing.T) {
 
 // oracleMinLoadPath is the min-load search without ancestor pruning
 // and with every label reset per call: a lexicographic (load, hops)
-// Dijkstra over every vertex reachable from the source. It is the
-// reference Router.MinLoadPath must match arc for arc on valid
-// requests.
+// Dijkstra over every vertex reachable from the source, on a
+// container/heap of its own. It is the reference Router.MinLoadPath
+// must match arc for arc on valid requests.
 func oracleMinLoadPath(g *digraph.Digraph, req Request, t *load.Tracker) (*dipath.Path, error) {
 	n := g.NumVertices()
 	if req.Src == req.Dst {
@@ -317,10 +318,9 @@ func oracleMinLoadPath(g *digraph.Digraph, req Request, t *load.Tracker) (*dipat
 		bestLoad[v], bestHops[v], prevArc[v] = inf, inf, -1
 	}
 	bestLoad[req.Src], bestHops[req.Src] = 0, 0
-	h := &Router{} // borrowed for its heap only
-	h.heapPush(heapItem{0, 0, req.Src})
-	for len(h.heap) > 0 {
-		it := h.heapPop()
+	h := &oracleHeap{{0, 0, req.Src}}
+	for h.Len() > 0 {
+		it := heap.Pop(h).(oracleItem)
 		u := it.v
 		if done[u] || it.load != bestLoad[u] || it.hops != bestHops[u] {
 			continue
@@ -351,11 +351,40 @@ func oracleMinLoadPath(g *digraph.Digraph, req Request, t *load.Tracker) (*dipat
 			nh := bestHops[u] + 1
 			if nl < bestLoad[v] || (nl == bestLoad[v] && nh < bestHops[v]) {
 				bestLoad[v], bestHops[v], prevArc[v] = nl, nh, a
-				h.heapPush(heapItem{nl, nh, v})
+				heap.Push(h, oracleItem{nl, nh, v})
 			}
 		}
 	}
 	return nil, ErrNoRoute{req}
+}
+
+// oracleItem and oracleHeap are the oracle's priority queue: entries
+// ordered by load, then hops, then vertex.
+type oracleItem struct {
+	load, hops int
+	v          digraph.Vertex
+}
+
+type oracleHeap []oracleItem
+
+func (h oracleHeap) Len() int { return len(h) }
+func (h oracleHeap) Less(i, j int) bool {
+	a, b := h[i], h[j]
+	if a.load != b.load {
+		return a.load < b.load
+	}
+	if a.hops != b.hops {
+		return a.hops < b.hops
+	}
+	return a.v < b.v
+}
+func (h oracleHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *oracleHeap) Push(x any)   { *h = append(*h, x.(oracleItem)) }
+func (h *oracleHeap) Pop() any {
+	old := *h
+	it := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return it
 }
 
 // minLoadEquiv drives one Router through a stream of requests and
@@ -460,6 +489,65 @@ func (e *minLoadEquiv) addVertex(u digraph.Vertex, in bool) {
 	e.tr.GrowArcs(e.g.NumArcs())
 	if !e.route(req, true) {
 		e.t.Fatalf("arc into grown vertex %d->%d not routed", req.Src, req.Dst)
+	}
+}
+
+// prime hands the router a batch of requests to build the ancestor
+// sets of, mid-stream, checks every set it holds against the reverse
+// DFS oracle, and then routes the batch.
+func (e *minLoadEquiv) prime(rng *rand.Rand, k int) {
+	e.t.Helper()
+	n := e.g.NumVertices()
+	batch := make([]Request, k)
+	for i := range batch {
+		batch[i] = Request{digraph.Vertex(rng.Intn(n)), digraph.Vertex(rng.Intn(n))}
+	}
+	e.r.PrimeAncestors(batch)
+	requireAncestorSets(e.t, e.r)
+	for _, req := range batch {
+		e.route(req, true)
+	}
+	requireAncestorSets(e.t, e.r)
+}
+
+// oracleAncestors is anc(d) by a plain reverse DFS over InArcs, failed
+// arcs included, as a bitset of ⌈n/64⌉ words.
+func oracleAncestors(g *digraph.Digraph, d digraph.Vertex) []uint64 {
+	set := make([]uint64, (g.NumVertices()+63)/64)
+	set[d>>6] |= 1 << (d & 63)
+	stack := []digraph.Vertex{d}
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, a := range g.InArcs(v) {
+			if u := g.Arc(a).Tail; set[u>>6]&(1<<(u&63)) == 0 {
+				set[u>>6] |= 1 << (u & 63)
+				stack = append(stack, u)
+			}
+		}
+	}
+	return set
+}
+
+// requireAncestorSets fails unless every ancestor set the router holds
+// for the current graph equals the reverse DFS oracle's, word for word.
+// A superset would route every request the same way, so paths alone
+// cannot catch one.
+func requireAncestorSets(t testing.TB, r *Router) {
+	t.Helper()
+	g := r.Graph()
+	if r.builtArcs != g.NumArcs() || r.builtVerts != g.NumVertices() {
+		return // stale: the next search drops them
+	}
+	w := (g.NumVertices() + 63) / 64
+	for d, slot := range r.ancSlot[:g.NumVertices()] {
+		if slot == 0 {
+			continue
+		}
+		got := r.ancSlab[(int(slot)-1)*w : int(slot)*w]
+		if want := oracleAncestors(g, digraph.Vertex(d)); !slices.Equal(got, want) {
+			t.Fatalf("anc(%d) = %x, reverse DFS %x", d, got, want)
+		}
 	}
 }
 
@@ -664,6 +752,9 @@ func TestMinLoadPathMatchesUnprunedSearch(t *testing.T) {
 			e := newMinLoadEquiv(t, g)
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 400; i++ {
+				if i%100 == 50 {
+					e.prime(rng, 12)
+				}
 				// Requests dominate, as in a routing batch; mutations
 				// are spread between them.
 				op := rng.Intn(16)
@@ -699,11 +790,85 @@ func TestMinLoadPathMatchesUnprunedSearch(t *testing.T) {
 				e.checkBFS(0, lone)
 			}
 			e.step(7, rng.Intn(1<<16), rng.Intn(1<<16))
+			if e.g.NumVertices()%4 == 0 {
+				e.prime(rng, 8)
+			}
 		}
 		for i := 0; i < 100; i++ {
 			e.step(0, rng.Intn(1<<16), rng.Intn(1<<16))
 		}
 		e.checkBFS(0, 63, 64, 71)
+	}
+}
+
+// TestAncestorSetsMatchReverseDFS checks the ancestor sets a batch
+// builds, done-set reuse and priming included, against the reverse DFS
+// oracle on graphs with internal cycles, parallel arcs, directed cycles
+// (whose vertices come last in the priming order) and more than 64
+// vertices. The batch must also leave the slab holding exactly the sets
+// that routing the same requests one by one builds: one per distinct
+// destination of a request with src ≠ dst.
+func TestAncestorSetsMatchReverseDFS(t *testing.T) {
+	withParallels := func(g *digraph.Digraph) *digraph.Digraph {
+		for a := 0; a < g.NumArcs(); a += 3 {
+			arc := g.Arc(digraph.ArcID(a))
+			g.MustAddArc(arc.Tail, arc.Head)
+		}
+		return g
+	}
+	withCycles := func(g *digraph.Digraph) *digraph.Digraph {
+		for a := 0; a < g.NumArcs(); a += 7 {
+			arc := g.Arc(digraph.ArcID(a))
+			g.MustAddArc(arc.Head, arc.Tail)
+		}
+		return g
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		graphs := map[string]*digraph.Digraph{
+			"internal-cycles":  gen.RandomDAG(30, 70, seed),
+			"parallel-arcs":    withParallels(gen.RandomDAG(30, 60, seed)),
+			"directed-cycles":  withCycles(gen.RandomDAG(40, 90, seed)),
+			"beyond-64":        gen.RandomDAG(150, 400, seed),
+			"beyond-64-cycles": withCycles(gen.RandomDAG(130, 300, seed)),
+		}
+		for name, g := range graphs {
+			pool := AllToAll(g)
+			rng := rand.New(rand.NewSource(seed))
+			reqs := make([]Request, 0, 60)
+			for i := 0; i < 60; i++ {
+				if i%9 == 0 {
+					v := digraph.Vertex(rng.Intn(g.NumVertices()))
+					reqs = append(reqs, Request{v, v})
+					continue
+				}
+				reqs = append(reqs, pool[rng.Intn(len(pool))])
+			}
+			one := NewRouter(g)
+			tr := load.NewTracker(g)
+			for _, req := range reqs {
+				p, err := one.MinLoadPath(req, tr)
+				if err != nil {
+					t.Fatalf("%s seed %d: %v", name, seed, err)
+				}
+				tr.Add(p)
+			}
+			batch := NewRouter(g)
+			if _, err := batch.MinLoadSequential(reqs); err != nil {
+				t.Fatalf("%s seed %d: %v", name, seed, err)
+			}
+			short := NewRouter(g)
+			if _, err := short.ShortestPaths(reqs); err != nil {
+				t.Fatalf("%s seed %d: %v", name, seed, err)
+			}
+			for _, r := range []*Router{one, batch, short} {
+				requireAncestorSets(t, r)
+				for d := range r.ancSlot {
+					if (r.ancSlot[d] != 0) != (one.ancSlot[d] != 0) {
+						t.Fatalf("%s seed %d: vertex %d has a set in one router and not the other", name, seed, d)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -20,6 +20,17 @@ func (s *Session) Revive() int {
 	return revived
 }
 
+// sweepMayRecolor reports whether a Revive sweep on the session can
+// change a live entry's wavelength without reviving any entry. A sweep
+// that revives nothing recolors only through the budget: a revival
+// attempt under the rollback probe (colorUnderBudget may repack before
+// it rejects), or the promotion of best-effort entries (EnsureAtMost
+// may repack). Unbudgeted sessions, and cycle-free ones on the
+// Theorem-1 precheck, reject a revival before the coloring sees it.
+func (s *Session) sweepMayRecolor() bool {
+	return s.budget > 0 && (!s.cycleFree || s.rollbackProbe || s.bestEffortLive > 0)
+}
+
 // FailArc cuts an arc of the engine topology and runs the restoration
 // storm on the owning component: the region lane owning the arc (if
 // any) storms first, its deltas fold into the overlay tracker, the
@@ -47,17 +58,20 @@ func (e *ShardedEngine) FailArc(a digraph.ArcID) (StormReport, error) {
 	// The topology mutated above, so every return path from here on —
 	// including a storm that errors out mid-way — must account the cut
 	// and publish: a lock-free reader must never observe the cut arc
-	// without a matching snapshot. A storm can reroute, park or revive
-	// entries in any of the component's lanes; mark them all for a
-	// table rebuild.
+	// without a matching snapshot. The storm reroutes, parks or revives
+	// entries only in the lane owning the arc and in the overlay lane;
+	// crossLaneRevive marks the other region lanes it changed. The
+	// rest keep their tables: the overlay deltas scattered into them
+	// move their load trackers, which no table row carries.
+	rs, rla := c.regionArc(ca)
 	defer func() {
 		e.cuts++
 		e.stormNanos += time.Since(start).Nanoseconds()
-		c.markAllDirty()
+		c.markStormDirty(rs)
 		e.publishLocked()
 	}()
 	var rrep StormReport
-	if rs, rla := c.regionArc(ca); rs != nil {
+	if rs != nil {
 		r, err := rs.sess.FailArc(rla)
 		if err != nil {
 			return StormReport{}, fmt.Errorf("wdm: component %d region: %w", c.idx, err)
@@ -102,14 +116,16 @@ func (e *ShardedEngine) RestoreArc(a digraph.ArcID) (int, error) {
 	c := e.comps[e.arcComp[a]]
 	ca := e.arcLoc[a]
 	// As in FailArc: the topology mutated, so every return path must
-	// account the repair and publish.
+	// account the repair and publish, rebuilding the tables of the
+	// owning lane, the overlay and the lanes crossLaneRevive changed.
+	rs, rla := c.regionArc(ca)
 	defer func() {
 		e.restores++
-		c.markAllDirty()
+		c.markStormDirty(rs)
 		e.publishLocked()
 	}()
 	n1 := 0
-	if rs, rla := c.regionArc(ca); rs != nil {
+	if rs != nil {
 		n, err := rs.sess.RestoreArc(rla)
 		if err != nil {
 			return 0, fmt.Errorf("wdm: component %d region: %w", c.idx, err)
@@ -153,16 +169,37 @@ func (e *ShardedEngine) Revive() (int, error) {
 	return revived, nil
 }
 
+// markStormDirty flags for a table rebuild the lanes a fiber event
+// storms: the region lane owning the arc (nil for an overlay-owned arc
+// or a regionless component) and the overlay lane.
+func (c *engineComponent) markStormDirty(owner *engineShard) {
+	if c.dead {
+		return
+	}
+	if owner != nil {
+		owner.dirty = true
+	}
+	c.overlay.dirty = true
+}
+
 // crossLaneRevive gives a component's region dark entries a
 // revival chance after the overlay lane mutated: overlay parks or
 // teardowns free capacity the region sweeps could not see when they
 // last ran. Revived paths' deltas fold back into the overlay tracker so
-// it stays the exact combined view.
+// it stays the exact combined view. A lane whose sweep may have changed
+// its table rows is marked dirty: one that revived an entry, or one
+// whose sweep can repack colors without reviving (see
+// Session.sweepMayRecolor).
 func (c *engineComponent) crossLaneRevive() int {
 	revived := 0
 	for _, rs := range c.regionShards {
 		if rs.sess.DarkLive() > 0 {
-			revived += rs.sess.Revive()
+			mayRecolor := rs.sess.sweepMayRecolor()
+			n := rs.sess.Revive()
+			if n > 0 || mayRecolor {
+				rs.dirty = true
+			}
+			revived += n
 		}
 	}
 	if revived > 0 {

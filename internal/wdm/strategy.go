@@ -187,8 +187,11 @@ func init() {
 // path it routes until it returns them together, so they share one
 // lifetime; a session frees paths one by one and keeps NewState's
 // per-path allocation, so that a surviving path never pins a block.
+// The plan state is handed the whole batch up front, so its router
+// builds the batch's ancestor sets together (route.Router.PrimeAncestors);
+// NewState passes none.
 type planStrategy interface {
-	newPlanState(g *digraph.Digraph, arena *dipath.Arena) RoutingState
+	newPlanState(g *digraph.Digraph, arena *dipath.Arena, reqs []route.Request) RoutingState
 }
 
 // shortestStrategy routes by BFS shortest dipath through a persistent
@@ -198,11 +201,13 @@ type shortestStrategy struct{}
 func (shortestStrategy) Name() string { return RouteShortestName }
 
 func (s shortestStrategy) NewState(g *digraph.Digraph) (RoutingState, error) {
-	return s.newPlanState(g, nil), nil
+	return s.newPlanState(g, nil, nil), nil
 }
 
-func (shortestStrategy) newPlanState(g *digraph.Digraph, arena *dipath.Arena) RoutingState {
-	return &shortestState{route.NewRouter(g), arena}
+func (shortestStrategy) newPlanState(g *digraph.Digraph, arena *dipath.Arena, reqs []route.Request) RoutingState {
+	r := route.NewRouter(g)
+	r.PrimeAncestors(reqs)
+	return &shortestState{r, arena}
 }
 
 // shortestState carves its routes from arena, or allocates each on its
@@ -223,11 +228,13 @@ type minLoadStrategy struct{}
 func (minLoadStrategy) Name() string { return RouteMinLoadName }
 
 func (s minLoadStrategy) NewState(g *digraph.Digraph) (RoutingState, error) {
-	return s.newPlanState(g, nil), nil
+	return s.newPlanState(g, nil, nil), nil
 }
 
-func (minLoadStrategy) newPlanState(g *digraph.Digraph, arena *dipath.Arena) RoutingState {
-	return &minLoadState{route.NewRouter(g), arena}
+func (minLoadStrategy) newPlanState(g *digraph.Digraph, arena *dipath.Arena, reqs []route.Request) RoutingState {
+	r := route.NewRouter(g)
+	r.PrimeAncestors(reqs)
+	return &minLoadState{r, arena}
 }
 
 // minLoadState carves its routes from arena, or allocates each on its

@@ -96,7 +96,7 @@ func (n *Network) Provision(reqs []route.Request, policy RoutingPolicy) (*Provis
 	g := n.Topology
 	var routing RoutingState
 	if ps, ok := strat.(planStrategy); ok {
-		routing = ps.newPlanState(g, new(dipath.Arena))
+		routing = ps.newPlanState(g, new(dipath.Arena), reqs)
 	} else if routing, err = strat.NewState(g); err != nil {
 		return nil, fmt.Errorf("wdm: routing setup: %w", err)
 	}

@@ -66,10 +66,14 @@
 //     destination's ancestors, cached as one bitset per destination in
 //     one slab: a settled vertex ANDs its out-neighbours, kept as a
 //     sparse bitset of a few words, with that set, so the search looks
-//     only at arcs into it. A batch's routes (and a one-shot
-//     Provision's) are carved from one arena instead of three
-//     allocations per path; incremental load bookkeeping goes through
-//     NewLoadTracker.
+//     only at arcs into it. A set's reverse DFS ORs in the sets already
+//     built instead of walking through them, and a batch (or a one-shot
+//     Provision) builds its destinations' sets up front in topological
+//     order, so they cost about one sweep of the in-arcs, with the
+//     same ⌈n/64⌉ words per distinct destination. A batch's routes
+//     (and a one-shot Provision's) are carved from one arena instead
+//     of three allocations per path; incremental load bookkeeping goes
+//     through NewLoadTracker.
 //
 // # Sessions: the dynamic provisioning engine
 //
@@ -180,7 +184,8 @@
 // sharded dispatcher rejects cross-component requests in O(1) from the
 // static component labels, and the Router rejects a source outside the
 // destination's ancestor set in O(1) (the set is cached per
-// destination), so neither repeats exhausted searches. ApplyBatchInto is
+// destination, and built from the sets already cached), so neither
+// repeats exhausted searches. ApplyBatchInto is
 // ApplyBatch with a caller-pooled results buffer — steady-state batch
 // loops recycle one slice instead of allocating per call.
 //
@@ -937,9 +942,13 @@ func NewConflictGraph(g *Graph, fam Family) *ConflictGraph {
 // vertex's out-neighbours as a sparse bitset ANDed with that set; all
 // are kept until g gains an arc or a vertex (⌈n/64⌉ slab words per
 // distinct destination, at most 28 bytes per arc for the CSR and the
-// neighbour words). ShortestPaths and MinLoadSequential return families
-// carved from one arena per call, so their paths share storage. A
-// Router is not safe for concurrent use.
+// neighbour words). A set is built by a reverse DFS that ORs in the
+// sets already built; ShortestPaths and MinLoadSequential (and
+// PrimeAncestors, for callers routing a batch request by request)
+// build a batch's sets in topological order, so they cost about one
+// sweep of the in-arcs. ShortestPaths and MinLoadSequential return
+// families carved from one arena per call, so their paths share
+// storage. A Router is not safe for concurrent use.
 func NewRouter(g *Graph) *Router { return route.NewRouter(g) }
 
 // NewLoadTracker returns an empty incremental load tracker for g: Add
