@@ -8,7 +8,7 @@ GO ?= go
 
 GOFMT ?= gofmt
 
-.PHONY: verify fmtcheck lint benchcheck repro fuzzsmoke benchsmoke test
+.PHONY: verify fmtcheck lint benchcheck repro examples fuzzsmoke benchsmoke test
 
 verify:
 	$(GO) build ./...
@@ -18,6 +18,7 @@ verify:
 	$(MAKE) lint
 	$(MAKE) benchcheck
 	$(MAKE) repro
+	$(MAKE) examples
 
 # Fails, listing the files, when any Go file differs from gofmt's output.
 fmtcheck:
@@ -43,6 +44,11 @@ benchcheck:
 # non-zero when a measured value misses the paper's.
 repro:
 	$(GO) run ./cmd/repro
+
+# Runs every program under examples/. Each checks its own results and
+# exits non-zero when one is wrong; each finishes in about a second.
+examples:
+	@for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d > /dev/null || exit 1; done
 
 # Ten seconds per fuzz target: enough to exercise the generators and
 # the oracles on every CI run without turning the gate into a soak.

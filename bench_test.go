@@ -561,10 +561,11 @@ func BenchmarkSubshardChurn(b *testing.B) {
 
 // BenchmarkAdmissionChurn measures the budgeted engines on the
 // blocking-probability workload: a hotspot-concentrated overload trace
-// against a finite wavelength budget — the plain session, the budgeted
-// sharded engine (batched through the pooled ApplyBatchInto), and the
-// rejection-cost pair (Theorem-1 precheck vs the color-and-rollback
-// probe it replaces). Run with -cpu=1,4 for the worker axis.
+// against a finite wavelength budget — the plain session and the
+// budgeted sharded engine (batched through the pooled ApplyBatchInto).
+// The rejection-cost pair (Theorem-1 precheck vs the color-and-rollback
+// probe it replaces) is internal/wdm's BenchmarkAdmissionChurn, because
+// the probe switch is unexported. Run with -cpu=1,4 for the worker axis.
 func BenchmarkAdmissionChurn(b *testing.B) {
 	topo, err := gen.RandomNoInternalCycleDAG(40, 6, 6, 0.2, 12)
 	if err != nil {
@@ -685,43 +686,6 @@ func BenchmarkAdmissionChurn(b *testing.B) {
 			b.Fatalf("λ=%d past budget (%v)", n, err)
 		}
 	})
-
-	for _, probe := range []struct {
-		name string
-		opts []wavedag.SessionOption
-	}{
-		{"reject-precheck", nil},
-		{"reject-rollback", []wavedag.SessionOption{wavedag.WithAdmissionRollbackProbe()}},
-	} {
-		b.Run(probe.name, func(b *testing.B) {
-			net := &wavedag.Network{Topology: topo}
-			s, err := net.NewSession(append([]wavedag.SessionOption{
-				wavedag.WithWavelengthBudget(3)}, probe.opts...)...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < 600; i++ {
-				if _, _, err := s.TryAdd(pool[(i*31)%len(pool)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			// A probe crossing a saturated arc: both admission paths must
-			// reject it every iteration without mutating the session.
-			probeReq, found := route.SaturatedRequest(topo, s.ArcLoadsInto(nil), pool, 3)
-			if !found {
-				b.Fatal("no saturated probe found")
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, adm, err := s.TryAdd(probeReq); err != nil {
-					b.Fatal(err)
-				} else if adm.Accepted {
-					b.Fatal("saturated probe accepted")
-				}
-			}
-		})
-	}
 }
 
 // Survivability churn: fiber cuts interleaved with budgeted churn. Each

@@ -108,12 +108,18 @@ func (t *Tracker) Load(a digraph.ArcID) int { return t.loads[a] }
 // internal-cycle-free DAG a family fits in w wavelengths exactly when
 // its load is at most w, so a session that kept π ≤ w so far can decide
 // a new request in O(len(path)) without touching any state. w <= 0
-// always fits (no budget).
+// always fits (no budget). Arcs outside the tracked graph are skipped
+// rather than indexed: FitsAdditional does not validate p, and a
+// session validates it in its colorer right after, so a foreign path
+// is refused there with an error.
 func (t *Tracker) FitsAdditional(p *dipath.Path, w int) bool {
 	if w <= 0 {
 		return true
 	}
 	for _, a := range p.Arcs() {
+		if uint(a) >= uint(len(t.loads)) {
+			continue
+		}
 		if t.loads[a]+1 > w {
 			return false
 		}

@@ -40,8 +40,8 @@ type AdmissionStats struct {
 }
 
 // AdmissionStrategy decides the fate of requests whose routed path
-// failed a session's wavelength-budget check. Like the routing and
-// coloring strategies it is a registry-named factory: NewState builds
+// failed a session's wavelength-budget check. Like the routing
+// strategies it is a registry-named factory: NewState builds
 // per-session state (e.g. an alternate-route router) bound to the
 // topology. The built-ins are "reject" (drop over-budget requests),
 // "retry-alt-route" (re-ask a min-load router for a path around the
@@ -233,20 +233,4 @@ func (degradeState) Admit(c *AdmissionContext) (SessionID, Admission, error) {
 		return 0, Admission{}, err
 	}
 	return id, Admission{Accepted: true, BestEffort: true}, nil
-}
-
-// ── Coloring-layer budget hooks ────────────────────────────────────────
-
-// BudgetedColoringState is the optional ColoringState extension the
-// budget admission path uses. AddUnderLimit is the general-DAG
-// color-then-rollback probe: insert p only if it can take a wavelength
-// below limit (one palette repack allowed), leaving the admitted family
-// untouched on rejection. EnsureAtMost restores λ ≤ limit after a
-// Theorem-1-admitted mutation when the incremental assignment drifted
-// above it. States that do not implement the interface get a generic
-// add-measure-rollback probe and no drift enforcement (a deferred
-// strategy recomputes from scratch at materialisation anyway).
-type BudgetedColoringState interface {
-	AddUnderLimit(p *dipath.Path, limit int) (slot int, ok bool, err error)
-	EnsureAtMost(limit int) int
 }

@@ -8,7 +8,10 @@ package wdm
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"wavedag/internal/digraph"
@@ -171,7 +174,7 @@ func budgetChurn(t *testing.T, g *digraph.Digraph, w int, steps int, seed int64,
 	}
 	rng := rand.New(rand.NewSource(seed))
 	shadow := load.NewTracker(g)
-	exactPrecheck := sess.cycleFree && !sess.rollbackProbe
+	exactPrecheck := sess.usesPrecheck()
 	var ids []SessionID
 	var paths []*dipath.Path
 	for step := 0; step < steps; step++ {
@@ -249,7 +252,7 @@ func TestBudgetChurnRollbackProbe(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 4} {
-		budgetChurn(t, g, w, 300, 141+int64(w), WithAdmissionRollbackProbe())
+		budgetChurn(t, g, w, 300, 141+int64(w), withAdmissionRollbackProbe())
 	}
 }
 
@@ -691,5 +694,171 @@ func TestBudgetedEngineConcurrentBatches(t *testing.T) {
 	}
 	if err := eng.Verify(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkAdmissionChurn prices a rejection on the blocking-probability
+// workload (a hotspot-concentrated overload trace on a DAG without
+// internal cycle): the Theorem-1 load precheck against the
+// color-and-rollback probe it replaces, both refusing the same request
+// across a saturated arc. The session and sharded-engine halves of the
+// workload are the root package's BenchmarkAdmissionChurn.
+func BenchmarkAdmissionChurn(b *testing.B) {
+	topo, err := gen.RandomNoInternalCycleDAG(40, 6, 6, 0.2, 12)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pairs := gen.HotspotRequestPool(topo, 10, 0.7, 2000, 17)
+	pool := make([]route.Request, len(pairs))
+	for i, p := range pairs {
+		pool[i] = route.Request{Src: p[0], Dst: p[1]}
+	}
+	for _, probe := range []struct {
+		name string
+		opts []SessionOption
+	}{
+		{"reject-precheck", nil},
+		{"reject-rollback", []SessionOption{withAdmissionRollbackProbe()}},
+	} {
+		b.Run(probe.name, func(b *testing.B) {
+			net := &Network{Topology: topo}
+			s, err := net.NewSession(append([]SessionOption{
+				WithWavelengthBudget(3)}, probe.opts...)...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < 600; i++ {
+				if _, _, err := s.TryAdd(pool[(i*31)%len(pool)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			// A probe crossing a saturated arc: both admission paths must
+			// reject it every iteration without mutating the session.
+			probeReq, found := route.SaturatedRequest(topo, s.ArcLoadsInto(nil), pool, 3)
+			if !found {
+				b.Fatal("no saturated probe found")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, adm, err := s.TryAdd(probeReq); err != nil {
+					b.Fatal(err)
+				} else if adm.Accepted {
+					b.Fatal("saturated probe accepted")
+				}
+			}
+		})
+	}
+}
+
+// foreignRouting routes like the shortest strategy until *on is set,
+// then proposes p, a dipath of another digraph whose arc ids lie
+// outside the session's graph.
+type foreignRouting struct {
+	on *bool
+	p  *dipath.Path
+}
+
+func (foreignRouting) Name() string { return "foreign" }
+
+func (f foreignRouting) NewState(g *digraph.Digraph) (RoutingState, error) {
+	inner, err := shortestStrategy{}.NewState(g)
+	if err != nil {
+		return nil, err
+	}
+	return &foreignState{inner, f}, nil
+}
+
+type foreignState struct {
+	inner RoutingState
+	f     foreignRouting
+}
+
+func (s *foreignState) Route(req route.Request, loads *load.Tracker) (*dipath.Path, error) {
+	if *s.f.on {
+		return s.f.p, nil
+	}
+	return s.inner.Route(req, loads)
+}
+
+// TestForeignRouteRefused pins every entry point that commits a routed
+// path against a route whose arcs lie outside the session's graph: Add,
+// TryAdd and Reroute return the colorer's validation error and leave
+// the live set, its loads and its wavelengths as they were — with and
+// without a budget, on a DAG without internal cycle (the Theorem-1
+// precheck reads the tracker first) and on one with an internal cycle
+// (the rollback probe). Reroute reaches its restore branch: the old
+// path is recolored after the new one failed.
+func TestForeignRouteRefused(t *testing.T) {
+	chain := digraph.New(3)
+	chain.MustAddArc(0, 1)
+	chain.MustAddArc(1, 2)
+	gadget, _, err := gen.InternalCycleGadget(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, topo := range []struct {
+		name string
+		g    *digraph.Digraph
+	}{{"cycle-free", chain}, {"internal-cycle", gadget}} {
+		// A chain longer than the topology: its last arc id is out of
+		// range for the session's graph.
+		n := topo.g.NumArcs() + 8
+		big := digraph.New(n + 1)
+		for v := 0; v < n; v++ {
+			big.MustAddArc(digraph.Vertex(v), digraph.Vertex(v+1))
+		}
+		foreign := dipath.MustFromVertices(big, digraph.Vertex(n-1), digraph.Vertex(n))
+		verr := foreign.Validate(topo.g)
+		if verr == nil {
+			t.Fatal("fixture: the foreign path validates")
+		}
+		req := route.NewRouter(topo.g).AllToAll()[0]
+		for _, budget := range []int{0, 2} {
+			for _, op := range []string{"Add", "TryAdd", "Reroute"} {
+				name := fmt.Sprintf("%s/budget=%d/%s", topo.name, budget, op)
+				on := new(bool)
+				net := &Network{Topology: topo.g}
+				s, err := net.NewSession(WithWavelengthBudget(budget),
+					WithRoutingStrategy(foreignRouting{on, foreign}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if budget > 0 && s.cycleFree != (topo.g == chain) {
+					t.Fatalf("%s: fixture: cycleFree = %v", name, s.cycleFree)
+				}
+				id, err := s.Add(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				path, _ := s.Path(id)
+				w, _ := s.Wavelength(id)
+				loads := s.ArcLoads()
+				*on = true
+				switch op {
+				case "Add":
+					_, err = s.Add(req)
+				case "TryAdd":
+					_, _, err = s.TryAdd(req)
+				case "Reroute":
+					_, err = s.Reroute(id)
+				}
+				if err == nil || !strings.Contains(err.Error(), verr.Error()) {
+					t.Fatalf("%s: err = %v, want the validation error %q", name, err, verr)
+				}
+				if s.Len() != 1 || !slices.Equal(s.ArcLoads(), loads) {
+					t.Fatalf("%s: len %d, loads %v → %v", name, s.Len(), loads, s.ArcLoads())
+				}
+				if p, err := s.Path(id); err != nil || !p.Equal(path) {
+					t.Fatalf("%s: path %v → %v (%v)", name, path, p, err)
+				}
+				if got, _ := s.Wavelength(id); got != w {
+					t.Fatalf("%s: wavelength %d → %d", name, w, got)
+				}
+				if err := s.Verify(); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			}
+		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // FuzzTheorem1Precheck drives the Theorem-1 admission precheck against
-// the general-DAG color-then-rollback probe (WithAdmissionRollbackProbe)
+// the general-DAG color-then-rollback probe (withAdmissionRollbackProbe)
 // replaying the identical op stream. On an internal-cycle-free topology
 // a dipath family fits in w wavelengths exactly when its load is at
 // most w, which pins the two sessions together:
@@ -69,7 +69,7 @@ func FuzzTheorem1Precheck(f *testing.F) {
 		if err != nil {
 			t.Fatalf("precheck session: %v", err)
 		}
-		probe, err := net.NewSession(WithWavelengthBudget(w), WithAdmissionRollbackProbe())
+		probe, err := net.NewSession(WithWavelengthBudget(w), withAdmissionRollbackProbe())
 		if err != nil {
 			t.Fatalf("probe session: %v", err)
 		}
@@ -151,8 +151,9 @@ func FuzzTheorem1Precheck(f *testing.F) {
 }
 
 // FuzzProvisionOracle checks one-shot Provision against the Session
-// pipeline (sessionProvision: the policy's routing strategy and the
-// "full" coloring strategy, filled with the same requests): the same
+// pipeline (sessionProvision: a session with the policy's routing
+// strategy, filled with the same requests and colored once from
+// scratch): the same
 // Provisioning field for field, or the same error. A successful plan
 // must also pass core.Verify, and on a topology without internal cycle
 // it must use exactly π wavelengths (Theorem 1).

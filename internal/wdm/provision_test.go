@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"wavedag/internal/core"
 	"wavedag/internal/digraph"
 	"wavedag/internal/dipath"
 	"wavedag/internal/gen"
@@ -16,14 +17,15 @@ import (
 )
 
 // sessionProvision is the Session pipeline one-shot Provision must
-// equal: a session with the policy's routing strategy and the "full"
-// coloring strategy, filled with reqs in order and materialised once.
+// equal: a session with the policy's routing strategy, filled with reqs
+// in order, whose live family is then colored once from scratch by the
+// strongest applicable theorem.
 func sessionProvision(n *Network, reqs []route.Request, policy RoutingPolicy) (*Provisioning, error) {
 	strat, err := policy.Strategy()
 	if err != nil {
 		return nil, err
 	}
-	s, err := n.NewSession(WithRoutingStrategy(strat), WithColoringStrategyName(ColoringFull))
+	s, err := n.NewSession(WithRoutingStrategy(strat))
 	if err != nil {
 		return nil, err
 	}
@@ -32,7 +34,12 @@ func sessionProvision(n *Network, reqs []route.Request, policy RoutingPolicy) (*
 			return nil, err
 		}
 	}
-	return s.Provisioning()
+	_, fam := s.snapshot()
+	res, method, err := core.ColorDAGPrevalidated(n.Topology, fam)
+	if err != nil {
+		return nil, fmt.Errorf("wdm: wavelength assignment: %w", err)
+	}
+	return n.provisioning(fam, res.Colors, res.NumColors, s.Pi(), method), nil
 }
 
 // provisioningDiff names the first field where a and b differ, or

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"wavedag/internal/conflict"
 	"wavedag/internal/core"
 	"wavedag/internal/cycles"
 	"wavedag/internal/digraph"
@@ -28,12 +29,12 @@ type SessionID int64
 //     tables) survives across requests;
 //   - load: a load.Tracker accounts arc loads under Add/Remove in
 //     O(len(path));
-//   - conflicts: the coloring strategy's state (for "incremental", a
-//     conflict.Dynamic) indexes the live paths by the arcs they
-//     traverse, which is the conflict relation in arc form;
-//   - wavelengths: maintained online (first-fit from per-arc
-//     wavelength masks + bounded repair + slack-gated full recolor)
-//     instead of recomputed per event.
+//   - conflicts: the colorer's conflict.Dynamic indexes the live paths
+//     by the arcs they traverse, which is the conflict relation in arc
+//     form;
+//   - wavelengths: a core.Incremental maintains them online (first-fit
+//     from per-arc wavelength masks + bounded repair + slack-gated full
+//     recolor) instead of recomputing them per event.
 //
 // So a request arrival or teardown costs work proportional to the paths
 // it actually touches, not to the whole live family (BenchmarkSessionChurn
@@ -41,13 +42,11 @@ type SessionID int64
 //
 // A Session is not safe for concurrent use.
 type Session struct {
-	net      *Network
-	routing  RoutingState
-	coloring ColoringState
-	tracker  *load.Tracker
-
-	routingName  string
-	coloringName string
+	net          *Network
+	routing      RoutingState
+	routingStrat RoutingStrategy
+	coloring     colorer
+	tracker      *load.Tracker
 
 	// Budgeted admission (see WithWavelengthBudget). cycleFree gates the
 	// Theorem-1 precheck; rollbackProbe is the ablation knob forcing the
@@ -77,6 +76,23 @@ type Session struct {
 	stormRouter   *route.Router
 	pathDeltaHook func(add bool, p *dipath.Path)
 	darkRefs      []int32
+}
+
+// colorer is the session's coloring layer. *core.Incremental is its
+// only implementation; the interface lets tests wrap it to inject
+// failures into Add.
+type colorer interface {
+	Add(p *dipath.Path) (int, error)
+	Remove(slot int) error
+	AddUnderLimit(p *dipath.Path, limit int) (slot int, ok bool, err error)
+	EnsureAtMost(limit int) int
+	Wavelength(slot int) int
+	Colors(slots []int) []int
+	NumLambda() int
+	GrowArcs(n int)
+	Dynamic() *conflict.Dynamic
+	WarmRecolors() int
+	FullRecolors() int
 }
 
 type sessionEntry struct {
@@ -124,7 +140,6 @@ func (s *Session) lookup(id SessionID) (*sessionEntry, error) {
 // sessionConfig collects NewSession options.
 type sessionConfig struct {
 	routing       RoutingStrategy
-	coloring      ColoringStrategy
 	admission     AdmissionStrategy
 	slack         int
 	capacity      int
@@ -156,30 +171,6 @@ func WithRoutingPolicy(p RoutingPolicy) SessionOption {
 			return err
 		}
 		c.routing = s
-		return nil
-	}
-}
-
-// WithColoringStrategy selects the coloring strategy (default:
-// incremental).
-func WithColoringStrategy(s ColoringStrategy) SessionOption {
-	return func(c *sessionConfig) error {
-		if s == nil {
-			return fmt.Errorf("wdm: nil coloring strategy")
-		}
-		c.coloring = s
-		return nil
-	}
-}
-
-// WithColoringStrategyName selects a registered coloring strategy.
-func WithColoringStrategyName(name string) SessionOption {
-	return func(c *sessionConfig) error {
-		s, ok := LookupColoringStrategy(name)
-		if !ok {
-			return fmt.Errorf("wdm: unknown coloring strategy %q", name)
-		}
-		c.coloring = s
 		return nil
 	}
 }
@@ -263,12 +254,11 @@ func WithStormRetryBudget(n int) SessionOption {
 	}
 }
 
-// WithAdmissionRollbackProbe forces the general-DAG color-then-rollback
+// withAdmissionRollbackProbe forces the general-DAG color-then-rollback
 // admission probe even on internal-cycle-free topologies. It exists as
-// the ablation axis of the admission benchmarks (pricing the Theorem-1
-// precheck against the fallback it replaces); production sessions have
-// no reason to set it.
-func WithAdmissionRollbackProbe() SessionOption {
+// the ablation axis of the admission tests and benchmarks (pricing the
+// Theorem-1 precheck against the fallback it replaces).
+func withAdmissionRollbackProbe() SessionOption {
 	return func(c *sessionConfig) error {
 		c.rollbackProbe = true
 		return nil
@@ -276,7 +266,7 @@ func WithAdmissionRollbackProbe() SessionOption {
 }
 
 // NewSession opens a dynamic provisioning session on the network. The
-// defaults are shortest-path routing and incremental coloring.
+// default routing is shortest-path.
 func (n *Network) NewSession(opts ...SessionOption) (*Session, error) {
 	cfg := sessionConfig{stormRetries: -1}
 	for _, opt := range opts {
@@ -290,13 +280,6 @@ func (n *Network) NewSession(opts ...SessionOption) (*Session, error) {
 			return nil, err
 		}
 	}
-	if cfg.coloring == nil {
-		s, ok := LookupColoringStrategy(ColoringIncremental)
-		if !ok {
-			return nil, fmt.Errorf("wdm: incremental coloring strategy not registered")
-		}
-		cfg.coloring = s
-	}
 	if cfg.budget > 0 && cfg.admission == nil {
 		a, ok := LookupAdmissionStrategy(AdmissionReject)
 		if !ok {
@@ -308,17 +291,12 @@ func (n *Network) NewSession(opts ...SessionOption) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wdm: routing setup: %w", err)
 	}
-	coloring, err := cfg.coloring.NewState(n.Topology, cfg.slack)
-	if err != nil {
-		return nil, fmt.Errorf("wdm: coloring setup: %w", err)
-	}
 	s := &Session{
 		net:           n,
 		routing:       routing,
-		coloring:      coloring,
+		routingStrat:  cfg.routing,
+		coloring:      core.NewIncremental(n.Topology, cfg.slack),
 		tracker:       load.NewTracker(n.Topology),
-		routingName:   cfg.routing.Name(),
-		coloringName:  cfg.coloring.Name(),
 		budget:        cfg.budget,
 		stormRetries:  cfg.stormRetries,
 		rollbackProbe: cfg.rollbackProbe,
@@ -342,11 +320,7 @@ func (n *Network) NewSession(opts ...SessionOption) (*Session, error) {
 
 // RoutingStrategyName returns the name of the session's routing
 // strategy.
-func (s *Session) RoutingStrategyName() string { return s.routingName }
-
-// ColoringStrategyName returns the name of the session's coloring
-// strategy.
-func (s *Session) ColoringStrategyName() string { return s.coloringName }
+func (s *Session) RoutingStrategyName() string { return s.routingStrat.Name() }
 
 // AdmissionStrategyName returns the name of the session's admission
 // strategy, or "" when the session has none configured.
@@ -391,10 +365,11 @@ func (s *Session) ArcLoads() []int { return s.tracker.Loads() }
 // per-call allocation (see Tracker.LoadsInto).
 func (s *Session) ArcLoadsInto(dst []int) []int { return s.tracker.LoadsInto(dst) }
 
-// NumLambda returns the number of wavelengths currently in use. With
-// the incremental strategy this is O(1); with the full strategy it
-// recomputes from scratch.
-func (s *Session) NumLambda() (int, error) { return s.coloring.NumLambda() }
+// NumLambda returns the number of wavelengths currently in use, an O(1)
+// read of the incremental colorer. The error is always nil; it stays in
+// the signature because callers, wavebench among them, use the
+// two-value form.
+func (s *Session) NumLambda() (int, error) { return s.coloring.NumLambda(), nil }
 
 // Add routes req, runs budget admission when one is configured,
 // inserts the request into the conflict and load state, assigns a
@@ -438,8 +413,8 @@ func (s *Session) TryAddPath(p *dipath.Path) (SessionID, Admission, error) {
 	if p == nil {
 		return 0, Admission{}, fmt.Errorf("wdm: nil dipath")
 	}
-	// Validate up front: the admission precheck indexes the tracker by
-	// p's arcs before any layer that would catch a foreign path.
+	// Validate up front, so that a foreign path fails before admission
+	// counts it as an offer.
 	if err := p.Validate(s.net.Topology); err != nil {
 		return 0, Admission{}, err
 	}
@@ -480,60 +455,47 @@ func (s *Session) tryAdmit(req route.Request, p *dipath.Path) (SessionID, Admiss
 	return id, adm, nil
 }
 
-// admitCommit runs the budget check for p and inserts it when admitted.
-// Cycle-free topologies use the Theorem-1 precheck — O(len(p)) against
-// the live tracker, nothing touched on rejection; general DAGs (or
-// sessions forcing the ablation probe) color-then-rollback through the
-// coloring layer, reusing the same restore discipline as Reroute's
-// failure path.
+// admitCommit runs the budget check for p and inserts it when admitted
+// (see budgetedAdd). A Theorem-1 admission then restores λ ≤ budget,
+// which the incremental palette may have drifted past; the rollback
+// probe keeps λ ≤ budget by itself.
 func (s *Session) admitCommit(req route.Request, p *dipath.Path) (SessionID, bool, error) {
-	if s.budget <= 0 {
-		id, err := s.commitPath(req, p, false)
-		return id, err == nil, err
-	}
-	if s.cycleFree && !s.rollbackProbe {
-		if !s.tracker.FitsAdditional(p, s.budget) {
-			return 0, false, nil
-		}
-		id, err := s.commitPath(req, p, false)
-		if err != nil {
-			return 0, false, err
-		}
-		s.enforceBudgetLambda()
-		return id, true, nil
-	}
-	slot, ok, err := s.colorUnderBudget(p)
+	slot, ok, err := s.budgetedAdd(p)
 	if err != nil {
 		return 0, false, fmt.Errorf("wdm: coloring: %w", err)
 	}
 	if !ok {
 		return 0, false, nil
 	}
-	return s.insertEntry(req, p, slot, false), true, nil
+	id := s.insertEntry(req, p, slot, false)
+	if s.usesPrecheck() {
+		s.enforceBudgetLambda()
+	}
+	return id, true, nil
 }
 
-// colorUnderBudget is the color-then-rollback admission probe: insert p
-// into the coloring layer only if the live assignment stays within the
-// budget. States implementing BudgetedColoringState do it natively
-// (exact rollback, one repack retry); any other state gets the generic
-// add-measure-rollback.
-func (s *Session) colorUnderBudget(p *dipath.Path) (int, bool, error) {
-	if bs, ok := s.coloring.(BudgetedColoringState); ok {
-		return bs.AddUnderLimit(p, s.budget)
+// budgetedAdd colors p under the session's budget and returns its slot;
+// ok=false when the budget rejects p, with the colorer untouched.
+// Cycle-free topologies use the Theorem-1 precheck — O(len(p)) against
+// the live tracker; general DAGs (or sessions forcing the ablation
+// probe) color-then-rollback through AddUnderLimit, which is a plain
+// Add on an unbudgeted session. Either way the colorer validates p
+// before any state changes.
+func (s *Session) budgetedAdd(p *dipath.Path) (slot int, ok bool, err error) {
+	if !s.usesPrecheck() {
+		return s.coloring.AddUnderLimit(p, s.budget)
 	}
-	slot, err := s.coloring.Add(p)
-	if err != nil {
-		return -1, false, err
+	if !s.tracker.FitsAdditional(p, s.budget) {
+		return -1, false, nil
 	}
-	n, err := s.coloring.NumLambda()
-	if err == nil && n <= s.budget {
-		return slot, true, nil
-	}
-	if rerr := s.coloring.Remove(slot); rerr != nil && err == nil {
-		err = rerr
-	}
-	return -1, false, err
+	slot, err = s.coloring.Add(p)
+	return slot, err == nil, err
 }
+
+// usesPrecheck reports whether budget admission runs the Theorem-1 load
+// precheck: a budgeted session on a topology without internal cycle
+// that does not force the rollback probe.
+func (s *Session) usesPrecheck() bool { return s.cycleFree && !s.rollbackProbe }
 
 // commitPath inserts a routed-and-admitted path: coloring, load, entry.
 func (s *Session) commitPath(req route.Request, p *dipath.Path, bestEffort bool) (SessionID, error) {
@@ -570,16 +532,12 @@ func (s *Session) insertEntry(req route.Request, p *dipath.Path, slot int, bestE
 // though the load fits, and on internal-cycle-free topologies the cold
 // pipeline is guaranteed to come back under (Theorem 1: λ = π ≤
 // budget). Suspended while best-effort traffic is live — the invariant
-// cannot hold then — and skipped for coloring states without the budget
-// hooks (deferred strategies re-solve at materialisation, where the
-// strongest theorem applies anyway).
+// cannot hold then.
 func (s *Session) enforceBudgetLambda() {
 	if s.budget <= 0 || s.bestEffortLive > 0 {
 		return
 	}
-	if bs, ok := s.coloring.(BudgetedColoringState); ok {
-		bs.EnsureAtMost(s.budget)
-	}
+	s.coloring.EnsureAtMost(s.budget)
 }
 
 // Remove tears down the request with the given id, releasing its
@@ -664,7 +622,7 @@ func (s *Session) Reroute(id SessionID) (bool, error) {
 	// request stays provisioned. The cycle-free precheck answers here;
 	// the general-DAG probe is woven into the coloring swap below.
 	budgeted := s.budget > 0 && !e.bestEffort
-	if budgeted && s.cycleFree && !s.rollbackProbe && !s.tracker.FitsAdditional(p, s.budget) {
+	if budgeted && s.usesPrecheck() && !s.tracker.FitsAdditional(p, s.budget) {
 		s.trackAdd(e.path)
 		return false, nil
 	}
@@ -674,38 +632,33 @@ func (s *Session) Reroute(id SessionID) (bool, error) {
 	}
 	s.unbindSlot(e.slot)
 	idx := int32(uint32(id))
-	var slot int
-	if budgeted && (!s.cycleFree || s.rollbackProbe) {
-		var ok bool
-		slot, ok, err = s.colorUnderBudget(p)
-		if err == nil && !ok {
-			// New route over budget: keep the old path (it fit before). The
-			// probe's repack may have permuted the palette, so the restore
-			// re-enforces λ ≤ budget before reporting no change.
-			if oldSlot, restoreErr := s.coloring.Add(e.path); restoreErr == nil {
-				e.slot = oldSlot
-				s.bindSlot(oldSlot, idx)
-				s.trackAdd(e.path)
-				s.enforceBudgetLambda()
-				return false, nil
-			}
-			s.release(id, e)
-			return false, fmt.Errorf("wdm: rerouting: %w (request %d dropped)", ErrBudgetExceeded, id)
-		}
+	slot, ok := 0, true
+	if budgeted && !s.usesPrecheck() {
+		slot, ok, err = s.coloring.AddUnderLimit(p, s.budget)
 	} else {
 		slot, err = s.coloring.Add(p)
 	}
-	if err != nil {
-		// Try to restore the old path; the session must stay consistent.
-		if oldSlot, restoreErr := s.coloring.Add(e.path); restoreErr == nil {
-			e.slot = oldSlot
-			s.bindSlot(oldSlot, idx)
-			s.trackAdd(e.path)
-			s.enforceBudgetLambda()
+	if err != nil || !ok {
+		// Restore the old path (it fit before); the session must stay
+		// consistent. A probe rejection is no error, but the probe's
+		// repack may have permuted the palette, so the restore re-enforces
+		// λ ≤ budget before reporting no change.
+		oldSlot, restoreErr := s.coloring.Add(e.path)
+		if restoreErr != nil {
+			if err == nil {
+				err = ErrBudgetExceeded
+			}
+			s.release(id, e)
+			return false, fmt.Errorf("wdm: rerouting: %w (request %d dropped)", err, id)
+		}
+		e.slot = oldSlot
+		s.bindSlot(oldSlot, idx)
+		s.trackAdd(e.path)
+		s.enforceBudgetLambda()
+		if err != nil {
 			return false, fmt.Errorf("wdm: rerouting: %w", err)
 		}
-		s.release(id, e)
-		return false, fmt.Errorf("wdm: rerouting: %w (request %d dropped)", err, id)
+		return false, nil
 	}
 	s.trackAdd(p)
 	e.slot, e.path = slot, p
@@ -726,8 +679,8 @@ func (s *Session) Path(id SessionID) (*dipath.Path, error) {
 }
 
 // Wavelength returns the current wavelength of a live request, or -1
-// when the request is parked dark or the session's coloring strategy
-// defers assignment (see Provisioning for the materialised answer).
+// when the request is parked dark. The error is non-nil only for an id
+// that is not live.
 func (s *Session) Wavelength(id SessionID) (int, error) {
 	e, err := s.lookup(id)
 	if err != nil {
@@ -770,8 +723,7 @@ func (s *Session) snapshot() (slots []int, fam dipath.Family) {
 // to len(s.entries) by the caller) for the engine's published snapshot:
 // free slots as snapFree, dark entries with their parked route and
 // wavelength -1, lit entries with their current wavelength offset by
-// band (the overlay lane's banding base; 0 elsewhere). Deferred
-// wavelengths (-1) are never banded, matching Wavelength.
+// band (the overlay lane's banding base; 0 elsewhere).
 func (s *Session) fillSnapshotRows(rows []snapRow, band int) {
 	for idx := range s.entries {
 		e := &s.entries[idx]
@@ -781,24 +733,19 @@ func (s *Session) fillSnapshotRows(rows []snapRow, band int) {
 		case e.dark:
 			rows[idx] = snapRow{gen: e.gen, state: snapDark, wavelength: -1, path: e.path}
 		default:
-			w := s.coloring.Wavelength(e.slot)
-			if w >= 0 {
-				w += band
-			}
+			w := s.coloring.Wavelength(e.slot) + band
 			rows[idx] = snapRow{gen: e.gen, state: snapLit, wavelength: int32(w), path: e.path}
 		}
 	}
 }
 
 // Provisioning materialises the session's current state as a
-// Provisioning, with paths and wavelengths in id order (see IDs).
+// Provisioning, with paths and wavelengths in id order (see IDs). The
+// error is always nil.
 func (s *Session) Provisioning() (*Provisioning, error) {
 	slots, fam := s.snapshot()
-	colors, num, method, err := s.coloring.Assignment(slots, fam)
-	if err != nil {
-		return nil, fmt.Errorf("wdm: wavelength assignment: %w", err)
-	}
-	return s.net.provisioning(fam, colors, num, s.tracker.Pi(), method), nil
+	colors := s.coloring.Colors(slots)
+	return s.net.provisioning(fam, colors, s.coloring.NumLambda(), s.Pi(), core.MethodIncremental), nil
 }
 
 // Verify checks the session's live wavelength assignment against the
@@ -806,11 +753,7 @@ func (s *Session) Provisioning() (*Provisioning, error) {
 // safety net the incremental engine is pinned to in tests.
 func (s *Session) Verify() error {
 	slots, fam := s.snapshot()
-	colors, num, _, err := s.coloring.Assignment(slots, fam)
-	if err != nil {
-		return err
-	}
-	res := &core.Result{Colors: colors, NumColors: num, Pi: s.tracker.Pi()}
+	res := &core.Result{Colors: s.coloring.Colors(slots), NumColors: s.coloring.NumLambda(), Pi: s.Pi()}
 	return core.Verify(s.net.Topology, fam, res)
 }
 
@@ -827,35 +770,21 @@ func (s *Session) Verify() error {
 // state after the session's graph gained arcs in place.
 
 // adoptPath relocates an already-admitted lightpath into this session:
-// p is colored under the session's budget with the same discipline as
-// restoreCommit (Theorem-1 precheck on cycle-free topologies,
-// color-under-limit elsewhere), and the new entry keeps the request and
-// best-effort flag of the original. Best-effort entries bypass the
-// budget check — they were admitted past it by the degrade strategy and
-// keep that status. ok=false means the budget rejected p with the
-// session untouched; the caller parks the entry dark instead (see
-// adoptDark).
+// p is colored under the session's budget by budgetedAdd, and the new
+// entry keeps the request and best-effort flag of the original.
+// Best-effort entries bypass the budget check — they were admitted past
+// it by the degrade strategy and keep that status. ok=false means the
+// budget rejected p with the session untouched; the caller parks the
+// entry dark instead (see adoptDark).
 func (s *Session) adoptPath(req route.Request, p *dipath.Path, bestEffort bool) (SessionID, bool, error) {
-	var slot int
-	var err error
-	switch {
-	case s.budget <= 0 || bestEffort:
-		if slot, err = s.coloring.Add(p); err != nil {
-			return 0, false, err
-		}
-	case s.cycleFree && !s.rollbackProbe:
-		if !s.tracker.FitsAdditional(p, s.budget) {
-			return 0, false, nil
-		}
-		if slot, err = s.coloring.Add(p); err != nil {
-			return 0, false, err
-		}
-	default:
-		var ok bool
-		slot, ok, err = s.colorUnderBudget(p)
-		if err != nil || !ok {
-			return 0, false, err
-		}
+	slot, ok, err := 0, true, error(nil)
+	if bestEffort {
+		slot, err = s.coloring.Add(p)
+	} else {
+		slot, ok, err = s.budgetedAdd(p)
+	}
+	if err != nil || !ok {
+		return 0, false, err
 	}
 	id := s.insertEntry(req, p, slot, bestEffort)
 	s.enforceBudgetLambda()
@@ -898,8 +827,8 @@ func (s *Session) drainRetire() {
 
 // growTopology re-syncs the session's per-arc state after its topology
 // gained arcs in place (the engine's live AddArc): the load tracker and
-// the coloring state's arc incidence extend (the new arcs carry no
-// load), the routing state is rebuilt from its registered strategy —
+// the colorer's arc incidence extend (the new arcs carry no load), the
+// routing state is rebuilt from the session's own strategy value —
 // precomputed tables may depend on the arc set, and a strategy may
 // legitimately refuse the grown graph (UPP uniqueness can break) — the
 // lazily built storm detour router is dropped, and the Theorem-1 gate is
@@ -909,14 +838,8 @@ func (s *Session) drainRetire() {
 func (s *Session) growTopology() error {
 	g := s.net.Topology
 	s.tracker.GrowArcs(g.NumArcs())
-	if gr, ok := s.coloring.(interface{ GrowArcs(n int) }); ok {
-		gr.GrowArcs(g.NumArcs())
-	}
-	strat, ok := LookupRoutingStrategy(s.routingName)
-	if !ok {
-		return fmt.Errorf("wdm: routing strategy %q not registered", s.routingName)
-	}
-	rs, err := strat.NewState(g)
+	s.coloring.GrowArcs(g.NumArcs())
+	rs, err := s.routingStrat.NewState(g)
 	if err != nil {
 		return fmt.Errorf("wdm: routing setup: %w", err)
 	}

@@ -28,8 +28,8 @@ func TestSessionChurnEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.RoutingStrategyName() != "shortest" || s.ColoringStrategyName() != ColoringIncremental {
-		t.Fatalf("defaults: %s/%s", s.RoutingStrategyName(), s.ColoringStrategyName())
+	if s.RoutingStrategyName() != "shortest" {
+		t.Fatalf("default routing: %s", s.RoutingStrategyName())
 	}
 	pool := route.AllToAll(net.Topology)
 	rng := rand.New(rand.NewSource(17))
@@ -107,8 +107,8 @@ func TestSessionChurnEquivalence(t *testing.T) {
 }
 
 // TestSessionProvisionEquivalence pins the one-shot Provision to the
-// Session pipeline: a session with the policy's routing strategy and
-// the "full" coloring strategy, filled with the same requests, must
+// Session pipeline: a session with the policy's routing strategy,
+// filled with the same requests and colored once from scratch, must
 // materialise the identical Provisioning, field for field (see
 // sessionProvision). An incremental session replaying the requests must
 // route them identically and agree on π, with λ within slack. It covers
@@ -220,77 +220,20 @@ func TestSessionReroute(t *testing.T) {
 	}
 }
 
-// TestSessionFullStrategy exercises the deferred "full" coloring state
-// through the session API directly (Provision already covers the happy
-// path): wavelengths are deferred until Assignment.
-func TestSessionFullStrategy(t *testing.T) {
-	net := testNetwork()
-	s, err := net.NewSession(WithColoringStrategyName(ColoringFull))
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqs := someRequests(net, 20)
-	var ids []SessionID
-	for _, req := range reqs {
-		id, err := s.Add(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-	if w, err := s.Wavelength(ids[0]); err != nil || w != -1 {
-		t.Fatalf("full strategy should defer: w=%d err=%v", w, err)
-	}
-	if err := s.Remove(ids[3]); err != nil {
-		t.Fatal(err)
-	}
-	prov, err := s.Provisioning()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prov.Method != core.MethodTheorem1 {
-		t.Fatalf("method = %s, want theorem1", prov.Method)
-	}
-	if len(prov.Paths) != len(reqs)-1 {
-		t.Fatalf("%d paths after one removal of %d", len(prov.Paths), len(reqs))
-	}
-	if err := s.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := net.NewSession(WithColoringStrategyName("no-such-strategy")); err == nil {
-		t.Fatal("unknown coloring strategy accepted")
-	}
-}
-
-// flakyColoringState fails the next `*fail` Add calls before touching
-// the wrapped state, simulating a coloring layer that rejects an
+// flakyColorer fails the next `*fail` Add calls before touching the
+// wrapped colorer, simulating a coloring layer that rejects an
 // insertion mid-Reroute.
-type flakyColoringState struct {
-	ColoringState
+type flakyColorer struct {
+	colorer
 	fail *int
 }
 
-func (s *flakyColoringState) Add(p *dipath.Path) (int, error) {
-	if *s.fail > 0 {
-		*s.fail--
+func (c *flakyColorer) Add(p *dipath.Path) (int, error) {
+	if *c.fail > 0 {
+		*c.fail--
 		return -1, errors.New("injected coloring failure")
 	}
-	return s.ColoringState.Add(p)
-}
-
-type flakyColoringStrategy struct {
-	inner ColoringStrategy
-	fail  *int
-}
-
-func (s flakyColoringStrategy) Name() string { return "flaky-" + s.inner.Name() }
-
-func (s flakyColoringStrategy) NewState(g *digraph.Digraph, slack int) (ColoringState, error) {
-	st, err := s.inner.NewState(g, slack)
-	if err != nil {
-		return nil, err
-	}
-	return &flakyColoringState{ColoringState: st, fail: s.fail}, nil
+	return c.colorer.Add(p)
 }
 
 // rerouteFixture builds a min-load session on a diamond (0->1->3,
@@ -305,19 +248,13 @@ func rerouteFixture(t *testing.T) (*Session, SessionID, *int) {
 	g.MustAddArc(1, 3)
 	g.MustAddArc(0, 2)
 	g.MustAddArc(2, 3)
-	fail := new(int)
-	inner, ok := LookupColoringStrategy(ColoringIncremental)
-	if !ok {
-		t.Fatal("incremental strategy not registered")
-	}
 	net := &Network{Topology: g}
-	s, err := net.NewSession(
-		WithRoutingPolicy(RouteMinLoad),
-		WithColoringStrategy(flakyColoringStrategy{inner: inner, fail: fail}),
-	)
+	s, err := net.NewSession(WithRoutingPolicy(RouteMinLoad))
 	if err != nil {
 		t.Fatal(err)
 	}
+	fail := new(int)
+	s.coloring = &flakyColorer{colorer: s.coloring, fail: fail}
 	id, err := s.Add(route.Request{Src: 0, Dst: 3})
 	if err != nil {
 		t.Fatal(err)

@@ -337,11 +337,10 @@ func WithShardWorkers(n int) ShardedOption {
 	}
 }
 
-// WithShardSessionOptions forwards session options (routing/coloring
-// strategy, slack, capacity hint) to every lane session, region and
-// overlay lanes alike. Lanes must color incrementally (λ is read at
-// every publication), so NewShardedEngine rejects a coloring strategy
-// that defers assignment, such as ColoringFull.
+// WithShardSessionOptions forwards session options (routing strategy,
+// slack, capacity hint) to every lane session, region and overlay
+// lanes alike. On a budgeted engine the lane budget overrides a
+// forwarded WithWavelengthBudget.
 func WithShardSessionOptions(opts ...SessionOption) ShardedOption {
 	return func(c *shardedConfig) error {
 		c.sessionOpts = append(c.sessionOpts, opts...)
@@ -510,9 +509,7 @@ func (n *Network) NewShardedEngine(opts ...ShardedOption) (*ShardedEngine, error
 // newLaneSession opens one lane session over g with the given lane
 // budget (ignored when the engine is unbudgeted), applying the
 // engine's forwarded session options. Used at construction and by
-// every re-layout (re-split, capacity add, component merge). Lanes
-// must color incrementally: publication reads every dirty lane's λ,
-// which only the incremental strategy answers in O(1).
+// every re-layout (re-split, capacity add, component merge).
 func (e *ShardedEngine) newLaneSession(g *digraph.Digraph, budget int, what string) (*Session, error) {
 	subnet := &Network{Topology: g, Wavelengths: e.net.Wavelengths}
 	opts := e.sessionOpts
@@ -525,10 +522,6 @@ func (e *ShardedEngine) newLaneSession(g *digraph.Digraph, budget int, what stri
 	sess, err := subnet.NewSession(opts...)
 	if err != nil {
 		return nil, fmt.Errorf("wdm: %s: %w", what, err)
-	}
-	if _, ok := sess.coloring.(*incrementalState); !ok {
-		return nil, fmt.Errorf("wdm: %s: coloring strategy %q defers wavelength assignment; engine lanes need %q",
-			what, sess.ColoringStrategyName(), ColoringIncremental)
 	}
 	return sess, nil
 }
@@ -573,12 +566,9 @@ func (sh *engineShard) logDeltas() {
 	})
 }
 
-// lambda returns the lane's wavelength count. Lanes always color
-// incrementally (see newLaneSession), so this is an O(1) read that
-// cannot fail.
-func (sh *engineShard) lambda() int {
-	return sh.sess.coloring.(*incrementalState).ic.NumLambda()
-}
+// lambda returns the lane's wavelength count, an O(1) read of its
+// incremental colorer.
+func (sh *engineShard) lambda() int { return sh.sess.coloring.NumLambda() }
 
 // Close waits for any in-flight batch, stops the persistent worker
 // pool and freezes the engine: subsequent mutations return
@@ -1283,10 +1273,7 @@ func (c *engineComponent) verify() error {
 	numColors := 0
 	collect := func(sh *engineShard, off int) error {
 		slots, f := sh.sess.snapshot()
-		cs, _, _, err := sh.sess.coloring.Assignment(slots, f)
-		if err != nil {
-			return err
-		}
+		cs := sh.sess.coloring.Colors(slots)
 		for i, p := range f {
 			cp, err := sh.compLocalPath(p)
 			if err != nil {
@@ -1425,6 +1412,6 @@ func (e *ShardedEngine) ShardRecolorStats(shard int) (warm, cold int, ok bool) {
 	if shard < 0 || shard >= len(e.shards) {
 		return 0, 0, false
 	}
-	ic := e.shards[shard].sess.coloring.(*incrementalState).Incremental()
+	ic := e.shards[shard].sess.coloring
 	return ic.WarmRecolors(), ic.FullRecolors(), true
 }

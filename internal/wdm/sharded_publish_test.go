@@ -111,11 +111,6 @@ func TestStrategyNameConstants(t *testing.T) {
 			t.Errorf("no routing strategy registered under constant %q", name)
 		}
 	}
-	for _, name := range []string{ColoringIncremental, ColoringFull} {
-		if _, ok := coloringStrategies[name]; !ok {
-			t.Errorf("no coloring strategy registered under constant %q", name)
-		}
-	}
 	for _, name := range []string{AdmissionReject, AdmissionRetryAltRoute, AdmissionDegrade} {
 		if _, ok := admissionStrategies[name]; !ok {
 			t.Errorf("no admission strategy registered under constant %q", name)

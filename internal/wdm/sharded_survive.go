@@ -23,12 +23,12 @@ func (s *Session) Revive() int {
 // sweepMayRecolor reports whether a Revive sweep on the session can
 // change a live entry's wavelength without reviving any entry. A sweep
 // that revives nothing recolors only through the budget: a revival
-// attempt under the rollback probe (colorUnderBudget may repack before
+// attempt under the rollback probe (AddUnderLimit may repack before
 // it rejects), or the promotion of best-effort entries (EnsureAtMost
 // may repack). Unbudgeted sessions, and cycle-free ones on the
 // Theorem-1 precheck, reject a revival before the coloring sees it.
 func (s *Session) sweepMayRecolor() bool {
-	return s.budget > 0 && (!s.cycleFree || s.rollbackProbe || s.bestEffortLive > 0)
+	return s.budget > 0 && (!s.usesPrecheck() || s.bestEffortLive > 0)
 }
 
 // FailArc cuts an arc of the engine topology and runs the restoration

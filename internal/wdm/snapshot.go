@@ -142,7 +142,8 @@ func (s *EngineSnapshot) Pi() int { return s.pi }
 
 // NumLambda returns the wavelength count at publication. The error is
 // always nil: engine lanes color incrementally, so λ is materialised at
-// every publication.
+// every publication. It stays in the signature because callers use the
+// two-value form.
 //
 //wavedag:lockfree
 func (s *EngineSnapshot) NumLambda() (int, error) { return s.lambda, nil }
@@ -374,7 +375,9 @@ func (e *ShardedEngine) NumFailedArcs() int { return e.snap.Load().stats.FailedA
 
 // NumLambda returns the number of wavelengths in use (max over
 // components; a component counts its region maximum plus its overlay
-// band), from the current snapshot. The error is always nil.
+// band), from the current snapshot. The error is always nil; it stays
+// in the signature because callers, wavebench among them, use the
+// two-value form.
 //
 //wavedag:lockfree
 func (e *ShardedEngine) NumLambda() (int, error) { return e.snap.Load().lambda, nil }

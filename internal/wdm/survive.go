@@ -39,15 +39,6 @@ type StormReport struct {
 	Retries  int
 }
 
-// ArcIncidenceState is an optional ColoringState extension: a state
-// that maintains per-arc incidence (the incremental strategy's
-// conflict.Dynamic does) can enumerate the live slots traversing an
-// arc, letting FailArc find the paths hit by a cut in O(affected)
-// instead of a linear scan over the live set.
-type ArcIncidenceState interface {
-	ForEachSlotOnArc(a digraph.ArcID, f func(slot int))
-}
-
 // ── Session bookkeeping shared with session.go ─────────────────────────
 
 // trackAdd accounts p in the load tracker and notifies the engine's
@@ -143,32 +134,17 @@ func (s *Session) RestoreArc(a digraph.ArcID) (int, error) {
 }
 
 // affectedByArc returns the entry indices of the live (lit) paths
-// traversing a — through the coloring state's arc incidence when it
-// maintains one, by linear scan otherwise.
+// traversing a, through the colorer's per-arc incidence in
+// O(affected).
 func (s *Session) affectedByArc(a digraph.ArcID) []int32 {
 	var idxs []int32
-	if inc, ok := s.coloring.(ArcIncidenceState); ok {
-		inc.ForEachSlotOnArc(a, func(slot int) {
-			if slot >= 0 && slot < len(s.slotEntry) {
-				if idx := s.slotEntry[slot]; idx >= 0 {
-					idxs = append(idxs, idx)
-				}
-			}
-		})
-		return idxs
-	}
-	for idx := range s.entries {
-		e := &s.entries[idx]
-		if !e.alive || e.dark {
-			continue
-		}
-		for _, pa := range e.path.Arcs() {
-			if pa == a {
-				idxs = append(idxs, int32(idx))
-				break
+	s.coloring.Dynamic().ForEachOnArc(a, func(slot int) {
+		if slot >= 0 && slot < len(s.slotEntry) {
+			if idx := s.slotEntry[slot]; idx >= 0 {
+				idxs = append(idxs, idx)
 			}
 		}
-	}
+	})
 	return idxs
 }
 
@@ -222,7 +198,7 @@ func (s *Session) restoreEntry(idx int32, e *sessionEntry, retry *int) bool {
 	var primary *dipath.Path
 	if p, err := s.routing.Route(e.req, s.tracker); err == nil && !crossesFailure(s.net.Topology, p) {
 		primary = p
-		if slot, ok, cerr := s.restoreCommit(p); cerr == nil && ok {
+		if slot, ok, cerr := s.budgetedAdd(p); cerr == nil && ok {
 			s.relight(idx, e, p, slot)
 			return true
 		}
@@ -236,30 +212,11 @@ func (s *Session) restoreEntry(idx int32, e *sessionEntry, retry *int) bool {
 	if err != nil || crossesFailure(s.net.Topology, alt) || (primary != nil && alt.Equal(primary)) {
 		return false
 	}
-	if slot, ok, cerr := s.restoreCommit(alt); cerr == nil && ok {
+	if slot, ok, cerr := s.budgetedAdd(alt); cerr == nil && ok {
 		s.relight(idx, e, alt, slot)
 		return true
 	}
 	return false
-}
-
-// restoreCommit colors p under the session's budget rules and returns
-// its slot; ok=false when the budget rejects it, with the coloring
-// untouched — the same admission discipline as admitCommit, minus the
-// entry allocation (storms and revivals reuse the existing entry).
-func (s *Session) restoreCommit(p *dipath.Path) (slot int, ok bool, err error) {
-	if s.budget <= 0 {
-		slot, err = s.coloring.Add(p)
-		return slot, err == nil, err
-	}
-	if s.cycleFree && !s.rollbackProbe {
-		if !s.tracker.FitsAdditional(p, s.budget) {
-			return -1, false, nil
-		}
-		slot, err = s.coloring.Add(p)
-		return slot, err == nil, err
-	}
-	return s.colorUnderBudget(p)
 }
 
 // relight commits p as the entry's new route: tracker, slot binding,
@@ -358,7 +315,7 @@ func (s *Session) reviveOne(idx int32, e *sessionEntry) bool {
 	var primary *dipath.Path
 	if p, err := s.routing.Route(e.req, s.tracker); err == nil && !crossesFailure(s.net.Topology, p) {
 		primary = p
-		if slot, ok, cerr := s.restoreCommit(p); cerr == nil && ok {
+		if slot, ok, cerr := s.budgetedAdd(p); cerr == nil && ok {
 			s.unpark(idx, e, p, slot)
 			return true
 		}
@@ -370,7 +327,7 @@ func (s *Session) reviveOne(idx int32, e *sessionEntry) bool {
 	if err != nil || crossesFailure(s.net.Topology, alt) || (primary != nil && alt.Equal(primary)) {
 		return false
 	}
-	if slot, ok, cerr := s.restoreCommit(alt); cerr == nil && ok {
+	if slot, ok, cerr := s.budgetedAdd(alt); cerr == nil && ok {
 		s.unpark(idx, e, alt, slot)
 		return true
 	}
@@ -400,17 +357,7 @@ func (s *Session) promoteBestEffort() {
 	if s.tracker.Pi() > s.budget {
 		return // λ ≥ π > budget: promotion is impossible right now
 	}
-	var lambda int
-	if bs, ok := s.coloring.(BudgetedColoringState); ok {
-		lambda = bs.EnsureAtMost(s.budget)
-	} else {
-		n, err := s.coloring.NumLambda()
-		if err != nil {
-			return
-		}
-		lambda = n
-	}
-	if lambda > s.budget {
+	if s.coloring.EnsureAtMost(s.budget) > s.budget {
 		return
 	}
 	for idx := range s.entries {

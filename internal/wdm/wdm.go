@@ -82,8 +82,8 @@ type Provisioning struct {
 // requests, in one pass: each request is routed against a load tracker
 // of the paths routed before it, checked against failed arcs, validated
 // once and accounted; the family is then colored once, with π read off
-// the tracker. The result equals that of a Session with the "full"
-// coloring strategy filled with the same requests.
+// the tracker. The result equals that of a Session filled with the
+// same requests whose live family is then colored once from scratch.
 //
 // The built-in shortest and min-load strategies carve the paths of one
 // Provisioning from shared blocks (a dipath.Arena), so keeping any one

@@ -223,18 +223,7 @@ func TestStrategyRegistry(t *testing.T) {
 	if err := RegisterRoutingStrategy(shortestStrategy{}); err == nil {
 		t.Fatal("duplicate strategy registered")
 	}
-	if err := RegisterColoringStrategy(fullColoring{}); err == nil {
-		t.Fatal("duplicate coloring strategy registered")
-	}
-	for _, name := range []string{ColoringIncremental, ColoringFull} {
-		if _, ok := LookupColoringStrategy(name); !ok {
-			t.Fatalf("built-in coloring strategy %q missing", name)
-		}
-	}
 	if names := RoutingStrategyNames(); len(names) < 3 {
 		t.Fatalf("routing strategy names: %v", names)
-	}
-	if names := ColoringStrategyNames(); len(names) < 2 {
-		t.Fatalf("coloring strategy names: %v", names)
 	}
 }

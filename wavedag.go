@@ -97,14 +97,15 @@
 // Session.Add/Remove/Reroute are the operations; Session.Verify checks
 // the live assignment against the conflict invariant, and
 // Session.Provisioning materialises a Provisioning snapshot. Routing
-// and coloring are pluggable strategies resolved from registries
-// (RegisterRoutingStrategy / RegisterColoringStrategy); the legacy
-// RoutingPolicy constants resolve to the built-in strategies. Provision
-// is the flat one-shot pipeline (route, validate and account each
-// request, then color once); it equals a session with the "full"
-// (defer-and-solve-once) coloring strategy filled with the same
-// requests, field for field. The randomized churn equivalence tests pin
-// the session to the one-shot pipeline:
+// is a pluggable strategy resolved from a registry
+// (RegisterRoutingStrategy); the legacy RoutingPolicy constants resolve
+// to the built-in strategies. Coloring is not pluggable: every session
+// maintains its wavelengths with one IncrementalColorer. Provision is
+// the flat one-shot pipeline (route, validate and account each request,
+// then color once with the strongest applicable theorem); it equals,
+// field for field, a session filled with the same requests whose live
+// family is then colored once from scratch. The randomized churn
+// equivalence tests pin the session to the one-shot pipeline:
 // Verify-clean after every operation, exact π, and λ within the slack
 // of the from-scratch answer.
 //
@@ -212,8 +213,7 @@
 // returns. Queries therefore always agree with each other when asked
 // of one pinned snapshot (ShardedEngine.Snapshot, released with
 // EngineSnapshot.Release; retired buffers recycle through pools only
-// after the last pin drops). Every engine lane colors incrementally
-// (NewShardedEngine rejects a deferred strategy such as ColoringFull),
+// after the last pin drops). Every engine lane colors incrementally,
 // so λ is read at every publication in O(1) per dirty lane.
 // Provisioning and Verify, which materialise merged state, always run
 // under the mutex.
@@ -231,7 +231,8 @@
 //     precheck: "fits in w wavelengths" is exactly "load ≤ w" there, so
 //     admission is an O(path) read of the live load tracker — measured
 //     at a fraction of the cost of a provisioning attempt (see the
-//     admission/reject-cost benchmark pair) — and it is exact: a
+//     reject-precheck/reject-rollback pair of internal/wdm's
+//     BenchmarkAdmissionChurn) — and it is exact: a
 //     request is rejected only when its route genuinely cannot fit.
 //     After an accepted add the engine restores λ ≤ w whenever the
 //     incremental palette drifted (Theorem 1 guarantees the recolor
@@ -243,7 +244,7 @@
 //     a rejection rolls the insertion back exactly.
 //
 // What happens to over-budget requests is a pluggable AdmissionStrategy
-// resolved from a registry, exactly like routing and coloring: "reject"
+// resolved from a registry, exactly like routing: "reject"
 // drops them (the default — blocking-probability experiments measure
 // this), "retry-alt-route" re-asks a min-load router for a detour
 // around the saturated arcs and recovers the request when one fits, and
@@ -531,9 +532,6 @@ type (
 	// RoutingStrategy is the pluggable request→dipath layer of sessions;
 	// register implementations with RegisterRoutingStrategy.
 	RoutingStrategy = wdm.RoutingStrategy
-	// ColoringStrategy is the pluggable wavelength-maintenance layer of
-	// sessions; register implementations with RegisterColoringStrategy.
-	ColoringStrategy = wdm.ColoringStrategy
 	// DynamicConflictGraph is the mutable conflict layer of the dynamic
 	// engine: live dipaths in recycled slots, indexed by the arcs they
 	// traverse (see NewDynamicConflictGraph).
@@ -590,11 +588,6 @@ type (
 	// AdmissionContext is the controlled session view an AdmissionState
 	// decides through.
 	AdmissionContext = wdm.AdmissionContext
-	// BudgetedColoringState is the optional ColoringState extension that
-	// gives a custom coloring strategy native budget admission (exact
-	// rollback probe + λ enforcement) instead of the generic
-	// add-measure-rollback fallback.
-	BudgetedColoringState = wdm.BudgetedColoringState
 	// OnlineMaxRequests is the online max-request selection: dipaths
 	// offered one at a time against a wavelength budget (see
 	// NewOnlineMaxRequests).
@@ -682,12 +675,6 @@ const (
 	RouteUPP      = wdm.RouteUPP
 )
 
-// Names of the built-in coloring strategies.
-const (
-	ColoringIncremental = wdm.ColoringIncremental
-	ColoringFull        = wdm.ColoringFull
-)
-
 // Session options, re-exported from the wdm layer.
 
 // WithRoutingStrategy selects a session's routing strategy.
@@ -696,15 +683,6 @@ func WithRoutingStrategy(s RoutingStrategy) SessionOption { return wdm.WithRouti
 // WithRoutingPolicy selects the routing strategy registered for a
 // built-in policy constant.
 func WithRoutingPolicy(p RoutingPolicy) SessionOption { return wdm.WithRoutingPolicy(p) }
-
-// WithColoringStrategy selects a session's coloring strategy.
-func WithColoringStrategy(s ColoringStrategy) SessionOption { return wdm.WithColoringStrategy(s) }
-
-// WithColoringStrategyName selects a registered coloring strategy by
-// name (ColoringIncremental or ColoringFull for the built-ins).
-func WithColoringStrategyName(name string) SessionOption {
-	return wdm.WithColoringStrategyName(name)
-}
 
 // WithSlack sets how many wavelengths the incremental coloring may
 // drift above its lower bound before a full recolor is forced.
@@ -731,11 +709,6 @@ func WithAdmissionStrategy(s AdmissionStrategy) SessionOption {
 func WithAdmissionStrategyName(name string) SessionOption {
 	return wdm.WithAdmissionStrategyName(name)
 }
-
-// WithAdmissionRollbackProbe forces the general-DAG color-then-rollback
-// admission probe even on internal-cycle-free topologies — the ablation
-// axis of the admission benchmarks.
-func WithAdmissionRollbackProbe() SessionOption { return wdm.WithAdmissionRollbackProbe() }
 
 // WithStormRetryBudget caps how many detour attempts one restoration
 // storm may spend across all its affected paths (n < 0 selects the
@@ -813,19 +786,10 @@ func RerouteOp(id ShardedID) BatchOp { return wdm.RerouteOp(id) }
 // RegisterRoutingStrategy adds a routing strategy to the registry.
 func RegisterRoutingStrategy(s RoutingStrategy) error { return wdm.RegisterRoutingStrategy(s) }
 
-// RegisterColoringStrategy adds a coloring strategy to the registry.
-func RegisterColoringStrategy(s ColoringStrategy) error { return wdm.RegisterColoringStrategy(s) }
-
 // LookupRoutingStrategy returns the registered routing strategy named
 // name.
 func LookupRoutingStrategy(name string) (RoutingStrategy, bool) {
 	return wdm.LookupRoutingStrategy(name)
-}
-
-// LookupColoringStrategy returns the registered coloring strategy named
-// name.
-func LookupColoringStrategy(name string) (ColoringStrategy, bool) {
-	return wdm.LookupColoringStrategy(name)
 }
 
 // RegisterAdmissionStrategy adds an admission strategy to the registry.
@@ -846,10 +810,6 @@ func AdmissionStrategyNames() []string { return wdm.AdmissionStrategyNames() }
 // RoutingStrategyNames returns the registered routing strategy names,
 // sorted.
 func RoutingStrategyNames() []string { return wdm.RoutingStrategyNames() }
-
-// ColoringStrategyNames returns the registered coloring strategy names,
-// sorted.
-func ColoringStrategyNames() []string { return wdm.ColoringStrategyNames() }
 
 // NewDynamicConflictGraph returns an empty mutable conflict layer for
 // dipaths of g: AddPath/RemovePath maintain per-arc incidence lists
