@@ -8,7 +8,7 @@ GO ?= go
 
 GOFMT ?= gofmt
 
-.PHONY: verify fmtcheck lint benchcheck repro examples fuzzsmoke benchsmoke test
+.PHONY: verify fmtcheck lint benchcheck wavebenchsmoke repro examples fuzzsmoke benchsmoke test
 
 verify:
 	$(GO) build ./...
@@ -40,6 +40,14 @@ benchcheck:
 	$(GO) -C wavebench vet ./...
 	$(GO) -C wavebench test ./...
 
+# Runs every wavebench workload for one second, untraced and then
+# traced. wavebench exits 1 when a run breaks a correctness check, so a
+# change that breaks a workload at run time, or makes its output wrong,
+# fails here. Output stays under the gitignored .bench_build/.
+wavebenchsmoke:
+	bash wavebench/run.sh --workload all --seconds 1 --trace 0
+	bash wavebench/run.sh --workload all --seconds 1 --trace 1
+
 # Every paper experiment (E1–E13) against its predicted value: exits
 # non-zero when a measured value misses the paper's.
 repro:
@@ -67,6 +75,6 @@ test: verify
 # Every benchmark once, at two GOMAXPROCS settings, so neither the
 # measurement suite nor the concurrent paths it drives (engine fan-out,
 # region/overlay reconcile, admission, storms, snapshot reads, the serve
-# coalescer, adaptive re-layout) can silently rot.
+# coalescer) can silently rot.
 benchsmoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x -cpu=1,4 ./...

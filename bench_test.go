@@ -865,114 +865,3 @@ func BenchmarkSurviveChurn(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkAdaptChurn measures the self-tuning layout on a drifting
-// hotspot: a layered stage graph forming one giant biconnected block —
-// a component the seed region decomposition cannot cut — under
-// neighbourhood traffic whose hot window relocates every few hundred
-// events. The static engine serialises the whole block onto one big
-// region lane; the adaptive engine re-splits whichever stretch turns
-// hot (topological-prefix cuts land between layers), shrinking the
-// per-event search space to a few layers. The uniform load pair bounds
-// the adaptive bookkeeping overhead when there is nothing to adapt to.
-// Run with -cpu=1,4 for the worker axis.
-func BenchmarkAdaptChurn(b *testing.B) {
-	topo := gen.LayeredDAG(15, 20, 0.25, 77)
-	const period = 500
-	toReqs := func(pairs [][2]wavedag.Vertex) []wavedag.Request {
-		pool := make([]wavedag.Request, len(pairs))
-		for i, p := range pairs {
-			pool[i] = wavedag.Request{Src: p[0], Dst: p[1]}
-		}
-		return pool
-	}
-	loads := []struct {
-		name string
-		pool []wavedag.Request
-	}{
-		{"drift", toReqs(gen.DriftingHotspotRequestPool(topo, 30, 0.95, 6000, period, 157))},
-		{"uniform", toReqs(gen.DriftingHotspotRequestPool(topo, 30, 0, 6000, period, 158))},
-	}
-	cfg := wavedag.DefaultAdaptiveConfig()
-	cfg.HysteresisBatches = 4
-	cfg.ResplitShare = 0.5
-	// Stop splitting while lanes are still an order of magnitude larger
-	// than the hot window: tiny lanes would push window-straddling
-	// traffic onto the serialised overlay and forfeit the win.
-	cfg.MinRegionArcs = 256
-	for _, load := range loads {
-		for _, adaptive := range []bool{false, true} {
-			mode := "static"
-			// Min-load routing is the paper's load-balancing policy and
-			// the one whose per-event cost scales with the lane graph —
-			// exactly what re-splitting a hot region shrinks.
-			opts := []wavedag.ShardedOption{
-				wavedag.WithSubshardThreshold(64),
-				wavedag.WithShardSessionOptions(wavedag.WithRoutingPolicy(wavedag.RouteMinLoad)),
-			}
-			if adaptive {
-				mode = "adaptive"
-				opts = append(opts, wavedag.WithRegionResplit(), wavedag.WithAdaptiveConfig(cfg))
-			}
-			b.Run(fmt.Sprintf("load=%s/mode=%s", load.name, mode), func(b *testing.B) {
-				net := &wavedag.Network{Topology: topo}
-				eng, err := net.NewShardedEngine(opts...)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer eng.Close()
-				pool := load.pool
-				const liveTarget = 300
-				ids := make([]wavedag.ShardedID, 0, liveTarget)
-				next := 0 // sequential pool cursor: drift periods replay in order
-				for len(ids) < liveTarget {
-					id, err := eng.Add(pool[next%len(pool)])
-					next++
-					if err != nil {
-						b.Fatal(err)
-					}
-					ids = append(ids, id)
-				}
-				const batch = 32
-				ops := make([]wavedag.BatchOp, 0, batch)
-				slots := make([]int, 0, batch/2)
-				step := func(i int) {
-					k := (i * 17) % len(ids)
-					ops = append(ops, wavedag.RemoveOp(ids[k]), wavedag.AddOp(pool[next%len(pool)]))
-					next++
-					slots = append(slots, k)
-					if len(ops) == batch {
-						for j, res := range eng.ApplyBatch(ops) {
-							if res.Err != nil {
-								b.Fatal(res.Err)
-							}
-							if j%2 == 1 {
-								ids[slots[j/2]] = res.ID
-							}
-						}
-						ops, slots = ops[:0], slots[:0]
-					}
-				}
-				// Warm through one full pool cycle so the hotspot has
-				// visited every window and the adaptive engine has
-				// settled into its re-split layout ("once drifted").
-				for i := 0; next < len(pool); i++ {
-					step(i)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					step(i)
-				}
-				b.StopTimer()
-				if err := eng.Verify(); err != nil {
-					b.Fatal(err)
-				}
-				st := eng.Stats()
-				b.ReportMetric(float64(st.Resplits), "resplits")
-				b.ReportMetric(float64(st.RegionShards), "lanes")
-				b.ReportMetric(float64(st.OverlayLive), "overlay-live")
-			})
-		}
-	}
-}

@@ -1,7 +1,5 @@
 package digraph
 
-import "fmt"
-
 // Regions is the arc-disjoint region decomposition of a digraph: the
 // biconnected blocks of the underlying undirected multigraph. Arcs
 // partition exactly across regions, and two distinct regions meet in at
@@ -67,40 +65,19 @@ func (r *Regions) IsCutVertex(v Vertex) bool {
 // with their identifiers inside that region's view. Two distinct
 // vertices lie together in at most one region, so the answer is unique;
 // ok=false means every u→v dipath must cross regions (or an endpoint is
-// isolated). For u == v the first membership is returned. The cost is
+// isolated). For u == v at a cut vertex every membership qualifies, and
+// the last (highest-numbered) one is returned. The cost is
 // O(memberships), which is O(1) for non-cut vertices.
 func (r *Regions) CommonRegion(u, v Vertex) (region int32, lu, lv Vertex, ok bool) {
-	for _, mu := range r.RegionsOf(u) {
-		if u == v {
-			return mu.Region, mu.Local, mu.Local, true
-		}
-		for _, mv := range r.RegionsOf(v) {
-			if mv.Region == mu.Region {
-				return mu.Region, mu.Local, mv.Local, true
-			}
-		}
-	}
-	return -1, -1, -1, false
-}
-
-// CommonRegionNewest is CommonRegion preferring the highest-numbered
-// common region when there is more than one. On a fresh biconnected
-// decomposition the two coincide (two vertices share at most one
-// region), but SplitRegion leaves every suffix endpoint of a crossing
-// arc shared between both halves, and for such boundary pairs only the
-// newer half (which owns the arcs between them) can route the pair —
-// the older half holds them merely as frontier vertices. Engines
-// dispatching onto split layouts use this variant so boundary-pair
-// traffic lands on the lane that can serve it instead of escalating.
-func (r *Regions) CommonRegionNewest(u, v Vertex) (region int32, lu, lv Vertex, ok bool) {
-	// Memberships are CSR-packed in ascending region order, so the
-	// reverse scan returns the highest common region it meets first.
 	mus := r.RegionsOf(u)
-	for i := len(mus) - 1; i >= 0; i-- {
-		mu := mus[i]
-		if u == v {
-			return mu.Region, mu.Local, mu.Local, true
+	if u == v {
+		if len(mus) == 0 {
+			return -1, -1, -1, false
 		}
+		m := mus[len(mus)-1]
+		return m.Region, m.Local, m.Local, true
+	}
+	for _, mu := range mus {
 		for _, mv := range r.RegionsOf(v) {
 			if mv.Region == mu.Region {
 				return mu.Region, mu.Local, mv.Local, true
@@ -318,117 +295,4 @@ func (g *Digraph) PartitionRegions() *Regions {
 		}
 	}
 	return r
-}
-
-// SplitRegion splits region reg in two along a vertex bipartition of its
-// view: sideB flags each region-local vertex (length = the view's vertex
-// count). Arcs with both endpoints on side B move to a new region
-// appended after the existing ones; every other arc stays in reg, whose
-// rebuilt view keeps the side-A vertices plus the side-B endpoints of
-// cut-crossing arcs — those boundary vertices are then shared by both
-// halves, exactly as cut vertices are shared between biconnected blocks.
-// Untouched regions keep their views (shared, not copied), identifiers
-// and local numbering; only the membership CSR and the split arcs'
-// ArcRegion/LocalArc rows change, so the result is a fresh Regions while
-// the receiver stays valid for readers holding it.
-//
-// The split preserves arc-disjointness and totality but NOT confinement:
-// a dipath between two same-side vertices may need arcs of the other
-// side, so an engine re-splitting a live region must escalate in-region
-// routing failures to its component overlay (see the adaptive layout
-// plane in wdm). Both views keep the parent view's relative vertex and
-// arc order, and failed arcs stay failed in the half that inherits them.
-// An error is returned (receiver unchanged) when either side would end
-// up with no arcs — such a "split" is a rename, not a re-layout.
-func (r *Regions) SplitRegion(reg int, sideB []bool) (*Regions, error) {
-	if reg < 0 || reg >= len(r.Views) {
-		return nil, fmt.Errorf("digraph: SplitRegion: region %d out of range", reg)
-	}
-	rv := &r.Views[reg]
-	n := rv.G.NumVertices()
-	if len(sideB) != n {
-		return nil, fmt.Errorf("digraph: SplitRegion: bipartition size %d != %d vertices", len(sideB), n)
-	}
-	// A vertex joins half A when it is on side A or touches a crossing
-	// arc (crossing arcs stay in reg, dragging their B endpoint along as
-	// a shared boundary vertex).
-	inA := make([]bool, n)
-	arcsB := 0
-	for _, a := range rv.G.Arcs() {
-		if sideB[a.Tail] && sideB[a.Head] {
-			arcsB++
-		} else {
-			inA[a.Tail], inA[a.Head] = true, true
-		}
-	}
-	if arcsB == 0 || arcsB == rv.G.NumArcs() {
-		return nil, fmt.Errorf("digraph: SplitRegion: bipartition leaves a side without arcs")
-	}
-
-	// Carve the two halves in ascending parent-local order, so both views
-	// keep the parent view's relative vertex and arc order.
-	var viewA, viewB ComponentView
-	viewA.G, viewB.G = &Digraph{}, &Digraph{}
-	localA := make([]Vertex, n)
-	localB := make([]Vertex, n)
-	for v := 0; v < n; v++ {
-		if inA[v] {
-			localA[v] = viewA.G.AddVertex(rv.G.Label(Vertex(v)))
-			viewA.ToGlobalVertex = append(viewA.ToGlobalVertex, rv.ToGlobalVertex[v])
-		}
-		if sideB[v] {
-			localB[v] = viewB.G.AddVertex(rv.G.Label(Vertex(v)))
-			viewB.ToGlobalVertex = append(viewB.ToGlobalVertex, rv.ToGlobalVertex[v])
-		}
-	}
-	newIdx := int32(len(r.Views))
-	out := &Regions{
-		Views:     append(append([]ComponentView(nil), r.Views...), viewB),
-		ArcRegion: append([]int32(nil), r.ArcRegion...),
-		LocalArc:  append([]ArcID(nil), r.LocalArc...),
-	}
-	out.Views[reg] = viewA
-	vA, vB := &out.Views[reg], &out.Views[len(out.Views)-1]
-	for _, a := range rv.G.Arcs() {
-		parent := rv.ToGlobalArc[a.ID]
-		var view *ComponentView
-		var la ArcID
-		if sideB[a.Tail] && sideB[a.Head] {
-			la = vB.G.MustAddArc(localB[a.Tail], localB[a.Head])
-			view = vB
-			out.ArcRegion[parent] = newIdx
-		} else {
-			la = vA.G.MustAddArc(localA[a.Tail], localA[a.Head])
-			view = vA
-		}
-		view.ToGlobalArc = append(view.ToGlobalArc, parent)
-		out.LocalArc[parent] = la
-		if rv.G.ArcFailed(a.ID) {
-			// MustAddArc cannot fail here and FailArc of a just-added live
-			// arc cannot either.
-			_ = view.G.FailArc(la)
-		}
-	}
-
-	// Rebuild the membership CSR from the final views (the split region's
-	// members changed and boundary vertices gained a membership).
-	np := len(r.memberOff) - 1
-	out.memberOff = make([]int32, np+1)
-	for i := range out.Views {
-		for _, gv := range out.Views[i].ToGlobalVertex {
-			out.memberOff[gv+1]++
-		}
-	}
-	for v := 0; v < np; v++ {
-		out.memberOff[v+1] += out.memberOff[v]
-	}
-	out.members = make([]RegionMember, out.memberOff[np])
-	mfill := append([]int32(nil), out.memberOff[:np]...)
-	for i := range out.Views {
-		for lv, gv := range out.Views[i].ToGlobalVertex {
-			out.members[mfill[gv]] = RegionMember{Region: int32(i), Local: Vertex(lv)}
-			mfill[gv]++
-		}
-	}
-	return out, nil
 }

@@ -1,7 +1,7 @@
 // Package gen constructs the instances of the Bermond–Cosnard paper —
 // every figure is a (graph, dipath family) pair with a provable (π, w) —
 // together with random generators for DAG classes (general, internal-
-// cycle-free, UPP, arborescences, layered) and dipath families used by
+// cycle-free, UPP, arborescences) and dipath families used by
 // the property tests and the experiment harness.
 //
 // All generators are deterministic given their seed.
@@ -322,8 +322,9 @@ func LocalityRequestPool(g *digraph.Digraph, groups [][]digraph.Vertex, frac flo
 // the topology's spine — and the rest are drawn uniformly from all
 // routable pairs. Replaying such a pool against a finite wavelength
 // budget drives the hot arcs past any budget long before the cold ones:
-// the overload regime the admission-control benchmarks sweep. If too
-// few hot pairs are routable, or hotCount <= 0, the uniform class fills
+// the overload regime the admission-control benchmarks sweep. The hot
+// set is fixed for the whole pool: the concentration does not move as
+// the pool replays. If too few hot pairs are routable, or hotCount <= 0, the uniform class fills
 // the pool; a graph with no routable pairs, or a size <= 0, yields an
 // empty pool.
 func HotspotRequestPool(g *digraph.Digraph, hotCount int, hotFrac float64, size int, seed int64) [][2]digraph.Vertex {
@@ -369,75 +370,6 @@ func HotspotRequestPool(g *digraph.Digraph, hotCount int, hotFrac float64, size 
 	for i := 0; i < size; i++ {
 		pick := all
 		if hot.len() > 0 && rng.Float64() < hotFrac {
-			pick = hot
-		}
-		pool = append(pool, pick.at(rng.Intn(pick.len())))
-	}
-	return pool
-}
-
-// DriftingHotspotRequestPool draws a pool of routable (src, dst) pairs
-// whose hotspot moves: the pool is cut into periods of k entries, and
-// within period p about hotFrac of the entries have both endpoints in a
-// window of hotCount consecutive vertex ids starting at (p*hotCount)
-// mod NumVertices — each period the window slides on, so the traffic
-// concentration migrates across the topology as the pool replays. Hot
-// pairs are adjacent (arc-endpoint) pairs of the window when it has
-// internal arcs — neighbourhood traffic any layout containing the arc
-// can serve — and fall back to the window's routable pairs, then to
-// uniform, as the window thins out. The remaining entries are uniform
-// over all routable pairs.
-// Replaying such a pool against a statically partitioned engine keeps
-// relighting a different partition: the workload the adaptive layout
-// plane (hot-region re-splitting, budget re-banding) is built for,
-// while HotspotRequestPool is the static special case any fixed layout
-// can be pre-tuned to. A graph with no routable pairs, or a size <= 0,
-// yields an empty pool; k <= 0 means the hotspot never moves.
-func DriftingHotspotRequestPool(g *digraph.Digraph, hotCount int, hotFrac float64, size, k int, seed int64) [][2]digraph.Vertex {
-	n := g.NumVertices()
-	all := reachablePairs(g)
-	if all.len() == 0 {
-		return nil
-	}
-	hotCount = min(max(hotCount, 1), n)
-	// Hot pairs per window start, computed lazily: starts repeat once the
-	// window wraps, so long pools reuse the scans.
-	hotCache := make(map[int]pairClass)
-	hotFor := func(start int) pairClass {
-		if hot, ok := hotCache[start]; ok {
-			return hot
-		}
-		win := make([]uint64, all.words)
-		for d := 0; d < hotCount; d++ {
-			setBit(win, digraph.Vertex((start+d)%n))
-		}
-		var arcs pairList
-		for _, a := range g.Arcs() {
-			if a.Tail != a.Head && hasBit(win, a.Tail) && hasBit(win, a.Head) && !g.ArcFailed(a.ID) {
-				arcs = append(arcs, [2]digraph.Vertex{a.Tail, a.Head})
-			}
-		}
-		var hot pairClass = arcs
-		if len(arcs) == 0 {
-			hot = all.intersect(func(u int) []uint64 {
-				if hasBit(win, digraph.Vertex(u)) {
-					return win
-				}
-				return nil
-			})
-		}
-		hotCache[start] = hot
-		return hot
-	}
-	rng := rand.New(rand.NewSource(seed))
-	pool := make([][2]digraph.Vertex, 0, max(size, 0))
-	for i := 0; i < size; i++ {
-		start := 0
-		if k > 0 {
-			start = (i / k * hotCount) % n
-		}
-		var pick pairClass = all
-		if hot := hotFor(start); hot.len() > 0 && rng.Float64() < hotFrac {
 			pick = hot
 		}
 		pool = append(pool, pick.at(rng.Intn(pick.len())))
@@ -595,26 +527,6 @@ func RandomArborescence(n int, seed int64) *digraph.Digraph {
 	g := digraph.New(n)
 	for i := 1; i < n; i++ {
 		g.MustAddArc(digraph.Vertex(rng.Intn(i)), digraph.Vertex(i))
-	}
-	return g
-}
-
-// LayeredDAG returns a DAG with `layers` layers of `width` vertices;
-// each arc between consecutive layers is present with probability p.
-// Layered DAGs model the stage graphs of pipelined computations and the
-// virtual topologies of the optical examples.
-func LayeredDAG(layers, width int, p float64, seed int64) *digraph.Digraph {
-	rng := rand.New(rand.NewSource(seed))
-	g := digraph.New(layers * width)
-	at := func(l, i int) digraph.Vertex { return digraph.Vertex(l*width + i) }
-	for l := 0; l+1 < layers; l++ {
-		for i := 0; i < width; i++ {
-			for j := 0; j < width; j++ {
-				if rng.Float64() < p {
-					g.MustAddArc(at(l, i), at(l+1, j))
-				}
-			}
-		}
 	}
 	return g
 }

@@ -265,22 +265,6 @@ func TestRandomArborescence(t *testing.T) {
 	}
 }
 
-func TestLayeredDAG(t *testing.T) {
-	g := LayeredDAG(4, 3, 0.7, 5)
-	if !dag.IsDAG(g) {
-		t.Fatal("layered graph cyclic")
-	}
-	if g.NumVertices() != 12 {
-		t.Fatalf("n = %d", g.NumVertices())
-	}
-	// All arcs go between consecutive layers.
-	for _, a := range g.Arcs() {
-		if int(a.Head)/3-int(a.Tail)/3 != 1 {
-			t.Fatalf("arc %v skips layers", a)
-		}
-	}
-}
-
 func TestRandomWalkFamily(t *testing.T) {
 	g := RandomDAG(25, 60, 9)
 	fam := RandomWalkFamily(g, 30, 6, 10)
@@ -490,75 +474,6 @@ func TestHotspotRequestPool(t *testing.T) {
 	}
 	// Degenerate graphs yield an empty pool, not a panic.
 	if p := HotspotRequestPool(digraph.New(5), 3, 0.8, 10, 84); len(p) != 0 {
-		t.Fatalf("pool over an arcless graph has %d entries", len(p))
-	}
-}
-
-// TestDriftingHotspotRequestPool checks the moving-hotspot generator:
-// all entries are routable, and the hot endpoint window actually drifts
-// — consecutive periods concentrate on different vertex windows.
-func TestDriftingHotspotRequestPool(t *testing.T) {
-	g, err := RandomNoInternalCycleDAG(40, 6, 6, 0.2, 91)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const size, k, hotCount = 4000, 500, 8
-	pool := DriftingHotspotRequestPool(g, hotCount, 0.9, size, k, 92)
-	if len(pool) != size {
-		t.Fatalf("pool has %d entries, want %d", len(pool), size)
-	}
-	reach := func(src, dst digraph.Vertex) bool {
-		seen := make([]bool, g.NumVertices())
-		queue := []digraph.Vertex{src}
-		seen[src] = true
-		for head := 0; head < len(queue); head++ {
-			if queue[head] == dst {
-				return true
-			}
-			for _, a := range g.OutArcs(queue[head]) {
-				if h := g.Arc(a).Head; !seen[h] {
-					seen[h] = true
-					queue = append(queue, h)
-				}
-			}
-		}
-		return false
-	}
-	for i, p := range pool {
-		if p[0] == p[1] || !reach(p[0], p[1]) {
-			t.Fatalf("entry %d: pair %v not routable", i, p)
-		}
-	}
-	// Drift: each period's window holds hotCount consecutive vertex ids,
-	// so the per-period set of endpoints inside the period's window must
-	// change as the window slides. Compare the in-window hit counts of
-	// period 0's window across periods: it should dominate in period 0
-	// and fade once the window has moved past it.
-	n := g.NumVertices()
-	inWin := func(v digraph.Vertex, start int) bool {
-		return (int(v)-start+n)%n < hotCount
-	}
-	hits := func(period, start int) int {
-		c := 0
-		for _, p := range pool[period*k : (period+1)*k] {
-			if inWin(p[0], start) && inWin(p[1], start) {
-				c++
-			}
-		}
-		return c
-	}
-	if h0, h2 := hits(0, 0), hits(2, 0); h0 < 2*h2+1 {
-		t.Fatalf("hotspot did not drift: window-0 hits %d in period 0 vs %d in period 2", h0, h2)
-	}
-	if h2 := hits(2, (2*hotCount)%n); h2 < k/4 {
-		t.Fatalf("period 2 does not concentrate on its own window: %d/%d hits", h2, k)
-	}
-	// k <= 0 pins the hotspot; degenerate graphs yield an empty pool.
-	pinned := DriftingHotspotRequestPool(g, hotCount, 0.9, 1000, 0, 93)
-	if len(pinned) != 1000 {
-		t.Fatalf("pinned pool has %d entries", len(pinned))
-	}
-	if p := DriftingHotspotRequestPool(digraph.New(5), 3, 0.8, 10, 4, 94); len(p) != 0 {
 		t.Fatalf("pool over an arcless graph has %d entries", len(p))
 	}
 }

@@ -102,20 +102,6 @@ func (s *pairSet) minus(t *pairSet) *pairSet {
 	return out
 }
 
-// pairClass is one class of pairs a request pool draws from: len pairs,
-// the k-th of them by at.
-type pairClass interface {
-	len() int
-	at(k int) [2]digraph.Vertex
-}
-
-// pairList is a pairClass listed entry by entry.
-type pairList [][2]digraph.Vertex
-
-func (l pairList) len() int { return len(l) }
-
-func (l pairList) at(k int) [2]digraph.Vertex { return l[k] }
-
 // reachablePairs returns the routable pairs of g: every (u, v) with
 // v != u and a dipath from u to v over g's arcs, failed ones included.
 //

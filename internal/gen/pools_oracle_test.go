@@ -145,81 +145,3 @@ func oracleHotspotRequestPool(g *digraph.Digraph, hotCount int, hotFrac float64,
 	}
 	return pool
 }
-
-func oracleDriftingHotspotRequestPool(g *digraph.Digraph, hotCount int, hotFrac float64, size, k int, seed int64) [][2]digraph.Vertex {
-	n := g.NumVertices()
-	var all [][2]digraph.Vertex
-	seen := make([]bool, n)
-	queue := make([]digraph.Vertex, 0, n)
-	for u := 0; u < n; u++ {
-		for i := range seen {
-			seen[i] = false
-		}
-		src := digraph.Vertex(u)
-		seen[src] = true
-		queue = append(queue[:0], src)
-		for head := 0; head < len(queue); head++ {
-			for _, a := range g.OutArcs(queue[head]) {
-				if h := g.Arc(a).Head; !seen[h] {
-					seen[h] = true
-					queue = append(queue, h)
-				}
-			}
-		}
-		for v := 0; v < n; v++ {
-			if v != u && seen[v] {
-				all = append(all, [2]digraph.Vertex{src, digraph.Vertex(v)})
-			}
-		}
-	}
-	if len(all) == 0 {
-		return nil
-	}
-	if hotCount > n {
-		hotCount = n
-	}
-	if hotCount < 1 {
-		hotCount = 1
-	}
-	// Hot pairs per window start, computed lazily: starts repeat once the
-	// window wraps, so long pools reuse the scans.
-	hotCache := make(map[int][][2]digraph.Vertex)
-	hotFor := func(start int) [][2]digraph.Vertex {
-		if hot, ok := hotCache[start]; ok {
-			return hot
-		}
-		inWin := func(v digraph.Vertex) bool {
-			d := (int(v) - start + n) % n
-			return d < hotCount
-		}
-		var hot [][2]digraph.Vertex
-		for _, a := range g.Arcs() {
-			if a.Tail != a.Head && inWin(a.Tail) && inWin(a.Head) && !g.ArcFailed(a.ID) {
-				hot = append(hot, [2]digraph.Vertex{a.Tail, a.Head})
-			}
-		}
-		if len(hot) == 0 {
-			for _, pair := range all {
-				if inWin(pair[0]) && inWin(pair[1]) {
-					hot = append(hot, pair)
-				}
-			}
-		}
-		hotCache[start] = hot
-		return hot
-	}
-	rng := rand.New(rand.NewSource(seed))
-	pool := make([][2]digraph.Vertex, 0, size)
-	for i := 0; i < size; i++ {
-		start := 0
-		if k > 0 {
-			start = (i / k * hotCount) % n
-		}
-		pick := all
-		if hot := hotFor(start); len(hot) > 0 && rng.Float64() < hotFrac {
-			pick = hot
-		}
-		pool = append(pool, pick[rng.Intn(len(pick))])
-	}
-	return pool
-}

@@ -136,27 +136,6 @@ func TestHotspotRequestPoolMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestDriftingHotspotRequestPoolMatchesOracle compares
-// DriftingHotspotRequestPool with the pair-list generator it replaced,
-// for pinned (k <= 0) and moving windows, including windows with no
-// internal arc, whose hot class falls back to their routable pairs.
-func TestDriftingHotspotRequestPoolMatchesOracle(t *testing.T) {
-	for _, pg := range poolGraphs(t) {
-		n := pg.g.NumVertices()
-		for _, hotCount := range []int{-2, 0, 1, 3, n, n + 3} {
-			for _, k := range []int{-1, 0, 1, 7, 50} {
-				for _, hotFrac := range []float64{0, 0.9, 1} {
-					want := oracleDriftingHotspotRequestPool(pg.g, hotCount, hotFrac, 300, k, 7)
-					got := DriftingHotspotRequestPool(pg.g, hotCount, hotFrac, 300, k, 7)
-					if !slices.Equal(got, want) {
-						t.Fatalf("%s hotCount=%d k=%d hotFrac=%g: pool differs from the oracle", pg.name, hotCount, k, hotFrac)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestRequestPoolsDegenerateArguments pins what the pool generators do
 // with arguments the pair-list generators panicked on: a negative
 // hotCount is an empty hot set, so the pool is uniform, and a negative
@@ -172,7 +151,6 @@ func TestRequestPoolsDegenerateArguments(t *testing.T) {
 		{"hotspot negative hotCount", HotspotRequestPool(g, -4, 0.8, 200, 8), oracleHotspotRequestPool(g, 0, 0.8, 200, 8)},
 		{"locality negative size", LocalityRequestPool(g, groups, 0.9, -1, 8), nil},
 		{"hotspot negative size", HotspotRequestPool(g, 5, 0.8, -1, 8), nil},
-		{"drifting negative size", DriftingHotspotRequestPool(g, 5, 0.8, -1, 4, 8), nil},
 	}
 	for _, c := range cases {
 		if !slices.Equal(c.got, c.want) {
@@ -183,12 +161,12 @@ func TestRequestPoolsDegenerateArguments(t *testing.T) {
 
 // FuzzRequestPools decodes a small digraph (cycles and parallel arcs
 // allowed), a grouping and the pool parameters from bytes, and compares
-// the three pool generators with their pair-list oracles.
+// the two pool generators with their pair-list oracles.
 func FuzzRequestPools(f *testing.F) {
-	f.Add([]byte{8, 0, 1, 1, 2, 2, 3, 3, 4, 4, 0, 5, 6}, uint8(3), uint8(128), int8(2), uint8(40), int8(3), int64(1))
-	f.Add([]byte{12, 0, 5, 5, 9, 1, 5, 9, 11, 2, 3}, uint8(2), uint8(255), int8(-3), uint8(64), int8(0), int64(2))
-	f.Add([]byte{3}, uint8(1), uint8(0), int8(9), uint8(10), int8(-1), int64(3))
-	f.Fuzz(func(t *testing.T, arcs []byte, nGroups, frac uint8, hotCount int8, size uint8, k int8, seed int64) {
+	f.Add([]byte{8, 0, 1, 1, 2, 2, 3, 3, 4, 4, 0, 5, 6}, uint8(3), uint8(128), int8(2), uint8(40), int64(1))
+	f.Add([]byte{12, 0, 5, 5, 9, 1, 5, 9, 11, 2, 3}, uint8(2), uint8(255), int8(-3), uint8(64), int64(2))
+	f.Add([]byte{3}, uint8(1), uint8(0), int8(9), uint8(10), int64(3))
+	f.Fuzz(func(t *testing.T, arcs []byte, nGroups, frac uint8, hotCount int8, size uint8, seed int64) {
 		if len(arcs) == 0 {
 			return
 		}
@@ -210,9 +188,6 @@ func FuzzRequestPools(f *testing.F) {
 		hc := int(hotCount)
 		if !slices.Equal(HotspotRequestPool(g, hc, p, int(size), seed), oracleHotspotRequestPool(g, max(hc, 0), p, int(size), seed)) {
 			t.Fatal("HotspotRequestPool differs from the oracle")
-		}
-		if !slices.Equal(DriftingHotspotRequestPool(g, hc, p, int(size), int(k), seed), oracleDriftingHotspotRequestPool(g, hc, p, int(size), int(k), seed)) {
-			t.Fatal("DriftingHotspotRequestPool differs from the oracle")
 		}
 	})
 }

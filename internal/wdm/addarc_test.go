@@ -62,10 +62,9 @@ func replayEquivalence(t *testing.T, eng *ShardedEngine, topo *digraph.Digraph) 
 	}
 }
 
-// adaptiveFixture glues several Theorem 1 DAGs into one giant component
-// and returns the network plus the per-part vertex lists (the glue
-// structure the drifting workloads target).
-func adaptiveFixture(t testing.TB, parts int, seed int64) (*Network, [][]digraph.Vertex) {
+// gluedFixture glues several Theorem 1 DAGs into one giant component
+// and returns the network plus the per-part vertex lists.
+func gluedFixture(t testing.TB, parts int, seed int64) (*Network, [][]digraph.Vertex) {
 	t.Helper()
 	gs := make([]*digraph.Digraph, parts)
 	for i := range gs {
@@ -92,7 +91,7 @@ func regionPairs(t *testing.T, eng *ShardedEngine) ([]route.Request, *engineShar
 		if c.dead || len(c.regionShards) == 0 {
 			continue
 		}
-		// The largest region gives re-splitting the most room.
+		// The largest region gives the most distinct pairs.
 		best := -1
 		for ri, rs := range c.regionShards {
 			if best < 0 || rs.sess.net.Topology.NumArcs() > c.regionShards[best].sess.net.Topology.NumArcs() {
@@ -211,7 +210,7 @@ func TestAddArcPlainComponent(t *testing.T) {
 // bridging regions becomes overlay-owned — no region lane knows it, the
 // component turns escalating, and cutting it storms only the overlay.
 func TestAddArcTwoLevel(t *testing.T) {
-	net, _ := adaptiveFixture(t, 4, 511)
+	net, _ := gluedFixture(t, 4, 511)
 	topo := net.Topology.Clone()
 	eng := twoLevelEngine(t, net, WithShardWorkers(2))
 	defer eng.Close()
@@ -315,7 +314,8 @@ func e_arcLoc(eng *ShardedEngine, ga digraph.ArcID) digraph.ArcID { return eng.a
 // components merges them into one plain component. Every lightpath of
 // both survives the merge — ids issued before keep resolving through
 // the retired lanes' forward maps, strong and snapshot reads agree —
-// and the merged pair becomes routable.
+// and the merged pair becomes routable. A second merge then chains the
+// forward maps two hops deep.
 func TestAddArcMerge(t *testing.T) {
 	net := multiComponentNetwork(t, 4, 521)
 	topo := net.Topology.Clone()
@@ -410,6 +410,69 @@ func TestAddArcMerge(t *testing.T) {
 	if err := eng.Remove(ids[0].id); err != nil {
 		t.Fatalf("Remove through forward map: %v", err)
 	}
+	ids = ids[1:]
+	ids = append(ids, held{mid, p.String()})
+
+	// A second merge joins a third component into the merged one: ids
+	// issued before the first merge now resolve through a 2-hop forward
+	// chain (original lane -> first merged overlay -> second).
+	var w digraph.Vertex = -1
+	for gv := range eng.label {
+		if eng.label[gv] == 2 {
+			w = digraph.Vertex(gv)
+			break
+		}
+	}
+	if _, err := eng.AddArc(w, u); err != nil {
+		t.Fatalf("second merge AddArc: %v", err)
+	}
+	if _, err := topo.AddArc(w, u); err != nil {
+		t.Fatal(err)
+	}
+	if eng.label[w] != eng.label[u] {
+		t.Fatal("second merge left the components apart")
+	}
+	hops := func(id ShardedID) int {
+		n := 0
+		for sh := eng.shards[id.Shard]; sh.retired; sh = eng.shards[id.Shard] {
+			id = sh.forward[id.ID]
+			n++
+		}
+		return n
+	}
+	if hops(ids[0].id) != 2 {
+		t.Fatalf("pre-merge id resolves in %d hops, want 2", hops(ids[0].id))
+	}
+	snap2 := eng.Snapshot()
+	defer snap2.Release()
+	for _, h := range ids {
+		p, err := strongPath(eng, h.id)
+		if err != nil {
+			t.Fatalf("id lost after the second merge (strong): %v", err)
+		}
+		if p.String() != h.p {
+			t.Fatalf("route changed by the second merge: %s, want %s", p, h.p)
+		}
+		sp, err := snap2.Path(h.id)
+		if err != nil {
+			t.Fatalf("id lost after the second merge (snapshot): %v", err)
+		}
+		if sp.String() != h.p {
+			t.Fatalf("route changed by the second merge in snapshot: %s, want %s", sp, h.p)
+		}
+	}
+	// The snapshot pinned between the merges still serves its world.
+	for _, h := range ids[:len(ids)-1] {
+		if sp, err := snap.Path(h.id); err != nil || sp.String() != h.p {
+			t.Fatalf("snapshot pinned before the second merge: %v %v, want %s", sp, err, h.p)
+		}
+	}
+	if err := eng.Remove(ids[0].id); err != nil {
+		t.Fatalf("Remove through the 2-hop forward chain: %v", err)
+	}
+	if _, err := strongPath(eng, ids[0].id); err == nil {
+		t.Fatal("removed id still resolves")
+	}
 	replayEquivalence(t, eng, topo)
 }
 
@@ -428,297 +491,18 @@ func TestAddArcClosed(t *testing.T) {
 	}
 }
 
-// TestAdaptiveBandingRequiresBudget pins the option contract: banding
-// re-splits the wavelength budget, so an unbudgeted engine rejects it,
-// and a malformed AdaptiveConfig is rejected at construction.
-func TestAdaptiveBandingRequiresBudget(t *testing.T) {
-	net, _ := adaptiveFixture(t, 3, 541)
-	if _, err := net.NewShardedEngine(WithAdaptiveBanding()); err == nil {
-		t.Fatal("adaptive banding without a budget succeeded")
-	}
-	bad := DefaultAdaptiveConfig()
-	bad.HighWater = 0.2 // below LowWater
-	if _, err := net.NewShardedEngine(WithAdaptiveConfig(bad)); err == nil {
-		t.Fatal("malformed AdaptiveConfig accepted")
-	}
-}
-
-// TestRebandHysteresis is the oscillation property test: under a load
-// that flips between overlay-heavy and idle every batch, the pressure
-// gauges never sustain HysteresisBatches of one-sided evidence, so the
-// engine must not re-band at all; under a sustained one-sided load it
-// must re-band, and no more than once per hysteresis window.
-func TestRebandHysteresis(t *testing.T) {
-	const hys = 4
-	build := func(t *testing.T) (*ShardedEngine, []route.Request, []route.Request) {
-		cfg := DefaultAdaptiveConfig()
-		cfg.HysteresisBatches = hys
-		cfg.Alpha = 0.9 // react fast: the hysteresis gate alone must hold oscillation
-		net, _ := adaptiveFixture(t, 4, 551)
-		eng := twoLevelEngine(t, net,
-			WithShardWorkers(2),
-			WithEngineWavelengthBudget(6),
-			WithOverlayBudgetSlice(1),
-			WithAdaptiveBanding(),
-			WithAdaptiveConfig(cfg),
-		)
-		// Overlay-heavy load: cross-region pairs (no common region) with a
-		// 1-wavelength overlay slice saturate admission immediately.
-		// Region load: in-region arc pairs.
-		regional, _, c := regionPairs(t, eng)
-		var cross []route.Request
-		for gv := range eng.label {
-			v := digraph.Vertex(gv)
-			if eng.label[v] != c.idx {
-				continue
-			}
-			for gw := range eng.label {
-				w := digraph.Vertex(gw)
-				if v == w || eng.label[w] != c.idx {
-					continue
-				}
-				if _, _, _, ok := c.regions.CommonRegion(eng.localV[v], eng.localV[w]); ok {
-					continue
-				}
-				if sh, _, err := eng.dispatchAdd(route.Request{Src: v, Dst: w}); err == nil && sh.kind == shardOverlay {
-					cross = append(cross, route.Request{Src: v, Dst: w})
-				}
-				if len(cross) >= 40 {
-					return eng, regional, cross
-				}
-			}
-		}
-		if len(cross) == 0 {
-			t.Fatal("fixture has no overlay pairs")
-		}
-		return eng, regional, cross
-	}
-	// One burst = ONE batch mixing this round's adds with the teardown
-	// of the previous round's accepted adds: every batch carries fresh
-	// admission offers, so the saturation gauge sees a sustained load as
-	// sustained (a remove-only batch would read as an idle tick and
-	// decay it).
-	var carry []ShardedID
-	burst := func(eng *ShardedEngine, pool []route.Request, n int, rng *rand.Rand) {
-		ops := make([]BatchOp, 0, n+len(carry))
-		for i := 0; i < n; i++ {
-			ops = append(ops, AddOp(pool[rng.Intn(len(pool))]))
-		}
-		for _, id := range carry {
-			ops = append(ops, RemoveOp(id))
-		}
-		results := eng.ApplyBatch(ops)
-		carry = carry[:0]
-		for i, r := range results {
-			if ops[i].Kind == BatchAdd && r.Err == nil {
-				carry = append(carry, r.ID)
-			}
-		}
-	}
-
-	t.Run("oscillating", func(t *testing.T) {
-		eng, regional, cross := build(t)
-		defer eng.Close()
-		carry = nil
-		rng := rand.New(rand.NewSource(552))
-		for batch := 0; batch < 8*hys; batch++ {
-			if batch%2 == 0 {
-				burst(eng, cross, 20, rng)
-			} else {
-				burst(eng, regional, 20, rng)
-			}
-		}
-		if st := strongStats(eng); st.Rebands != 0 {
-			t.Fatalf("oscillating load re-banded %d times, want 0", st.Rebands)
-		}
-	})
-	t.Run("sustained", func(t *testing.T) {
-		eng, _, cross := build(t)
-		defer eng.Close()
-		carry = nil
-		rng := rand.New(rand.NewSource(553))
-		const batches = 8 * hys
-		for batch := 0; batch < batches; batch++ {
-			burst(eng, cross, 20, rng)
-		}
-		st := strongStats(eng)
-		if st.Rebands < 1 {
-			t.Fatal("sustained overlay pressure never re-banded")
-		}
-		// One burst is one batch, and a re-layout is gated on hys batches
-		// of cooldown: at most one re-band per hys batches.
-		if max := batches / hys; st.Rebands > max {
-			t.Fatalf("re-banded %d times in %d batches, hysteresis allows at most %d", st.Rebands, batches, max)
-		}
-		if err := eng.Verify(); err != nil {
-			t.Fatal(err)
-		}
-		if n, err := strongNumLambda(eng); err != nil || n > eng.Budget() {
-			t.Fatalf("λ = %d exceeds budget %d after re-banding (err=%v)", n, eng.Budget(), err)
-		}
-	})
-}
-
-// TestResplitHotRegion drives all traffic at one region lane until the
-// engine re-splits it: the lane count grows, the event share rebalances
-// the hot traffic across the two halves, ids issued before the re-split
-// keep resolving to their exact routes, and the engine stays equivalent
-// to a from-scratch session. Pinned snapshots taken before the re-split
-// are immutable.
-func TestResplitHotRegion(t *testing.T) {
-	cfg := DefaultAdaptiveConfig()
-	cfg.HysteresisBatches = 2
-	cfg.Alpha = 0.8
-	cfg.ResplitShare = 0.5
-	cfg.MinRegionArcs = 4
-	net, _ := adaptiveFixture(t, 4, 561)
-	eng := twoLevelEngine(t, net,
-		WithShardWorkers(2),
-		WithRegionResplit(),
-		WithAdaptiveConfig(cfg),
-	)
-	defer eng.Close()
-	topo := net.Topology.Clone()
-
-	pairs, rs, c := regionPairs(t, eng)
-	rng := rand.New(rand.NewSource(562))
-	lanesInitial := len(c.regionShards)
-
-	// Seed standing traffic in the hot region and pin its routes,
-	// snapshotting before the pressure can have triggered a re-split.
-	type held struct {
-		id ShardedID
-		p  string
-	}
-	var ids []held
-	var snap *EngineSnapshot
-	for i := 0; i < 20; i++ {
-		id, err := eng.Add(pairs[rng.Intn(len(pairs))])
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := strongPath(eng, id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, held{id, p.String()})
-		if i == 0 {
-			snap = eng.Snapshot()
-			defer snap.Release()
-		}
-	}
-	snapLen := snap.Len()
-
-	// Hammer the region until the engine re-splits it.
-	var split bool
-	for batch := 0; batch < 40 && !split; batch++ {
-		ops := make([]BatchOp, 0, 16)
-		for i := 0; i < 16; i++ {
-			ops = append(ops, AddOp(pairs[rng.Intn(len(pairs))]))
-		}
-		results := eng.ApplyBatch(ops)
-		ops = ops[:0]
-		for _, r := range results {
-			if r.Err == nil {
-				ops = append(ops, RemoveOp(r.ID))
-			}
-		}
-		eng.ApplyBatch(ops)
-		split = strongStats(eng).Resplits > 0
-	}
-	if !split {
-		t.Fatal("hot region was never re-split")
-	}
-	if len(c.regionShards) <= lanesInitial {
-		t.Fatalf("re-splitting did not grow the lane count: %d, started at %d", len(c.regionShards), lanesInitial)
-	}
-	if !rs.retired {
-		t.Fatal("hot lane was not retired")
-	}
-	// Once no lane dominates the component's event share any more, the
-	// re-splitting settles: equilibrium, not thrash. Run the same load
-	// on and require the layout to hold still.
-	settled := strongStats(eng).Resplits
-	lanesSettled := len(c.regionShards)
-	for batch := 0; batch < 10; batch++ {
-		ops := make([]BatchOp, 0, 16)
-		for i := 0; i < 16; i++ {
-			ops = append(ops, AddOp(pairs[rng.Intn(len(pairs))]))
-		}
-		results := eng.ApplyBatch(ops)
-		ops = ops[:0]
-		for _, r := range results {
-			if r.Err == nil {
-				ops = append(ops, RemoveOp(r.ID))
-			}
-		}
-		eng.ApplyBatch(ops)
-	}
-	if st := strongStats(eng); st.Resplits > settled+1 || len(c.regionShards) > lanesSettled+1 {
-		t.Fatalf("re-splitting did not settle: %d re-splits (was %d), %d lanes (was %d)",
-			st.Resplits, settled, len(c.regionShards), lanesSettled)
-	}
-	if !c.escalate {
-		t.Fatal("re-split component is not escalating region no-routes")
-	}
-	// Old ids resolve to their exact routes through the forward map.
-	for _, h := range ids {
-		p, err := strongPath(eng, h.id)
-		if err != nil {
-			t.Fatalf("pre-split id lost: %v", err)
-		}
-		if p.String() != h.p {
-			t.Fatalf("pre-split route changed: %s, want %s", p, h.p)
-		}
-	}
-	// The pinned snapshot still serves the pre-split world — exactly the
-	// ids that existed when it was taken, with their exact routes.
-	if snap.Len() != snapLen {
-		t.Fatalf("pinned snapshot Len changed: %d, want %d", snap.Len(), snapLen)
-	}
-	for _, h := range ids[:snapLen] {
-		p, err := snap.Path(h.id)
-		if err != nil {
-			t.Fatalf("pinned snapshot lost id: %v", err)
-		}
-		if p.String() != h.p {
-			t.Fatalf("pinned snapshot route changed: %s, want %s", p, h.p)
-		}
-	}
-	// The hot traffic keeps flowing after the re-split, and a removal
-	// through the forward map works.
-	if err := eng.Remove(ids[0].id); err != nil {
-		t.Fatalf("Remove through forward map: %v", err)
-	}
-	for i := 0; i < 20; i++ {
-		if _, err := eng.Add(pairs[rng.Intn(len(pairs))]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	replayEquivalence(t, eng, topo)
-}
-
-// TestAdaptiveRandomizedEquivalence is the tentpole pin: a randomized
-// churn of adds, removes, capacity adds and failure events on a fully
-// adaptive engine (banding + re-splitting), checked after every phase
-// against a from-scratch session over the engine's final topology — the
-// engine's state must always be exactly representable from scratch (π
-// exact, merged coloring proper, λ within the budget), no matter how
-// many re-layouts it has been through.
-func TestAdaptiveRandomizedEquivalence(t *testing.T) {
-	cfg := DefaultAdaptiveConfig()
-	cfg.HysteresisBatches = 3
-	cfg.Alpha = 0.7
-	cfg.ResplitShare = 0.5
-	cfg.MinRegionArcs = 4
-	net, _ := adaptiveFixture(t, 4, 571)
+// TestAddArcRandomizedEquivalence is a randomized churn of adds,
+// removes, capacity adds and failure events on a budgeted two-level
+// engine, checked after every phase against a from-scratch session over
+// the engine's final topology — the engine's state must always be
+// exactly representable from scratch (π exact, merged coloring proper,
+// λ within the budget), no matter how many capacity adds it has taken.
+func TestAddArcRandomizedEquivalence(t *testing.T) {
+	net, _ := gluedFixture(t, 4, 571)
 	eng := twoLevelEngine(t, net,
 		WithShardWorkers(2),
 		WithEngineWavelengthBudget(8),
 		WithOverlayBudgetSlice(2),
-		WithAdaptiveBanding(),
-		WithRegionResplit(),
-		WithAdaptiveConfig(cfg),
 	)
 	defer eng.Close()
 	topo := net.Topology.Clone()
@@ -732,7 +516,7 @@ func TestAdaptiveRandomizedEquivalence(t *testing.T) {
 		phases = 4
 	}
 	for phase := 0; phase < phases; phase++ {
-		// A few churn batches, hot-region biased so re-layouts happen.
+		// A few churn batches, biased towards one region lane.
 		for batch := 0; batch < 4; batch++ {
 			ops := make([]BatchOp, 0, 24)
 			removed := map[int]bool{}
@@ -785,31 +569,21 @@ func TestAdaptiveRandomizedEquivalence(t *testing.T) {
 		}
 		replayEquivalence(t, eng, topo)
 	}
-	st := strongStats(eng)
-	if st.Resplits == 0 && st.Rebands == 0 {
-		t.Log("randomized churn triggered no re-layouts (valid but weak run)")
+	if st := strongStats(eng); st.ArcAdds == 0 {
+		t.Fatal("randomized churn applied no capacity adds")
 	}
 }
 
-// TestAdaptiveConcurrentReaders races lock-free snapshot readers
-// against the full adaptive write plane: churn batches, re-splits,
-// re-bands and capacity adds. Run under -race; the invariant is simply
-// that every pinned read is coherent (no torn state, ids resolve or
-// report a clean error).
-func TestAdaptiveConcurrentReaders(t *testing.T) {
-	cfg := DefaultAdaptiveConfig()
-	cfg.HysteresisBatches = 2
-	cfg.Alpha = 0.8
-	cfg.ResplitShare = 0.5
-	cfg.MinRegionArcs = 4
-	net, _ := adaptiveFixture(t, 3, 581)
+// TestAddArcConcurrentReaders races lock-free snapshot readers
+// against the write plane: churn batches and capacity adds. Run under
+// -race; the invariant is simply that every pinned read is coherent (no
+// torn state, ids resolve or report a clean error).
+func TestAddArcConcurrentReaders(t *testing.T) {
+	net, _ := gluedFixture(t, 3, 581)
 	eng := twoLevelEngine(t, net,
 		WithShardWorkers(2),
 		WithEngineWavelengthBudget(8),
 		WithOverlayBudgetSlice(2),
-		WithAdaptiveBanding(),
-		WithRegionResplit(),
-		WithAdaptiveConfig(cfg),
 	)
 	defer eng.Close()
 

@@ -757,17 +757,15 @@ func (s *Session) Verify() error {
 	return core.Verify(s.net.Topology, fam, res)
 }
 
-// ── Re-layout primitives (adaptive layout plane; see adaptive.go) ──────
+// ── Capacity-add primitives (see addarc.go) ────────────────────────────
 //
-// The sharded engine reshapes its lane layout online: budget re-banding
-// moves wavelengths between the region band and the overlay slice,
-// re-splitting carves a hot region in two, and live AddArc grows the
-// topology under a running engine. All three are built from the four
-// session primitives below plus growTopology — adoption moves an
-// already-admitted lightpath between lane sessions without touching the
-// admission counters (relocation is not a new offer), retirement drains
-// a lane whose entries moved away, and growTopology re-syncs per-arc
-// state after the session's graph gained arcs in place.
+// Live AddArc grows the topology under a running engine. It is built
+// from the three session primitives below plus growTopology: adoption
+// moves an already-admitted lightpath between lane sessions without
+// touching the admission counters (relocation is not a new offer),
+// retirement drains a lane whose entries moved away, and growTopology
+// re-syncs per-arc state after the session's graph gained arcs in
+// place.
 
 // adoptPath relocates an already-admitted lightpath into this session:
 // p is colored under the session's budget by budgetedAdd, and the new
@@ -812,8 +810,8 @@ func (s *Session) adoptDark(req route.Request, p *dipath.Path) SessionID {
 }
 
 // drainRetire empties a session whose entries relocated to other lanes
-// during a re-layout: every slot stops resolving (stale lookups fail and
-// are forwarded by the engine), live/dark drop to zero, but the
+// during a component merge: every slot stops resolving (stale lookups
+// fail and are forwarded by the engine), live/dark drop to zero, but the
 // cumulative admission and failure counters survive — the engine keeps
 // retired lanes in its stats aggregation so no traffic history is lost.
 // The coloring and tracker state is abandoned, not torn down: the
@@ -849,19 +847,6 @@ func (s *Session) growTopology() error {
 		s.cycleFree = !cycles.HasInternalCycle(g)
 	}
 	return nil
-}
-
-// setBudget re-bands the session's wavelength budget in place (adaptive
-// banding): the caller guarantees the live assignment fits the new
-// budget, and the λ ≤ budget invariant is re-enforced immediately. Only
-// budgeted sessions re-band — admission machinery and the Theorem-1
-// gate were configured at construction and do not change here.
-func (s *Session) setBudget(w int) {
-	if s.budget <= 0 || w <= 0 {
-		return
-	}
-	s.budget = w
-	s.enforceBudgetLambda()
 }
 
 // countADMs counts the add-drop multiplexers of an assignment: one ADM

@@ -155,17 +155,9 @@ type ShardedEngine struct {
 	budget       int
 	overlaySlice int
 
-	// Layout configuration retained for the adaptive plane (see
-	// adaptive.go): the sub-shard threshold, the session options every
-	// lane is opened with (re-layouts open new lanes), and the adaptive
-	// switches with their tuning knobs and cumulative re-layout counters.
-	subshard    int
+	// The session options every lane is opened with (component merges
+	// open new lanes) and the count of live capacity adds (see addarc.go).
 	sessionOpts []SessionOption
-	adaptive    bool
-	resplit     bool
-	acfg        AdaptiveConfig
-	rebands     int
-	resplits    int
 	arcAdds     int
 
 	// Batch-scoped scratch, reused across ApplyBatch calls.
@@ -220,32 +212,20 @@ type engineShard struct {
 	// e.mu), cleared at publication.
 	dirty bool
 
-	// Re-layout state (see adaptive.go). A retired shard no longer
-	// executes ops: its session is drained and its entries relocated;
-	// forward maps every SessionID the shard ever handed out (and still
-	// held a live or dark entry at retirement) to the relocated id.
-	// forward is written once at retirement and immutable afterwards, so
-	// published snapshots may reference it lock-free.
+	// Merge state (see addarc.go). A retired shard no longer executes
+	// ops: a component merge drained its session and relocated its
+	// entries; forward maps every SessionID the shard ever handed out
+	// (and still held a live or dark entry at retirement) to the
+	// relocated id. forward is written once at retirement and immutable
+	// afterwards, so published snapshots may reference it lock-free.
 	retired bool
 	forward map[SessionID]ShardedID
 
 	// escal stashes region-lane adds that failed with ErrNoRoute on a
-	// component marked escalate (a re-split or capacity add made some
-	// co-region pairs region-unroutable): phase 2 re-runs them on the
-	// overlay lane, merged with the overlay's own ops in input order.
+	// component marked escalate (a capacity add bridging its regions may
+	// have opened routes no region view knows): phase 2 re-runs them on
+	// the overlay lane, merged with the overlay's own ops in input order.
 	escal []shardOp
-
-	// Adaptive pressure gauges (see adaptive.go), refreshed at batch
-	// boundaries under e.mu: per-lane event counts and EWMAs of budget
-	// occupancy, admission saturation, and the lane's share of its
-	// component's events.
-	events     uint64
-	prevEvents uint64
-	occEW      float64
-	satEW      float64
-	evShareEW  float64
-	prevReq    int
-	prevRej    int
 }
 
 // shardOp is one dispatched batch event: the index into the caller's
@@ -271,8 +251,8 @@ type shardDelta struct {
 // region. regions is nil and regionShards empty when the component is
 // below the sub-shard threshold or its partition yields a single region
 // (a "regionless" component): its overlay lane then carries all of its
-// traffic, admits against the full engine budget, logs no path deltas
-// and stays out of adaptive re-banding and re-splitting.
+// traffic, admits against the full engine budget and logs no path
+// deltas.
 type engineComponent struct {
 	idx          int32
 	view         digraph.ComponentView
@@ -280,21 +260,14 @@ type engineComponent struct {
 	regionShards []*engineShard
 	overlay      *engineShard
 
-	// Adaptive layout state (see adaptive.go): the component's current
-	// overlay band (adaptive banding re-splits the engine budget per
-	// component), the batch serial of its last re-layout (hysteresis
-	// cooldown), the consecutive-batch pressure counters behind the
-	// hysteresis gate, whether the component was dissolved by a
-	// cross-component merge (dead components keep their slot so shard
-	// and component indices stay stable), and whether region lanes must
-	// escalate ErrNoRoute adds to the overlay (a re-split or capacity
-	// add made region views pessimistic about routability).
-	overlaySlice int
-	lastLayout   uint64
-	growPend     int
-	shrinkPend   int
-	dead         bool
-	escalate     bool
+	// Capacity-add state (see addarc.go): whether the component was
+	// dissolved by a cross-component merge (dead components keep their
+	// slot so shard and component indices stay stable), and whether
+	// region lanes must escalate ErrNoRoute adds to the overlay (a
+	// capacity add bridging regions made region views pessimistic about
+	// routability).
+	dead     bool
+	escalate bool
 
 	// Snapshot aggregate cache (see snapshot.go): λ (with the overlay
 	// banding base), π, and live/dark counts as of the last publication
@@ -314,10 +287,6 @@ type shardedConfig struct {
 	budget       int
 	overlaySlice int
 	sessionOpts  []SessionOption
-	adaptive     bool
-	resplit      bool
-	acfg         AdaptiveConfig
-	acfgSet      bool
 }
 
 // ShardedOption configures NewShardedEngine.
@@ -422,12 +391,6 @@ func (n *Network) NewShardedEngine(opts ...ShardedOption) (*ShardedEngine, error
 			overlaySlice = 1
 		}
 	}
-	if cfg.adaptive && cfg.budget == 0 {
-		return nil, fmt.Errorf("wdm: adaptive banding re-splits the wavelength budget between lanes; set WithEngineWavelengthBudget")
-	}
-	if !cfg.acfgSet {
-		cfg.acfg = DefaultAdaptiveConfig()
-	}
 	views, label, localV := n.Topology.PartitionComponents()
 	e := &ShardedEngine{
 		net:          n,
@@ -437,15 +400,11 @@ func (n *Network) NewShardedEngine(opts ...ShardedOption) (*ShardedEngine, error
 		workers:      cfg.workers,
 		budget:       cfg.budget,
 		overlaySlice: overlaySlice,
-		subshard:     cfg.subshard,
 		sessionOpts:  cfg.sessionOpts,
-		adaptive:     cfg.adaptive,
-		resplit:      cfg.resplit,
-		acfg:         cfg.acfg,
 		compStamp:    make([]uint64, len(views)),
 	}
 	for ci, view := range views {
-		comp := &engineComponent{idx: int32(ci), view: view, overlaySlice: overlaySlice}
+		comp := &engineComponent{idx: int32(ci), view: view}
 		if cfg.subshard > 0 && view.G.NumVertices() >= cfg.subshard {
 			if r := view.G.PartitionRegions(); r.NumRegions() >= 2 {
 				comp.regions = r
@@ -509,7 +468,7 @@ func (n *Network) NewShardedEngine(opts ...ShardedOption) (*ShardedEngine, error
 // newLaneSession opens one lane session over g with the given lane
 // budget (ignored when the engine is unbudgeted), applying the
 // engine's forwarded session options. Used at construction and by
-// every re-layout (re-split, capacity add, component merge).
+// component merges.
 func (e *ShardedEngine) newLaneSession(g *digraph.Digraph, budget int, what string) (*Session, error) {
 	subnet := &Network{Topology: g, Wavelengths: e.net.Wavelengths}
 	opts := e.sessionOpts
@@ -631,14 +590,6 @@ type LaneStats struct {
 	Revived  int // dark entries brought back by re-admission sweeps
 	Promoted int // best-effort entries upgraded to budgeted service
 	Dark     int // entries currently parked dark
-
-	// Adaptive pressure gauges (see adaptive.go): the maximum over this
-	// flavour's live lanes of the budget-occupancy EWMA (lane λ over
-	// lane budget; 0 when the engine is unbudgeted) and of the
-	// admission-saturation EWMA (rejected share of recent offers). These
-	// drive the adaptive banding gate.
-	Occupancy  float64
-	Saturation float64
 }
 
 func (l *LaneStats) add(s *Session) {
@@ -676,9 +627,7 @@ type EngineStats struct {
 	FailedArcs int   // arcs currently cut
 	StormNanos int64 // cumulative wall time spent inside restoration storms
 
-	Rebands  int // adaptive budget re-bandings applied (see adaptive.go)
-	Resplits int // hot-region re-splits applied
-	ArcAdds  int // live capacity adds applied via AddArc
+	ArcAdds int // live capacity adds applied via AddArc
 
 	Plain   LaneStats // lanes of components without region lanes
 	Region  LaneStats // region lanes
@@ -720,8 +669,6 @@ func (e *ShardedEngine) statsLocked() EngineStats {
 		Restores:   e.restores,
 		FailedArcs: e.net.Topology.NumFailedArcs(),
 		StormNanos: e.stormNanos,
-		Rebands:    e.rebands,
-		Resplits:   e.resplits,
 		ArcAdds:    e.arcAdds,
 	}
 	for _, c := range e.comps {
@@ -735,9 +682,9 @@ func (e *ShardedEngine) statsLocked() EngineStats {
 		}
 	}
 	for _, sh := range e.shards {
-		// A component never gains or loses region lanes (re-splits only
-		// split existing ones, merges open regionless components), so a
-		// retired lane keeps the bucket it counted in while live.
+		// A live component never gains or loses region lanes (merges
+		// open regionless components), so a retired lane keeps the
+		// bucket it counted in while live.
 		l := &st.Plain
 		switch {
 		case sh.kind == shardRegion:
@@ -746,17 +693,8 @@ func (e *ShardedEngine) statsLocked() EngineStats {
 			l = &st.Overlay
 		}
 		// Retired shards still contribute their cumulative admission and
-		// failure counters (their drained sessions hold no live state);
-		// only live lanes contribute pressure gauges.
+		// failure counters (their drained sessions hold no live state).
 		l.add(sh.sess)
-		if !sh.retired {
-			if sh.occEW > l.Occupancy {
-				l.Occupancy = sh.occEW
-			}
-			if sh.satEW > l.Saturation {
-				l.Saturation = sh.satEW
-			}
-		}
 	}
 	return st
 }
@@ -794,7 +732,7 @@ func (e *ShardedEngine) dispatchAdd(req route.Request) (*engineShard, route.Requ
 	c := e.comps[ci]
 	lsrc, ldst := e.localV[req.Src], e.localV[req.Dst]
 	if c.regions != nil {
-		if r, ru, rv, ok := c.regions.CommonRegionNewest(lsrc, ldst); ok {
+		if r, ru, rv, ok := c.regions.CommonRegion(lsrc, ldst); ok {
 			return c.regionShards[r], route.Request{Src: ru, Dst: rv}, nil
 		}
 	}
@@ -812,8 +750,8 @@ func (e *ShardedEngine) shardOf(id ShardedID) (*engineShard, error) {
 
 // resolveID resolves a ShardedID to the live shard currently holding
 // the entry and its session id there, chasing retired shards' forward
-// maps — re-splits, capacity adds and component merges relocate
-// entries, but callers keep using the handle they were issued. The hop
+// maps — component merges relocate entries, but callers keep using the
+// handle they were issued. The hop
 // count is bounded by the shard count (each hop lands on a
 // strictly-newer shard), so a corrupted handle cannot loop.
 func (e *ShardedEngine) resolveID(id ShardedID) (*engineShard, SessionID, error) {
@@ -940,10 +878,10 @@ func (e *ShardedEngine) applyLocked(ops []BatchOp, results []BatchResult) {
 			res := sh.apply(e, ops[so.idx], so)
 			if escalating && res.Err != nil && ops[so.idx].Kind == BatchAdd {
 				// On an escalating component a region ErrNoRoute no longer
-				// proves the pair globally unroutable (a re-split or
-				// capacity add made the region view pessimistic): stash the
-				// add, translated to component vertices, for the overlay
-				// lane's phase-2 pass.
+				// proves the pair globally unroutable (a capacity add
+				// bridging regions made the region view pessimistic): stash
+				// the add, translated to component vertices, for the
+				// overlay lane's phase-2 pass.
 				var nr route.ErrNoRoute
 				if errors.As(res.Err, &nr) {
 					sh.escal = append(sh.escal, shardOp{idx: so.idx, req: route.Request{
@@ -962,9 +900,6 @@ func (e *ShardedEngine) applyLocked(ops []BatchOp, results []BatchResult) {
 		c.overlay.dirty = true // fold/scatter move the combined load view
 		c.overlayPhase(e, ops, results)
 	})
-	if e.adaptive || e.resplit {
-		e.adaptLocked()
-	}
 	e.publishLocked()
 }
 
@@ -983,7 +918,6 @@ func (e *ShardedEngine) group(ops []BatchOp, results []BatchResult) (p1, p2 []in
 		if sh.kind == shardRegion && len(sh.ops) == 0 {
 			p1 = append(p1, sh.idx)
 		}
-		sh.events++
 		sh.ops = append(sh.ops, shardOp{idx: int32(i), req: req, id: lid})
 	}
 	for i, op := range ops {
@@ -1019,10 +953,11 @@ func (c *engineComponent) overlayPhase(e *ShardedEngine, ops []BatchOp, results 
 	c.foldRegionDeltas()
 	oops := c.overlay.ops
 	if c.escalate {
-		// Merge region-lane escalations (ErrNoRoute adds the re-layout
-		// made region-unroutable) with the overlay's own ops, in input
-		// order — the merged order is a function of the batch alone, so
-		// outcomes stay deterministic across worker schedules.
+		// Merge region-lane escalations (ErrNoRoute adds a bridging
+		// capacity add may have made routable) with the overlay's own
+		// ops, in input order — the merged order is a function of the
+		// batch alone, so outcomes stay deterministic across worker
+		// schedules.
 		merged := false
 		for _, rs := range c.regionShards {
 			if len(rs.escal) > 0 {

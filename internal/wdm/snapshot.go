@@ -49,13 +49,13 @@ type snapRow struct {
 // to the engine's pool for the next rebuild.
 //
 // The table carries its own identifier translations (toGV/toGA) instead
-// of reading them off the live shard: re-layouts (adaptive re-banding,
-// re-splits, live AddArc) grow shard translation tables copy-on-write,
-// so the slices frozen here stay immutable for the snapshot's lifetime
-// while the live shard moves on. forward is the shard's relocation map
-// when the shard was retired by a re-layout (nil otherwise): lookups
-// chase it to the entry's new home, so ids issued before a re-layout
-// keep resolving against snapshots published after it.
+// of reading them off the live shard: live AddArc grows shard
+// translation tables copy-on-write, so the slices frozen here stay
+// immutable for the snapshot's lifetime while the live shard moves on.
+// forward is the shard's relocation map when a component merge retired
+// the shard (nil otherwise): lookups chase it to the entry's new home,
+// so ids issued before a merge keep resolving against snapshots
+// published after it.
 type snapTable struct {
 	refs    atomic.Int32
 	rows    []snapRow
@@ -185,8 +185,9 @@ func (s *EngineSnapshot) ArcLoads() []int { return s.ArcLoadsInto(nil) }
 
 // lookupRow resolves id against the snapshot's entry tables, with the
 // same error shape as the live session lookup. When the id's shard was
-// retired by a re-layout the table's forward map is chased (bounded by
-// the table count — forward chains only ever point at younger shards).
+// retired by a component merge the table's forward map is chased
+// (bounded by the table count — forward chains only ever point at
+// younger shards).
 //
 //wavedag:lockfree
 func (s *EngineSnapshot) lookupRow(id ShardedID) (snapRow, *snapTable, error) {
@@ -502,8 +503,8 @@ func (c *engineComponent) snapDirty() bool {
 }
 
 // markAllDirty flags every shard of the component for a table rebuild
-// at the next publication — the coarse mark the (rare) failure events,
-// revival sweeps and re-layouts use, since they can touch any lane.
+// at the next publication — the coarse mark revival sweeps use, since
+// they can touch any lane.
 func (c *engineComponent) markAllDirty() {
 	if c.dead {
 		return
@@ -611,7 +612,7 @@ func (e *ShardedEngine) publishLocked() {
 
 	// Entry tables: rebuild dirty shards from their sessions, share the
 	// rest with the previous snapshot. Shards born after the previous
-	// publication (re-splits, AddArc merges) have no table to share and
+	// publication (AddArc merges) have no table to share and
 	// are created dirty. A rebuild freezes the shard's current identifier
 	// translations and forward map into the table: the engine only ever
 	// replaces those fields copy-on-write, so the frozen slices stay

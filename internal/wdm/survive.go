@@ -60,7 +60,7 @@ func (s *Session) trackRemove(p *dipath.Path) {
 	}
 }
 
-// setPathDeltaHook installs the engine's delta observer (nil clears).
+// setPathDeltaHook installs the engine's delta observer.
 func (s *Session) setPathDeltaHook(f func(add bool, p *dipath.Path)) { s.pathDeltaHook = f }
 
 // bindSlot records that coloring slot holds the entry at idx — the

@@ -398,6 +398,42 @@ func TestTwoLevelDispatch(t *testing.T) {
 	}
 }
 
+// TestTwoLevelDispatchSelfPairAtCutVertex pins where a src == dst add
+// at a cut vertex lands: every region of the vertex could serve it, and
+// dispatch picks the lane of its highest-numbered region.
+func TestTwoLevelDispatchSelfPairAtCutVertex(t *testing.T) {
+	net := giantComponentNetwork(t, 3, 503)
+	eng := twoLevelEngine(t, net)
+	defer eng.Close()
+
+	c := eng.comps[0] // one component: vertex ids coincide with component-local ids
+	cuts := 0
+	for v := 0; v < net.Topology.NumVertices(); v++ {
+		if !c.regions.IsCutVertex(digraph.Vertex(v)) {
+			continue
+		}
+		cuts++
+		want := int32(-1)
+		for _, m := range c.regions.RegionsOf(digraph.Vertex(v)) {
+			want = max(want, c.regionShards[m.Region].idx)
+		}
+		id, err := eng.Add(route.Request{Src: digraph.Vertex(v), Dst: digraph.Vertex(v)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id.Shard != want {
+			t.Fatalf("self pair at cut vertex %d landed in shard %d, want region lane %d", v, id.Shard, want)
+		}
+		p, err := eng.Path(id)
+		if err != nil || p.NumArcs() != 0 || p.First() != digraph.Vertex(v) {
+			t.Fatalf("self pair at cut vertex %d: path %v err %v", v, p, err)
+		}
+	}
+	if cuts == 0 {
+		t.Fatal("fixture has no cut vertex")
+	}
+}
+
 // TestShardedIDMisuse feeds stale, generation-recycled, foreign-engine
 // and unknown-shard ids through every mutating entry point and asserts
 // clean per-op errors with the engine state untouched.

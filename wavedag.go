@@ -408,64 +408,32 @@
 // and FuzzPartitionRegions checks the arc-partition and cut-vertex
 // contract of the region decomposition on random DAGs.
 //
-// # Adaptive layout
+// # Live capacity adds
 //
-// The layout decisions above — the region partition, the budget band
-// split, the topology itself — are made once at construction, from the
-// graph alone. Under a workload that drifts (a traffic hotspot that
-// migrates across the topology, gen.DriftingHotspotRequestPool), any
-// static layout eventually concentrates most events on one serialized
-// lane. The adaptive layout plane lets a running engine re-shape
-// itself, always at a batch boundary, under the engine mutex, with a
-// fresh snapshot published afterwards so the lock-free query plane
-// never observes a half-moved layout:
+// The region partition and the budget band split are fixed at
+// construction, from the graph alone. The topology itself can grow
+// under live traffic: ShardedEngine.AddArc adds an arc at a batch
+// boundary, under the engine mutex, with a fresh snapshot published
+// afterwards so the lock-free query plane never observes a half-grown
+// layout.
 //
-//   - Adaptive budget banding (WithAdaptiveBanding, requires an engine
-//     budget): every lane maintains pressure gauges — an admission
-//     saturation EWMA and a budget occupancy EWMA, both visible in
-//     LaneStats. When a two-level component's
-//     overlay lane sustains pressure at the high watermark while its
-//     region lanes sit at the low one (or vice versa), the engine moves
-//     BandStep wavelengths between the region band and the overlay
-//     slice. The shift is applied only after HysteresisBatches
-//     consecutive batches of one-sided evidence and never shrinks a
-//     band below its lanes' current λ, so an oscillating load cannot
-//     thrash the banding and λ ≤ w survives every shift.
-//   - Hot-region re-splitting (WithRegionResplit): per-lane event-share
-//     EWMAs detect a region lane absorbing more than ResplitShare of
-//     its component's traffic. The hot region is re-partitioned by a
-//     balanced arc cut (an undirected BFS sweep that grows one side
-//     until it holds about half the region's arcs), two fresh lanes
-//     adopt the confined lightpaths with their exact routes, and paths
-//     the cut severs escalate to the overlay lane (parked dark if its
-//     band cannot hold them — never silently dropped). The synthetic
-//     halves are no longer biconnected blocks, so region lanes of a
-//     re-split component escalate their failed region-confined routes
-//     to the overlay instead of rejecting. Re-splitting repeats until
-//     no lane dominates, then settles behind the same hysteresis
-//     cooldown.
-//   - Live capacity adds (ShardedEngine.AddArc): an arc added inside
-//     one region joins that region's lane; an arc bridging two regions
-//     becomes overlay-owned (and turns the component escalating, since
-//     cross-region routes may now exist); an arc joining two components
-//     merges them into one without region lanes, relocating every
-//     lightpath of both into a fresh overlay lane. The engine clones the topology on the first add — the
-//     caller's Network and previously pinned snapshots are never
-//     mutated.
+//   - An arc added inside one region joins that region's lane.
+//   - An arc bridging two regions of one component becomes
+//     overlay-owned and turns the component escalating: cross-region
+//     routes may now exist, so region lanes hand their failed
+//     region-confined adds to the overlay lane instead of rejecting.
+//   - An arc joining two components merges them into one without
+//     region lanes, relocating every lightpath of both into a fresh
+//     overlay lane. The old lanes retire behind immutable forward
+//     maps, so ShardedIDs issued before keep resolving.
 //
-// Every re-layout retires its old lanes behind immutable forward maps,
-// so ShardedIDs issued before keep resolving, and AdaptiveConfig
-// (WithAdaptiveConfig) carries the tuning: EWMA alpha, watermarks,
-// hysteresis, re-split share and size floor.
-// EngineStats counts re-bands, re-splits and capacity adds. The
-// randomized equivalence suite pins every re-layout shape: after any
-// mix of churn, cuts, adds and re-layouts the engine's merged
-// provisioning must re-admit path-for-path into a from-scratch session
-// on the final topology with exactly equal π, a proper merged coloring,
-// and λ within the budget. BenchmarkAdaptChurn measures the payoff:
-// under a drifting hotspot the adaptive engine re-localizes traffic
-// that a static layout funnels through its overlay lane, and under
-// uniform load the gauges' overhead is noise.
+// The engine clones the topology on the first add: the caller's
+// Network and previously pinned snapshots are never mutated.
+// EngineStats counts the adds. The randomized AddArc equivalence test
+// pins every shape: after any mix of churn, cuts and adds the engine's
+// merged provisioning must re-admit path-for-path into a from-scratch
+// session on the final topology with exactly equal π, a proper merged
+// coloring, and λ within the budget.
 //
 // The sub-packages under internal/ hold the implementation; this package
 // re-exports the stable API.
@@ -746,31 +714,6 @@ func WithEngineWavelengthBudget(w int) ShardedOption {
 // wavelengths each two-level component reserves for its overlay lane
 // (default w/4, at least 1); region lanes admit against the remainder.
 func WithOverlayBudgetSlice(k int) ShardedOption { return wdm.WithOverlayBudgetSlice(k) }
-
-// AdaptiveConfig tunes the adaptive layout plane (see the package
-// documentation's "Adaptive layout" section); start from
-// DefaultAdaptiveConfig.
-type AdaptiveConfig = wdm.AdaptiveConfig
-
-// DefaultAdaptiveConfig returns the adaptive plane's calibrated tuning.
-func DefaultAdaptiveConfig() AdaptiveConfig { return wdm.DefaultAdaptiveConfig() }
-
-// WithAdaptiveBanding turns on adaptive budget banding: the engine
-// shifts wavelengths between a two-level component's region band and
-// its overlay slice following the lanes' pressure gauges, behind a
-// hysteresis gate. Requires WithEngineWavelengthBudget.
-func WithAdaptiveBanding() ShardedOption { return wdm.WithAdaptiveBanding() }
-
-// WithRegionResplit turns on hot-region re-splitting: a region lane
-// that sustains more than AdaptiveConfig.ResplitShare of its
-// component's events is re-partitioned by a balanced arc cut at a batch
-// boundary, with its lightpaths relocated live.
-func WithRegionResplit() ShardedOption { return wdm.WithRegionResplit() }
-
-// WithAdaptiveConfig overrides the adaptive plane's tuning knobs; it
-// configures but does not enable (combine with WithAdaptiveBanding
-// and/or WithRegionResplit).
-func WithAdaptiveConfig(cfg AdaptiveConfig) ShardedOption { return wdm.WithAdaptiveConfig(cfg) }
 
 // AddOp returns the batch event provisioning req.
 func AddOp(req Request) BatchOp { return wdm.AddOp(req) }
