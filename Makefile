@@ -8,7 +8,7 @@ GO ?= go
 
 GOFMT ?= gofmt
 
-.PHONY: verify fmtcheck lint benchcheck wavebenchsmoke repro examples fuzzsmoke benchsmoke test
+.PHONY: verify fmtcheck lint race benchcheck wavebenchsmoke repro examples fuzzsmoke benchsmoke test
 
 verify:
 	$(GO) build ./...
@@ -16,6 +16,7 @@ verify:
 	$(MAKE) fmtcheck
 	$(GO) test ./...
 	$(MAKE) lint
+	$(MAKE) race
 	$(MAKE) benchcheck
 	$(MAKE) repro
 	$(MAKE) examples
@@ -24,12 +25,19 @@ verify:
 fmtcheck:
 	@out=$$($(GOFMT) -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
-# wavedaglint enforces the concurrency and admission contracts
-# (lockfree, publish, poolpair, errwrap, registry — see the "Static
-# analysis & invariants" section of the package docs). Exit 1 with
-# file:line diagnostics on any violation.
+# wavedaglint enforces the concurrency and error contracts (lockfree,
+# publish, poolpair, errwrap — see the "Static analysis & invariants"
+# section of the package docs). Exit 1 with file:line diagnostics on
+# any violation.
 lint:
 	$(GO) run ./cmd/wavedaglint ./...
+
+# Runs the tests of the facade, the engine, the serving front-end and
+# online grooming under the race detector: engine shards run on worker
+# goroutines and share the strategy values their sessions were opened
+# with.
+race:
+	$(GO) test -race ./ ./internal/wdm ./internal/serve ./internal/groom
 
 # The benchmark in wavebench/ is a module of its own, so the root
 # ./... patterns skip it: without this target a change to an API it

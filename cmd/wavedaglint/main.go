@@ -1,5 +1,5 @@
 // Command wavedaglint runs the repository's contract analyzers
-// (lockfree, publish, poolpair, errwrap, registry — see internal/lint)
+// (lockfree, publish, poolpair, errwrap — see internal/lint)
 // over the packages matching the given patterns (default ./...).
 // Diagnostics print as file:line:col: [contract] message; the exit
 // status is 1 when findings exist, 2 when loading fails, 0 when clean.

@@ -56,7 +56,7 @@ func main() {
 	// a min-load router and recovers the request through s->b->t.
 	retry, err := net.NewSession(
 		wavedag.WithWavelengthBudget(1),
-		wavedag.WithAdmissionStrategyName(wavedag.AdmissionRetryAltRoute),
+		wavedag.WithAdmissionStrategy(wavedag.AdmissionRetryAltRoute),
 	)
 	if err != nil {
 		log.Fatal(err)

@@ -236,7 +236,7 @@ func TestOnlineRouteSubstitutingStrategy(t *testing.T) {
 	g.MustAddArc(1, 3)
 	g.MustAddArc(0, 2)
 	g.MustAddArc(2, 3)
-	o, err := NewOnline(g, 1, wdm.WithAdmissionStrategyName(wdm.AdmissionRetryAltRoute))
+	o, err := NewOnline(g, 1, wdm.WithAdmissionStrategy(wdm.AdmissionRetryAltRoute))
 	if err != nil {
 		t.Fatal(err)
 	}

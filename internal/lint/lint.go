@@ -40,10 +40,6 @@ const (
 	// refresh an internal cache); the publish analyzer does not count
 	// calls to it as mutations.
 	DirReadonly = "readonly"
-	// DirRegistry, on a const block with the registration function
-	// name as argument, requires every constant of the block to have
-	// a registered implementation.
-	DirRegistry = "registry"
 )
 
 const directivePrefix = "//wavedag:"
@@ -68,7 +64,7 @@ type Analyzer struct {
 
 // Analyzers returns the full suite in a fixed order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{lockfreeAnalyzer, publishAnalyzer, poolpairAnalyzer, errwrapAnalyzer, registryAnalyzer}
+	return []*Analyzer{lockfreeAnalyzer, publishAnalyzer, poolpairAnalyzer, errwrapAnalyzer}
 }
 
 // Run executes the analyzers over the corpus and returns the findings
@@ -119,14 +115,6 @@ func (fi *FuncInfo) Has(dir string) bool {
 	return ok
 }
 
-// constBlock is a const declaration carrying a //wavedag:registry
-// directive.
-type constBlock struct {
-	Pkg  *Package
-	Decl *ast.GenDecl
-	Arg  string // registration function name
-}
-
 type lineKey struct {
 	file string
 	line int
@@ -136,8 +124,7 @@ type lineKey struct {
 // cross-package indexes the analyzers share: the function/method
 // declaration table keyed by canonical name (annotation propagation
 // works across per-package type-check runs, where *types.Func
-// identities differ), the line-directive table, and the annotated
-// const blocks.
+// identities differ) and the line-directive table.
 type Corpus struct {
 	Fset     *token.FileSet
 	Packages []*Package
@@ -146,7 +133,6 @@ type Corpus struct {
 	funcs       map[string]*FuncInfo
 	decls       []*FuncInfo
 	lineDirs    map[lineKey]map[string]string
-	constBlocks []constBlock
 }
 
 func newCorpus(fset *token.FileSet) *Corpus {
@@ -205,27 +191,19 @@ func (c *Corpus) index() {
 				}
 			}
 			for _, decl := range f.Decls {
-				switch d := decl.(type) {
-				case *ast.FuncDecl:
-					obj, _ := p.Info.Defs[d.Name].(*types.Func)
-					if obj == nil {
-						continue
-					}
-					fi := &FuncInfo{Pkg: p, Decl: d, Obj: obj, Directives: directivesFromDoc(d.Doc)}
-					if key := funcKey(obj); key != "" {
-						c.funcs[key] = fi
-					}
-					c.decls = append(c.decls, fi)
-				case *ast.GenDecl:
-					if d.Tok != token.CONST {
-						continue
-					}
-					if dirs := directivesFromDoc(d.Doc); dirs != nil {
-						if arg, ok := dirs[DirRegistry]; ok {
-							c.constBlocks = append(c.constBlocks, constBlock{Pkg: p, Decl: d, Arg: arg})
-						}
-					}
+				d, ok := decl.(*ast.FuncDecl)
+				if !ok {
+					continue
 				}
+				obj, _ := p.Info.Defs[d.Name].(*types.Func)
+				if obj == nil {
+					continue
+				}
+				fi := &FuncInfo{Pkg: p, Decl: d, Obj: obj, Directives: directivesFromDoc(d.Doc)}
+				if key := funcKey(obj); key != "" {
+					c.funcs[key] = fi
+				}
+				c.decls = append(c.decls, fi)
 			}
 		}
 	}

@@ -59,7 +59,7 @@ func TestFixtureGolden(t *testing.T) {
 // quiet on the package's clean code.
 func TestFixtureCoverage(t *testing.T) {
 	lines := fixtureDiagnostics(t)
-	mustFire := []string{"[lockfree]", "[publish]", "[poolpair]", "[errwrap]", "[registry]"}
+	mustFire := []string{"[lockfree]", "[publish]", "[poolpair]", "[errwrap]"}
 	for _, contract := range mustFire {
 		found := false
 		for _, l := range lines {

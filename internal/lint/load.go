@@ -7,7 +7,7 @@
 // to importer.ForCompiler("gc", lookup); the analyzed packages
 // themselves are parsed from source and type-checked with go/types.
 //
-// The analyzers (lockfree, publish, poolpair, errwrap, registry)
+// The analyzers (lockfree, publish, poolpair, errwrap)
 // mechanically enforce the engine contracts that PRs 2–8 established by
 // convention and review; see the package documentation in wavedag.go
 // ("Static analysis & invariants") for the contract statements and the

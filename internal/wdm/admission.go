@@ -3,7 +3,6 @@ package wdm
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"wavedag/internal/digraph"
 	"wavedag/internal/dipath"
@@ -41,18 +40,26 @@ type AdmissionStats struct {
 
 // AdmissionStrategy decides the fate of requests whose routed path
 // failed a session's wavelength-budget check. Like the routing
-// strategies it is a registry-named factory: NewState builds
-// per-session state (e.g. an alternate-route router) bound to the
-// topology. The built-ins are "reject" (drop over-budget requests),
-// "retry-alt-route" (re-ask a min-load router for a path around the
-// saturated arcs) and "degrade" (accept past the budget as best-effort
-// and report those separately).
+// strategies it is a factory: NewState builds per-session state (e.g.
+// an alternate-route router) bound to the topology. The built-ins are
+// the values AdmissionReject, AdmissionRetryAltRoute and
+// AdmissionDegrade.
 type AdmissionStrategy interface {
-	// Name is the registry key; it must be non-empty and unique.
-	Name() string
 	// NewState builds admission state bound to g.
 	NewState(g *digraph.Digraph) (AdmissionState, error)
 }
+
+// The built-in admission strategies.
+var (
+	// AdmissionReject drops over-budget requests; it is the default.
+	AdmissionReject AdmissionStrategy = rejectStrategy{}
+	// AdmissionRetryAltRoute re-asks a min-load router for a path around
+	// the saturated arcs.
+	AdmissionRetryAltRoute AdmissionStrategy = retryAltRouteStrategy{}
+	// AdmissionDegrade accepts over-budget requests as best-effort and
+	// reports them separately.
+	AdmissionDegrade AdmissionStrategy = degradeStrategy{}
+)
 
 // AdmissionState is per-session admission state. Admit is called with a
 // context wrapping the over-budget request; it may commit an alternate
@@ -86,79 +93,27 @@ func (c *AdmissionContext) Budget() int { return c.s.budget }
 // it as read-only — the session accounts committed paths itself.
 func (c *AdmissionContext) Loads() *load.Tracker { return c.s.tracker }
 
-// Commit runs the budget check on p (which must satisfy the request)
-// and, when it passes, inserts p into the session. ok reports whether
-// the path was admitted; on ok=false the session is untouched.
+// Commit runs the budget check on p and, when it passes, inserts p into
+// the session. ok reports whether the path was admitted; on ok=false
+// the session is untouched. A p that does not serve the request (other
+// endpoints, or a failed arc) is an error, and the session is untouched.
 func (c *AdmissionContext) Commit(p *dipath.Path) (id SessionID, ok bool, err error) {
+	if err := c.s.checkServes(c.req, p); err != nil {
+		return 0, false, fmt.Errorf("wdm: admission: %w", err)
+	}
 	return c.s.admitCommit(c.req, p)
 }
 
 // CommitBestEffort inserts p unconditionally, flagged best-effort: it
 // occupies wavelengths and load like any other path but is reported
 // separately, and the session's λ ≤ budget invariant is suspended while
-// any best-effort request is live.
+// any best-effort request is live. Like Commit it refuses, untouched, a
+// p that does not serve the request.
 func (c *AdmissionContext) CommitBestEffort(p *dipath.Path) (SessionID, error) {
+	if err := c.s.checkServes(c.req, p); err != nil {
+		return 0, fmt.Errorf("wdm: admission: %w", err)
+	}
 	return c.s.commitPath(c.req, p, true)
-}
-
-// ── Registry ───────────────────────────────────────────────────────────
-
-// Names of the built-in admission strategies.
-//
-//wavedag:registry RegisterAdmissionStrategy
-const (
-	AdmissionReject        = "reject"
-	AdmissionRetryAltRoute = "retry-alt-route"
-	AdmissionDegrade       = "degrade"
-)
-
-var admissionStrategies = map[string]AdmissionStrategy{}
-
-// RegisterAdmissionStrategy adds s to the admission registry;
-// registering a nil strategy, an empty name, or a duplicate name fails.
-func RegisterAdmissionStrategy(s AdmissionStrategy) error {
-	if s == nil || s.Name() == "" {
-		return fmt.Errorf("wdm: admission strategy must be non-nil with a non-empty name")
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := admissionStrategies[s.Name()]; dup {
-		return fmt.Errorf("wdm: admission strategy %q already registered", s.Name())
-	}
-	admissionStrategies[s.Name()] = s
-	return nil
-}
-
-// LookupAdmissionStrategy returns the registered admission strategy
-// named name.
-func LookupAdmissionStrategy(name string) (AdmissionStrategy, bool) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	s, ok := admissionStrategies[name]
-	return s, ok
-}
-
-// AdmissionStrategyNames returns the registered admission strategy
-// names, sorted.
-func AdmissionStrategyNames() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	names := make([]string, 0, len(admissionStrategies))
-	for n := range admissionStrategies {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func init() {
-	for _, s := range []AdmissionStrategy{
-		rejectStrategy{}, retryAltRouteStrategy{}, degradeStrategy{},
-	} {
-		if err := RegisterAdmissionStrategy(s); err != nil {
-			panic(err)
-		}
-	}
 }
 
 // ── Built-in admission strategies ──────────────────────────────────────
@@ -166,8 +121,6 @@ func init() {
 // rejectStrategy drops over-budget requests outright — the default, and
 // the strategy blocking-probability experiments measure.
 type rejectStrategy struct{}
-
-func (rejectStrategy) Name() string { return AdmissionReject }
 
 func (rejectStrategy) NewState(*digraph.Digraph) (AdmissionState, error) {
 	return rejectState{}, nil
@@ -185,8 +138,6 @@ func (rejectState) Admit(*AdmissionContext) (SessionID, Admission, error) {
 // instead of blocked. It owns a route.Router exactly like the min-load
 // routing strategy does.
 type retryAltRouteStrategy struct{}
-
-func (retryAltRouteStrategy) Name() string { return AdmissionRetryAltRoute }
 
 func (retryAltRouteStrategy) NewState(g *digraph.Digraph) (AdmissionState, error) {
 	return &retryAltRouteState{r: route.NewRouter(g)}, nil
@@ -218,8 +169,6 @@ func (st *retryAltRouteState) Admit(c *AdmissionContext) (SessionID, Admission, 
 // traffic rides past the budget. While best-effort requests are live
 // the session's λ ≤ budget invariant is suspended.
 type degradeStrategy struct{}
-
-func (degradeStrategy) Name() string { return AdmissionDegrade }
 
 func (degradeStrategy) NewState(*digraph.Digraph) (AdmissionState, error) {
 	return degradeState{}, nil

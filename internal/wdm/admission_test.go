@@ -42,8 +42,8 @@ func TestBudgetedSessionRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sess.Budget() != 1 || sess.AdmissionStrategyName() != AdmissionReject {
-		t.Fatalf("budget %d strategy %q", sess.Budget(), sess.AdmissionStrategyName())
+	if sess.Budget() != 1 || sess.admission != AdmissionState(rejectState{}) {
+		t.Fatalf("budget %d admission %#v", sess.Budget(), sess.admission)
 	}
 	// Saturate the s->a->t route explicitly.
 	p := dipath.MustFromVertices(g, v[0], v[1], v[3])
@@ -75,7 +75,7 @@ func TestRetryAltRouteRecovers(t *testing.T) {
 	net := &Network{Topology: g}
 	sess, err := net.NewSession(
 		WithWavelengthBudget(1),
-		WithAdmissionStrategyName(AdmissionRetryAltRoute),
+		WithAdmissionStrategy(AdmissionRetryAltRoute),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestDegradeAcceptsBestEffort(t *testing.T) {
 	net := &Network{Topology: g}
 	sess, err := net.NewSession(
 		WithWavelengthBudget(1),
-		WithAdmissionStrategyName(AdmissionDegrade),
+		WithAdmissionStrategy(AdmissionDegrade),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +277,7 @@ func TestBudgetChurnRetryStrategy(t *testing.T) {
 	const w = 2
 	sess, err := net.NewSession(
 		WithWavelengthBudget(w),
-		WithAdmissionStrategyName(AdmissionRetryAltRoute),
+		WithAdmissionStrategy(AdmissionRetryAltRoute),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -759,10 +759,8 @@ type foreignRouting struct {
 	p  *dipath.Path
 }
 
-func (foreignRouting) Name() string { return "foreign" }
-
 func (f foreignRouting) NewState(g *digraph.Digraph) (RoutingState, error) {
-	inner, err := shortestStrategy{}.NewState(g)
+	inner, err := RouteShortest.NewState(g)
 	if err != nil {
 		return nil, err
 	}
@@ -782,13 +780,14 @@ func (s *foreignState) Route(req route.Request, loads *load.Tracker) (*dipath.Pa
 }
 
 // TestForeignRouteRefused pins every entry point that commits a routed
-// path against a route whose arcs lie outside the session's graph: Add,
-// TryAdd and Reroute return the colorer's validation error and leave
-// the live set, its loads and its wavelengths as they were — with and
-// without a budget, on a DAG without internal cycle (the Theorem-1
-// precheck reads the tracker first) and on one with an internal cycle
-// (the rollback probe). Reroute reaches its restore branch: the old
-// path is recolored after the new one failed.
+// path against a route that serves the request but whose arcs lie
+// outside the session's graph: Add, TryAdd and Reroute return the
+// colorer's validation error and leave the live set, its loads and its
+// wavelengths as they were — with and without a budget, on a DAG
+// without internal cycle (the Theorem-1 precheck reads the tracker
+// first) and on one with an internal cycle (the rollback probe).
+// Reroute reaches its restore branch: the old path is recolored after
+// the new one failed.
 func TestForeignRouteRefused(t *testing.T) {
 	chain := digraph.New(3)
 	chain.MustAddArc(0, 1)
@@ -801,19 +800,21 @@ func TestForeignRouteRefused(t *testing.T) {
 		name string
 		g    *digraph.Digraph
 	}{{"cycle-free", chain}, {"internal-cycle", gadget}} {
-		// A chain longer than the topology: its last arc id is out of
-		// range for the session's graph.
-		n := topo.g.NumArcs() + 8
-		big := digraph.New(n + 1)
-		for v := 0; v < n; v++ {
+		// A one-arc dipath serving req in a digraph whose arc ids run past
+		// the topology's: its arc id is out of range for the session's
+		// graph. A chain of spare vertices carries the arcs before it.
+		req := route.NewRouter(topo.g).AllToAll()[0]
+		n, nv := topo.g.NumArcs()+8, topo.g.NumVertices()
+		big := digraph.New(nv + n + 1)
+		for v := nv; v < nv+n; v++ {
 			big.MustAddArc(digraph.Vertex(v), digraph.Vertex(v+1))
 		}
-		foreign := dipath.MustFromVertices(big, digraph.Vertex(n-1), digraph.Vertex(n))
+		big.MustAddArc(req.Src, req.Dst)
+		foreign := dipath.MustFromVertices(big, req.Src, req.Dst)
 		verr := foreign.Validate(topo.g)
 		if verr == nil {
 			t.Fatal("fixture: the foreign path validates")
 		}
-		req := route.NewRouter(topo.g).AllToAll()[0]
 		for _, budget := range []int{0, 2} {
 			for _, op := range []string{"Add", "TryAdd", "Reroute"} {
 				name := fmt.Sprintf("%s/budget=%d/%s", topo.name, budget, op)
@@ -860,5 +861,91 @@ func TestForeignRouteRefused(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// wrongCommit is an admission strategy (and its own state) that commits
+// path for every over-budget request, through the budget-checked door
+// or the best-effort one.
+type wrongCommit struct {
+	path       *dipath.Path
+	bestEffort bool
+}
+
+func (w wrongCommit) NewState(*digraph.Digraph) (AdmissionState, error) { return w, nil }
+
+func (w wrongCommit) Admit(c *AdmissionContext) (SessionID, Admission, error) {
+	if w.bestEffort {
+		id, err := c.CommitBestEffort(w.path)
+		if err != nil {
+			return 0, Admission{}, err
+		}
+		return id, Admission{Accepted: true, BestEffort: true}, nil
+	}
+	id, ok, err := c.Commit(w.path)
+	if err != nil || !ok {
+		return 0, Admission{}, err
+	}
+	return id, Admission{Accepted: true, Retried: true}, nil
+}
+
+// TestStrategyPathMustServeRequest pins that a strategy cannot commit a
+// dipath of the session's graph that runs between other endpoints than
+// the request's. A routing strategy's path is refused by Add, TryAdd
+// and Reroute; an admission strategy's by Commit and CommitBestEffort.
+// Each refusal is an error, and the session keeps its live set, loads,
+// wavelengths and best-effort count.
+func TestStrategyPathMustServeRequest(t *testing.T) {
+	g, v := diamond(t)
+	req := route.Request{Src: v[0], Dst: v[3]}
+	short := dipath.MustFromVertices(g, v[0], v[1]) // s->a: stops short of t
+	other := dipath.MustFromVertices(g, v[2], v[3]) // b->t: starts elsewhere
+	for _, op := range []string{"Add", "TryAdd", "Reroute", "Commit", "CommitBestEffort"} {
+		t.Run(op, func(t *testing.T) {
+			on := new(bool)
+			opts := []SessionOption{WithRoutingStrategy(foreignRouting{on, short})}
+			if op == "Commit" || op == "CommitBestEffort" {
+				opts = []SessionOption{WithWavelengthBudget(1),
+					WithAdmissionStrategy(wrongCommit{other, op == "CommitBestEffort"})}
+			}
+			s, err := (&Network{Topology: g}).NewSession(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			id, err := s.Add(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path, _ := s.Path(id)
+			w, _ := s.Wavelength(id)
+			loads := s.ArcLoads()
+			*on = true
+			switch op {
+			case "Add":
+				_, err = s.Add(req)
+			case "Reroute":
+				_, err = s.Reroute(id)
+			default:
+				// The second s->t offer is over the budget of 1 (its
+				// route crosses the first one's), so the admission
+				// strategy commits.
+				_, _, err = s.TryAdd(req)
+			}
+			if err == nil {
+				t.Fatalf("%s committed a path that does not serve %v", op, req)
+			}
+			if s.Len() != 1 || s.BestEffortLive() != 0 || !slices.Equal(s.ArcLoads(), loads) {
+				t.Fatalf("len %d, best-effort %d, loads %v → %v", s.Len(), s.BestEffortLive(), loads, s.ArcLoads())
+			}
+			if p, err := s.Path(id); err != nil || !p.Equal(path) {
+				t.Fatalf("path %v → %v (%v)", path, p, err)
+			}
+			if got, _ := s.Wavelength(id); got != w {
+				t.Fatalf("wavelength %d → %d", w, got)
+			}
+			if err := s.Verify(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

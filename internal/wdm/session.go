@@ -55,7 +55,6 @@ type Session struct {
 	cycleFree      bool
 	rollbackProbe  bool
 	admission      AdmissionState
-	admissionName  string
 	stats          AdmissionStats
 	bestEffortLive int
 
@@ -151,7 +150,8 @@ type sessionConfig struct {
 // SessionOption configures NewSession.
 type SessionOption func(*sessionConfig) error
 
-// WithRoutingStrategy selects the routing strategy (default: shortest).
+// WithRoutingStrategy selects the routing strategy (default:
+// RouteShortest).
 func WithRoutingStrategy(s RoutingStrategy) SessionOption {
 	return func(c *sessionConfig) error {
 		if s == nil {
@@ -162,8 +162,8 @@ func WithRoutingStrategy(s RoutingStrategy) SessionOption {
 	}
 }
 
-// WithRoutingPolicy selects the routing strategy registered for the
-// legacy policy constant.
+// WithRoutingPolicy selects the built-in routing strategy of a policy
+// constant.
 func WithRoutingPolicy(p RoutingPolicy) SessionOption {
 	return func(c *sessionConfig) error {
 		s, err := p.Strategy()
@@ -215,25 +215,11 @@ func WithWavelengthBudget(w int) SessionOption {
 }
 
 // WithAdmissionStrategy selects how a budgeted session handles requests
-// that fail the budget check (default: the "reject" strategy).
+// that fail the budget check (default: AdmissionReject).
 func WithAdmissionStrategy(s AdmissionStrategy) SessionOption {
 	return func(c *sessionConfig) error {
 		if s == nil {
 			return fmt.Errorf("wdm: nil admission strategy")
-		}
-		c.admission = s
-		return nil
-	}
-}
-
-// WithAdmissionStrategyName selects a registered admission strategy
-// (AdmissionReject, AdmissionRetryAltRoute or AdmissionDegrade for the
-// built-ins).
-func WithAdmissionStrategyName(name string) SessionOption {
-	return func(c *sessionConfig) error {
-		s, ok := LookupAdmissionStrategy(name)
-		if !ok {
-			return fmt.Errorf("wdm: unknown admission strategy %q", name)
 		}
 		c.admission = s
 		return nil
@@ -275,17 +261,10 @@ func (n *Network) NewSession(opts ...SessionOption) (*Session, error) {
 		}
 	}
 	if cfg.routing == nil {
-		var err error
-		if cfg.routing, err = RouteShortest.Strategy(); err != nil {
-			return nil, err
-		}
+		cfg.routing = RouteShortest
 	}
 	if cfg.budget > 0 && cfg.admission == nil {
-		a, ok := LookupAdmissionStrategy(AdmissionReject)
-		if !ok {
-			return nil, fmt.Errorf("wdm: reject admission strategy not registered")
-		}
-		cfg.admission = a
+		cfg.admission = rejectStrategy{}
 	}
 	routing, err := cfg.routing.NewState(n.Topology)
 	if err != nil {
@@ -307,7 +286,6 @@ func (n *Network) NewSession(opts ...SessionOption) (*Session, error) {
 		if err != nil {
 			return nil, fmt.Errorf("wdm: admission setup: %w", err)
 		}
-		s.admissionName = cfg.admission.Name()
 	}
 	if cfg.budget > 0 {
 		// The Theorem-1 precheck is sound exactly when the topology has no
@@ -317,14 +295,6 @@ func (n *Network) NewSession(opts ...SessionOption) (*Session, error) {
 	}
 	return s, nil
 }
-
-// RoutingStrategyName returns the name of the session's routing
-// strategy.
-func (s *Session) RoutingStrategyName() string { return s.routingStrat.Name() }
-
-// AdmissionStrategyName returns the name of the session's admission
-// strategy, or "" when the session has none configured.
-func (s *Session) AdmissionStrategyName() string { return s.admissionName }
 
 // Budget returns the session's wavelength budget (0 = unlimited).
 func (s *Session) Budget() int { return s.budget }
@@ -393,16 +363,40 @@ func (s *Session) Add(req route.Request) (SessionID, error) {
 // error (errors are reserved for genuine failures — no route, invalid
 // paths). Unbudgeted sessions accept everything.
 func (s *Session) TryAdd(req route.Request) (SessionID, Admission, error) {
-	p, err := s.routing.Route(req, s.tracker)
+	p, err := s.routeReq(req)
 	if err != nil {
 		return 0, Admission{}, fmt.Errorf("wdm: routing: %w", err)
 	}
-	if crossesFailure(s.net.Topology, p) {
-		// Failure-blind strategies (UPP's unique routing) can propose a
-		// path over a cut fiber; to the caller that is no route.
-		return 0, Admission{}, fmt.Errorf("wdm: routing: %w", route.ErrNoRoute{Req: req})
-	}
 	return s.tryAdmit(req, p)
+}
+
+// routeReq asks the session's routing strategy for a path for req and
+// checks that the path serves it (see checkServes). Every path a
+// strategy proposes enters the session through here.
+func (s *Session) routeReq(req route.Request) (*dipath.Path, error) {
+	p, err := s.routing.Route(req, s.tracker)
+	if err == nil {
+		err = s.checkServes(req, p)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// checkServes reports whether p, a path proposed by a strategy, serves
+// req on the live network: it must run from req.Src to req.Dst, and a
+// path over a failed arc is no route — failure-blind strategies (UPP's
+// unique routing) can propose one. The colorer validates p against the
+// graph when it is committed.
+func (s *Session) checkServes(req route.Request, p *dipath.Path) error {
+	if p == nil || p.First() != req.Src || p.Last() != req.Dst {
+		return fmt.Errorf("wdm: strategy path %v does not serve request %d->%d", p, req.Src, req.Dst)
+	}
+	if crossesFailure(s.net.Topology, p) {
+		return route.ErrNoRoute{Req: req}
+	}
+	return nil
 }
 
 // TryAddPath runs admission and insertion for a pre-routed dipath,
@@ -605,10 +599,7 @@ func (s *Session) Reroute(id SessionID) (bool, error) {
 	// Route against the loads without this request, as a fresh arrival
 	// would see them.
 	s.trackRemove(e.path)
-	p, err := s.routing.Route(e.req, s.tracker)
-	if err == nil && crossesFailure(s.net.Topology, p) {
-		err = route.ErrNoRoute{Req: e.req} // failure-blind strategy routed over a cut
-	}
+	p, err := s.routeReq(e.req)
 	if err != nil {
 		s.trackAdd(e.path) // restore
 		return false, fmt.Errorf("wdm: rerouting: %w", err)

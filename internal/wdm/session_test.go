@@ -28,8 +28,8 @@ func TestSessionChurnEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.RoutingStrategyName() != "shortest" {
-		t.Fatalf("default routing: %s", s.RoutingStrategyName())
+	if s.routingStrat != RoutingStrategy(RouteShortest) {
+		t.Fatalf("default routing: %v", s.routingStrat)
 	}
 	pool := route.AllToAll(net.Topology)
 	rng := rand.New(rand.NewSource(17))

@@ -93,31 +93,6 @@ func TestRestoreArcPublishesOnSweepError(t *testing.T) {
 	}
 }
 
-// TestStrategyNameConstants pins the registry contract wavedaglint's
-// registry analyzer enforces: the exported name constants, the
-// RoutingPolicy String form, and the registered strategy names must all
-// be the same string.
-func TestStrategyNameConstants(t *testing.T) {
-	routing := map[string]RoutingPolicy{
-		RouteShortestName: RouteShortest,
-		RouteMinLoadName:  RouteMinLoad,
-		RouteUPPName:      RouteUPP,
-	}
-	for name, policy := range routing {
-		if policy.String() != name {
-			t.Errorf("%v.String()=%q, want constant %q", int(policy), policy.String(), name)
-		}
-		if _, ok := routingStrategies[name]; !ok {
-			t.Errorf("no routing strategy registered under constant %q", name)
-		}
-	}
-	for _, name := range []string{AdmissionReject, AdmissionRetryAltRoute, AdmissionDegrade} {
-		if _, ok := admissionStrategies[name]; !ok {
-			t.Errorf("no admission strategy registered under constant %q", name)
-		}
-	}
-}
-
 // TestStormRebuildsOnlyTouchedLanes pins the publication cost of a
 // fiber event to the lanes it touches. A cut on a region arc rebuilds
 // the owning lane's table and the overlay's; a region lane without dark

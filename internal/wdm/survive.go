@@ -196,7 +196,7 @@ func (s *Session) storm(idxs []int32) StormReport {
 // rejected the primary (the retry-alt-route machinery).
 func (s *Session) restoreEntry(idx int32, e *sessionEntry, retry *int) bool {
 	var primary *dipath.Path
-	if p, err := s.routing.Route(e.req, s.tracker); err == nil && !crossesFailure(s.net.Topology, p) {
+	if p, err := s.routeReq(e.req); err == nil {
 		primary = p
 		if slot, ok, cerr := s.budgetedAdd(p); cerr == nil && ok {
 			s.relight(idx, e, p, slot)
@@ -313,7 +313,7 @@ func (s *Session) reviveOne(idx int32, e *sessionEntry) bool {
 		return false
 	}
 	var primary *dipath.Path
-	if p, err := s.routing.Route(e.req, s.tracker); err == nil && !crossesFailure(s.net.Topology, p) {
+	if p, err := s.routeReq(e.req); err == nil {
 		primary = p
 		if slot, ok, cerr := s.budgetedAdd(p); cerr == nil && ok {
 			s.unpark(idx, e, p, slot)

@@ -173,10 +173,8 @@ func TestSessionRemoveDarkEntry(t *testing.T) {
 // call's request, in call order.
 type countingRouting struct{ log *[]route.Request }
 
-func (countingRouting) Name() string { return "counting-shortest" }
-
 func (c countingRouting) NewState(g *digraph.Digraph) (RoutingState, error) {
-	inner, err := shortestStrategy{}.NewState(g)
+	inner, err := RouteShortest.NewState(g)
 	if err != nil {
 		return nil, err
 	}
@@ -326,7 +324,7 @@ func TestPromoteBestEffortOnRemove(t *testing.T) {
 	net := &Network{Topology: g}
 	sess, err := net.NewSession(
 		WithWavelengthBudget(1),
-		WithAdmissionStrategyName(AdmissionDegrade),
+		WithAdmissionStrategy(AdmissionDegrade),
 	)
 	if err != nil {
 		t.Fatal(err)

@@ -39,25 +39,14 @@ const (
 	RouteUPP                           // unique dipaths (UPP-DAGs only)
 )
 
-// Names of the built-in routing strategies, as registered and as
-// returned by RoutingPolicy.String. They are constants so the registry
-// names can never drift from the documented ones.
-//
-//wavedag:registry RegisterRoutingStrategy
-const (
-	RouteShortestName = "shortest"
-	RouteMinLoadName  = "min-load"
-	RouteUPPName      = "upp"
-)
-
 func (p RoutingPolicy) String() string {
 	switch p {
 	case RouteShortest:
-		return RouteShortestName
+		return "shortest"
 	case RouteMinLoad:
-		return RouteMinLoadName
+		return "min-load"
 	case RouteUPP:
-		return RouteUPPName
+		return "upp"
 	default:
 		return fmt.Sprintf("policy(%d)", int(p))
 	}
@@ -77,7 +66,7 @@ type Provisioning struct {
 	ADMs int
 }
 
-// Provision runs routing (per the policy's registered strategy) then
+// Provision runs routing (per the policy's built-in strategy) then
 // wavelength assignment (per the strongest applicable theorem) for the
 // requests, in one pass: each request is routed against a load tracker
 // of the paths routed before it, checked against failed arcs, validated
@@ -85,19 +74,13 @@ type Provisioning struct {
 // the tracker. The result equals that of a Session filled with the
 // same requests whose live family is then colored once from scratch.
 //
-// The built-in shortest and min-load strategies carve the paths of one
-// Provisioning from shared blocks (a dipath.Arena), so keeping any one
-// of its paths keeps the whole plan's path storage alive.
+// Shortest and min-load routing carve the paths of one Provisioning
+// from shared blocks (a dipath.Arena), so keeping any one of its paths
+// keeps the whole plan's path storage alive.
 func (n *Network) Provision(reqs []route.Request, policy RoutingPolicy) (*Provisioning, error) {
-	strat, err := policy.Strategy()
-	if err != nil {
-		return nil, err
-	}
 	g := n.Topology
-	var routing RoutingState
-	if ps, ok := strat.(planStrategy); ok {
-		routing = ps.newPlanState(g, new(dipath.Arena), reqs)
-	} else if routing, err = strat.NewState(g); err != nil {
+	routing, err := policy.newState(g, new(dipath.Arena), reqs)
+	if err != nil {
 		return nil, fmt.Errorf("wdm: routing setup: %w", err)
 	}
 	tracker := load.NewTracker(g)

@@ -122,6 +122,9 @@ func TestProvisionErrors(t *testing.T) {
 	if _, err := n.Provision(nil, RoutingPolicy(99)); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
+	if _, err := n.NewSession(WithRoutingPolicy(RoutingPolicy(99))); err == nil {
+		t.Fatal("unknown policy accepted by WithRoutingPolicy")
+	}
 	if RoutingPolicy(99).String() == "" || RouteShortest.String() != "shortest" ||
 		RouteMinLoad.String() != "min-load" || RouteUPP.String() != "upp" {
 		t.Fatal("policy names wrong")
@@ -199,31 +202,5 @@ func TestADMsSharedTerminations(t *testing.T) {
 	}
 	if p.NumLambda != 2 || p.ADMs != 4 {
 		t.Fatalf("two stacked lightpaths: λ=%d ADMs=%d, want 2 and 4", p.NumLambda, p.ADMs)
-	}
-}
-
-// TestStrategyRegistry checks the policy constants resolve through the
-// registry and the registry rejects bad registrations.
-func TestStrategyRegistry(t *testing.T) {
-	for _, p := range []RoutingPolicy{RouteShortest, RouteMinLoad, RouteUPP} {
-		s, err := p.Strategy()
-		if err != nil {
-			t.Fatalf("policy %v not registered: %v", p, err)
-		}
-		if s.Name() != p.String() {
-			t.Fatalf("policy %v resolved to strategy %q", p, s.Name())
-		}
-	}
-	if _, err := RoutingPolicy(99).Strategy(); err == nil {
-		t.Fatal("unknown policy resolved")
-	}
-	if err := RegisterRoutingStrategy(nil); err == nil {
-		t.Fatal("nil strategy registered")
-	}
-	if err := RegisterRoutingStrategy(shortestStrategy{}); err == nil {
-		t.Fatal("duplicate strategy registered")
-	}
-	if names := RoutingStrategyNames(); len(names) < 3 {
-		t.Fatalf("routing strategy names: %v", names)
 	}
 }

@@ -97,14 +97,14 @@
 // Session.Add/Remove/Reroute are the operations; Session.Verify checks
 // the live assignment against the conflict invariant, and
 // Session.Provisioning materialises a Provisioning snapshot. Routing
-// is a pluggable strategy resolved from a registry
-// (RegisterRoutingStrategy); the legacy RoutingPolicy constants resolve
-// to the built-in strategies. Coloring is not pluggable: every session
-// maintains its wavelengths with one IncrementalColorer. Provision is
-// the flat one-shot pipeline (route, validate and account each request,
-// then color once with the strongest applicable theorem); it equals,
-// field for field, a session filled with the same requests whose live
-// family is then colored once from scratch. The randomized churn
+// is a pluggable strategy value (WithRoutingStrategy); each
+// RoutingPolicy constant is the value of a built-in strategy. Coloring
+// is not pluggable: every session maintains its wavelengths with one
+// IncrementalColorer. Provision is the flat one-shot pipeline (route,
+// validate and account each request, then color once with the strongest
+// applicable theorem); it equals, field for field, a session filled
+// with the same requests whose live family is then colored once from
+// scratch. The randomized churn
 // equivalence tests pin the session to the one-shot pipeline:
 // Verify-clean after every operation, exact π, and λ within the slack
 // of the from-scratch answer.
@@ -244,15 +244,15 @@
 //     a rejection rolls the insertion back exactly.
 //
 // What happens to over-budget requests is a pluggable AdmissionStrategy
-// resolved from a registry, exactly like routing: "reject"
-// drops them (the default — blocking-probability experiments measure
-// this), "retry-alt-route" re-asks a min-load router for a detour
-// around the saturated arcs and recovers the request when one fits, and
-// "degrade" accepts them as best-effort traffic reported separately
-// (suspending the λ ≤ w guarantee while any is live). TryAdd returns
-// the Admission decision without an error detour; Add wraps rejections
-// in ErrBudgetExceeded; AdmissionStats counts offers, accepts, rejects,
-// retries and best-effort admissions.
+// value, exactly like routing: AdmissionReject drops them (the default
+// — blocking-probability experiments measure this),
+// AdmissionRetryAltRoute re-asks a min-load router for a detour around
+// the saturated arcs and recovers the request when one fits, and
+// AdmissionDegrade accepts them as best-effort traffic reported
+// separately (suspending the λ ≤ w guarantee while any is live).
+// TryAdd returns the Admission decision without an error detour; Add
+// wraps rejections in ErrBudgetExceeded; AdmissionStats counts offers,
+// accepts, rejects, retries and best-effort admissions.
 //
 // ShardedEngine takes the budget via WithEngineWavelengthBudget: λ
 // aggregates as a max over components and over the arc-disjoint regions
@@ -372,7 +372,7 @@
 // internal/lint): a stdlib-only analyzer suite that loads the module
 // through `go list -export` and the gc export-data importer — no
 // third-party analysis framework. `make lint` runs it over the whole
-// repository and fails on any finding. Five analyzers cover the five
+// repository and fails on any finding. Four analyzers cover the four
 // contracts:
 //
 //   - lockfree: functions annotated //wavedag:lockfree (the snapshot
@@ -392,11 +392,6 @@
 //   - errwrap: the exported sentinels (ErrShed, ErrBudgetExceeded,
 //     ErrEngineClosed, ...) must be wrapped with %w and tested with
 //     errors.Is, never compared with == or matched in a switch.
-//   - registry: strategy registrations need distinct compile-time
-//     constant names, and every constant of a const block annotated
-//     //wavedag:registry <RegisterFunc> must have a registered
-//     implementation, so documented names cannot drift from the
-//     registries.
 //
 // The analyzers are themselves pinned by golden-file tests over a
 // fixture module of seeded violations (internal/lint/testdata), and
@@ -498,7 +493,7 @@ type (
 	// and WithRoutingPolicy.
 	RoutingPolicy = wdm.RoutingPolicy
 	// RoutingStrategy is the pluggable request→dipath layer of sessions;
-	// register implementations with RegisterRoutingStrategy.
+	// pass an implementation to WithRoutingStrategy.
 	RoutingStrategy = wdm.RoutingStrategy
 	// DynamicConflictGraph is the mutable conflict layer of the dynamic
 	// engine: live dipaths in recycled slots, indexed by the arcs they
@@ -547,8 +542,8 @@ type (
 	Admission = wdm.Admission
 	// AdmissionStats counts a session's cumulative admission outcomes.
 	AdmissionStats = wdm.AdmissionStats
-	// AdmissionStrategy decides the fate of over-budget requests;
-	// register implementations with RegisterAdmissionStrategy.
+	// AdmissionStrategy decides the fate of over-budget requests; pass
+	// an implementation to WithAdmissionStrategy.
 	AdmissionStrategy = wdm.AdmissionStrategy
 	// AdmissionState is per-session admission state built by an
 	// AdmissionStrategy.
@@ -625,8 +620,8 @@ var ErrServerClosed = serve.ErrServerClosed
 // route, unknown session, expired deadline, closed server — are not.
 func IsTransient(err error) bool { return serve.IsTransient(err) }
 
-// Names of the built-in admission strategies.
-const (
+// The built-in admission strategies, for WithAdmissionStrategy.
+var (
 	AdmissionReject        = wdm.AdmissionReject
 	AdmissionRetryAltRoute = wdm.AdmissionRetryAltRoute
 	AdmissionDegrade       = wdm.AdmissionDegrade
@@ -648,8 +643,8 @@ const (
 // WithRoutingStrategy selects a session's routing strategy.
 func WithRoutingStrategy(s RoutingStrategy) SessionOption { return wdm.WithRoutingStrategy(s) }
 
-// WithRoutingPolicy selects the routing strategy registered for a
-// built-in policy constant.
+// WithRoutingPolicy selects the built-in routing strategy of a policy
+// constant.
 func WithRoutingPolicy(p RoutingPolicy) SessionOption { return wdm.WithRoutingPolicy(p) }
 
 // WithSlack sets how many wavelengths the incremental coloring may
@@ -669,13 +664,6 @@ func WithWavelengthBudget(w int) SessionOption { return wdm.WithWavelengthBudget
 // over-budget requests (default: reject).
 func WithAdmissionStrategy(s AdmissionStrategy) SessionOption {
 	return wdm.WithAdmissionStrategy(s)
-}
-
-// WithAdmissionStrategyName selects a registered admission strategy by
-// name (AdmissionReject, AdmissionRetryAltRoute or AdmissionDegrade for
-// the built-ins).
-func WithAdmissionStrategyName(name string) SessionOption {
-	return wdm.WithAdmissionStrategyName(name)
 }
 
 // WithStormRetryBudget caps how many detour attempts one restoration
@@ -723,36 +711,6 @@ func RemoveOp(id ShardedID) BatchOp { return wdm.RemoveOp(id) }
 
 // RerouteOp returns the batch event re-routing id.
 func RerouteOp(id ShardedID) BatchOp { return wdm.RerouteOp(id) }
-
-// Strategy registries, re-exported from the wdm layer.
-
-// RegisterRoutingStrategy adds a routing strategy to the registry.
-func RegisterRoutingStrategy(s RoutingStrategy) error { return wdm.RegisterRoutingStrategy(s) }
-
-// LookupRoutingStrategy returns the registered routing strategy named
-// name.
-func LookupRoutingStrategy(name string) (RoutingStrategy, bool) {
-	return wdm.LookupRoutingStrategy(name)
-}
-
-// RegisterAdmissionStrategy adds an admission strategy to the registry.
-func RegisterAdmissionStrategy(s AdmissionStrategy) error {
-	return wdm.RegisterAdmissionStrategy(s)
-}
-
-// LookupAdmissionStrategy returns the registered admission strategy
-// named name.
-func LookupAdmissionStrategy(name string) (AdmissionStrategy, bool) {
-	return wdm.LookupAdmissionStrategy(name)
-}
-
-// AdmissionStrategyNames returns the registered admission strategy
-// names, sorted.
-func AdmissionStrategyNames() []string { return wdm.AdmissionStrategyNames() }
-
-// RoutingStrategyNames returns the registered routing strategy names,
-// sorted.
-func RoutingStrategyNames() []string { return wdm.RoutingStrategyNames() }
 
 // NewDynamicConflictGraph returns an empty mutable conflict layer for
 // dipaths of g: AddPath/RemovePath maintain per-arc incidence lists

@@ -159,9 +159,9 @@ func TestSessionFacade(t *testing.T) {
 }
 
 // TestAdmissionFacade exercises the budgeted-admission API through the
-// facade: session budgets, the admission registry, the budgeted sharded
-// engine with its lane stats, and the online max-request selection
-// against its offline oracles.
+// facade: session budgets, the built-in admission strategies, the
+// budgeted sharded engine with its lane stats, and the online
+// max-request selection against its offline oracles.
 func TestAdmissionFacade(t *testing.T) {
 	// Directed path 0 -> 1 -> 2 -> 3: a Theorem-1 topology.
 	g := wavedag.NewGraph(4)
@@ -169,15 +169,26 @@ func TestAdmissionFacade(t *testing.T) {
 	g.MustAddArc(1, 2)
 	g.MustAddArc(2, 3)
 
-	for _, name := range []string{
-		wavedag.AdmissionReject, wavedag.AdmissionRetryAltRoute, wavedag.AdmissionDegrade,
-	} {
-		if _, ok := wavedag.LookupAdmissionStrategy(name); !ok {
-			t.Fatalf("built-in admission strategy %q not registered", name)
+	// The built-in admission strategies on a second 0->3 offer at w=1:
+	// there is no detour, so only degrade accepts it (best-effort).
+	net := &wavedag.Network{Topology: g}
+	for _, tc := range []struct {
+		a          wavedag.AdmissionStrategy
+		bestEffort bool
+	}{{wavedag.AdmissionReject, false}, {wavedag.AdmissionRetryAltRoute, false}, {wavedag.AdmissionDegrade, true}} {
+		s, err := net.NewSession(wavedag.WithWavelengthBudget(1), wavedag.WithAdmissionStrategy(tc.a))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := wavedag.Request{Src: 0, Dst: 3}
+		if _, err := s.Add(req); err != nil {
+			t.Fatal(err)
+		}
+		if _, adm, err := s.TryAdd(req); err != nil || adm.Accepted != tc.bestEffort || adm.BestEffort != tc.bestEffort {
+			t.Fatalf("%T: second offer %+v %v", tc.a, adm, err)
 		}
 	}
 
-	net := &wavedag.Network{Topology: g}
 	s, err := net.NewSession(wavedag.WithWavelengthBudget(1))
 	if err != nil {
 		t.Fatal(err)
