@@ -664,31 +664,33 @@ func TestAddArcConcurrentReaders(t *testing.T) {
 // was opened with: a custom strategy forwarded through
 // WithShardSessionOptions keeps routing after the add.
 func TestAddArcKeepsCustomRouting(t *testing.T) {
-	var log []route.Request
-	net := multiComponentNetwork(t, 2, 521)
-	eng, err := net.NewShardedEngine(WithShardSessionOptions(WithRoutingStrategy(countingRouting{&log})))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	pool := route.NewRouter(net.Topology).AllToAll()
-	for _, req := range pool[:10] {
-		if _, err := eng.Add(req); err != nil {
+	t.Run("counting-shortest", func(t *testing.T) {
+		var log []route.Request
+		net := multiComponentNetwork(t, 2, 521)
+		eng, err := net.NewShardedEngine(WithShardSessionOptions(WithRoutingStrategy(countingRouting{&log})))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if len(log) != 10 {
-		t.Fatalf("custom strategy routed %d of 10 adds", len(log))
-	}
-	req := pool[0]
-	if _, err := eng.AddArc(req.Dst, req.Src); err != nil {
-		t.Fatalf("AddArc: %v", err)
-	}
-	before := len(log)
-	if _, err := eng.Add(route.Request{Src: req.Dst, Dst: req.Src}); err != nil {
-		t.Fatalf("add over the new arc: %v", err)
-	}
-	if len(log) != before+1 {
-		t.Fatalf("after AddArc the custom strategy routed %d adds, want 1", len(log)-before)
-	}
+		defer eng.Close()
+		pool := route.NewRouter(net.Topology).AllToAll()
+		for _, req := range pool[:10] {
+			if _, err := eng.Add(req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(log) != 10 {
+			t.Fatalf("custom strategy routed %d of 10 adds", len(log))
+		}
+		req := pool[0]
+		if _, err := eng.AddArc(req.Dst, req.Src); err != nil {
+			t.Fatalf("AddArc: %v", err)
+		}
+		before := len(log)
+		if _, err := eng.Add(route.Request{Src: req.Dst, Dst: req.Src}); err != nil {
+			t.Fatalf("add over the new arc: %v", err)
+		}
+		if len(log) != before+1 {
+			t.Fatalf("after AddArc the custom strategy routed %d adds, want 1", len(log)-before)
+		}
+	})
 }
