@@ -71,6 +71,7 @@ examples:
 fuzzsmoke:
 	$(GO) test -run=NONE -fuzz=FuzzTheorem1Precheck -fuzztime=10s ./internal/wdm
 	$(GO) test -run=NONE -fuzz=FuzzProvisionOracle -fuzztime=10s ./internal/wdm
+	$(GO) test -run=NONE -fuzz=FuzzEngineOps -fuzztime=10s ./internal/wdm
 	$(GO) test -run=NONE -fuzz=FuzzPartitionRegions -fuzztime=10s ./internal/digraph
 	$(GO) test -run=NONE -fuzz=FuzzMinLoadPath -fuzztime=10s ./internal/route
 	$(GO) test -run=NONE -fuzz=FuzzIncrementalOps -fuzztime=10s ./internal/core

@@ -132,9 +132,6 @@ func (ic *Incremental) NumLambda() int { return ic.numUsed }
 // LowerBound returns the incremental χ lower bound (max arc load).
 func (ic *Incremental) LowerBound() int { return ic.dyn.LowerBound() }
 
-// Slack returns the configured recoloring slack.
-func (ic *Incremental) Slack() int { return ic.slack }
-
 // FullRecolors returns how many times the slack gate forced a full
 // from-scratch recoloring — the measure of how incremental the run was.
 func (ic *Incremental) FullRecolors() int { return ic.fullRecolors }

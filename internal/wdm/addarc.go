@@ -108,8 +108,12 @@ func (e *ShardedEngine) AddArc(tail, head digraph.Vertex) (digraph.ArcID, error)
 			c.escalate = true
 		}
 	}
-	if gerr == nil {
-		gerr = c.overlay.sess.growTopology()
+	// The overlay grows even when the region lane refused the graph: its
+	// tracker and colorer must cover every arc of the view, because a
+	// RestoreArc can bring the refused arc back and region deltas over it
+	// then fold into the overlay tracker.
+	if oerr := c.overlay.sess.growTopology(); gerr == nil {
+		gerr = oerr
 	}
 	c.overlay.dirty = true
 	if gerr != nil {

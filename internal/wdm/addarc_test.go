@@ -491,89 +491,6 @@ func TestAddArcClosed(t *testing.T) {
 	}
 }
 
-// TestAddArcRandomizedEquivalence is a randomized churn of adds,
-// removes, capacity adds and failure events on a budgeted two-level
-// engine, checked after every phase against a from-scratch session over
-// the engine's final topology — the engine's state must always be
-// exactly representable from scratch (π exact, merged coloring proper,
-// λ within the budget), no matter how many capacity adds it has taken.
-func TestAddArcRandomizedEquivalence(t *testing.T) {
-	net, _ := gluedFixture(t, 4, 571)
-	eng := twoLevelEngine(t, net,
-		WithShardWorkers(2),
-		WithEngineWavelengthBudget(8),
-		WithOverlayBudgetSlice(2),
-	)
-	defer eng.Close()
-	topo := net.Topology.Clone()
-
-	pairs, _, _ := regionPairs(t, eng)
-	pool := route.NewRouter(net.Topology).AllToAll()
-	rng := rand.New(rand.NewSource(572))
-	var live []ShardedID
-	phases := 12
-	if testing.Short() {
-		phases = 4
-	}
-	for phase := 0; phase < phases; phase++ {
-		// A few churn batches, biased towards one region lane.
-		for batch := 0; batch < 4; batch++ {
-			ops := make([]BatchOp, 0, 24)
-			removed := map[int]bool{}
-			for k := 0; k < 24; k++ {
-				if len(live) > 0 && rng.Intn(3) == 0 && len(removed) < len(live) {
-					j := rng.Intn(len(live))
-					for removed[j] {
-						j = (j + 1) % len(live)
-					}
-					removed[j] = true
-					ops = append(ops, RemoveOp(live[j]))
-				} else if rng.Intn(4) != 0 {
-					ops = append(ops, AddOp(pairs[rng.Intn(len(pairs))]))
-				} else {
-					ops = append(ops, AddOp(pool[rng.Intn(len(pool))]))
-				}
-			}
-			results := eng.ApplyBatch(ops)
-			var next []ShardedID
-			for i, id := range live {
-				if !removed[i] {
-					next = append(next, id)
-				}
-			}
-			for i, r := range results {
-				if ops[i].Kind == BatchAdd && r.Err == nil {
-					next = append(next, r.ID)
-				}
-			}
-			live = next
-		}
-		// A capacity add every few phases: reverse a random routable pair.
-		if phase%3 == 1 {
-			req := pool[rng.Intn(len(pool))]
-			if ga, err := eng.AddArc(req.Dst, req.Src); err == nil {
-				if _, err := topo.AddArc(req.Dst, req.Src); err != nil {
-					t.Fatal(err)
-				}
-				_ = ga
-			}
-		}
-		// A cut/repair cycle every few phases.
-		if phase%4 == 3 {
-			a := digraph.ArcID(rng.Intn(topo.NumArcs()))
-			if _, err := eng.FailArc(a); err == nil {
-				if _, err := eng.RestoreArc(a); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		replayEquivalence(t, eng, topo)
-	}
-	if st := strongStats(eng); st.ArcAdds == 0 {
-		t.Fatal("randomized churn applied no capacity adds")
-	}
-}
-
 // TestAddArcConcurrentReaders races lock-free snapshot readers
 // against the write plane: churn batches and capacity adds. Run under
 // -race; the invariant is simply that every pinned read is coherent (no
@@ -583,7 +500,6 @@ func TestAddArcConcurrentReaders(t *testing.T) {
 	eng := twoLevelEngine(t, net,
 		WithShardWorkers(2),
 		WithEngineWavelengthBudget(8),
-		WithOverlayBudgetSlice(2),
 	)
 	defer eng.Close()
 

@@ -54,7 +54,8 @@ var (
 	// AdmissionReject drops over-budget requests; it is the default.
 	AdmissionReject AdmissionStrategy = rejectStrategy{}
 	// AdmissionRetryAltRoute re-asks a min-load router for a path around
-	// the saturated arcs.
+	// the saturated arcs; on a session that already routes by min load
+	// (or UPP) it rejects like AdmissionReject.
 	AdmissionRetryAltRoute AdmissionStrategy = retryAltRouteStrategy{}
 	// AdmissionDegrade accepts over-budget requests as best-effort and
 	// reports them separately.
@@ -132,21 +133,28 @@ func (rejectState) Admit(*AdmissionContext) (SessionID, Admission, error) {
 	return 0, Admission{}, nil
 }
 
-// retryAltRouteStrategy re-asks its own min-load router for a path that
+// retryAltRouteStrategy re-asks a min-load router for a path that
 // steers around the saturated arcs: when the strategy's first route is
 // over budget but a longer detour still fits, the request is recovered
-// instead of blocked. It owns a route.Router exactly like the min-load
-// routing strategy does.
+// instead of blocked. It searches with the session's storm detour
+// router. A session that routes by RouteMinLoad or RouteUPP is rejected
+// without a search: its first route already is the min-load path (on a
+// UPP-DAG the only one), so the search could only return the path the
+// budget just refused.
 type retryAltRouteStrategy struct{}
 
-func (retryAltRouteStrategy) NewState(g *digraph.Digraph) (AdmissionState, error) {
-	return &retryAltRouteState{r: route.NewRouter(g)}, nil
+func (retryAltRouteStrategy) NewState(*digraph.Digraph) (AdmissionState, error) {
+	return retryAltRouteState{}, nil
 }
 
-type retryAltRouteState struct{ r *route.Router }
+type retryAltRouteState struct{}
 
-func (st *retryAltRouteState) Admit(c *AdmissionContext) (SessionID, Admission, error) {
-	alt, err := st.r.MinLoadPath(c.Request(), c.Loads())
+func (retryAltRouteState) Admit(c *AdmissionContext) (SessionID, Admission, error) {
+	switch c.s.routingStrat {
+	case RouteMinLoad, RouteUPP:
+		return 0, Admission{}, nil
+	}
+	alt, err := c.s.detourRouter().MinLoadPath(c.Request(), c.Loads())
 	if err != nil {
 		return 0, Admission{}, nil // no alternative exists: reject
 	}

@@ -156,165 +156,6 @@ func TestDegradeAcceptsBestEffort(t *testing.T) {
 	}
 }
 
-// budgetChurn drives a budgeted session through a randomized trace and
-// asserts the acceptance criteria after every step: π ≤ w (the accepted
-// set stays Theorem-1 feasible), λ ≤ w, Verify-clean, rejections are
-// exactly the Theorem-1-infeasible offers (cycle-free sessions), and a
-// rejection never mutates observable state.
-func budgetChurn(t *testing.T, g *digraph.Digraph, w int, steps int, seed int64, opts ...SessionOption) {
-	t.Helper()
-	net := &Network{Topology: g}
-	sess, err := net.NewSession(append([]SessionOption{WithWavelengthBudget(w)}, opts...)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := route.NewRouter(g).AllToAll()
-	if len(pool) == 0 {
-		t.Fatal("no routable pairs")
-	}
-	rng := rand.New(rand.NewSource(seed))
-	shadow := load.NewTracker(g)
-	exactPrecheck := sess.usesPrecheck()
-	var ids []SessionID
-	var paths []*dipath.Path
-	for step := 0; step < steps; step++ {
-		if len(ids) == 0 || rng.Intn(3) != 0 {
-			req := pool[rng.Intn(len(pool))]
-			lenBefore, piBefore := sess.Len(), sess.Pi()
-			id, adm, err := sess.TryAdd(req)
-			if err != nil {
-				t.Fatalf("step %d: %v", step, err)
-			}
-			if adm.Accepted {
-				p, err := sess.Path(id)
-				if err != nil {
-					t.Fatal(err)
-				}
-				shadow.Add(p)
-				ids = append(ids, id)
-				paths = append(paths, p)
-			} else {
-				if sess.Len() != lenBefore || sess.Pi() != piBefore {
-					t.Fatalf("step %d: rejection mutated state", step)
-				}
-				if exactPrecheck {
-					// The precheck is exact: the rejected request's shortest
-					// route must genuinely not fit the budget.
-					p, rerr := route.NewRouter(g).ShortestPath(req.Src, req.Dst)
-					if rerr != nil {
-						t.Fatal(rerr)
-					}
-					if shadow.FitsAdditional(p, w) {
-						t.Fatalf("step %d: rejected a Theorem-1-admissible request", step)
-					}
-				}
-			}
-		} else {
-			i := rng.Intn(len(ids))
-			if err := sess.Remove(ids[i]); err != nil {
-				t.Fatalf("step %d: %v", step, err)
-			}
-			shadow.Remove(paths[i])
-			ids[i], paths[i] = ids[len(ids)-1], paths[len(paths)-1]
-			ids, paths = ids[:len(ids)-1], paths[:len(paths)-1]
-		}
-		if pi := sess.Pi(); pi > w {
-			t.Fatalf("step %d: π=%d past budget %d", step, pi, w)
-		}
-		if n, err := sess.NumLambda(); err != nil || n > w {
-			t.Fatalf("step %d: λ=%d past budget %d (%v)", step, n, w, err)
-		}
-		if err := sess.Verify(); err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-	}
-	st := sess.AdmissionStats()
-	if st.Accepted == 0 || st.Rejected == 0 {
-		t.Fatalf("degenerate trace: stats %+v", st)
-	}
-}
-
-func TestBudgetChurnCycleFree(t *testing.T) {
-	g, err := gen.RandomNoInternalCycleDAG(24, 4, 4, 0.25, 131)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{1, 2, 4} {
-		budgetChurn(t, g, w, 400, 132+int64(w))
-	}
-}
-
-func TestBudgetChurnRollbackProbe(t *testing.T) {
-	// Same cycle-free topology, forced down the general-DAG probe: the
-	// invariants must hold on both admission paths.
-	g, err := gen.RandomNoInternalCycleDAG(24, 4, 4, 0.25, 131)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{2, 4} {
-		budgetChurn(t, g, w, 300, 141+int64(w), withAdmissionRollbackProbe())
-	}
-}
-
-func TestBudgetChurnInternalCycle(t *testing.T) {
-	// Topologies with internal cycles take the color-then-rollback path
-	// natively; λ ≤ w and rejection-leaves-no-trace must still hold.
-	g, _, err := gen.InternalCycleGadget(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{2, 3} {
-		budgetChurn(t, g, w, 300, 151+int64(w))
-	}
-}
-
-func TestBudgetChurnRetryStrategy(t *testing.T) {
-	g, err := gen.RandomNoInternalCycleDAG(24, 4, 4, 0.3, 161)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := &Network{Topology: g}
-	const w = 2
-	sess, err := net.NewSession(
-		WithWavelengthBudget(w),
-		WithAdmissionStrategy(AdmissionRetryAltRoute),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := route.NewRouter(g).AllToAll()
-	rng := rand.New(rand.NewSource(162))
-	var ids []SessionID
-	for step := 0; step < 500; step++ {
-		if len(ids) == 0 || rng.Intn(3) != 0 {
-			if id, adm, err := sess.TryAdd(pool[rng.Intn(len(pool))]); err != nil {
-				t.Fatal(err)
-			} else if adm.Accepted {
-				ids = append(ids, id)
-			}
-		} else {
-			i := rng.Intn(len(ids))
-			if err := sess.Remove(ids[i]); err != nil {
-				t.Fatal(err)
-			}
-			ids[i] = ids[len(ids)-1]
-			ids = ids[:len(ids)-1]
-		}
-		if n, err := sess.NumLambda(); err != nil || n > w {
-			t.Fatalf("step %d: λ=%d past budget (%v)", step, n, err)
-		}
-		if sess.Pi() > w {
-			t.Fatalf("step %d: π=%d past budget", step, sess.Pi())
-		}
-	}
-	if err := sess.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	if st := sess.AdmissionStats(); st.Retried == 0 {
-		t.Skipf("trace never exercised the alternate-route recovery: %+v", st)
-	}
-}
-
 // TestBudgetedReroute pins the budget gate on the reroute path: a
 // reroute whose new path would break the budget keeps the old route.
 func TestBudgetedReroute(t *testing.T) {
@@ -353,85 +194,6 @@ func TestBudgetedReroute(t *testing.T) {
 
 // ── Sharded engine budgets ─────────────────────────────────────────────
 
-// budgetEngineChurn drives a budgeted sharded engine through batched
-// randomized churn via ApplyBatchInto and asserts λ ≤ w, π ≤ w and
-// Verify-clean at every batch boundary, plus the stats aggregation.
-func budgetEngineChurn(t *testing.T, g *digraph.Digraph, w, batches, batchSize int, seed int64, opts ...ShardedOption) {
-	t.Helper()
-	net := &Network{Topology: g}
-	eng, err := net.NewShardedEngine(append([]ShardedOption{WithEngineWavelengthBudget(w)}, opts...)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	pool := route.NewRouter(g).AllToAll()
-	rng := rand.New(rand.NewSource(seed))
-	var ids []ShardedID
-	var results []BatchResult
-	accepted, rejected := 0, 0
-	for b := 0; b < batches; b++ {
-		ops := make([]BatchOp, 0, batchSize)
-		removedIdx := make(map[int]bool)
-		for len(ops) < batchSize {
-			if len(ids) > 0 && rng.Intn(3) == 0 {
-				i := rng.Intn(len(ids))
-				if removedIdx[i] {
-					continue
-				}
-				removedIdx[i] = true
-				ops = append(ops, RemoveOp(ids[i]))
-			} else {
-				ops = append(ops, AddOp(pool[rng.Intn(len(pool))]))
-			}
-		}
-		results = eng.ApplyBatchInto(ops, results)
-		for k, res := range results {
-			switch {
-			case res.Err == nil && ops[k].Kind == BatchAdd:
-				ids = append(ids, res.ID)
-				accepted++
-			case res.Err != nil && ops[k].Kind == BatchAdd:
-				if !errors.Is(res.Err, ErrBudgetExceeded) {
-					t.Fatalf("batch %d op %d: %v", b, k, res.Err)
-				}
-				rejected++
-			case res.Err != nil:
-				t.Fatalf("batch %d op %d: %v", b, k, res.Err)
-			}
-		}
-		// Compact the id list (removals processed above marked indices).
-		if len(removedIdx) > 0 {
-			kept := ids[:0]
-			for i, id := range ids {
-				if !removedIdx[i] {
-					kept = append(kept, id)
-				}
-			}
-			ids = kept
-		}
-		if pi := eng.Pi(); pi > w {
-			t.Fatalf("batch %d: π=%d past budget %d", b, pi, w)
-		}
-		if n, err := eng.NumLambda(); err != nil || n > w {
-			t.Fatalf("batch %d: λ=%d past budget %d (%v)", b, n, w, err)
-		}
-		if err := eng.Verify(); err != nil {
-			t.Fatalf("batch %d: %v", b, err)
-		}
-	}
-	st := eng.Stats()
-	if st.Accepted() != accepted || st.Rejected() != rejected {
-		t.Fatalf("stats accepted/rejected = %d/%d, observed %d/%d",
-			st.Accepted(), st.Rejected(), accepted, rejected)
-	}
-	if st.Budget != w {
-		t.Fatalf("stats budget %d, want %d", st.Budget, w)
-	}
-	if accepted == 0 || rejected == 0 {
-		t.Fatalf("degenerate trace: %d accepted, %d rejected", accepted, rejected)
-	}
-}
-
 func multiComponentTopo(t *testing.T, parts, nInternal int, seed int64) *digraph.Digraph {
 	t.Helper()
 	insts := make([]gen.Instance, parts)
@@ -444,34 +206,6 @@ func multiComponentTopo(t *testing.T, parts, nInternal int, seed int64) *digraph
 	}
 	g, _ := gen.DisjointUnion(insts...)
 	return g
-}
-
-func TestBudgetedEngineChurn(t *testing.T) {
-	g := multiComponentTopo(t, 4, 20, 171)
-	for _, w := range []int{2, 4} {
-		budgetEngineChurn(t, g, w, 30, 32, 172+int64(w), WithSubshardThreshold(0))
-	}
-}
-
-func TestBudgetedEngineChurnTwoLevel(t *testing.T) {
-	parts := make([]*digraph.Digraph, 4)
-	for i := range parts {
-		g, err := gen.RandomNoInternalCycleDAG(16, 3, 3, 0.25, int64(181+i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts[i] = g
-	}
-	g, _, err := gen.GlueChain(parts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Force the two-level layout and band the budget: regions admit
-	// against w-1, the overlay lane against 1.
-	budgetEngineChurn(t, g, 4, 30, 32, 187,
-		WithSubshardThreshold(16), WithOverlayBudgetSlice(1))
-	// Default slice.
-	budgetEngineChurn(t, g, 5, 30, 32, 188, WithSubshardThreshold(16))
 }
 
 func TestBudgetedEngineUnbandableBudget(t *testing.T) {

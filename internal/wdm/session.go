@@ -62,14 +62,13 @@ type Session struct {
 	freeIdx []int32
 	live    int
 
-	// Survivability (see survive.go): dark-parked entries, the storm
-	// retry budget, failure counters, the slot→entry reverse index the
+	// Survivability (see survive.go): dark-parked entries, failure
+	// counters, the slot→entry reverse index the
 	// arc-incidence affected lookup resolves through, the lazily built
 	// detour router, the engine's path-delta observer, and the
 	// revival sweeps' scratch.
 	dark          int
 	darkSeq       uint64
-	stormRetries  int
 	failStats     FailureStats
 	slotEntry     []int32
 	stormRouter   *route.Router
@@ -140,10 +139,7 @@ func (s *Session) lookup(id SessionID) (*sessionEntry, error) {
 type sessionConfig struct {
 	routing       RoutingStrategy
 	admission     AdmissionStrategy
-	slack         int
-	capacity      int
 	budget        int
-	stormRetries  int // -1 = default (2 per affected path)
 	rollbackProbe bool
 }
 
@@ -171,28 +167,6 @@ func WithRoutingPolicy(p RoutingPolicy) SessionOption {
 			return err
 		}
 		c.routing = s
-		return nil
-	}
-}
-
-// WithSlack sets how many wavelengths the incremental coloring may
-// drift above its lower bound before a full recolor is forced (<= 0
-// selects the default).
-func WithSlack(slack int) SessionOption {
-	return func(c *sessionConfig) error {
-		c.slack = slack
-		return nil
-	}
-}
-
-// WithCapacityHint pre-sizes the session's request table for the
-// expected number of simultaneously live requests, avoiding growth
-// reallocations when a caller fills the session with a known batch.
-func WithCapacityHint(n int) SessionOption {
-	return func(c *sessionConfig) error {
-		if n > 0 {
-			c.capacity = n
-		}
 		return nil
 	}
 }
@@ -226,20 +200,6 @@ func WithAdmissionStrategy(s AdmissionStrategy) SessionOption {
 	}
 }
 
-// WithStormRetryBudget bounds the min-load detour retries one
-// restoration storm may spend across all its affected paths (see
-// Session.FailArc). n = 0 disables detours (primary reroute only);
-// n < 0 selects the default of two detours per affected path.
-func WithStormRetryBudget(n int) SessionOption {
-	return func(c *sessionConfig) error {
-		if n < 0 {
-			n = -1
-		}
-		c.stormRetries = n
-		return nil
-	}
-}
-
 // withAdmissionRollbackProbe forces the general-DAG color-then-rollback
 // admission probe even on internal-cycle-free topologies. It exists as
 // the ablation axis of the admission tests and benchmarks (pricing the
@@ -254,7 +214,7 @@ func withAdmissionRollbackProbe() SessionOption {
 // NewSession opens a dynamic provisioning session on the network. The
 // default routing is shortest-path.
 func (n *Network) NewSession(opts ...SessionOption) (*Session, error) {
-	cfg := sessionConfig{stormRetries: -1}
+	var cfg sessionConfig
 	for _, opt := range opts {
 		if err := opt(&cfg); err != nil {
 			return nil, err
@@ -274,12 +234,10 @@ func (n *Network) NewSession(opts ...SessionOption) (*Session, error) {
 		net:           n,
 		routing:       routing,
 		routingStrat:  cfg.routing,
-		coloring:      core.NewIncremental(n.Topology, cfg.slack),
+		coloring:      core.NewIncremental(n.Topology, 0),
 		tracker:       load.NewTracker(n.Topology),
 		budget:        cfg.budget,
-		stormRetries:  cfg.stormRetries,
 		rollbackProbe: cfg.rollbackProbe,
-		entries:       make([]sessionEntry, 0, cfg.capacity),
 	}
 	if cfg.admission != nil {
 		s.admission, err = cfg.admission.NewState(n.Topology)

@@ -2,109 +2,14 @@ package wdm
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 
 	"wavedag/internal/core"
 	"wavedag/internal/digraph"
 	"wavedag/internal/dipath"
 	"wavedag/internal/gen"
-	"wavedag/internal/load"
 	"wavedag/internal/route"
 )
-
-// TestSessionChurnEquivalence is the randomized pin of the dynamic
-// engine to the one-shot pipeline: 1k random add/remove operations on a
-// Theorem 1 topology, asserting after every operation that
-//
-//   - the session's live assignment is Verify-clean,
-//   - the session's π equals load.Pi recomputed from scratch,
-//   - the session's λ never exceeds the from-scratch Provision answer
-//     by more than the configured slack.
-func TestSessionChurnEquivalence(t *testing.T) {
-	net := testNetwork()
-	const slack = 2
-	s, err := net.NewSession(WithSlack(slack))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.routingStrat != RoutingStrategy(RouteShortest) {
-		t.Fatalf("default routing: %v", s.routingStrat)
-	}
-	pool := route.AllToAll(net.Topology)
-	rng := rand.New(rand.NewSource(17))
-
-	type liveReq struct {
-		id  SessionID
-		req route.Request
-	}
-	var live []liveReq
-
-	ops := 1000
-	if testing.Short() {
-		ops = 200
-	}
-	for op := 0; op < ops; op++ {
-		if len(live) == 0 || (rng.Intn(5) != 0 && len(live) < 60) {
-			req := pool[rng.Intn(len(pool))]
-			id, err := s.Add(req)
-			if err != nil {
-				t.Fatalf("op %d: Add: %v", op, err)
-			}
-			live = append(live, liveReq{id, req})
-		} else {
-			k := rng.Intn(len(live))
-			if err := s.Remove(live[k].id); err != nil {
-				t.Fatalf("op %d: Remove: %v", op, err)
-			}
-			live[k] = live[len(live)-1]
-			live = live[:len(live)-1]
-		}
-
-		if err := s.Verify(); err != nil {
-			t.Fatalf("op %d: session coloring invalid: %v", op, err)
-		}
-		prov, err := s.Provisioning()
-		if err != nil {
-			t.Fatalf("op %d: Provisioning: %v", op, err)
-		}
-		if scratch := load.Pi(net.Topology, prov.Paths); s.Pi() != scratch || prov.Pi != scratch {
-			t.Fatalf("op %d: session π = %d/%d, from-scratch π = %d", op, s.Pi(), prov.Pi, scratch)
-		}
-		// Rebuild from scratch: identical requests in arrival order give
-		// identical routes (the router is deterministic), so the one-shot
-		// pipeline is the exact reference.
-		reqs := make([]route.Request, len(live))
-		ids := s.IDs()
-		byID := map[SessionID]route.Request{}
-		for _, lr := range live {
-			byID[lr.id] = lr.req
-		}
-		for i, id := range ids {
-			reqs[i] = byID[id]
-		}
-		ref, err := net.Provision(reqs, RouteShortest)
-		if err != nil {
-			t.Fatalf("op %d: reference Provision: %v", op, err)
-		}
-		lambda, err := s.NumLambda()
-		if err != nil {
-			t.Fatalf("op %d: NumLambda: %v", op, err)
-		}
-		if lambda != prov.NumLambda {
-			t.Fatalf("op %d: NumLambda %d != Provisioning.NumLambda %d", op, lambda, prov.NumLambda)
-		}
-		if lambda > ref.NumLambda+slack {
-			t.Fatalf("op %d: session λ = %d exceeds from-scratch λ = %d + slack %d",
-				op, lambda, ref.NumLambda, slack)
-		}
-		if lambda < ref.NumLambda {
-			// λ below the exact theorem-1 answer would mean an improper or
-			// miscounted assignment (Provision is exact here: λ = π).
-			t.Fatalf("op %d: session λ = %d below the exact answer %d", op, lambda, ref.NumLambda)
-		}
-	}
-}
 
 // TestSessionProvisionEquivalence pins the one-shot Provision to the
 // Session pipeline: a session with the policy's routing strategy,

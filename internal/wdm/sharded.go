@@ -149,11 +149,8 @@ type ShardedEngine struct {
 	restores   int
 	stormNanos int64
 
-	// Wavelength budget (0 = unlimited) and the per-component overlay
-	// band it reserves on components with region lanes; see
-	// WithEngineWavelengthBudget.
-	budget       int
-	overlaySlice int
+	// Wavelength budget (0 = unlimited); see WithEngineWavelengthBudget.
+	budget int
 
 	// The session options every lane is opened with (component merges
 	// open new lanes) and the count of live capacity adds (see addarc.go).
@@ -282,11 +279,10 @@ type engineComponent struct {
 
 // shardedConfig collects NewShardedEngine options.
 type shardedConfig struct {
-	workers      int
-	subshard     int
-	budget       int
-	overlaySlice int
-	sessionOpts  []SessionOption
+	workers     int
+	subshard    int
+	budget      int
+	sessionOpts []SessionOption
 }
 
 // ShardedOption configures NewShardedEngine.
@@ -306,8 +302,8 @@ func WithShardWorkers(n int) ShardedOption {
 	}
 }
 
-// WithShardSessionOptions forwards session options (routing strategy,
-// slack, capacity hint) to every lane session, region and overlay
+// WithShardSessionOptions forwards session options (routing and
+// admission strategies) to every lane session, region and overlay
 // lanes alike. On a budgeted engine the lane budget overrides a
 // forwarded WithWavelengthBudget.
 func WithShardSessionOptions(opts ...SessionOption) ShardedOption {
@@ -341,8 +337,9 @@ func WithSubshardThreshold(n int) ShardedOption {
 // per-shard hot path with no cross-shard coordination. A component
 // without region lanes admits against w outright on its overlay lane;
 // a component with region lanes splits w into a region band (w minus
-// the overlay slice, see WithOverlayBudgetSlice) and an overlay band,
-// so the banded aggregation can never exceed w.
+// the overlay slice) and an overlay band of max(1, w/4), so the banded
+// aggregation can never exceed w. A budget too small to split (w = 1)
+// fails construction on a layout with region lanes.
 // Over-budget requests fail their batch op with ErrBudgetExceeded (or
 // go to the admission strategy configured via WithShardSessionOptions);
 // per-lane counts aggregate into EngineStats. w <= 0 means unlimited.
@@ -352,23 +349,6 @@ func WithEngineWavelengthBudget(w int) ShardedOption {
 			return fmt.Errorf("wdm: wavelength budget must be >= 0, got %d", w)
 		}
 		c.budget = w
-		return nil
-	}
-}
-
-// WithOverlayBudgetSlice sets how many of a budgeted engine's w
-// wavelengths each component with region lanes reserves for its overlay
-// lane (cross-region traffic); region lanes admit against the remaining
-// w - slice. The default is w/4, at least 1. The slice must leave the
-// regions at least one wavelength; an engine whose layout has region
-// lanes rejects budgets that cannot be split (use
-// WithSubshardThreshold(0) to run such budgets without region lanes).
-func WithOverlayBudgetSlice(k int) ShardedOption {
-	return func(c *shardedConfig) error {
-		if k < 1 {
-			return fmt.Errorf("wdm: overlay budget slice must be >= 1, got %d", k)
-		}
-		c.overlaySlice = k
 		return nil
 	}
 }
@@ -385,23 +365,17 @@ func (n *Network) NewShardedEngine(opts ...ShardedOption) (*ShardedEngine, error
 			return nil, err
 		}
 	}
-	overlaySlice := cfg.overlaySlice
-	if cfg.budget > 0 && overlaySlice == 0 {
-		if overlaySlice = cfg.budget / 4; overlaySlice < 1 {
-			overlaySlice = 1
-		}
-	}
+	overlaySlice := max(1, cfg.budget/4)
 	views, label, localV := n.Topology.PartitionComponents()
 	e := &ShardedEngine{
-		net:          n,
-		comps:        make([]*engineComponent, 0, len(views)),
-		label:        label,
-		localV:       localV,
-		workers:      cfg.workers,
-		budget:       cfg.budget,
-		overlaySlice: overlaySlice,
-		sessionOpts:  cfg.sessionOpts,
-		compStamp:    make([]uint64, len(views)),
+		net:         n,
+		comps:       make([]*engineComponent, 0, len(views)),
+		label:       label,
+		localV:      localV,
+		workers:     cfg.workers,
+		budget:      cfg.budget,
+		sessionOpts: cfg.sessionOpts,
+		compStamp:   make([]uint64, len(views)),
 	}
 	for ci, view := range views {
 		comp := &engineComponent{idx: int32(ci), view: view}
@@ -414,7 +388,7 @@ func (n *Network) NewShardedEngine(opts ...ShardedOption) (*ShardedEngine, error
 		if comp.regions != nil {
 			if cfg.budget > 0 && cfg.budget-overlaySlice < 1 {
 				return nil, fmt.Errorf(
-					"wdm: wavelength budget %d cannot band a two-level component (overlay slice %d leaves no region budget); use WithOverlayBudgetSlice or WithSubshardThreshold(0)",
+					"wdm: wavelength budget %d cannot band a two-level component (overlay slice %d leaves no region budget); use WithSubshardThreshold(0)",
 					cfg.budget, overlaySlice)
 			}
 			overlayBudget = overlaySlice
@@ -702,15 +676,6 @@ func (e *ShardedEngine) statsLocked() EngineStats {
 // Budget returns the engine's wavelength budget (0 = unlimited).
 func (e *ShardedEngine) Budget() int { return e.budget }
 
-// OverlayBudgetSlice returns the overlay band a budgeted engine
-// reserves per component with region lanes (0 when no budget is set).
-func (e *ShardedEngine) OverlayBudgetSlice() int {
-	if e.budget <= 0 {
-		return 0
-	}
-	return e.overlaySlice
-}
-
 // ── Dispatch ───────────────────────────────────────────────────────────
 
 // dispatchAdd resolves the executable shard of an add request and the
@@ -763,7 +728,7 @@ func (e *ShardedEngine) resolveID(id ShardedID) (*engineShard, SessionID, error)
 	for hops := 0; sh.retired; hops++ {
 		next, ok := sh.forward[lid]
 		if !ok || hops >= len(e.shards) {
-			return nil, 0, fmt.Errorf("wdm: unknown session id %d on retired shard %d", lid, sh.idx)
+			return nil, 0, fmt.Errorf("wdm: session id %d on retired shard %d: %w", lid, sh.idx, ErrUnknownSession)
 		}
 		sh, lid = e.shards[next.Shard], next.ID
 	}

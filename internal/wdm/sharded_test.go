@@ -6,234 +6,14 @@ import (
 	"sync"
 	"testing"
 
-	"wavedag/internal/core"
 	"wavedag/internal/digraph"
-	"wavedag/internal/gen"
 	"wavedag/internal/route"
 )
 
 // multiComponentNetwork builds a topology with several nontrivial
 // weakly connected components (disjoint union of Theorem 1 DAGs).
 func multiComponentNetwork(t testing.TB, comps int, seed int64) *Network {
-	t.Helper()
-	parts := make([]gen.Instance, comps)
-	for i := range parts {
-		g, err := gen.RandomNoInternalCycleDAG(12, 3, 3, 0.25, seed+int64(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts[i] = gen.Instance{G: g}
-	}
-	g, _ := gen.DisjointUnion(parts...)
-	return &Network{Topology: g}
-}
-
-// TestShardedEquivalence pins the sharded engine to a single Session
-// fed the identical op stream: routes must be exactly equal (the
-// partition preserves arc order, so per-shard BFS/Dijkstra match the
-// global ones), π must be exactly equal, λ within the shared slack, and
-// every shard Verify-clean after every batch.
-func TestShardedEquivalence(t *testing.T) {
-	for _, policy := range []RoutingPolicy{RouteShortest, RouteMinLoad} {
-		t.Run(policy.String(), func(t *testing.T) {
-			net := multiComponentNetwork(t, 5, 101)
-			const slack = 2
-			single, err := net.NewSession(WithRoutingPolicy(policy), WithSlack(slack))
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng, err := net.NewShardedEngine(
-				WithShardWorkers(4),
-				WithShardSessionOptions(WithRoutingPolicy(policy), WithSlack(slack)),
-			)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if eng.NumShards() != 5 {
-				t.Fatalf("NumShards = %d, want 5", eng.NumShards())
-			}
-
-			pool := route.NewRouter(net.Topology).AllToAll()
-			rng := rand.New(rand.NewSource(7))
-
-			type pairID struct {
-				sid SessionID
-				eid ShardedID
-			}
-			var live []pairID
-
-			batches := 60
-			if testing.Short() {
-				batches = 15
-			}
-			for batch := 0; batch < batches; batch++ {
-				// Build a batch referencing only pre-batch ids.
-				nops := 1 + rng.Intn(20)
-				ops := make([]BatchOp, 0, nops)
-				var removedIdx []int
-				removed := map[int]bool{}
-				for k := 0; k < nops; k++ {
-					if len(live) == 0 || len(removed) >= len(live) || (rng.Intn(3) != 0 && len(live) < 80) {
-						ops = append(ops, AddOp(pool[rng.Intn(len(pool))]))
-					} else {
-						j := rng.Intn(len(live))
-						for removed[j] {
-							j = (j + 1) % len(live)
-						}
-						removed[j] = true
-						removedIdx = append(removedIdx, j)
-						ops = append(ops, RemoveOp(live[j].eid))
-					}
-				}
-				results := eng.ApplyBatch(ops)
-				// Replay the same events on the single session, in order.
-				ri := 0
-				for k, op := range ops {
-					switch op.Kind {
-					case BatchAdd:
-						sid, err := single.Add(op.Req)
-						if err != nil {
-							t.Fatalf("batch %d: single Add: %v", batch, err)
-						}
-						if results[k].Err != nil {
-							t.Fatalf("batch %d: sharded Add: %v", batch, results[k].Err)
-						}
-						live = append(live, pairID{sid, results[k].ID})
-					case BatchRemove:
-						j := removedIdx[ri]
-						ri++
-						if err := single.Remove(live[j].sid); err != nil {
-							t.Fatalf("batch %d: single Remove: %v", batch, err)
-						}
-						if results[k].Err != nil {
-							t.Fatalf("batch %d: sharded Remove: %v", batch, results[k].Err)
-						}
-					}
-				}
-				// Compact the live list (largest index first).
-				for i := len(live) - 1; i >= 0; i-- {
-					if removed[i] {
-						live[i] = live[len(live)-1]
-						live = live[:len(live)-1]
-					}
-				}
-
-				if got, want := eng.Len(), single.Len(); got != want {
-					t.Fatalf("batch %d: Len = %d, want %d", batch, got, want)
-				}
-				if got, want := eng.Pi(), single.Pi(); got != want {
-					t.Fatalf("batch %d: π = %d, want %d", batch, got, want)
-				}
-				en, err := eng.NumLambda()
-				if err != nil {
-					t.Fatal(err)
-				}
-				sn, err := single.NumLambda()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if diff := en - sn; diff > slack || diff < -slack {
-					t.Fatalf("batch %d: sharded λ = %d vs single λ = %d, diverged past slack %d",
-						batch, en, sn, slack)
-				}
-				if err := eng.Verify(); err != nil {
-					t.Fatalf("batch %d: %v", batch, err)
-				}
-				// Spot-check route equality through the id translation.
-				for probes := 0; probes < 5 && len(live) > 0; probes++ {
-					j := rng.Intn(len(live))
-					ep, err := eng.Path(live[j].eid)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sp, err := single.Path(live[j].sid)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !ep.Equal(sp) {
-						t.Fatalf("batch %d: routes diverge: %v vs %v", batch, ep, sp)
-					}
-				}
-			}
-
-			// Merged provisioning: π/λ consistent with the aggregates, one
-			// entry per live request, proper globally.
-			prov, err := eng.Provisioning()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(prov.Paths) != eng.Len() {
-				t.Fatalf("merged provisioning has %d paths for %d live requests",
-					len(prov.Paths), eng.Len())
-			}
-			if prov.Pi != eng.Pi() {
-				t.Fatalf("merged π = %d, want %d", prov.Pi, eng.Pi())
-			}
-			// The merged assignment must be proper over the global topology
-			// even though every shard colored independently from 0.
-			res := &core.Result{Colors: prov.Wavelengths, NumColors: prov.NumLambda, Pi: prov.Pi}
-			if err := core.Verify(net.Topology, prov.Paths, res); err != nil {
-				t.Fatalf("merged provisioning not proper: %v", err)
-			}
-		})
-	}
-}
-
-// TestShardedDeterminism runs one op stream through engines with 1 and
-// 4 workers: the merged output must be byte-identical — shard
-// completion order must not leak into results.
-func TestShardedDeterminism(t *testing.T) {
-	net := multiComponentNetwork(t, 6, 33)
-	pool := route.NewRouter(net.Topology).AllToAll()
-
-	run := func(workers int) *Provisioning {
-		eng, err := net.NewShardedEngine(WithShardWorkers(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(6))
-		var ops []BatchOp
-		for k := 0; k < 200; k++ {
-			ops = append(ops, AddOp(pool[rng.Intn(len(pool))]))
-		}
-		var evens []ShardedID
-		for i, res := range eng.ApplyBatch(ops) {
-			if res.Err != nil {
-				t.Fatal(res.Err)
-			}
-			if i%2 == 0 {
-				evens = append(evens, res.ID)
-			}
-		}
-		rem := make([]BatchOp, len(evens))
-		for i, id := range evens {
-			rem[i] = RemoveOp(id)
-		}
-		for _, res := range eng.ApplyBatch(rem) {
-			if res.Err != nil {
-				t.Fatal(res.Err)
-			}
-		}
-		prov, err := eng.Provisioning()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return prov
-	}
-
-	p1, p4 := run(1), run(4)
-	if p1.NumLambda != p4.NumLambda || p1.Pi != p4.Pi || p1.ADMs != p4.ADMs {
-		t.Fatalf("aggregates diverge across worker counts: λ %d/%d π %d/%d ADMs %d/%d",
-			p1.NumLambda, p4.NumLambda, p1.Pi, p4.Pi, p1.ADMs, p4.ADMs)
-	}
-	if len(p1.Paths) != len(p4.Paths) {
-		t.Fatalf("path counts diverge: %d vs %d", len(p1.Paths), len(p4.Paths))
-	}
-	for i := range p1.Paths {
-		if !p1.Paths[i].Equal(p4.Paths[i]) || p1.Wavelengths[i] != p4.Wavelengths[i] {
-			t.Fatalf("entry %d diverges across worker counts", i)
-		}
-	}
+	return &Network{Topology: opsFixture(t, opsFixtureID(opsUnion, comps, 12), seed)}
 }
 
 // TestShardedDispatchErrors pins the O(1) dispatcher rejections.

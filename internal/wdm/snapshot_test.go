@@ -90,101 +90,6 @@ func checkSnapshotAgainstStrong(t *testing.T, eng *ShardedEngine, ids []ShardedI
 	}
 }
 
-// TestSnapshotConsistencyContract drives batches (and a fiber-cut /
-// restore / revive cycle) through a plain multi-component engine and a
-// two-level giant-component engine, asserting after every boundary that
-// the published snapshot is internally consistent with the strong
-// reads and that the sequence number strictly increases.
-func TestSnapshotConsistencyContract(t *testing.T) {
-	cases := []struct {
-		name  string
-		net   *Network
-		build func(*Network) (*ShardedEngine, error)
-	}{
-		{
-			name: "plain",
-			net:  multiComponentNetwork(t, 4, 901),
-			build: func(n *Network) (*ShardedEngine, error) {
-				return n.NewShardedEngine(WithShardWorkers(4))
-			},
-		},
-		{
-			name: "two-level",
-			net:  giantComponentNetwork(t, 4, 902),
-			build: func(n *Network) (*ShardedEngine, error) {
-				return n.NewShardedEngine(WithShardWorkers(4), WithSubshardThreshold(8))
-			},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			eng, err := tc.build(tc.net)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer eng.Close()
-			pool := route.NewRouter(tc.net.Topology).AllToAll()
-			rng := rand.New(rand.NewSource(11))
-			var ids []ShardedID
-			lastSeq := func() uint64 {
-				s := eng.Snapshot()
-				defer s.Release()
-				return s.Seq()
-			}()
-			batches := 25
-			if testing.Short() {
-				batches = 8
-			}
-			for batch := 0; batch < batches; batch++ {
-				ops := make([]BatchOp, 0, 24)
-				for k := 0; k < 24; k++ {
-					if len(ids) > 40 && rng.Intn(3) == 0 {
-						ops = append(ops, RemoveOp(ids[rng.Intn(len(ids))]))
-					} else {
-						ops = append(ops, AddOp(pool[rng.Intn(len(pool))]))
-					}
-				}
-				for _, res := range eng.ApplyBatch(ops) {
-					if res.Err == nil && res.ID != (ShardedID{}) {
-						ids = append(ids, res.ID)
-					}
-				}
-				if seq := lastSeqOf(eng); seq <= lastSeq {
-					t.Fatalf("batch %d: snapshot seq %d did not advance past %d", batch, seq, lastSeq)
-				} else {
-					lastSeq = seq
-				}
-				// Staleness ≤ one batch: everything ApplyBatch returned is
-				// already visible, and the snapshot equals the strong reads.
-				checkSnapshotAgainstStrong(t, eng, ids)
-
-				if batch == batches/2 {
-					cut := digraph.ArcID(rng.Intn(tc.net.Topology.NumArcs()))
-					if _, err := eng.FailArc(cut); err != nil {
-						t.Fatalf("FailArc: %v", err)
-					}
-					checkSnapshotAgainstStrong(t, eng, ids)
-					if _, err := eng.RestoreArc(cut); err != nil {
-						t.Fatalf("RestoreArc: %v", err)
-					}
-					if _, err := eng.Revive(); err != nil {
-						t.Fatalf("Revive: %v", err)
-					}
-					if seq := lastSeqOf(eng); seq < lastSeq+3 {
-						t.Fatalf("failure events did not publish (seq %d after %d)", seq, lastSeq)
-					} else {
-						lastSeq = seq
-					}
-					checkSnapshotAgainstStrong(t, eng, ids)
-				}
-			}
-			if err := eng.Verify(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
 func lastSeqOf(eng *ShardedEngine) uint64 {
 	s := eng.Snapshot()
 	defer s.Release()

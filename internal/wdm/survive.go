@@ -101,8 +101,8 @@ func crossesFailure(g *digraph.Digraph, p *dipath.Path) bool {
 // FailArc cuts an arc of the session's topology and runs the
 // restoration storm over the live paths that crossed it: every affected
 // path is torn down, then re-admitted shortest-first — the session's
-// routing strategy proposes the primary detour, and a bounded number of
-// min-load retries (WithStormRetryBudget) steer around saturation the
+// routing strategy proposes the primary detour, and min-load retries,
+// two per affected path across the storm, steer around saturation the
 // way the retry-alt-route admission strategy does. Paths the storm
 // cannot restore under the wavelength budget are parked dark: retained
 // with their id, flagged, excluded from λ/π, and revived oldest-first
@@ -170,10 +170,7 @@ func (s *Session) storm(idxs []int32) StormReport {
 		}
 		return idxs[i] < idxs[j]
 	})
-	retry := s.stormRetries
-	if retry < 0 {
-		retry = 2 * len(idxs) // default budget: two detours per affected path
-	}
+	retry := 2 * len(idxs) // the storm's budget: two detours per affected path
 	budget := retry
 	for _, idx := range idxs {
 		e := &s.entries[idx]

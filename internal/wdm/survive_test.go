@@ -9,9 +9,7 @@ package wdm
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 
@@ -359,127 +357,6 @@ func TestPromoteBestEffortOnRemove(t *testing.T) {
 		t.Fatalf("Promoted = %d", fs.Promoted)
 	}
 	if err := sess.Verify(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// sessionDigest captures every observable of a session the stale-id
-// hardening promises not to mutate.
-func sessionDigest(t *testing.T, s *Session) string {
-	t.Helper()
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "len=%d pi=%d dark=%d be=%d", s.Len(), s.Pi(), s.DarkLive(), s.BestEffortLive())
-	if n, err := s.NumLambda(); err == nil {
-		fmt.Fprintf(&sb, " λ=%d", n)
-	}
-	fmt.Fprintf(&sb, " loads=%v ids=%v", s.ArcLoads(), s.IDs())
-	return sb.String()
-}
-
-func TestStaleSessionIDCleanErrors(t *testing.T) {
-	g, v := diamond(t)
-	net := &Network{Topology: g}
-	sess, err := net.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	id1, err := sess.Add(route.Request{Src: v[0], Dst: v[3]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.Add(route.Request{Src: v[0], Dst: v[3]}); err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.Remove(id1); err != nil {
-		t.Fatal(err)
-	}
-	// Recycle id1's slot: the new request reuses the index under a new
-	// generation, so the stale id must not alias it.
-	id3, err := sess.Add(route.Request{Src: v[0], Dst: v[3]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id3 == id1 {
-		t.Fatalf("recycled id %d not generation-stamped", id3)
-	}
-	before := sessionDigest(t, sess)
-	for name, call := range map[string]func() error{
-		"Remove":     func() error { return sess.Remove(id1) },
-		"Reroute":    func() error { _, err := sess.Reroute(id1); return err },
-		"Path":       func() error { _, err := sess.Path(id1); return err },
-		"Wavelength": func() error { _, err := sess.Wavelength(id1); return err },
-		"IsDark":     func() error { _, err := sess.IsDark(id1); return err },
-		"never-issued": func() error {
-			return sess.Remove(SessionID(1 << 40)) // generation never issued
-		},
-	} {
-		if err := call(); !errors.Is(err, ErrUnknownSession) {
-			t.Fatalf("%s(stale) = %v, want ErrUnknownSession", name, err)
-		}
-		if after := sessionDigest(t, sess); after != before {
-			t.Fatalf("%s(stale) mutated state:\n before %s\n after  %s", name, before, after)
-		}
-	}
-	if err := sess.Verify(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestStaleShardedIDCleanErrors(t *testing.T) {
-	net := multiComponentNetwork(t, 3, 91)
-	eng, err := net.NewShardedEngine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	pool := route.NewRouter(net.Topology).AllToAll()
-	var ids []ShardedID
-	for i := 0; i < 8; i++ {
-		id, err := eng.Add(pool[i*3%len(pool)])
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-	stale := ids[2]
-	if err := eng.Remove(stale); err != nil {
-		t.Fatal(err)
-	}
-	// Recycle the slot under a new generation.
-	if _, err := eng.Add(pool[6]); err != nil {
-		t.Fatal(err)
-	}
-	digest := func() string {
-		n, err := eng.NumLambda()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fmt.Sprintf("len=%d pi=%d dark=%d λ=%d loads=%v",
-			eng.Len(), eng.Pi(), eng.DarkLive(), n, eng.ArcLoads())
-	}
-	before := digest()
-	for name, call := range map[string]func() error{
-		"Remove":  func() error { return eng.Remove(stale) },
-		"Reroute": func() error { _, err := eng.Reroute(stale); return err },
-		"Path":    func() error { _, err := eng.Path(stale); return err },
-		"IsDark":  func() error { _, err := eng.IsDark(stale); return err },
-	} {
-		if err := call(); !errors.Is(err, ErrUnknownSession) {
-			t.Fatalf("%s(stale) = %v, want ErrUnknownSession", name, err)
-		}
-		if after := digest(); after != before {
-			t.Fatalf("%s(stale) mutated state:\n before %s\n after  %s", name, before, after)
-		}
-	}
-	// Batched removes report the same sentinel per-op.
-	res := eng.ApplyBatch([]BatchOp{RemoveOp(stale)})
-	if len(res) != 1 || !errors.Is(res[0].Err, ErrUnknownSession) {
-		t.Fatalf("batched stale remove: %+v", res)
-	}
-	if after := digest(); after != before {
-		t.Fatalf("batched stale remove mutated state")
-	}
-	if err := eng.Verify(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -863,207 +740,5 @@ func TestEngineCloseRacesFailArc(t *testing.T) {
 	eng.Stats()
 	if err := eng.Verify(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestRandomFaultChurnSession is the acceptance run: 1000 randomized
-// events interleaving cuts and repairs with budgeted adds and removes.
-// After every event the session must be Verify-clean with λ ≤ w, and no
-// entry may sit dark while its parked route is live and in budget —
-// graceful degradation must re-admit as soon as it can.
-func TestRandomFaultChurnSession(t *testing.T) {
-	net := multiComponentNetwork(t, 2, 131)
-	g := net.Topology
-	const budget = 3
-	sess, err := net.NewSession(WithWavelengthBudget(budget))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := route.NewRouter(g).AllToAll()
-	rng := rand.New(rand.NewSource(997))
-	var ids []SessionID
-	var failed []digraph.ArcID
-	events := 1000
-	if testing.Short() {
-		events = 250
-	}
-	for ev := 0; ev < events; ev++ {
-		switch r := rng.Intn(10); {
-		case r == 0: // cut a random live arc
-			a := digraph.ArcID(rng.Intn(g.NumArcs()))
-			if g.ArcFailed(a) {
-				continue
-			}
-			if _, err := sess.FailArc(a); err != nil {
-				t.Fatalf("event %d: FailArc: %v", ev, err)
-			}
-			failed = append(failed, a)
-		case r == 1 && len(failed) > 0: // repair a random cut
-			k := rng.Intn(len(failed))
-			a := failed[k]
-			failed = append(failed[:k], failed[k+1:]...)
-			if _, err := sess.RestoreArc(a); err != nil {
-				t.Fatalf("event %d: RestoreArc: %v", ev, err)
-			}
-		case r < 7 || len(ids) == 0: // arrival
-			_, adm, err := sess.TryAdd(pool[rng.Intn(len(pool))])
-			if err != nil {
-				var nr route.ErrNoRoute
-				if errors.As(err, &nr) {
-					break // disconnected by an open cut
-				}
-				t.Fatalf("event %d: TryAdd: %v", ev, err)
-			}
-			if adm.Accepted {
-				// Track via IDs to include storms' effects; cheaper to
-				// re-read than to mirror park/revive transitions.
-			}
-			ids = sess.IDs()
-		default: // departure of a random live entry
-			if err := sess.Remove(ids[rng.Intn(len(ids))]); err != nil {
-				t.Fatalf("event %d: Remove: %v", ev, err)
-			}
-			ids = sess.IDs()
-		}
-		ids = sess.IDs()
-		if err := sess.Verify(); err != nil {
-			t.Fatalf("event %d: %v", ev, err)
-		}
-		if n, err := sess.NumLambda(); err != nil || n > budget {
-			t.Fatalf("event %d: λ=%d past budget (%v)", ev, n, err)
-		}
-		if pi := sess.Pi(); pi > budget {
-			t.Fatalf("event %d: π=%d past budget", ev, pi)
-		}
-		// No dark entry may have a live, in-budget parked route: the
-		// revival sweeps run after every fault event and removal, so a
-		// restorable entry must already be back.
-		loads := sess.ArcLoads()
-		for _, id := range sess.DarkIDs() {
-			p, err := sess.Path(id)
-			if err != nil {
-				t.Fatalf("event %d: dark path: %v", ev, err)
-			}
-			restorable := true
-			for _, a := range p.Arcs() {
-				if g.ArcFailed(a) || loads[a]+1 > budget {
-					restorable = false
-					break
-				}
-			}
-			if restorable {
-				t.Fatalf("event %d: dark entry %d parked on a live in-budget route", ev, id)
-			}
-		}
-	}
-	// Full heal: every dark entry must eventually revive or be blocked
-	// purely by the budget, and the final state must verify clean.
-	for _, a := range failed {
-		if _, err := sess.RestoreArc(a); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sess.Revive()
-	if err := sess.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := sess.NumLambda(); err != nil || n > budget {
-		t.Fatalf("λ=%d after heal (%v)", n, err)
-	}
-	fs := sess.FailureStats()
-	if fs.Cuts == 0 || fs.Affected == 0 {
-		t.Fatalf("trace never stressed the storm path: %+v", fs)
-	}
-}
-
-// TestRandomFaultChurnEngine runs the same acceptance shape through the
-// sharded engine with batched churn: Verify-clean and λ ≤ w after every
-// batch and fault event, nothing lost across parks and revivals.
-func TestRandomFaultChurnEngine(t *testing.T) {
-	net := multiComponentNetwork(t, 3, 313)
-	g := net.Topology
-	const budget = 4
-	eng, err := net.NewShardedEngine(WithEngineWavelengthBudget(budget))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	pool := route.NewRouter(g).AllToAll()
-	rng := rand.New(rand.NewSource(733))
-	var ids []ShardedID
-	var failed []digraph.ArcID
-	rounds := 120
-	if testing.Short() {
-		rounds = 30
-	}
-	for round := 0; round < rounds; round++ {
-		switch r := rng.Intn(6); {
-		case r == 0:
-			a := digraph.ArcID(rng.Intn(g.NumArcs()))
-			if g.ArcFailed(a) {
-				continue
-			}
-			if _, err := eng.FailArc(a); err != nil {
-				t.Fatalf("round %d: FailArc: %v", round, err)
-			}
-			failed = append(failed, a)
-		case r == 1 && len(failed) > 0:
-			k := rng.Intn(len(failed))
-			a := failed[k]
-			failed = append(failed[:k], failed[k+1:]...)
-			if _, err := eng.RestoreArc(a); err != nil {
-				t.Fatalf("round %d: RestoreArc: %v", round, err)
-			}
-		default:
-			ops := make([]BatchOp, 0, 8)
-			nRemove := 0
-			for k := 0; k < 8; k++ {
-				if nRemove < len(ids) && rng.Intn(3) == 0 {
-					ops = append(ops, RemoveOp(ids[nRemove]))
-					nRemove++
-				} else {
-					ops = append(ops, AddOp(pool[rng.Intn(len(pool))]))
-				}
-			}
-			ids = ids[nRemove:]
-			for i, res := range eng.ApplyBatch(ops) {
-				var nr route.ErrNoRoute
-				switch {
-				case res.Err == nil:
-					if ops[i].Kind == BatchAdd {
-						ids = append(ids, res.ID)
-					}
-				case errors.Is(res.Err, ErrBudgetExceeded):
-				case errors.As(res.Err, &nr):
-				case errors.Is(res.Err, ErrUnknownSession):
-					// the entry was torn down while parked dark
-				default:
-					t.Fatalf("round %d: %v", round, res.Err)
-				}
-			}
-		}
-		if err := eng.Verify(); err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		if n, err := eng.NumLambda(); err != nil || n > budget {
-			t.Fatalf("round %d: λ=%d past budget (%v)", round, n, err)
-		}
-	}
-	for _, a := range failed {
-		if _, err := eng.RestoreArc(a); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if eng.NumFailedArcs() != 0 {
-		t.Fatalf("failed arcs = %d after heal", eng.NumFailedArcs())
-	}
-	if err := eng.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := eng.NumLambda(); err != nil || n > budget {
-		t.Fatalf("λ=%d after heal (%v)", n, err)
-	}
-	if st := eng.Stats(); st.Cuts == 0 {
-		t.Fatalf("trace never cut anything: %+v", st)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"wavedag/internal/core"
 	"wavedag/internal/digraph"
 	"wavedag/internal/gen"
 	"wavedag/internal/route"
@@ -16,20 +15,7 @@ import (
 // connected component: the layout component sharding cannot split, and
 // the reason the two-level engine exists.
 func giantComponentNetwork(t testing.TB, parts int, seed int64) *Network {
-	t.Helper()
-	gs := make([]*digraph.Digraph, parts)
-	for i := range gs {
-		g, err := gen.RandomNoInternalCycleDAG(14, 3, 3, 0.25, seed+int64(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		gs[i] = g
-	}
-	g, _, err := gen.GlueChain(gs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &Network{Topology: g}
+	return &Network{Topology: opsFixture(t, opsFixtureID(opsGlued, parts, 14), seed)}
 }
 
 // twoLevelEngine opens a two-level engine on net and fails the test if
@@ -45,303 +31,6 @@ func twoLevelEngine(t testing.TB, net *Network, opts ...ShardedOption) *ShardedE
 		t.Fatalf("fixture did not sub-shard: %+v", st)
 	}
 	return eng
-}
-
-// TestTwoLevelEquivalence pins the two-level engine to a single Session
-// fed the same events in the engine's effective order (region-lane ops,
-// then overlay-lane ops, per batch — the documented batch-boundary
-// reconciliation semantics): routes must be exactly equal for every
-// live request (region-confined and overlay alike), π exactly equal,
-// λ within slack plus the overlay band, and the engine Verify-clean
-// after every batch.
-func TestTwoLevelEquivalence(t *testing.T) {
-	for _, policy := range []RoutingPolicy{RouteShortest, RouteMinLoad} {
-		t.Run(policy.String(), func(t *testing.T) {
-			net := giantComponentNetwork(t, 5, 211)
-			const slack = 2
-			single, err := net.NewSession(WithRoutingPolicy(policy), WithSlack(slack))
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng := twoLevelEngine(t, net,
-				WithShardWorkers(4),
-				WithShardSessionOptions(WithRoutingPolicy(policy), WithSlack(slack)),
-			)
-			defer eng.Close()
-			overlayIdx := int32(eng.NumShards() - 1) // single component: overlay lane is last
-
-			pool := route.NewRouter(net.Topology).AllToAll()
-			rng := rand.New(rand.NewSource(19))
-
-			type pairID struct {
-				sid SessionID
-				eid ShardedID
-			}
-			live := map[int]pairID{} // op key -> ids
-			var liveKeys []int
-			nextKey := 0
-			sawRegion, sawOverlay := false, false
-
-			batches := 50
-			if testing.Short() {
-				batches = 12
-			}
-			for batch := 0; batch < batches; batch++ {
-				// Both regimes: batches below serialBatchThreshold run
-				// inline, larger ones exercise the pooled fan-out.
-				nops := 1 + rng.Intn(2*serialBatchThreshold)
-				ops := make([]BatchOp, 0, nops)
-				keys := make([]int, 0, nops)
-				removed := map[int]bool{}
-				for k := 0; k < nops; k++ {
-					if len(liveKeys) == 0 || len(removed) >= len(liveKeys) || (rng.Intn(3) != 0 && len(liveKeys) < 70) {
-						ops = append(ops, AddOp(pool[rng.Intn(len(pool))]))
-						keys = append(keys, nextKey)
-						nextKey++
-					} else {
-						j := rng.Intn(len(liveKeys))
-						for removed[liveKeys[j]] {
-							j = (j + 1) % len(liveKeys)
-						}
-						key := liveKeys[j]
-						removed[key] = true
-						ops = append(ops, RemoveOp(live[key].eid))
-						keys = append(keys, key)
-					}
-				}
-				results := eng.ApplyBatch(ops)
-				for k, res := range results {
-					if res.Err != nil {
-						t.Fatalf("batch %d op %d: %v", batch, k, res.Err)
-					}
-				}
-				// Replay on the single session in the engine's effective
-				// order: phase-1 (region) ops in input order, then the
-				// overlay lane's ops in input order.
-				for phase := 0; phase < 2; phase++ {
-					for k, op := range ops {
-						var shard int32
-						if op.Kind == BatchAdd {
-							shard = results[k].ID.Shard
-						} else {
-							shard = op.ID.Shard
-						}
-						overlay := shard == overlayIdx
-						if (phase == 1) != overlay {
-							continue
-						}
-						if overlay {
-							sawOverlay = true
-						} else {
-							sawRegion = true
-						}
-						switch op.Kind {
-						case BatchAdd:
-							sid, err := single.Add(op.Req)
-							if err != nil {
-								t.Fatalf("batch %d: single Add: %v", batch, err)
-							}
-							live[keys[k]] = pairID{sid, results[k].ID}
-							liveKeys = append(liveKeys, keys[k])
-						case BatchRemove:
-							if err := single.Remove(live[keys[k]].sid); err != nil {
-								t.Fatalf("batch %d: single Remove: %v", batch, err)
-							}
-							delete(live, keys[k])
-						}
-					}
-				}
-				compact := liveKeys[:0]
-				for _, key := range liveKeys {
-					if _, ok := live[key]; ok {
-						compact = append(compact, key)
-					}
-				}
-				liveKeys = compact
-
-				if got, want := eng.Len(), single.Len(); got != want {
-					t.Fatalf("batch %d: Len = %d, want %d", batch, got, want)
-				}
-				if got, want := eng.Pi(), single.Pi(); got != want {
-					t.Fatalf("batch %d: π = %d, want %d", batch, got, want)
-				}
-				en, err := eng.NumLambda()
-				if err != nil {
-					t.Fatal(err)
-				}
-				sn, err := single.NumLambda()
-				if err != nil {
-					t.Fatal(err)
-				}
-				on, err := eng.OverlayLambda()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if en < sn-slack || en > sn+slack+on {
-					t.Fatalf("batch %d: engine λ = %d vs single λ = %d (overlay band %d), outside slack %d",
-						batch, en, sn, on, slack)
-				}
-				if err := eng.Verify(); err != nil {
-					t.Fatalf("batch %d: %v", batch, err)
-				}
-				// Route equality probes: both lanes must match the single
-				// session exactly (the effective-order replay makes even
-				// min-load routes identical).
-				for probes := 0; probes < 6 && len(liveKeys) > 0; probes++ {
-					key := liveKeys[rng.Intn(len(liveKeys))]
-					ep, err := eng.Path(live[key].eid)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sp, err := single.Path(live[key].sid)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !ep.Equal(sp) {
-						t.Fatalf("batch %d: routes diverge for key %d: %v vs %v", batch, key, ep, sp)
-					}
-				}
-			}
-			if !sawRegion || !sawOverlay {
-				t.Fatalf("workload did not exercise both lanes (region=%v overlay=%v)", sawRegion, sawOverlay)
-			}
-
-			// Merged provisioning: one entry per live request, proper over
-			// the global topology despite the banded per-lane colorings.
-			prov, err := eng.Provisioning()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(prov.Paths) != eng.Len() {
-				t.Fatalf("merged provisioning has %d paths for %d live requests",
-					len(prov.Paths), eng.Len())
-			}
-			if prov.Pi != eng.Pi() {
-				t.Fatalf("merged π = %d, want %d", prov.Pi, eng.Pi())
-			}
-			res := &core.Result{Colors: prov.Wavelengths, NumColors: prov.NumLambda, Pi: prov.Pi}
-			if err := core.Verify(net.Topology, prov.Paths, res); err != nil {
-				t.Fatalf("merged provisioning not proper: %v", err)
-			}
-		})
-	}
-}
-
-// TestTwoLevelDeterminism runs one op stream (with overlay traffic)
-// through engines with 1 and 4 workers: the merged output must be
-// identical — worker scheduling must not leak into results.
-func TestTwoLevelDeterminism(t *testing.T) {
-	net := giantComponentNetwork(t, 4, 307)
-	pool := route.NewRouter(net.Topology).AllToAll()
-
-	run := func(workers int) *Provisioning {
-		eng := twoLevelEngine(t, net, WithShardWorkers(workers))
-		defer eng.Close()
-		rng := rand.New(rand.NewSource(8))
-		var ops []BatchOp
-		for k := 0; k < 180; k++ {
-			ops = append(ops, AddOp(pool[rng.Intn(len(pool))]))
-		}
-		var evens []ShardedID
-		for i, res := range eng.ApplyBatch(ops) {
-			if res.Err != nil {
-				t.Fatal(res.Err)
-			}
-			if i%2 == 0 {
-				evens = append(evens, res.ID)
-			}
-		}
-		rem := make([]BatchOp, len(evens))
-		for i, id := range evens {
-			rem[i] = RemoveOp(id)
-		}
-		for _, res := range eng.ApplyBatch(rem) {
-			if res.Err != nil {
-				t.Fatal(res.Err)
-			}
-		}
-		prov, err := eng.Provisioning()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return prov
-	}
-
-	p1, p4 := run(1), run(4)
-	if p1.NumLambda != p4.NumLambda || p1.Pi != p4.Pi || p1.ADMs != p4.ADMs {
-		t.Fatalf("aggregates diverge across worker counts: λ %d/%d π %d/%d ADMs %d/%d",
-			p1.NumLambda, p4.NumLambda, p1.Pi, p4.Pi, p1.ADMs, p4.ADMs)
-	}
-	if len(p1.Paths) != len(p4.Paths) {
-		t.Fatalf("path counts diverge: %d vs %d", len(p1.Paths), len(p4.Paths))
-	}
-	for i := range p1.Paths {
-		if !p1.Paths[i].Equal(p4.Paths[i]) || p1.Wavelengths[i] != p4.Wavelengths[i] {
-			t.Fatalf("entry %d diverges across worker counts", i)
-		}
-	}
-}
-
-// TestTwoLevelReroute churns reroutes through both lanes and
-// cross-checks the reconciled trackers against an independent recount
-// of the live routes.
-func TestTwoLevelReroute(t *testing.T) {
-	net := giantComponentNetwork(t, 4, 401)
-	eng := twoLevelEngine(t, net,
-		WithShardWorkers(4),
-		WithShardSessionOptions(WithRoutingPolicy(RouteMinLoad)),
-	)
-	defer eng.Close()
-	pool := route.NewRouter(net.Topology).AllToAll()
-	rng := rand.New(rand.NewSource(17))
-
-	var ids []ShardedID
-	for k := 0; k < 120; k++ {
-		id, err := eng.Add(pool[rng.Intn(len(pool))])
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-	for round := 0; round < 3; round++ {
-		ops := make([]BatchOp, 0, len(ids))
-		for _, id := range ids {
-			ops = append(ops, RerouteOp(id))
-		}
-		for _, res := range eng.ApplyBatch(ops) {
-			if res.Err != nil {
-				t.Fatal(res.Err)
-			}
-		}
-		if err := eng.Verify(); err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		// Independent load recount from the public per-request routes.
-		loads := make([]int, net.Topology.NumArcs())
-		pi := 0
-		for _, id := range ids {
-			p, err := eng.Path(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, a := range p.Arcs() {
-				loads[a]++
-				if loads[a] > pi {
-					pi = loads[a]
-				}
-			}
-		}
-		got := eng.ArcLoads()
-		for a := range loads {
-			if got[a] != loads[a] {
-				t.Fatalf("round %d: arc %d load %d, want %d (reconciliation drift)",
-					round, a, got[a], loads[a])
-			}
-		}
-		if eng.Pi() != pi {
-			t.Fatalf("round %d: π = %d, want %d", round, eng.Pi(), pi)
-		}
-	}
 }
 
 // TestTwoLevelDispatch pins lane selection and the O(1) rejections on a

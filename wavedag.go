@@ -259,9 +259,9 @@
 // inside one, so a global budget is exactly a per-shard budget and
 // admission stays on the lock-free per-shard hot path. Components with
 // region lanes band the budget — region lanes admit against w minus the
-// overlay slice (WithOverlayBudgetSlice, default w/4), the overlay lane
-// against its slice — so the banded aggregation can never exceed w; a
-// component without region lanes admits against w on its overlay lane.
+// overlay slice of max(1, w/4), the overlay lane against its slice — so
+// the banded aggregation can never exceed w; a component without region
+// lanes admits against w on its overlay lane.
 // Per-lane admission outcomes and traffic shares aggregate into
 // EngineStats (LaneStats Plain for the lanes of components without
 // region lanes, Region, and Overlay for the overlay lanes of components
@@ -286,8 +286,7 @@
 // bounded restoration storm — all affected
 // paths are torn down first (the cut kills them simultaneously), then
 // rerouted shortest-first, each allowed one min-load detour charged
-// against a per-storm retry budget (WithStormRetryBudget; default 2×
-// the affected count). Paths the storm cannot restore are parked as
+// against a per-storm retry budget of twice the affected count. Paths the storm cannot restore are parked as
 // dark entries: retained under their SessionID, flagged, excluded from
 // λ/π and the live view, never silently dropped. Session.RestoreArc
 // heals an arc and runs a re-admission sweep that revives dark entries
@@ -647,14 +646,6 @@ func WithRoutingStrategy(s RoutingStrategy) SessionOption { return wdm.WithRouti
 // constant.
 func WithRoutingPolicy(p RoutingPolicy) SessionOption { return wdm.WithRoutingPolicy(p) }
 
-// WithSlack sets how many wavelengths the incremental coloring may
-// drift above its lower bound before a full recolor is forced.
-func WithSlack(slack int) SessionOption { return wdm.WithSlack(slack) }
-
-// WithCapacityHint pre-sizes the session for the expected number of
-// simultaneously live requests.
-func WithCapacityHint(n int) SessionOption { return wdm.WithCapacityHint(n) }
-
 // WithWavelengthBudget caps a session at w wavelengths: every Add and
 // TryAdd runs budget admission before any state mutates (see the
 // "Admission control & budgets" section). w <= 0 means unlimited.
@@ -665,12 +656,6 @@ func WithWavelengthBudget(w int) SessionOption { return wdm.WithWavelengthBudget
 func WithAdmissionStrategy(s AdmissionStrategy) SessionOption {
 	return wdm.WithAdmissionStrategy(s)
 }
-
-// WithStormRetryBudget caps how many detour attempts one restoration
-// storm may spend across all its affected paths (n < 0 selects the
-// default of twice the affected count; 0 disables detours, leaving only
-// each path's primary reroute).
-func WithStormRetryBudget(n int) SessionOption { return wdm.WithStormRetryBudget(n) }
 
 // Sharded-engine options and batch constructors, re-exported from the
 // wdm layer.
@@ -697,11 +682,6 @@ func WithSubshardThreshold(n int) ShardedOption { return wdm.WithSubshardThresho
 func WithEngineWavelengthBudget(w int) ShardedOption {
 	return wdm.WithEngineWavelengthBudget(w)
 }
-
-// WithOverlayBudgetSlice sets how many of a budgeted engine's
-// wavelengths each two-level component reserves for its overlay lane
-// (default w/4, at least 1); region lanes admit against the remainder.
-func WithOverlayBudgetSlice(k int) ShardedOption { return wdm.WithOverlayBudgetSlice(k) }
 
 // AddOp returns the batch event provisioning req.
 func AddOp(req Request) BatchOp { return wdm.AddOp(req) }

@@ -99,7 +99,7 @@ func TestSessionFacade(t *testing.T) {
 	g.MustAddArc(1, 2)
 	g.MustAddArc(2, 3)
 	net := &wavedag.Network{Topology: g, Wavelengths: 8}
-	s, err := net.NewSession(wavedag.WithRoutingPolicy(wavedag.RouteShortest), wavedag.WithSlack(1))
+	s, err := net.NewSession(wavedag.WithRoutingPolicy(wavedag.RouteShortest))
 	if err != nil {
 		t.Fatal(err)
 	}
