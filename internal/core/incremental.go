@@ -195,6 +195,28 @@ func (ic *Incremental) Colors(slots []int) []int {
 	return out
 }
 
+// Snapshot returns every slot's wavelength, -1 for a free slot.
+func (ic *Incremental) Snapshot() []int { return slices.Clone(ic.colors) }
+
+// Restore gives every live slot the wavelength it had in colors, a
+// Snapshot taken while the same slots held the same dipaths.
+func (ic *Incremental) Restore(colors []int) {
+	for s, c := range ic.colors {
+		if c >= 0 {
+			ic.uncolor(s)
+		}
+	}
+	for c := range ic.classes {
+		ic.classes[c] = ic.classes[c][:0]
+	}
+	ic.numUsed = 0
+	for s, c := range colors {
+		if c >= 0 {
+			ic.setColor(s, c)
+		}
+	}
+}
+
 // ensureSlot grows the per-slot tables to cover slot s.
 func (ic *Incremental) ensureSlot(s int) {
 	for len(ic.colors) <= s {

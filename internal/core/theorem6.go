@@ -494,7 +494,13 @@ func splitFamily(sg *digraph.Digraph, work dipath.Family, ab digraph.ArcID, arcM
 			for i, a := range p.Arcs() {
 				arcs[i] = arcMap[a]
 			}
-			np, err := dipath.FromArcs(sg, arcs...)
+			var np *dipath.Path
+			var err error
+			if len(arcs) == 0 { // a single-vertex dipath keeps its vertex
+				np, err = dipath.FromVertices(sg, p.First())
+			} else {
+				np, err = dipath.FromArcs(sg, arcs...)
+			}
 			if err != nil {
 				return nil, nil, nil, fmt.Errorf("core: mapping dipath %d: %w", wi, err)
 			}

@@ -73,6 +73,13 @@ func TestTheorem6InternalCycleGadget(t *testing.T) {
 		if res.NumColors != 3 {
 			t.Fatalf("k=%d: NumColors = %d, want 3", k, res.NumColors)
 		}
+		// A single-vertex dipath conflicts with nothing and must not
+		// stop the split of the cycle arc.
+		p, err := dipath.FromVertices(g, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireTheorem6(t, g, append(slices.Clone(fam), p))
 	}
 }
 

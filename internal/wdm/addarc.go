@@ -35,10 +35,9 @@ import (
 //
 // If a lane's routing strategy refuses the grown graph (precomputed
 // tables such as UPP's can become invalid), the new arc is added but
-// immediately failed — the engine stays consistent on the old effective
-// topology — and an error is returned; RestoreArc can bring the arc up
-// later if the strategy permits. After Close, AddArc returns
-// ErrEngineClosed.
+// failed for good — the engine stays consistent on the old effective
+// topology, and RestoreArc refuses the arc — and an error is returned.
+// After Close, AddArc returns ErrEngineClosed.
 func (e *ShardedEngine) AddArc(tail, head digraph.Vertex) (digraph.ArcID, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -109,9 +108,7 @@ func (e *ShardedEngine) AddArc(tail, head digraph.Vertex) (digraph.ArcID, error)
 		}
 	}
 	// The overlay grows even when the region lane refused the graph: its
-	// tracker and colorer must cover every arc of the view, because a
-	// RestoreArc can bring the refused arc back and region deltas over it
-	// then fold into the overlay tracker.
+	// tracker and colorer must cover every arc of the view.
 	if oerr := c.overlay.sess.growTopology(); gerr == nil {
 		gerr = oerr
 	}
@@ -126,6 +123,10 @@ func (e *ShardedEngine) AddArc(tail, head digraph.Vertex) (digraph.ArcID, error)
 		if rs, rla := c.regionArc(la); rs != nil {
 			_ = rs.sess.net.Topology.FailArc(rla)
 		}
+		if e.refused == nil {
+			e.refused = map[digraph.ArcID]bool{}
+		}
+		e.refused[ga] = true
 		return -1, fmt.Errorf("wdm: add arc: %w", gerr)
 	}
 	e.arcAdds++

@@ -1,14 +1,12 @@
 package wdm
 
 import (
-	"errors"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"wavedag/internal/core"
 	"wavedag/internal/digraph"
-	"wavedag/internal/gen"
 	"wavedag/internal/route"
 )
 
@@ -60,25 +58,6 @@ func replayEquivalence(t *testing.T, eng *ShardedEngine, topo *digraph.Digraph) 
 			t.Fatalf("engine λ = %d exceeds budget %d", n, w)
 		}
 	}
-}
-
-// gluedFixture glues several Theorem 1 DAGs into one giant component
-// and returns the network plus the per-part vertex lists.
-func gluedFixture(t testing.TB, parts int, seed int64) (*Network, [][]digraph.Vertex) {
-	t.Helper()
-	gs := make([]*digraph.Digraph, parts)
-	for i := range gs {
-		g, err := gen.RandomNoInternalCycleDAG(14, 3, 3, 0.25, seed+int64(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		gs[i] = g
-	}
-	g, pv, err := gen.GlueChain(gs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &Network{Topology: g}, pv
 }
 
 // regionPairs returns global (src, dst) pairs that dispatch to one
@@ -210,7 +189,7 @@ func TestAddArcPlainComponent(t *testing.T) {
 // bridging regions becomes overlay-owned — no region lane knows it, the
 // component turns escalating, and cutting it storms only the overlay.
 func TestAddArcTwoLevel(t *testing.T) {
-	net, _ := gluedFixture(t, 4, 511)
+	net := giantComponentNetwork(t, 4, 511)
 	topo := net.Topology.Clone()
 	eng := twoLevelEngine(t, net, WithShardWorkers(2))
 	defer eng.Close()
@@ -476,18 +455,30 @@ func TestAddArcMerge(t *testing.T) {
 	replayEquivalence(t, eng, topo)
 }
 
-// TestAddArcClosed pins the lifecycle contract.
-func TestAddArcClosed(t *testing.T) {
-	net := multiComponentNetwork(t, 2, 531)
-	eng, err := net.NewShardedEngine()
+// TestAddArcRefusedStaysFailed pins a capacity add the UPP routing
+// refuses: the arc stays in the graph, failed, and RestoreArc refuses
+// it, so no lane routes over an arc its routing state does not know.
+func TestAddArcRefusedStaysFailed(t *testing.T) {
+	g := digraph.New(3)
+	g.MustAddArc(0, 1)
+	g.MustAddArc(1, 2)
+	eng, err := (&Network{Topology: g}).NewShardedEngine(WithShardSessionOptions(WithRoutingPolicy(RouteUPP)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Close(); err != nil {
+	defer eng.Close()
+	if _, err := eng.AddArc(0, 2); err == nil {
+		t.Fatal("UPP routing took a second 0->2 dipath")
+	}
+	if _, err := eng.RestoreArc(2); err == nil {
+		t.Fatal("RestoreArc brought up the refused arc")
+	}
+	id, err := eng.Add(route.Request{Src: 0, Dst: 2})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.AddArc(0, 1); !errors.Is(err, ErrEngineClosed) {
-		t.Fatalf("AddArc after Close: %v, want ErrEngineClosed", err)
+	if p, err := strongPath(eng, id); err != nil || p.NumArcs() != 2 || eng.NumFailedArcs() != 1 {
+		t.Fatalf("route %v (%v), %d failed arcs; want 0->1->2 and the refused arc failed", p, err, eng.NumFailedArcs())
 	}
 }
 
@@ -496,7 +487,7 @@ func TestAddArcClosed(t *testing.T) {
 // -race; the invariant is simply that every pinned read is coherent (no
 // torn state, ids resolve or report a clean error).
 func TestAddArcConcurrentReaders(t *testing.T) {
-	net, _ := gluedFixture(t, 3, 581)
+	net := giantComponentNetwork(t, 3, 581)
 	eng := twoLevelEngine(t, net,
 		WithShardWorkers(2),
 		WithEngineWavelengthBudget(8),

@@ -194,33 +194,8 @@ func TestBudgetedReroute(t *testing.T) {
 
 // ── Sharded engine budgets ─────────────────────────────────────────────
 
-func multiComponentTopo(t *testing.T, parts, nInternal int, seed int64) *digraph.Digraph {
-	t.Helper()
-	insts := make([]gen.Instance, parts)
-	for i := range insts {
-		g, err := gen.RandomNoInternalCycleDAG(nInternal, 4, 4, 0.25, seed+int64(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		insts[i] = gen.Instance{G: g}
-	}
-	g, _ := gen.DisjointUnion(insts...)
-	return g
-}
-
 func TestBudgetedEngineUnbandableBudget(t *testing.T) {
-	parts := make([]*digraph.Digraph, 3)
-	for i := range parts {
-		g, err := gen.RandomNoInternalCycleDAG(16, 3, 3, 0.25, int64(191+i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts[i] = g
-	}
-	g, _, err := gen.GlueChain(parts...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := opsFixture(t, opsFixtureID(opsGlued, 3, 16, opsEnds3), 191)
 	net := &Network{Topology: g}
 	// Budget 1 cannot split into a region band and an overlay band.
 	if _, err := net.NewShardedEngine(
@@ -244,18 +219,7 @@ func TestBudgetedEngineUnbandableBudget(t *testing.T) {
 // the full budget w (not the overlay slice), is counted in Stats().Plain,
 // and stays out of the OverlayLive and OverlayLambda aggregates.
 func TestBudgetedEngineMixedLayout(t *testing.T) {
-	parts := make([]*digraph.Digraph, 3)
-	for i := range parts {
-		g, err := gen.RandomNoInternalCycleDAG(16, 3, 3, 0.25, int64(231+i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts[i] = g
-	}
-	giant, _, err := gen.GlueChain(parts...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	giant := opsFixture(t, opsFixtureID(opsGlued, 3, 16, opsEnds3), 231)
 	satellite, err := gen.RandomNoInternalCycleDAG(4, 1, 1, 0.3, 9)
 	if err != nil {
 		t.Fatal(err)
@@ -325,7 +289,7 @@ func TestBudgetedEngineMixedLayout(t *testing.T) {
 // is reused when it fits, stale entries are cleared, and results match
 // a fresh allocation.
 func TestApplyBatchIntoReuse(t *testing.T) {
-	g := multiComponentTopo(t, 2, 12, 201)
+	g := opsFixture(t, opsFixtureID(opsUnion, 2, 12, opsEnds4), 201)
 	net := &Network{Topology: g}
 	eng, err := net.NewShardedEngine()
 	if err != nil {
@@ -368,18 +332,7 @@ func TestApplyBatchIntoReuse(t *testing.T) {
 // stay race-free and leave a consistent, within-budget state (run under
 // -race -cpu=1,4 in CI).
 func TestBudgetedEngineConcurrentBatches(t *testing.T) {
-	parts := make([]*digraph.Digraph, 3)
-	for i := range parts {
-		g, err := gen.RandomNoInternalCycleDAG(16, 3, 3, 0.25, int64(211+i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts[i] = g
-	}
-	g, _, err := gen.GlueChain(parts...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := opsFixture(t, opsFixtureID(opsGlued, 3, 16, opsEnds3), 211)
 	const w = 4
 	net := &Network{Topology: g}
 	eng, err := net.NewShardedEngine(

@@ -8,80 +8,6 @@ import (
 	"wavedag/internal/route"
 )
 
-// TestEngineCloseIdempotent pins the Close contract the serving
-// front-end's graceful drain relies on: Close returns nil however many
-// times it is called (sequentially or concurrently), mutations after
-// Close are definitively rejected with ErrEngineClosed, and the whole
-// query plane keeps answering from the final published snapshot.
-func TestEngineCloseIdempotent(t *testing.T) {
-	net := multiComponentNetwork(t, 3, 131)
-	eng, err := net.NewShardedEngine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := route.NewRouter(net.Topology).AllToAll()
-	var ids []ShardedID
-	for i := 0; i < 6; i++ {
-		id, err := eng.Add(pool[i%len(pool)])
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-	liveBefore, piBefore := eng.Len(), eng.Pi()
-
-	if err := eng.Close(); err != nil {
-		t.Fatalf("first close: %v", err)
-	}
-	if err := eng.Close(); err != nil {
-		t.Fatalf("second close: %v", err)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := eng.Close(); err != nil {
-				t.Errorf("concurrent close: %v", err)
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Mutations are definitively rejected...
-	if _, err := eng.Add(pool[0]); !errors.Is(err, ErrEngineClosed) {
-		t.Fatalf("Add post-close: %v", err)
-	}
-	if err := eng.Remove(ids[0]); !errors.Is(err, ErrEngineClosed) {
-		t.Fatalf("Remove post-close: %v", err)
-	}
-	if _, err := eng.FailArc(0); !errors.Is(err, ErrEngineClosed) {
-		t.Fatalf("FailArc post-close: %v", err)
-	}
-	ops := []BatchOp{AddOp(pool[0]), RemoveOp(ids[1])}
-	for i, res := range eng.ApplyBatchInto(ops, nil) {
-		if !errors.Is(res.Err, ErrEngineClosed) {
-			t.Fatalf("batch op %d post-close: %v", i, res.Err)
-		}
-	}
-	// ...and none of the rejections touched state: the query plane
-	// still answers the pre-close values from the final snapshot.
-	if got := eng.Len(); got != liveBefore {
-		t.Fatalf("Len post-close = %d, want %d", got, liveBefore)
-	}
-	if got := eng.Pi(); got != piBefore {
-		t.Fatalf("Pi post-close = %d, want %d", got, piBefore)
-	}
-	for _, id := range ids {
-		if _, err := eng.Path(id); err != nil {
-			t.Fatalf("Path(%v) post-close: %v", id, err)
-		}
-	}
-	if err := eng.Verify(); err != nil {
-		t.Fatalf("Verify post-close: %v", err)
-	}
-}
-
 // TestEngineCloseRacesBatches hammers Close against in-flight batches
 // from many goroutines: every batch op must resolve definitively
 // (applied or ErrEngineClosed, never a hang or partial silence), and

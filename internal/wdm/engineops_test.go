@@ -5,8 +5,10 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"wavedag/internal/core"
@@ -23,9 +25,11 @@ import (
 // reference that keeps each live request's route and dark flag and
 // recomputes the rest from scratch. The inputs decode to a
 // configuration (decodeOpsConfig), a topology (opsFixture) and a
-// stream: the ops bytes, or opsStreamBytes bytes drawn from opSeed.
-// The stream holds Add, Remove, Reroute, ApplyBatch, FailArc,
-// RestoreArc, AddArc, Revive and Close.
+// stream: the ops bytes, or opsDefaultOps ops drawn from opSeed. The
+// stream holds Add, Remove, Reroute, ApplyBatch, FailArc, RestoreArc,
+// AddArc and Revive. An engine's stream ends in a Close, after which
+// concurrent Closes return nil and every op kind fails with
+// ErrEngineClosed without moving the state or the snapshot sequence.
 //
 // The model replays a batch in the engine's effective order (region
 // lane ops, then overlay lane ops with an escalating component's
@@ -36,7 +40,7 @@ import (
 // serves its request over live arcs: the rollback probe's verdicts,
 // storms and sweeps, and a component's batch ops after a removal in a
 // lane with dark or best-effort entries (the sweep may relight or
-// promote them).
+// promote them). opsCounts tallies predicted and adopted verdicts.
 //
 // Invariants: the model's routes, verdicts, Len, π and loads; Verify,
 // also of the merged Provisioning; π ≤ λ ≤ λref + core.DefaultSlack +
@@ -56,47 +60,65 @@ func FuzzEngineOps(f *testing.F) {
 			f.Add(c.cfg.code(), c.fixture, c.topoSeed, c.opSeed, []byte(nil))
 		}
 	}
-	f.Add(opsConfig{kind: 2, budget: 3, policy: RouteMinLoad, workers: 4}.code(), uint8(1), int64(5), int64(0),
+	f.Add(opsConfig{kind: 2, budget: 3, policy: RouteMinLoad, workers: 4}.code(), uint16(1), int64(5), int64(0),
 		[]byte{9, 40, 0, 4, 8, 12, 16, 1, 2, 3, 11, 7, 6, 0, 14, 13, 5, 12, 0, 15, 0, 2})
-	f.Add(opsConfig{kind: 1, budget: 2, admission: 1, workers: 1}.code(), uint8(0), int64(9), int64(0),
+	f.Add(opsConfig{kind: 1, budget: 2, admission: 1, workers: 1}.code(), uint16(0), int64(9), int64(0),
 		[]byte{0, 3, 1, 9, 2, 5, 11, 3, 7, 1, 8, 0, 12, 0, 14})
-	f.Fuzz(func(t *testing.T, cfg uint16, fixture uint8, topoSeed, opSeed int64, ops []byte) {
-		runEngineOps(t, decodeOpsConfig(cfg), fixture, topoSeed, opSeed, ops)
+	f.Fuzz(func(t *testing.T, cfg, fixture uint16, topoSeed, opSeed int64, ops []byte) {
+		runEngineOps(t, opsCorpusEntry{cfg: decodeOpsConfig(cfg), fixture: fixture, topoSeed: topoSeed, opSeed: opSeed}, ops)
 	})
 }
 
+// opsCorpusEntry is one seeded stream: n ops drawn from opSeed (0 means
+// opsDefaultOps), and the least it must exercise, in counts and in the
+// percentage of add and reroute verdicts the model predicted.
 type opsCorpusEntry struct {
 	name             string
 	cfg              opsConfig
-	fixture          uint8
+	fixture          uint16
 	topoSeed, opSeed int64
+	n                int
+	min              opsCounts
+	share            int
 }
 
-// engineOpsCorpus keeps the fixtures and seeds of the churn drivers
-// FuzzEngineOps replaced, and of the snapshot and stale-id tests it
-// subsumes. Each still runs under its test's name.
+// engineOpsCorpus keeps the fixtures, seeds, budgets and layouts of the
+// randomized churn tests FuzzEngineOps replaced, with at least each
+// one's op count, and of the snapshot, stale-id and Close tests it
+// subsumes. Each runs under its test's name. The streams are the
+// fuzzer's decoding of each seed, not the old tests' rng sequences.
 var engineOpsCorpus = []opsCorpusEntry{
-	{"session-churn", opsConfig{workers: 1}, opsFixtureID(opsUnion, 1, 15), 11, 17},
-	{"sharded/shortest", opsConfig{kind: 1, workers: 4}, opsFixtureID(opsUnion, 5, 12), 101, 7},
-	{"sharded/min-load", opsConfig{kind: 1, policy: RouteMinLoad, workers: 4}, opsFixtureID(opsUnion, 5, 12), 101, 7},
-	{"twolevel/shortest", opsConfig{kind: 2, workers: 4}, opsFixtureID(opsGlued, 5, 14), 211, 19},
-	{"twolevel/min-load", opsConfig{kind: 2, policy: RouteMinLoad, workers: 4}, opsFixtureID(opsGlued, 5, 14), 211, 19},
-	{"budget-cycle-free", opsConfig{budget: 2, workers: 1}, opsFixtureID(opsUnion, 1, 24), 131, 134},
-	{"budget-rollback-probe", opsConfig{budget: 2, workers: 1, probe: true}, opsFixtureID(opsUnion, 1, 24), 131, 143},
-	{"budget-internal-cycle", opsConfig{budget: 2, workers: 1}, opsFixtureID(opsGadget, 3, 8), 4, 153},
-	{"budget-retry", opsConfig{budget: 2, admission: 1, workers: 1}, opsFixtureID(opsUnion, 1, 24), 161, 162},
-	{"budget-engine", opsConfig{kind: 1, budget: 2, workers: 4}, opsFixtureID(opsUnion, 4, 20), 171, 174},
-	{"budget-engine-two-level", opsConfig{kind: 2, budget: 5, workers: 4}, opsFixtureID(opsGlued, 4, 16), 181, 188},
-	{"fault-session", opsConfig{budget: 3, workers: 1}, opsFixtureID(opsUnion, 2, 12), 131, 997},
-	{"fault-engine", opsConfig{kind: 1, budget: 3, workers: 4}, opsFixtureID(opsUnion, 3, 12), 313, 733},
-	{"addarc-two-level", opsConfig{kind: 2, budget: 5, workers: 1}, opsFixtureID(opsGlued, 4, 14), 571, 572},
-	{"snapshot/plain", opsConfig{kind: 1, workers: 4}, opsFixtureID(opsUnion, 4, 12), 901, 11},
-	{"snapshot/two-level", opsConfig{kind: 2, workers: 4}, opsFixtureID(opsGlued, 4, 14), 902, 11},
-	{"stale-session", opsConfig{workers: 1}, opsFixtureID(opsUnion, 1, 8), 91, 92},
-	{"stale-engine", opsConfig{kind: 1, workers: 1}, opsFixtureID(opsUnion, 3, 12), 91, 93},
-	{"twolevel-reroute", opsConfig{kind: 2, policy: RouteMinLoad, workers: 4}, opsFixtureID(opsGlued, 4, 14), 401, 17},
-	{"determinism/sharded", opsConfig{kind: 1, workers: 4}, opsFixtureID(opsUnion, 6, 12), 33, 6},
-	{"determinism/two-level", opsConfig{kind: 2, workers: 4}, opsFixtureID(opsGlued, 4, 14), 307, 8},
+	{"session-churn", opsConfig{workers: 1}, opsFixtureID(opsUnion, 1, 15, opsEnds4Dense), 11, 17, 1000, opsCounts{accepted: 300}, 90},
+	{"sharded/shortest", opsConfig{kind: 1, workers: 4}, opsFixtureID(opsUnion, 5, 12, opsEnds3), 101, 7, 630, opsCounts{accepted: 150}, 90},
+	{"sharded/min-load", opsConfig{kind: 1, policy: RouteMinLoad, workers: 4}, opsFixtureID(opsUnion, 5, 12, opsEnds3), 101, 7, 630, opsCounts{accepted: 150}, 90},
+	{"twolevel/shortest", opsConfig{kind: 2, workers: 4}, opsFixtureID(opsGlued, 5, 14, opsEnds3), 211, 19, 850, opsCounts{accepted: 150, region: 100, overlay: 100}, 70},
+	{"twolevel/min-load", opsConfig{kind: 2, policy: RouteMinLoad, workers: 4}, opsFixtureID(opsGlued, 5, 14, opsEnds3), 211, 19, 850, opsCounts{accepted: 150, region: 100, overlay: 100}, 70},
+	{"budget-cycle-free/w=1", opsConfig{budget: 1, workers: 1}, opsFixtureID(opsUnion, 1, 24, opsEnds4), 131, 133, 400, opsCounts{accepted: 50, rejected: 20}, 90},
+	{"budget-cycle-free/w=2", opsConfig{budget: 2, workers: 1}, opsFixtureID(opsUnion, 1, 24, opsEnds4), 131, 134, 400, opsCounts{accepted: 50, rejected: 20}, 90},
+	{"budget-cycle-free/w=4", opsConfig{budget: 4, workers: 1}, opsFixtureID(opsUnion, 1, 24, opsEnds4), 131, 136, 400, opsCounts{accepted: 50, rejected: 20}, 90},
+	{"budget-rollback-probe/w=2", opsConfig{budget: 2, workers: 1, probe: true}, opsFixtureID(opsUnion, 1, 24, opsEnds4), 131, 143, 300, opsCounts{accepted: 40, rejected: 20}, 0},
+	{"budget-rollback-probe/w=4", opsConfig{budget: 4, workers: 1, probe: true}, opsFixtureID(opsUnion, 1, 24, opsEnds4), 131, 145, 300, opsCounts{accepted: 40, rejected: 20}, 0},
+	{"budget-internal-cycle/w=2", opsConfig{budget: 2, workers: 1}, opsFixtureID(opsGadget, 3, 8, opsEnds3), 4, 153, 300, opsCounts{accepted: 40, rejected: 20}, 0},
+	{"budget-internal-cycle/w=3", opsConfig{budget: 3, workers: 1}, opsFixtureID(opsGadget, 3, 8, opsEnds3), 4, 154, 300, opsCounts{accepted: 40, rejected: 20}, 0},
+	{"budget-retry", opsConfig{budget: 2, admission: opsRetry, workers: 1}, opsFixtureID(opsUnion, 1, 24, opsEnds4Dense), 161, 162, 500, opsCounts{accepted: 50, rejected: 20, retried: 2}, 90},
+	{"budget-engine/w=2", opsConfig{kind: 1, budget: 2, workers: 4, fixed: true}, opsFixtureID(opsUnion, 4, 20, opsEnds4), 171, 174, 960, opsCounts{accepted: 100, rejected: 50}, 90},
+	{"budget-engine/w=4", opsConfig{kind: 1, budget: 4, workers: 4, fixed: true}, opsFixtureID(opsUnion, 4, 20, opsEnds4), 171, 176, 960, opsCounts{accepted: 100, rejected: 50}, 90},
+	{"budget-engine-two-level/w=4", opsConfig{kind: 3, budget: 4, workers: 4, fixed: true}, opsFixtureID(opsGlued, 4, 16, opsEnds3), 181, 187, 960, opsCounts{accepted: 100, rejected: 50, region: 100, overlay: 100}, 35},
+	{"budget-engine-two-level/w=5", opsConfig{kind: 3, budget: 5, workers: 4, fixed: true}, opsFixtureID(opsGlued, 4, 16, opsEnds3), 181, 188, 960, opsCounts{accepted: 100, rejected: 50, region: 100, overlay: 100}, 35},
+	{"fault-session", opsConfig{budget: 3, workers: 1}, opsFixtureID(opsUnion, 2, 12, opsEnds3), 131, 997, 1000, opsCounts{cuts: 20, affected: 20, accepted: 100, rejected: 20}, 60},
+	{"fault-engine", opsConfig{kind: 1, budget: 4, workers: 4, fixed: true}, opsFixtureID(opsUnion, 3, 12, opsEnds3), 313, 733, 800, opsCounts{cuts: 15, affected: 15, accepted: 100, rejected: 20}, 60},
+	{"addarc-two-level", opsConfig{kind: 2, budget: 8, workers: 4}, opsFixtureID(opsGlued, 4, 14, opsEnds3), 571, 572, 1200, opsCounts{arcAdds: 10, cuts: 10, region: 100, overlay: 100}, 10},
+	{"retry-after-addarc", opsConfig{kind: 1, budget: 2, admission: opsRetry, workers: 1}, opsFixtureID(opsUnion, 1, 24, opsEnds4Dense), 161, 163, 600, opsCounts{arcAdds: 5, grownRetries: 10}, 0},
+	{"snapshot/plain", opsConfig{kind: 1, workers: 4}, opsFixtureID(opsUnion, 4, 12, opsEnds3), 901, 11, 300, opsCounts{cuts: 3}, 0},
+	{"snapshot/two-level", opsConfig{kind: 2, workers: 4}, opsFixtureID(opsGlued, 4, 14, opsEnds3), 902, 11, 300, opsCounts{cuts: 3, region: 30, overlay: 30}, 0},
+	{"addarc-closed", opsConfig{kind: 1, workers: 1}, opsFixtureID(opsUnion, 2, 12, opsEnds3), 531, 3, 100, opsCounts{accepted: 20}, 0},
+	{"close", opsConfig{kind: 1, workers: 1}, opsFixtureID(opsUnion, 3, 12, opsEnds3), 131, 1, 100, opsCounts{accepted: 20}, 0},
+	{"snapshot-post-close", opsConfig{kind: 1, workers: 4}, opsFixtureID(opsUnion, 3, 12, opsEnds3), 71, 2, 100, opsCounts{accepted: 20}, 0},
+	{"stale-session", opsConfig{workers: 1}, opsFixtureID(opsUnion, 1, 8, opsEnds3), 91, 92, 300, opsCounts{stale: 10}, 0},
+	{"stale-engine", opsConfig{kind: 1, workers: 1}, opsFixtureID(opsUnion, 3, 12, opsEnds3), 91, 93, 300, opsCounts{stale: 10}, 0},
+	{"twolevel-reroute", opsConfig{kind: 2, policy: RouteMinLoad, workers: 4}, opsFixtureID(opsGlued, 4, 14, opsEnds3), 401, 17, 400, opsCounts{rerouted: 10, region: 50, overlay: 50}, 0},
+	{"determinism/sharded", opsConfig{kind: 1, workers: 4}, opsFixtureID(opsUnion, 6, 12, opsEnds3), 33, 6, 300, opsCounts{}, 0},
+	{"determinism/two-level", opsConfig{kind: 2, workers: 4}, opsFixtureID(opsGlued, 4, 14, opsEnds3), 307, 8, 300, opsCounts{region: 30, overlay: 30}, 0},
 }
 
 // runEngineOpsCorpus runs the corpus entries named prefix or
@@ -104,7 +126,7 @@ var engineOpsCorpus = []opsCorpusEntry{
 func runEngineOpsCorpus(t *testing.T, prefix string) {
 	for _, c := range engineOpsCorpus {
 		c := c
-		run := func(t *testing.T) { runEngineOps(t, c.cfg, c.fixture, c.topoSeed, c.opSeed, nil) }
+		run := func(t *testing.T) { runEngineOps(t, c, nil) }
 		if c.name == prefix {
 			run(t)
 		} else if sub, ok := strings.CutPrefix(c.name, prefix+"/"); ok {
@@ -125,7 +147,11 @@ func TestBudgetedEngineChurnTwoLevel(t *testing.T) { runEngineOpsCorpus(t, "budg
 func TestRandomFaultChurnSession(t *testing.T)     { runEngineOpsCorpus(t, "fault-session") }
 func TestRandomFaultChurnEngine(t *testing.T)      { runEngineOpsCorpus(t, "fault-engine") }
 func TestAddArcRandomizedEquivalence(t *testing.T) { runEngineOpsCorpus(t, "addarc-two-level") }
+func TestRetryAltRouteAfterAddArc(t *testing.T)    { runEngineOpsCorpus(t, "retry-after-addarc") }
+func TestAddArcClosed(t *testing.T)                { runEngineOpsCorpus(t, "addarc-closed") }
 func TestSnapshotConsistencyContract(t *testing.T) { runEngineOpsCorpus(t, "snapshot") }
+func TestEngineCloseIdempotent(t *testing.T)       { runEngineOpsCorpus(t, "close") }
+func TestSnapshotPostClose(t *testing.T)           { runEngineOpsCorpus(t, "snapshot-post-close") }
 func TestStaleSessionIDCleanErrors(t *testing.T)   { runEngineOpsCorpus(t, "stale-session") }
 func TestStaleShardedIDCleanErrors(t *testing.T)   { runEngineOpsCorpus(t, "stale-engine") }
 func TestTwoLevelReroute(t *testing.T)             { runEngineOpsCorpus(t, "twolevel-reroute") }
@@ -137,25 +163,37 @@ func TestTwoLevelDeterminism(t *testing.T)         { requireWorkerIndependent(t,
 func requireWorkerIndependent(t *testing.T, name string) {
 	c := engineOpsCorpus[slices.IndexFunc(engineOpsCorpus, func(c opsCorpusEntry) bool { return c.name == name })]
 	c.cfg.workers = 1
-	one := runEngineOps(t, c.cfg, c.fixture, c.topoSeed, c.opSeed, nil)
+	one := runEngineOps(t, c, nil)
 	c.cfg.workers = 4
-	if four := runEngineOps(t, c.cfg, c.fixture, c.topoSeed, c.opSeed, nil); one != four {
+	if four := runEngineOps(t, c, nil); one != four {
 		t.Fatalf("outcomes diverge across worker counts:\n%s\n%s", one, four)
 	}
 }
 
+// opsCounts tallies what a run exercised: ops run, capacity adds and
+// cuts applied, live paths the cuts hit, admission verdicts, retries
+// admitted on an alternate route (grownRetries: after a capacity add),
+// reroutes that moved a route, ops on removed or never-issued handles,
+// ops on region lanes and on the overlay lanes of two-level
+// components, and add and reroute verdicts predicted or adopted.
+type opsCounts struct {
+	ops, arcAdds, cuts, affected, accepted, rejected, retried, grownRetries int
+	rerouted, stale, region, overlay, predicted, adopted                    int
+}
+
 // opsConfig is one engine configuration of FuzzEngineOps.
 type opsConfig struct {
-	kind      int // 0 Session, 1 flat engine (WithSubshardThreshold(0)), 2 two-level engine (threshold 8)
+	kind      int // 0 Session, 1 flat engine (WithSubshardThreshold(0)), 2 and 3 two-level engine (threshold 8, 16)
 	budget    int // one of opsBudgets; 0 = none
 	policy    RoutingPolicy
 	admission int // index into opsAdmissions
 	workers   int // 1 or 4
 	probe     bool
+	fixed     bool // no capacity adds
 }
 
 var (
-	opsBudgets    = [...]int{0, 1, 2, 3, 5}
+	opsBudgets    = [...]int{0, 1, 2, 3, 4, 5, 8}
 	opsAdmissions = [...]AdmissionStrategy{AdmissionReject, AdmissionRetryAltRoute, AdmissionDegrade}
 )
 
@@ -164,7 +202,7 @@ const opsRetry, opsDegrade = 1, 2 // indices into opsAdmissions
 func decodeOpsConfig(code uint16) opsConfig {
 	v := int(code)
 	next := func(n int) int { d := v % n; v /= n; return d }
-	return opsConfig{next(3), opsBudgets[next(5)], RoutingPolicy(next(3)), next(3), 1 + 3*next(2), next(2) == 1}
+	return opsConfig{next(4), opsBudgets[next(len(opsBudgets))], RoutingPolicy(next(3)), next(3), 1 + 3*next(2), next(2) == 1, next(2) == 1}
 }
 
 // code is decodeOpsConfig's inverse.
@@ -177,8 +215,8 @@ func (c opsConfig) code() uint16 {
 }
 
 // Fixture kinds: disjoint unions of Theorem-1 DAGs, the same glued into
-// one giant component, the internal-cycle gadget beside a Theorem-1
-// DAG, and unions of UPP-DAGs or of random DAGs.
+// one giant component, the internal-cycle gadget, and unions of
+// UPP-DAGs or of random DAGs.
 const (
 	opsUnion = iota
 	opsGlued
@@ -188,17 +226,41 @@ const (
 	opsKinds
 )
 
-var opsSizes = [...]int{8, 12, 14, 15, 16, 20, 24}
+// Theorem-1 part shapes: RandomNoInternalCycleDAG's source and sink
+// counts and extra-arc probability.
+const (
+	opsEnds3 = iota
+	opsEnds4
+	opsEnds4Dense
+)
 
-func opsFixtureID(kind, parts, size int) uint8 {
-	return uint8(kind + opsKinds*(parts-1+6*slices.Index(opsSizes[:], size)))
+var (
+	opsSizes  = [...]int{8, 12, 14, 15, 16, 20, 24}
+	opsShapes = [...]struct {
+		ends   int
+		extraP float64
+	}{{3, 0.25}, {4, 0.25}, {4, 0.3}}
+)
+
+func opsFixtureID(kind, parts, size, shape int) uint16 {
+	return uint16(kind + opsKinds*(parts-1+6*(slices.Index(opsSizes[:], size)+len(opsSizes)*shape)))
 }
 
-// opsFixture builds the topology of a fixture id: a kind, 1 to 6 parts
-// and a part size, each part drawn from seed plus its index.
-func opsFixture(t testing.TB, id uint8, seed int64) *digraph.Digraph {
+// opsFixture builds the topology of a fixture id: a kind, 1 to 6 parts,
+// a part size and a part shape, each part drawn from seed plus its
+// index. The gadget kind is InternalCycleGadget(parts+1) alone.
+func opsFixture(t testing.TB, id uint16, seed int64) *digraph.Digraph {
 	t.Helper()
-	kind, parts, n := int(id)%opsKinds, 1+int(id)/opsKinds%6, opsSizes[int(id)/(6*opsKinds)%len(opsSizes)]
+	v := int(id)
+	next := func(n int) int { d := v % n; v /= n; return d }
+	kind, parts, n, shape := next(opsKinds), 1+next(6), opsSizes[next(len(opsSizes))], opsShapes[next(len(opsShapes))]
+	if kind == opsGadget {
+		g, _, err := gen.InternalCycleGadget(parts + 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
 	gs := make([]*digraph.Digraph, parts)
 	for i := range gs {
 		var err error
@@ -208,25 +270,18 @@ func opsFixture(t testing.TB, id uint8, seed int64) *digraph.Digraph {
 		case opsRandom:
 			gs[i] = gen.RandomDAG(n, 2*n, seed+int64(i))
 		default:
-			gs[i], err = gen.RandomNoInternalCycleDAG(n, 3, 3, 0.25, seed+int64(i))
+			gs[i], err = gen.RandomNoInternalCycleDAG(n, shape.ends, shape.ends, shape.extraP, seed+int64(i))
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	switch kind {
-	case opsGlued:
+	if kind == opsGlued {
 		g, _, err := gen.GlueChain(gs...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return g
-	case opsGadget:
-		g, _, err := gen.InternalCycleGadget(parts + 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gs = []*digraph.Digraph{g, gs[0]}
 	}
 	insts := make([]gen.Instance, len(gs))
 	for i, g := range gs {
@@ -237,25 +292,27 @@ func opsFixture(t testing.TB, id uint8, seed int64) *digraph.Digraph {
 }
 
 // opsLane is one lane of the target: its session, and the translations
-// of its identifiers to the target topology (nil for a Session).
+// of its identifiers to the target topology (nil for a Session; an
+// engine lane has vertices, though an isolated vertex has no arcs).
 type opsLane struct {
-	sess   *Session
-	shard  int32
-	comp   int32
-	region bool
-	toGV   []digraph.Vertex
-	toGA   []digraph.ArcID
+	sess     *Session
+	shard    int32
+	comp     int32
+	region   bool
+	twoLevel bool // the lane's component has region lanes
+	toGV     []digraph.Vertex
+	toGA     []digraph.ArcID
 }
 
 func engineLane(sh *engineShard) *opsLane {
-	return &opsLane{sh.sess, sh.idx, sh.comp.idx, sh.kind == shardRegion, sh.toGlobalVertex, sh.toGlobalArc}
+	return &opsLane{sh.sess, sh.idx, sh.comp.idx, sh.kind == shardRegion, len(sh.comp.regionShards) > 0, sh.toGlobalVertex, sh.toGlobalArc}
 }
 
 func (l *opsLane) graph() *digraph.Digraph { return l.sess.net.Topology }
 
 // global translates a lane-local path to the target topology g.
 func (l *opsLane) global(t *testing.T, g *digraph.Digraph, p *dipath.Path) *dipath.Path {
-	if l.toGA == nil {
+	if l.toGV == nil {
 		return p
 	}
 	var q *dipath.Path
@@ -277,7 +334,7 @@ func (l *opsLane) global(t *testing.T, g *digraph.Digraph, p *dipath.Path) *dipa
 
 // local translates a target arc or vertex to the lane's (-1 if absent).
 func (l *opsLane) localArc(a digraph.ArcID) digraph.ArcID {
-	if l.toGA == nil {
+	if l.toGV == nil {
 		return a
 	}
 	return digraph.ArcID(slices.Index(l.toGA, a))
@@ -434,18 +491,17 @@ func (tg opsTarget) reads() opsReads {
 	return opsReads{e.Len(), e.DarkLive(), e.Pi(), n, o, st.Accepted(), st.Rejected(), e.ArcLoads(), e.Verify(), prov}
 }
 
-// opsStreamBytes is the length of a stream drawn from a seed.
-const opsStreamBytes = 1024
+// opsDefaultOps is the length of a stream drawn from a seed.
+const opsDefaultOps = 300
 
-// runEngineOps builds the configuration, runs the stream through
-// opsModel (see FuzzEngineOps) and returns the final digest.
-func runEngineOps(t *testing.T, cfg opsConfig, fixture uint8, topoSeed, opSeed int64, ops []byte) string {
-	g := opsFixture(t, fixture, topoSeed)
+// runEngineOps builds the configuration, runs the stream (ops, or c.n
+// ops drawn from c.opSeed) through opsModel (see FuzzEngineOps),
+// checks that it exercised c.min and c.share, and returns the digest
+// before the Close.
+func runEngineOps(t *testing.T, c opsCorpusEntry, ops []byte) string {
+	cfg := c.cfg
+	g := opsFixture(t, c.fixture, c.topoSeed)
 	pool := route.NewRouter(g).AllToAll()
-	if len(ops) == 0 {
-		ops = make([]byte, opsStreamBytes)
-		rand.New(rand.NewSource(opSeed)).Read(ops)
-	}
 	net := &Network{Topology: g}
 	sopts := []SessionOption{WithRoutingPolicy(cfg.policy), WithAdmissionStrategy(opsAdmissions[cfg.admission])}
 	if cfg.probe {
@@ -468,14 +524,80 @@ func runEngineOps(t *testing.T, cfg opsConfig, fixture uint8, topoSeed, opSeed i
 		t.Fatal(err)
 	case tg.e != nil:
 		defer tg.e.Close()
+		if b := tg.e.Stats().Budget; b != cfg.budget {
+			t.Fatalf("engine budget %d, want %d", b, cfg.budget)
+		}
 	}
-	m := &opsModel{t: t, cfg: cfg, tg: tg, pool: pool, unswept: map[int32]bool{}}
+	m := &opsModel{t: t, cfg: cfg, tg: tg, pool: pool, ops: ops, unswept: map[int32]bool{}}
+	if len(ops) == 0 {
+		m.rng = rand.New(rand.NewSource(c.opSeed))
+		if c.n == 0 {
+			c.n = opsDefaultOps
+		}
+	}
 	m.sync(nil, false)
 	m.check(false)
-	for m.ops = ops; len(m.ops) > 0; {
+	for m.rng != nil && m.counts.ops < c.n || m.rng == nil && len(m.ops) > 0 {
 		m.step()
 	}
-	return m.digest(true)
+	out := fmt.Sprint(m.digest(true))
+	if tg.e == nil {
+		m.counts.affected = tg.s.FailureStats().Affected
+	} else {
+		st := tg.e.Stats()
+		m.counts.affected = st.Plain.Affected + st.Region.Affected + st.Overlay.Affected
+		m.close()
+	}
+	got, want := reflect.ValueOf(m.counts), reflect.ValueOf(c.min)
+	for i := 0; i < want.NumField(); i++ {
+		if got.Field(i).Int() < want.Field(i).Int() {
+			t.Errorf("the stream ran %s %d, want at least %d", want.Type().Field(i).Name, got.Field(i).Int(), want.Field(i).Int())
+		}
+	}
+	if share := 100 * m.counts.predicted / max(1, m.counts.predicted+m.counts.adopted); share < c.share {
+		t.Errorf("the model predicted %d%% of the verdicts, want at least %d%%", share, c.share)
+	}
+	t.Logf("%+v", m.counts)
+	return out
+}
+
+// close closes the engine, which publishes a closed snapshot. Then
+// Close from several goroutines at once must return nil, and every op
+// and event must fail with ErrEngineClosed, leaving the state and the
+// snapshot sequence as they were.
+func (m *opsModel) close() {
+	e := m.tg.e
+	if err := e.Close(); err != nil {
+		m.t.Fatalf("Close: %v", err)
+	}
+	m.closed = true
+	m.check(false)
+	if s := e.Snapshot(); !s.Closed() {
+		m.t.Fatal("the snapshot after Close does not report Closed")
+	} else {
+		s.Release()
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := e.Close(); err != nil {
+				m.t.Errorf("Close again: %v", err)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, op := range []BatchOp{AddOp(m.request()), RemoveOp(m.pick()), RerouteOp(m.pick())} {
+		m.single(op)
+	}
+	m.run([]BatchOp{AddOp(m.request()), RemoveOp(m.pick()), RerouteOp(m.pick())}, false)
+	for kind := opsFailArc; kind <= opsAddArc; kind++ {
+		m.event(kind, 0, m.request(), false)
+	}
+	if seq := lastSeqOf(e); seq != m.seq {
+		m.t.Fatalf("ops after Close moved the snapshot sequence from %d to %d", m.seq, seq)
+	}
 }
 
 // opsEntry is one live request of the model: its handle, its route
@@ -492,20 +614,20 @@ type opsEntry struct {
 
 // opsModel is FuzzEngineOps' reference model.
 type opsModel struct {
-	t        *testing.T
-	cfg      opsConfig
-	tg       opsTarget
-	pool     []route.Request
-	ops      []byte // the rest of the stream
-	live     []*opsEntry
-	stale    []ShardedID     // removed handles, for the error paths
-	parked   []*opsEntry     // dark entries in park order
-	unswept  map[int32]bool  // lanes a Reroute or AddArc moved capacity on since their last sweep
-	refused  []digraph.ArcID // capacity adds a lane's routing strategy refused
-	accepted int
-	rejected int
-	seq      uint64 // last snapshot sequence number seen
-	closed   bool
+	t       *testing.T
+	cfg     opsConfig
+	tg      opsTarget
+	pool    []route.Request
+	ops     []byte     // the rest of the stream, unless drawn from rng
+	rng     *rand.Rand // draws the stream
+	live    []*opsEntry
+	stale   []ShardedID     // removed handles, for the error paths
+	parked  []*opsEntry     // dark entries in park order
+	unswept map[int32]bool  // lanes a Reroute or AddArc moved capacity on since their last sweep
+	refused []digraph.ArcID // arcs of capacity adds a lane refused: RestoreArc refuses them
+	counts  opsCounts
+	seq     uint64 // last snapshot sequence number seen
+	closed  bool
 }
 
 // opsPlanned is one op of a batch, its lane resolved beforehand.
@@ -524,14 +646,16 @@ type opsBatch struct {
 	gone    map[*opsEntry]bool
 }
 
-// next hands out the stream's next byte, then zeros.
+// next hands out the stream's next byte; a byte stream ends in zeros.
 func (m *opsModel) next() int {
-	if len(m.ops) == 0 {
-		return 0
+	var b [1]byte
+	switch {
+	case m.rng != nil:
+		m.rng.Read(b[:])
+	case len(m.ops) > 0:
+		b[0], m.ops = m.ops[0], m.ops[1:]
 	}
-	b := m.ops[0]
-	m.ops = m.ops[1:]
-	return int(b)
+	return int(b[0])
 }
 
 func (m *opsModel) step() {
@@ -564,23 +688,13 @@ func (m *opsModel) step() {
 		for i := 0; i < n && !g.ArcFailed(a) && m.next()%4 != 0; i++ {
 			a = (a + 1) % digraph.ArcID(n)
 		}
-		m.event(opsRestoreArc, a, route.Request{}, !g.ArcFailed(a))
+		m.event(opsRestoreArc, a, route.Request{}, !g.ArcFailed(a) || slices.Contains(m.refused, a))
 	case 13:
-		if m.tg.e != nil { // Sessions take no capacity adds
+		if m.tg.e != nil && !m.cfg.fixed { // Sessions take no capacity adds
 			m.event(opsAddArc, -1, m.request(), false)
 		}
 	default:
-		if m.next()%32 != 0 || m.tg.e == nil { // nor a Close
-			m.event(opsRevive, -1, route.Request{}, false)
-			return
-		}
-		if err := m.tg.e.Close(); err != nil {
-			m.t.Fatalf("Close: %v", err)
-		}
-		if !m.closed { // a second Close publishes nothing
-			m.closed = true
-			m.check(false)
-		}
+		m.event(opsRevive, -1, route.Request{}, false)
 	}
 }
 
@@ -608,15 +722,15 @@ func (m *opsModel) pick() ShardedID {
 
 // single runs one op outside a batch; a failed one must leave the
 // digest unchanged. A refused add on a probe lane may leave the lane's
-// colors repacked (see the FOUND note in CHANGES.md), so there the
-// digest leaves colors out.
+// colors repacked (core.Incremental.AddUnderLimit keeps the repack it
+// ran), so there the digest leaves colors out.
 func (m *opsModel) single(op BatchOp) {
 	l, _, err := m.tg.dispatch(op.Req)
 	colors := op.Kind != BatchAdd || err != nil || l.sess.budget == 0 || l.precheck(m.cfg)
 	before := m.digest(colors)
 	if res := m.run([]BatchOp{op}, true); res[0].Err != nil {
-		if after := m.digest(colors); after != before {
-			m.t.Fatalf("failed %v (%v) changed the state:\n%s\n%s", op, res[0].Err, before, after)
+		if after := m.digest(colors); !slices.Equal(after, before) {
+			m.t.Fatalf("failed %v (%v) changed the state:\n%v\n%v", op, res[0].Err, before, after)
 		}
 	}
 }
@@ -636,6 +750,7 @@ func (m *opsModel) run(ops []BatchOp, single bool) []BatchResult {
 		}
 	}
 	res := m.tg.apply(ops, single)
+	m.counts.ops += len(ops)
 	if m.closed {
 		for k := range res {
 			if !errors.Is(res[k].Err, ErrEngineClosed) {
@@ -676,10 +791,20 @@ func (m *opsModel) run(ops []BatchOp, single bool) []BatchResult {
 func (m *opsModel) replay(op BatchOp, p *opsPlanned, res BatchResult, b *opsBatch) *opsPlanned {
 	t, l := m.t, p.lane
 	switch {
+	case l == nil || p.err != nil:
+	case l.region:
+		m.counts.region++
+	case l.twoLevel:
+		m.counts.overlay++
+	}
+	switch {
 	case p.err != nil || op.Kind != BatchAdd && (p.e == nil || b.gone[p.e]):
 		removed := op.Kind != BatchAdd && (p.e != nil || slices.Contains(m.stale, op.ID))
 		if res.Err == nil || removed && !errors.Is(res.Err, ErrUnknownSession) {
 			t.Fatalf("%v on a handle or request the model refuses: %v", op, res.Err)
+		}
+		if op.Kind != BatchAdd {
+			m.counts.stale++
 		}
 		return nil
 	case op.Kind == BatchReroute:
@@ -693,18 +818,24 @@ func (m *opsModel) replay(op BatchOp, p *opsPlanned, res BatchResult, b *opsBatc
 		m.live = slices.DeleteFunc(m.live, func(e *opsEntry) bool { return e == p.e })
 		m.stale = append(m.stale[max(len(m.stale)-7, 0):], op.ID)
 		if !p.e.dark {
-			// The removal sweeps its lane, which may relight or promote.
-			b.unsure[l.comp] = b.unsure[l.comp] || b.fragile[l.shard]
+			// The removal sweeps its lane: the model replays the sweep
+			// unless it may promote or admit by the rollback probe.
+			if l.sess.budget > 0 && !l.precheck(m.cfg) || m.cfg.admission == opsDegrade {
+				b.unsure[l.comp] = b.unsure[l.comp] || b.fragile[l.shard]
+			} else if !b.unsure[l.comp] {
+				m.sweep(l)
+			}
 			m.unswept[l.shard] = false
 		}
 		return nil
 	case b.unsure[l.comp]:
+		m.counts.adopted++
 		switch {
 		case res.Err == nil:
-			m.accepted++
+			m.counts.accepted++
 			m.live = append(m.live, &opsEntry{req: op.Req, id: res.ID})
 		case errors.Is(res.Err, ErrBudgetExceeded):
-			m.rejected++
+			m.counts.rejected++
 		}
 		return nil
 	}
@@ -719,45 +850,51 @@ func (m *opsModel) replay(op BatchOp, p *opsPlanned, res BatchResult, b *opsBatc
 		if res.Err == nil || errors.Is(res.Err, ErrBudgetExceeded) {
 			t.Fatalf("%v: the model finds no route (%v), the target says %v", op, err, res.Err)
 		}
+		m.counts.predicted++
 		return nil
 	}
-	want, be := path, false
+	want, be, retried := path, false, false
 	if l.sess.budget > 0 && !l.precheck(m.cfg) {
 		// The rollback probe's verdict is a heuristic: adopt it. An
 		// accepted path must keep the lane's own family within its band
 		// (λ ≥ π), unless best-effort paths hold colors past the band.
+		m.counts.adopted++
 		if res.Err != nil {
 			if !errors.Is(res.Err, ErrBudgetExceeded) || m.cfg.admission == opsDegrade {
 				t.Fatalf("%v on a probe lane: %v", op, res.Err)
 			}
-			m.rejected++
+			m.counts.rejected++
 			return nil
 		}
 		own, got := m.loads(l, nil), m.pathOf(res.ID)
 		if alt := m.retry(l, p.lreq, path, loads); alt != nil && got.Equal(alt) {
-			path = alt
+			path, retried = alt, true
 		}
 		if !got.Equal(path) || m.cfg.admission != opsDegrade && !fits(path, own, l.sess.budget) {
 			t.Fatalf("%v: the probe lane admitted %v, the model routes %v within the band", op, got, path)
 		}
 		want, be = got, m.cfg.admission == opsDegrade
-	} else if l.sess.budget > 0 && !fits(path, loads, l.sess.budget) {
-		switch m.cfg.admission {
-		case opsDegrade:
-			be = true
-		case opsRetry:
-			if want = m.retry(l, p.lreq, path, loads); want != nil && !fits(want, loads, l.sess.budget) {
+	} else {
+		m.counts.predicted++
+		if l.sess.budget > 0 && !fits(path, loads, l.sess.budget) {
+			switch m.cfg.admission {
+			case opsDegrade:
+				be = true
+			case opsRetry:
+				if want = m.retry(l, p.lreq, path, loads); want != nil && !fits(want, loads, l.sess.budget) {
+					want = nil
+				}
+				retried = want != nil
+			default:
 				want = nil
 			}
-		default:
-			want = nil
 		}
 	}
 	if want == nil {
 		if !errors.Is(res.Err, ErrBudgetExceeded) {
 			t.Fatalf("%v: the model rejects, the target says %v", op, res.Err)
 		}
-		m.rejected++
+		m.counts.rejected++
 		return nil
 	}
 	if res.Err != nil {
@@ -766,20 +903,59 @@ func (m *opsModel) replay(op BatchOp, p *opsPlanned, res BatchResult, b *opsBatc
 	if got := m.pathOf(res.ID); !got.Equal(want) {
 		t.Fatalf("%v: the target routes %v, the model %v", op, got, want)
 	}
-	m.accepted++
+	m.counts.accepted++
+	if retried {
+		m.counts.retried++
+		m.counts.grownRetries += min(m.counts.arcAdds, 1)
+	}
 	m.live = append(m.live, &opsEntry{req: op.Req, id: res.ID, path: want, be: be, lane: l.shard, known: true})
 	b.fragile[l.shard] = b.fragile[l.shard] || be
 	return nil
 }
 
+// sweep replays a revival sweep on lane l: each dark entry, oldest park
+// first, relights on its routing policy's route if that fits, else on a
+// different min-load detour over live arcs that fits.
+func (m *opsModel) sweep(l *opsLane) {
+	for _, e := range m.parked {
+		if e.lane != l.shard || !e.dark || !slices.Contains(m.live, e) {
+			continue
+		}
+		loads, req := m.loads(nil, nil), l.localReq(e.req)
+		fitsLane := func(p *dipath.Path) bool { return l.sess.budget == 0 || fits(p, loads, l.sess.budget) }
+		primary, err := m.route(l, req, loads)
+		if err != nil || !fitsLane(primary) {
+			alt, aerr := route.NewRouter(l.graph()).MinLoadPath(req, m.tracker(l, loads))
+			if aerr != nil {
+				continue
+			}
+			if alt = l.global(m.t, m.tg.topology(), alt); crossesFailure(m.tg.topology(), alt) || err == nil && alt.Equal(primary) || !fitsLane(alt) {
+				continue
+			}
+			primary = alt
+		}
+		e.path, e.dark = primary, false
+	}
+}
+
 // reroute replays a Reroute of a live entry.
 func (m *opsModel) reroute(op BatchOp, p *opsPlanned, res BatchResult, b *opsBatch) {
 	t, e, l := m.t, p.e, p.lane
+	if res.Changed {
+		m.counts.rerouted++
+	}
 	if e.dark || b.unsure[l.comp] {
 		// A dark entry's reroute is a revival attempt: adopt it.
+		m.counts.adopted++
 		b.unsure[l.comp] = true
 		m.unswept[l.shard] = m.unswept[l.shard] || res.Changed
 		return
+	}
+	budgeted := l.sess.budget > 0 && !e.be
+	if budgeted && !l.precheck(m.cfg) {
+		m.counts.adopted++
+	} else {
+		m.counts.predicted++
 	}
 	loads := m.loads(nil, e)
 	np, err := m.route(l, l.localReq(e.req), loads)
@@ -791,7 +967,6 @@ func (m *opsModel) reroute(op BatchOp, p *opsPlanned, res BatchResult, b *opsBat
 	case res.Err != nil:
 		t.Fatalf("%v: %v", op, res.Err)
 	}
-	budgeted := l.sess.budget > 0 && !e.be
 	switch {
 	case np.Equal(e.path), budgeted && l.precheck(m.cfg) && !fits(np, loads, l.sess.budget):
 		if res.Changed {
@@ -815,10 +990,7 @@ func (m *opsModel) reroute(op BatchOp, p *opsPlanned, res BatchResult, b *opsBat
 // route routes a lane-local request from scratch on a fresh router
 // over the lane's graph, against loads, and returns the route in the
 // target topology. A UPP lane's graph has at most one dipath per pair,
-// so its route is the shortest one over the arcs its router knows: a
-// capacity add the UPP router refused stays in the graph, failed, and
-// a RestoreArc brings it up unknown to the router (see the FOUND note
-// in CHANGES.md).
+// so its route is the shortest one.
 func (m *opsModel) route(l *opsLane, req route.Request, loads []int) (*dipath.Path, error) {
 	g := l.graph()
 	var p *dipath.Path
@@ -826,14 +998,6 @@ func (m *opsModel) route(l *opsLane, req route.Request, loads []int) (*dipath.Pa
 	if m.cfg.policy == RouteMinLoad {
 		p, err = route.NewRouter(g).MinLoadPath(req, m.tracker(l, loads))
 	} else {
-		if len(m.refused) > 0 {
-			g = g.Clone()
-			for _, ga := range m.refused {
-				if la := l.localArc(ga); la >= 0 && !g.ArcFailed(la) {
-					_ = g.FailArc(la)
-				}
-			}
-		}
 		p, err = route.NewRouter(g).ShortestPath(req.Src, req.Dst)
 	}
 	if err != nil {
@@ -863,7 +1027,7 @@ func (m *opsModel) tracker(l *opsLane, loads []int) *load.Tracker {
 	tr := load.NewTracker(g)
 	for a := 0; a < g.NumArcs(); a++ {
 		ga := a
-		if l.toGA != nil {
+		if l.toGV != nil {
 			ga = int(l.toGA[a])
 		}
 		for i := 0; i < loads[ga]; i++ {
@@ -915,6 +1079,7 @@ func (m *opsModel) pathOf(id ShardedID) *dipath.Path {
 func (m *opsModel) event(kind int, a digraph.ArcID, req route.Request, wantErr bool) {
 	before, arcs := m.digest(true), m.tg.topology().NumArcs()
 	err := m.tg.event(kind, a, req)
+	m.counts.ops++
 	switch {
 	case m.closed && !errors.Is(err, ErrEngineClosed):
 		m.t.Fatalf("event %d after Close: %v", kind, err)
@@ -924,10 +1089,16 @@ func (m *opsModel) event(kind int, a digraph.ArcID, req route.Request, wantErr b
 		if m.tg.topology().NumArcs() > arcs {
 			m.refused = append(m.refused, digraph.ArcID(arcs))
 		}
-		if after := m.digest(true); after != before {
-			m.t.Fatalf("failed event %d (%v) changed the state:\n%s\n%s", kind, err, before, after)
+		if after := m.digest(true); !slices.Equal(after, before) {
+			m.t.Fatalf("failed event %d (%v) changed the state:\n%v\n%v", kind, err, before, after)
 		}
 		return
+	}
+	switch kind {
+	case opsAddArc:
+		m.counts.arcAdds++
+	case opsFailArc:
+		m.counts.cuts++
 	}
 	lanes, _ := m.tg.lanes()
 	for _, l := range lanes {
@@ -1020,8 +1191,8 @@ func (m *opsModel) check(afterRevive bool) {
 		t.Fatal(rd.verify)
 	case len(rd.prov.Paths) != len(fam):
 		t.Fatalf("merged provisioning of %d paths for %d lit", len(rd.prov.Paths), len(fam))
-	case rd.accepted != m.accepted || rd.rejected != m.rejected:
-		t.Fatalf("admission stats %d accepted, %d rejected; the model %d, %d", rd.accepted, rd.rejected, m.accepted, m.rejected)
+	case rd.accepted != m.counts.accepted || rd.rejected != m.counts.rejected:
+		t.Fatalf("admission stats %d accepted, %d rejected; the model %d, %d", rd.accepted, rd.rejected, m.counts.accepted, m.counts.rejected)
 	case m.cfg.budget > 0 && be == 0 && rd.lambda > m.cfg.budget:
 		t.Fatalf("λ = %d past the budget %d with no best-effort entry live", rd.lambda, m.cfg.budget)
 	}
@@ -1068,28 +1239,36 @@ func (m *opsModel) check(afterRevive bool) {
 	m.seq = seq
 }
 
-// digest renders what a failed op must not change: every live handle's
-// route and dark flag, the aggregates, and with colors its wavelength
-// and λ.
-func (m *opsModel) digest(colors bool) string {
-	rd := m.tg.reads()
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "len=%d π=%d dark=%d", rd.len, rd.pi, rd.dark)
-	if colors {
-		fmt.Fprintf(&sb, " λ=%d", rd.lambda)
+// digest lists what a failed op must not change: Len, π, DarkLive and
+// every live handle's lane-local route, and with colors λ and each
+// wavelength (-1 marks a dark entry either way).
+func (m *opsModel) digest(colors bool) []int {
+	var d []int
+	if s := m.tg.s; s != nil {
+		n, _ := s.NumLambda()
+		d = []int{s.Len(), s.Pi(), s.DarkLive(), n}
+	} else {
+		n, _ := m.tg.e.NumLambda()
+		d = []int{m.tg.e.Len(), m.tg.e.Pi(), m.tg.e.DarkLive(), n}
+	}
+	if !colors {
+		d = d[:3]
 	}
 	for _, e := range m.live {
 		l, lid, err := m.tg.resolve(e.id)
 		if err != nil {
-			fmt.Fprintf(&sb, " %v:lost", e.id)
+			d = append(d, -2) // lost
 			continue
 		}
 		p, _ := l.sess.Path(lid)
 		w, _ := l.sess.Wavelength(lid)
 		if !colors {
-			w = min(w, 0) // -1 marks a dark entry
+			w = min(w, 0)
 		}
-		fmt.Fprintf(&sb, " %v:%v/%d", e.id, p, w)
+		d = append(d, -3, w, int(p.First()))
+		for _, a := range p.Arcs() {
+			d = append(d, int(a))
+		}
 	}
-	return sb.String()
+	return d
 }

@@ -84,6 +84,8 @@ type colorer interface {
 	Remove(slot int) error
 	AddUnderLimit(p *dipath.Path, limit int) (slot int, ok bool, err error)
 	EnsureAtMost(limit int) int
+	Snapshot() []int
+	Restore(colors []int)
 	Wavelength(slot int) int
 	Colors(slots []int) []int
 	NumLambda() int
@@ -575,11 +577,19 @@ func (s *Session) Reroute(id SessionID) (bool, error) {
 		s.trackAdd(e.path)
 		return false, nil
 	}
-	if err := s.coloring.Remove(e.slot); err != nil {
+	// The probe's removal and repack may permute the palette, so a probe
+	// lane keeps the wavelengths it holds, which fit the budget, for a
+	// refused swap whose restore cannot re-enforce the budget.
+	var saved []int
+	if budgeted && !s.usesPrecheck() {
+		saved = s.coloring.Snapshot()
+	}
+	oldSlot := e.slot
+	if err := s.coloring.Remove(oldSlot); err != nil {
 		s.trackAdd(e.path)
 		return false, err
 	}
-	s.unbindSlot(e.slot)
+	s.unbindSlot(oldSlot)
 	idx := int32(uint32(id))
 	slot, ok := 0, true
 	if budgeted && !s.usesPrecheck() {
@@ -591,8 +601,10 @@ func (s *Session) Reroute(id SessionID) (bool, error) {
 		// Restore the old path (it fit before); the session must stay
 		// consistent. A probe rejection is no error, but the probe's
 		// repack may have permuted the palette, so the restore re-enforces
-		// λ ≤ budget before reporting no change.
-		oldSlot, restoreErr := s.coloring.Add(e.path)
+		// λ ≤ budget before reporting no change. Where that fails, the
+		// lane takes back its saved wavelengths: the old path has its
+		// slot back (slots are reused last-freed first).
+		back, restoreErr := s.coloring.Add(e.path)
 		if restoreErr != nil {
 			if err == nil {
 				err = ErrBudgetExceeded
@@ -600,10 +612,13 @@ func (s *Session) Reroute(id SessionID) (bool, error) {
 			s.release(id, e)
 			return false, fmt.Errorf("wdm: rerouting: %w (request %d dropped)", err, id)
 		}
-		e.slot = oldSlot
-		s.bindSlot(oldSlot, idx)
+		e.slot = back
+		s.bindSlot(back, idx)
 		s.trackAdd(e.path)
 		s.enforceBudgetLambda()
+		if saved != nil && back == oldSlot && s.bestEffortLive == 0 && s.coloring.NumLambda() > s.budget {
+			s.coloring.Restore(saved)
+		}
 		if err != nil {
 			return false, fmt.Errorf("wdm: rerouting: %w", err)
 		}

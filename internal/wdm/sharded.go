@@ -153,9 +153,11 @@ type ShardedEngine struct {
 	budget int
 
 	// The session options every lane is opened with (component merges
-	// open new lanes) and the count of live capacity adds (see addarc.go).
+	// open new lanes), the count of live capacity adds and the arcs of
+	// the adds a lane refused, which stay failed (see addarc.go).
 	sessionOpts []SessionOption
 	arcAdds     int
+	refused     map[digraph.ArcID]bool
 
 	// Batch-scoped scratch, reused across ApplyBatch calls.
 	p1Scratch   []int32 // phase-1 shard indices

@@ -98,8 +98,9 @@ func (e *ShardedEngine) FailArc(a digraph.ArcID) (StormReport, error) {
 // RestoreArc repairs a cut arc and runs the re-admission sweeps on the
 // owning component's lanes (region first, overlay after the fold, with
 // a cross-lane revival chance at the end). It returns how many dark
-// entries revived. Restoring an unknown or uncut arc is an error with
-// no state change; after Close it returns ErrEngineClosed.
+// entries revived. Restoring an unknown or uncut arc, or the arc of a
+// capacity add a lane refused (see AddArc), is an error with no state
+// change; after Close it returns ErrEngineClosed.
 func (e *ShardedEngine) RestoreArc(a digraph.ArcID) (int, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -109,6 +110,9 @@ func (e *ShardedEngine) RestoreArc(a digraph.ArcID) (int, error) {
 	g := e.net.Topology
 	if a < 0 || int(a) >= g.NumArcs() {
 		return 0, fmt.Errorf("wdm: arc %d out of range [0,%d)", a, g.NumArcs())
+	}
+	if e.refused[a] {
+		return 0, fmt.Errorf("wdm: arc %d: a lane refused its capacity add", a)
 	}
 	if err := g.RestoreArc(a); err != nil {
 		return 0, err

@@ -13,7 +13,7 @@ import (
 // multiComponentNetwork builds a topology with several nontrivial
 // weakly connected components (disjoint union of Theorem 1 DAGs).
 func multiComponentNetwork(t testing.TB, comps int, seed int64) *Network {
-	return &Network{Topology: opsFixture(t, opsFixtureID(opsUnion, comps, 12), seed)}
+	return &Network{Topology: opsFixture(t, opsFixtureID(opsUnion, comps, 12, opsEnds3), seed)}
 }
 
 // TestShardedDispatchErrors pins the O(1) dispatcher rejections.

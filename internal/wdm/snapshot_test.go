@@ -181,49 +181,6 @@ func TestSnapshotPinnedAcrossChurn(t *testing.T) {
 	}
 }
 
-// TestSnapshotPostClose freezes an engine and checks the lock-free
-// reads keep answering from the final published snapshot, with Closed
-// reported and mutations rejected.
-func TestSnapshotPostClose(t *testing.T) {
-	net := multiComponentNetwork(t, 3, 71)
-	eng, err := net.NewShardedEngine(WithShardWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := route.NewRouter(net.Topology).AllToAll()
-	var ids []ShardedID
-	for i := 0; i < 20; i++ {
-		if id, err := eng.Add(pool[i%len(pool)]); err == nil {
-			ids = append(ids, id)
-		}
-	}
-	wantLen := eng.Len()
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s := eng.Snapshot()
-	defer s.Release()
-	if !s.Closed() {
-		t.Fatal("snapshot after Close does not report Closed")
-	}
-	if eng.Len() != wantLen || s.Len() != wantLen {
-		t.Fatalf("post-Close Len = %d (snapshot %d), want %d", eng.Len(), s.Len(), wantLen)
-	}
-	if _, err := eng.Path(ids[0]); err != nil {
-		t.Fatalf("post-Close Path: %v", err)
-	}
-	if loads := eng.ArcLoads(); len(loads) != net.Topology.NumArcs() {
-		t.Fatalf("post-Close ArcLoads len = %d", len(loads))
-	}
-	seq := s.Seq()
-	if _, err := eng.Add(pool[0]); !errors.Is(err, ErrEngineClosed) {
-		t.Fatalf("Add after Close: %v", err)
-	}
-	if lastSeqOf(eng) != seq {
-		t.Fatal("rejected mutation advanced the snapshot sequence")
-	}
-}
-
 // TestSnapshotQueryAllocs pins the zero-allocation guarantee of the
 // hot query path: scalar reads and buffer-reusing loads must not
 // allocate at all, and ArcLoads at most once (the returned copy).

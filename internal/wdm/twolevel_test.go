@@ -15,7 +15,7 @@ import (
 // connected component: the layout component sharding cannot split, and
 // the reason the two-level engine exists.
 func giantComponentNetwork(t testing.TB, parts int, seed int64) *Network {
-	return &Network{Topology: opsFixture(t, opsFixtureID(opsGlued, parts, 14), seed)}
+	return &Network{Topology: opsFixture(t, opsFixtureID(opsGlued, parts, 14, opsEnds3), seed)}
 }
 
 // twoLevelEngine opens a two-level engine on net and fails the test if

@@ -423,11 +423,13 @@
 //
 // The engine clones the topology on the first add: the caller's
 // Network and previously pinned snapshots are never mutated.
-// EngineStats counts the adds. The randomized AddArc equivalence test
-// pins every shape: after any mix of churn, cuts and adds the engine's
-// merged provisioning must re-admit path-for-path into a from-scratch
-// session on the final topology with exactly equal π, a proper merged
-// coloring, and λ within the budget.
+// EngineStats counts the adds. An add that a lane's routing refuses
+// (UPP routing when the arc breaks unique paths) leaves the arc in the
+// graph, failed for good: RestoreArc refuses it. The op-stream fuzzer
+// of internal/wdm pins every shape: after any mix of churn, cuts and
+// adds the engine's routes, π and loads must equal a from-scratch
+// model's, its merged coloring must be proper, and λ must stay within
+// the budget.
 //
 // The sub-packages under internal/ hold the implementation; this package
 // re-exports the stable API.
