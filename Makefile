@@ -68,14 +68,18 @@ examples:
 
 # Ten seconds per fuzz target: enough to exercise the generators and
 # the oracles on every CI run without turning the gate into a soak.
+# FuzzEngineOps runs ~1 ms per input, so Go's default of up to 60 s of
+# minimizing per new interesting input would stall its fuzzing; 100
+# runs per input bound that.
 fuzzsmoke:
 	$(GO) test -run=NONE -fuzz=FuzzTheorem1Precheck -fuzztime=10s ./internal/wdm
 	$(GO) test -run=NONE -fuzz=FuzzProvisionOracle -fuzztime=10s ./internal/wdm
-	$(GO) test -run=NONE -fuzz=FuzzEngineOps -fuzztime=10s ./internal/wdm
+	$(GO) test -run=NONE -fuzz=FuzzEngineOps -fuzztime=10s -fuzzminimizetime=100x ./internal/wdm
 	$(GO) test -run=NONE -fuzz=FuzzPartitionRegions -fuzztime=10s ./internal/digraph
 	$(GO) test -run=NONE -fuzz=FuzzMinLoadPath -fuzztime=10s ./internal/route
 	$(GO) test -run=NONE -fuzz=FuzzIncrementalOps -fuzztime=10s ./internal/core
 	$(GO) test -run=NONE -fuzz=FuzzTheorem1Peel -fuzztime=10s ./internal/core
+	$(GO) test -run=NONE -fuzz=FuzzDSATURIncidence -fuzztime=10s ./internal/core
 	$(GO) test -run=NONE -fuzz=FuzzFaultSchedule -fuzztime=10s ./internal/gen
 	$(GO) test -run=NONE -fuzz=FuzzRequestPools -fuzztime=10s ./internal/gen
 

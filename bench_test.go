@@ -559,6 +559,96 @@ func BenchmarkSubshardChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkFlatLaneChurn measures the flat lane, the layout of one lane
+// per component, on churn-giant's shape: 8 glued parts of 64 vertices
+// under a 90%-part-local pool, min-load routing, budget 20, about 1000
+// live paths and 256-op batches of removes and adds, with sub-sharding
+// off and one engine worker. The glued component has internal cycles,
+// so its lane admits with the color-then-rollback probe and recolors
+// cold through DSATUR; refused adds are part of the work, and a slot
+// whose add was refused is refilled by a later add.
+func BenchmarkFlatLaneChurn(b *testing.B) {
+	parts := make([]*wavedag.Graph, 8)
+	for i := range parts {
+		g, err := gen.RandomNoInternalCycleDAG(64, 6, 6, 0.2, int64(53+i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		parts[i] = g
+	}
+	topo, partVerts, err := gen.GlueChain(parts...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pairs := gen.LocalityRequestPool(topo, partVerts, 0.9, 8000, 57)
+	pool := make([]wavedag.Request, len(pairs))
+	for i, p := range pairs {
+		pool[i] = wavedag.Request{Src: p[0], Dst: p[1]}
+	}
+	net := &wavedag.Network{Topology: topo}
+	eng, err := net.NewShardedEngine(
+		wavedag.WithSubshardThreshold(0),
+		wavedag.WithShardWorkers(1),
+		wavedag.WithShardSessionOptions(wavedag.WithRoutingPolicy(wavedag.RouteMinLoad)),
+		wavedag.WithEngineWavelengthBudget(20))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	const live, batch = 1000, 256
+	ids := make([]wavedag.ShardedID, live)
+	held := make([]bool, live) // ids[k] is live
+	ops := make([]wavedag.BatchOp, 0, batch)
+	slots := make([]int, 0, batch) // the slot of each op's add, -1 for a remove
+	var results []wavedag.BatchResult
+	next := 0
+	flush := func() {
+		results = eng.ApplyBatchInto(ops, results)
+		for j, res := range results {
+			k := slots[j]
+			switch {
+			case k < 0:
+				if res.Err != nil {
+					b.Fatal(res.Err)
+				}
+			case res.Err == nil:
+				ids[k], held[k] = res.ID, true
+			case !errors.Is(res.Err, wavedag.ErrBudgetExceeded):
+				b.Fatal(res.Err)
+			}
+		}
+		ops, slots = ops[:0], slots[:0]
+	}
+	// step queues the churn of slot k: its path leaves, a new one comes.
+	step := func(k int) {
+		if held[k] {
+			ops = append(ops, wavedag.RemoveOp(ids[k]))
+			slots = append(slots, -1)
+			held[k] = false
+		}
+		ops = append(ops, wavedag.AddOp(pool[next%len(pool)]))
+		slots = append(slots, k)
+		next += 13
+		if len(ops) >= batch-1 {
+			flush()
+		}
+	}
+	for k := 0; k < live; k++ {
+		step(k)
+	}
+	flush()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step((i * 17) % live)
+	}
+	flush()
+	b.StopTimer()
+	if err := eng.Verify(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkAdmissionChurn measures the budgeted engines on the
 // blocking-probability workload: a hotspot-concentrated overload trace
 // against a finite wavelength budget — the plain session and the

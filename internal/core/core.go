@@ -80,7 +80,14 @@ func ColorDAG(g *digraph.Digraph, fam dipath.Family) (*Result, Method, error) {
 // dispatch is otherwise identical; feeding it paths built against a
 // different graph may panic instead of returning an error.
 func ColorDAGPrevalidated(g *digraph.Digraph, fam dipath.Family) (*Result, Method, error) {
-	count := cycles.IndependentCycleCount(g)
+	return colorDAGCounted(g, fam, cycles.IndependentCycleCount(g))
+}
+
+// colorDAGCounted is ColorDAGPrevalidated given g's independent cycle
+// count, which a caller that colors one graph many times caches. The
+// DSATUR fallback reads the family's arc incidence (see dsatur) and
+// runs in the caller's goroutine.
+func colorDAGCounted(g *digraph.Digraph, fam dipath.Family, count int) (*Result, Method, error) {
 	if count == 0 {
 		res, err := peelTheorem1(g, fam)
 		return res, MethodTheorem1, err
@@ -91,9 +98,7 @@ func ColorDAGPrevalidated(g *digraph.Digraph, fam dipath.Family) (*Result, Metho
 			return res, MethodTheorem6, err
 		}
 	}
-	cg := conflict.FromFamily(g, fam)
-	colors := cg.DSATURColoring()
-	return newResult(colors, load.Pi(g, fam)), MethodDSATUR, nil
+	return newResult(dsatur(g, fam), load.Pi(g, fam)), MethodDSATUR, nil
 }
 
 // Verify checks that res is a proper wavelength assignment for fam on g

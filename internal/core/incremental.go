@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"wavedag/internal/conflict"
+	"wavedag/internal/cycles"
 	"wavedag/internal/digraph"
 	"wavedag/internal/dipath"
 )
@@ -93,7 +94,22 @@ type Incremental struct {
 
 	// warm-recolor scratch, reused across recolors.
 	warmOrder []int
+	warmFrom  []int
 	classIdx  []int
+
+	// mutations counts the color changes of slots (setColor, uncolor).
+	// idleRepack reports that the last warm repack moved no color, and
+	// idleRepackAt is mutations right after it: while the count stands,
+	// the live assignment is that repack's fixed point, so another repack
+	// would move nothing either (see AddUnderLimit).
+	mutations    uint64
+	idleRepack   bool
+	idleRepackAt uint64
+
+	// cycleCount caches cycles.IndependentCycleCount(g) for the cold
+	// recolor, keyed on g's arc and vertex counts, which only grow.
+	cycleCount            int
+	cycleArcs, cycleVerts int
 }
 
 // NewIncremental returns an empty incremental colorer for dipaths of g.
@@ -279,19 +295,28 @@ func (ic *Incremental) widen(c int) {
 func (ic *Incremental) uncolor(s int) {
 	ic.markArcs(s, ic.colors[s], false)
 	ic.colors[s] = -1
+	ic.mutations++
 }
 
 // setColor assigns color c to slot s and updates the class bookkeeping
 // and the masks of s's arcs.
 func (ic *Incremental) setColor(s, c int) {
 	for len(ic.classes) <= c {
-		ic.classes = append(ic.classes, nil)
+		// Regrow over the classes a palette shrink truncated away, so
+		// their backing arrays are reused.
+		if n := len(ic.classes); n < cap(ic.classes) {
+			ic.classes = ic.classes[:n+1]
+			ic.classes[n] = ic.classes[n][:0]
+		} else {
+			ic.classes = append(ic.classes, nil)
+		}
 	}
 	if c >= 64*ic.words {
 		ic.widen(c)
 	}
 	ic.markArcs(s, c, true)
 	ic.colors[s] = c
+	ic.mutations++
 	if len(ic.classes[c]) == 0 {
 		ic.numUsed++
 	}
@@ -424,9 +449,11 @@ func (ic *Incremental) maybeFullRecolor() {
 // instead of the arrival-order prefix that produced the drift. Cost is
 // O(Σ len(path)) mask words over the live family, versus the cold
 // pipeline's conflict-graph rebuild plus theorem run, so drifts it
-// absorbs cost a repair, not a spike.
+// absorbs cost a repair, not a spike. It records in idleRepack whether
+// the repack left every slot's color where it was.
 func (ic *Incremental) warmRecolor() {
 	if ic.numUsed == 0 {
+		ic.idleRepack, ic.idleRepackAt = true, ic.mutations
 		return
 	}
 	// Snapshot the class-grouped order before tearing the classes down.
@@ -439,9 +466,12 @@ func (ic *Incremental) warmRecolor() {
 	slices.SortStableFunc(ic.classIdx, func(a, b int) int {
 		return len(ic.classes[b]) - len(ic.classes[a])
 	})
-	ic.warmOrder = ic.warmOrder[:0]
+	ic.warmOrder, ic.warmFrom = ic.warmOrder[:0], ic.warmFrom[:0]
 	for _, c := range ic.classIdx {
 		ic.warmOrder = append(ic.warmOrder, ic.classes[c]...)
+		for range ic.classes[c] {
+			ic.warmFrom = append(ic.warmFrom, c)
+		}
 	}
 	limit := ic.numUsed // greedy over class groups is guaranteed to fit
 	for _, s := range ic.warmOrder {
@@ -454,18 +484,22 @@ func (ic *Incremental) warmRecolor() {
 		ic.classes[c] = ic.classes[c][:0]
 	}
 	ic.numUsed = 0
-	for _, s := range ic.warmOrder {
-		ic.setColor(s, ic.firstFit(s, limit))
+	moved := false
+	for i, s := range ic.warmOrder {
+		c := ic.firstFit(s, limit)
+		ic.setColor(s, c)
+		moved = moved || c != ic.warmFrom[i]
 	}
 	// First-fit leaves no palette holes: a color is used only when every
 	// lower one was blocked by an already-colored slot, so density holds
 	// without a compaction pass. The warmRecolors counter is maintained
 	// by fullRecolor, which alone knows whether this pass absorbed the
 	// drift or fell through to the cold pipeline.
+	ic.idleRepack, ic.idleRepackAt = !moved, ic.mutations
 }
 
 // fullRecolor reassigns every live slot from a from-scratch ColorDAG run
-// (falling back to DSATUR on the live family's conflict graph if the
+// (falling back to DSATUR from the live family's arc incidence if the
 // pipeline errors, which keeps the session alive on adversarial inputs).
 func (ic *Incremental) fullRecolor() {
 	// Warm start: reseed from the surviving color classes first. When the
@@ -508,7 +542,10 @@ func (ic *Incremental) fullRecolor() {
 
 // coldRecolor is the from-scratch tail of fullRecolor: run the
 // strongest applicable theorem over the live family and rebuild the
-// incremental bookkeeping from its answer.
+// incremental bookkeeping from its answer. On a graph with internal
+// cycles outside Theorem 6 that is DSATUR, read off the family's arc
+// incidence in the caller's goroutine (see dsatur), so an engine's
+// worker bound also bounds its cold recolors.
 func (ic *Incremental) coldRecolor() {
 	ic.warmSinceCold = 0
 	slots := ic.dyn.LiveSlots()
@@ -519,10 +556,10 @@ func (ic *Incremental) coldRecolor() {
 	var colors []int
 	// The live paths were validated when conflict.Dynamic admitted them,
 	// so the cold run skips the per-call family revalidation too.
-	if res, _, err := ColorDAGPrevalidated(ic.g, fam); err == nil {
+	if res, _, err := colorDAGCounted(ic.g, fam, ic.independentCycles()); err == nil {
 		colors = res.Colors
 	} else {
-		colors = conflict.FromFamily(ic.g, fam).DSATURColoring()
+		colors = dsatur(ic.g, fam)
 	}
 	// Rebuild the class bookkeeping from the fresh assignment, then
 	// re-densify: Theorem 6 colorings can skip indices (a permutation
@@ -543,6 +580,16 @@ func (ic *Incremental) coldRecolor() {
 	} else {
 		ic.futileNum = 0
 	}
+}
+
+// independentCycles returns cycles.IndependentCycleCount of the
+// colorer's graph, recounted only when the graph gained an arc or a
+// vertex since the last count.
+func (ic *Incremental) independentCycles() int {
+	if m, n := ic.g.NumArcs(), ic.g.NumVertices(); m != ic.cycleArcs || n != ic.cycleVerts {
+		ic.cycleCount, ic.cycleArcs, ic.cycleVerts = cycles.IndependentCycleCount(ic.g), m, n
+	}
+	return ic.cycleCount
 }
 
 // EnsureAtMost tries to bring the live assignment to at most limit
@@ -571,7 +618,10 @@ func (ic *Incremental) EnsureAtMost(limit int) int {
 // palette is fragmented — one warm class-seeded repack and a retry.
 // On rejection the conflict insertion is rolled back, so no dipath is
 // admitted: the live family is exactly as before (the repack may have
-// permuted colors, but never onto more wavelengths). This is the
+// permuted colors, but never onto more wavelengths). The repack is
+// skipped when the last one moved no color and no color has moved
+// since: the assignment is then the repack's fixed point, so the
+// skipped call would have changed nothing. This is the
 // general-DAG budget admission probe: unlike the Theorem-1 load test it
 // costs up to O(Σ len(path)), but it never disturbs the λ ≤ limit
 // invariant of the paths already admitted. limit <= 0 means unlimited
@@ -587,7 +637,7 @@ func (ic *Incremental) AddUnderLimit(p *dipath.Path, limit int) (slot int, ok bo
 	}
 	ic.ensureSlot(s)
 	c := ic.firstFit(s, limit)
-	if c < 0 && ic.numUsed > 0 {
+	if c < 0 && ic.numUsed > 0 && !(ic.idleRepack && ic.mutations == ic.idleRepackAt) {
 		// All limit colors are blocked by neighbours; a repack of the live
 		// assignment (s is still uncolored, so it does not participate) may
 		// compact the palette enough to free one.

@@ -16,9 +16,11 @@ import "wavedag/internal/digraph"
 // arenaMinBlock to arenaMaxBlock elements; a request longer than the
 // next block gets a block of exactly its length.
 //
-// The zero value is ready to use. A nil *Arena allocates every slice
-// and path on its own, so callers can take an optional arena without a
-// second code path. An Arena is not safe for concurrent use.
+// The zero value is ready to use. A nil *Arena allocates each path on
+// its own, so callers can take an optional arena without a second code
+// path: a route of up to 8 arcs is one allocation, the header and both
+// sequences carved from one object, and a longer one is three (see
+// Carve). An Arena is not safe for concurrent use.
 type Arena struct {
 	arcs     []digraph.ArcID  // unused tail of the current arc block
 	vertices []digraph.Vertex // unused tail of the current vertex block
@@ -47,15 +49,31 @@ func nextBlock(prev, n int) int {
 // to fill in place: arcs[i] must run from vertices[i] to
 // vertices[i+1]. Nothing checks that they do, so Carve is for builders
 // that have the chain by construction, such as a router walking its
-// predecessor arcs; the path must not be read until it is filled. A
-// nil arena allocates the three on their own.
+// predecessor arcs; the path must not be read until it is filled.
+//
+// A nil arena carves a path of up to 8 arcs, its header and both
+// sequences, from one object of a fixed-size type (one for up to 4
+// arcs, one for up to 8), so a routed path costs one allocation; the
+// object lives as long as any of the three does. A longer path
+// allocates the three on their own. Either way both slices are capped
+// at their length, as an arena's are.
 //
 //wavedag:lockfree
 //wavedag:allow-alloc (path construction)
 func (a *Arena) Carve(hops int) (p *Path, arcs []digraph.ArcID, vertices []digraph.Vertex) {
 	if a == nil {
-		arcs, vertices = make([]digraph.ArcID, hops), make([]digraph.Vertex, hops+1)
-		return &Path{vertices: vertices, arcs: arcs}, arcs, vertices
+		switch n := hops + 1; {
+		case hops <= 4:
+			c := new(carved4)
+			p, arcs, vertices = &c.path, c.arcs[:hops:hops], c.vertices[:n:n]
+		case hops <= 8:
+			c := new(carved8)
+			p, arcs, vertices = &c.path, c.arcs[:hops:hops], c.vertices[:n:n]
+		default:
+			p, arcs, vertices = new(Path), make([]digraph.ArcID, hops), make([]digraph.Vertex, n)
+		}
+		*p = Path{vertices: vertices, arcs: arcs}
+		return p, arcs, vertices
 	}
 	if len(a.arcs) < hops {
 		a.arcBlock = nextBlock(a.arcBlock, hops)
@@ -79,3 +97,19 @@ func (a *Arena) Carve(hops int) (p *Path, arcs []digraph.ArcID, vertices []digra
 	*p = Path{vertices: vertices, arcs: arcs}
 	return p, arcs, vertices
 }
+
+// carved4 and carved8 are one allocation each, holding a path's header
+// and the backing arrays of both its sequences, for a nil arena's
+// routes of up to 4 and up to 8 arcs.
+type (
+	carved4 struct {
+		path     Path
+		arcs     [4]digraph.ArcID
+		vertices [5]digraph.Vertex
+	}
+	carved8 struct {
+		path     Path
+		arcs     [8]digraph.ArcID
+		vertices [9]digraph.Vertex
+	}
+)

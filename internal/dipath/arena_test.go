@@ -97,14 +97,32 @@ func TestArenaFullSliceCaps(t *testing.T) {
 }
 
 // TestArenaNil checks that a nil arena allocates each path on its own,
-// with the same result as the package-level constructor.
+// with the same result as the package-level constructor, both slices
+// capped at their length, and one allocation for a path of up to 8
+// arcs (three beyond).
 func TestArenaNil(t *testing.T) {
-	g := chain(6)
+	g := chain(14)
 	var arena *Arena
-	p := carve(g, arena, 1, 4)
-	checkChainPath(t, g, p, 1, 4)
-	if want := FromArcsTrusted(g, 1, 2, 3, 4); !p.Equal(want) {
-		t.Fatalf("nil arena %v, FromArcsTrusted %v", p, want)
+	for k := 1; k <= 12; k++ {
+		p := carve(g, arena, 1, k)
+		checkChainPath(t, g, p, 1, k)
+		arcs := make([]digraph.ArcID, k)
+		for i := range arcs {
+			arcs[i] = digraph.ArcID(1 + i)
+		}
+		if want := FromArcsTrusted(g, arcs...); !p.Equal(want) {
+			t.Fatalf("nil arena %v, FromArcsTrusted %v", p, want)
+		}
+		if cap(p.Arcs()) != k || cap(p.Vertices()) != k+1 {
+			t.Fatalf("%d arcs: caps %d/%d", k, cap(p.Arcs()), cap(p.Vertices()))
+		}
+		want := 1.0
+		if k > 8 {
+			want = 3
+		}
+		if n := testing.AllocsPerRun(10, func() { arena.Carve(k) }); n != want {
+			t.Fatalf("%d arcs: %v allocations, want %v", k, n, want)
+		}
 	}
 }
 

@@ -74,7 +74,8 @@ type AdmissionState interface {
 // works through: the rejected request and its routed path, read access
 // to the live loads, and the two commit doors (budget-checked and
 // best-effort). The id returned by a successful commit is the one the
-// strategy must hand back from Admit.
+// strategy must hand back from Admit. The session reuses one context
+// for every offer, so it is valid only until Admit returns.
 type AdmissionContext struct {
 	s    *Session
 	req  route.Request

@@ -50,11 +50,14 @@ type Session struct {
 
 	// Budgeted admission (see WithWavelengthBudget). cycleFree gates the
 	// Theorem-1 precheck; rollbackProbe is the ablation knob forcing the
-	// general-DAG color-then-rollback path.
+	// general-DAG color-then-rollback path. budgetErr is the error every
+	// refused Add returns, built once because the budget is fixed.
 	budget         int
+	budgetErr      error
 	cycleFree      bool
 	rollbackProbe  bool
 	admission      AdmissionState
+	admitCtx       AdmissionContext // the context of the offer under Admit
 	stats          AdmissionStats
 	bestEffortLive int
 
@@ -65,15 +68,15 @@ type Session struct {
 	// Survivability (see survive.go): dark-parked entries, failure
 	// counters, the slot→entry reverse index the
 	// arc-incidence affected lookup resolves through, the lazily built
-	// detour router, the engine's path-delta observer, and the
-	// revival sweeps' scratch.
+	// detour router, the engine's path-delta observer, and the dark
+	// queue the revival sweeps walk in park order.
 	dark          int
 	darkSeq       uint64
 	failStats     FailureStats
 	slotEntry     []int32
 	stormRouter   *route.Router
 	pathDeltaHook func(add bool, p *dipath.Path)
-	darkRefs      []int32
+	darkQueue     []darkRef
 }
 
 // colorer is the session's coloring layer. *core.Incremental is its
@@ -252,6 +255,7 @@ func (n *Network) NewSession(opts ...SessionOption) (*Session, error) {
 		// internal cycle; one O(V+A) scan at construction decides which
 		// admission path every later offer takes.
 		s.cycleFree = !cycles.HasInternalCycle(n.Topology)
+		s.budgetErr = fmt.Errorf("wdm: admission: %w (budget %d)", ErrBudgetExceeded, cfg.budget)
 	}
 	return s, nil
 }
@@ -304,15 +308,17 @@ func (s *Session) NumLambda() (int, error) { return s.coloring.NumLambda(), nil 
 // Add routes req, runs budget admission when one is configured,
 // inserts the request into the conflict and load state, assigns a
 // wavelength, and returns its id. On a budgeted session a rejection is
-// an error wrapping ErrBudgetExceeded; TryAdd reports the same outcome
-// without the error detour.
+// an error wrapping ErrBudgetExceeded. The session builds that error
+// once and returns the same value for every rejection, so a refusal
+// costs no allocation; callers must not rely on its identity beyond
+// errors.Is. TryAdd reports the same outcome without the error detour.
 func (s *Session) Add(req route.Request) (SessionID, error) {
 	id, adm, err := s.TryAdd(req)
 	if err != nil {
 		return 0, err
 	}
 	if !adm.Accepted {
-		return 0, fmt.Errorf("wdm: admission: %w (budget %d)", ErrBudgetExceeded, s.budget)
+		return 0, s.budgetErr
 	}
 	return id, nil
 }
@@ -391,7 +397,9 @@ func (s *Session) tryAdmit(req route.Request, p *dipath.Path) (SessionID, Admiss
 		s.stats.Accepted++
 		return id, Admission{Accepted: true}, nil
 	}
-	id, adm, err := s.admission.Admit(&AdmissionContext{s: s, req: req, path: p})
+	s.admitCtx = AdmissionContext{s: s, req: req, path: p}
+	id, adm, err := s.admission.Admit(&s.admitCtx)
+	s.admitCtx.path = nil
 	if err != nil {
 		return 0, Admission{}, err
 	}
@@ -767,8 +775,7 @@ func (s *Session) adoptDark(req route.Request, p *dipath.Path) SessionID {
 		idx = int32(len(s.entries) - 1)
 	}
 	e := &s.entries[idx]
-	s.darkSeq++
-	e.alive, e.dark, e.slot, e.darkAt, e.noRouteAt, e.req, e.path = true, true, -1, s.darkSeq, 0, req, p
+	e.alive, e.dark, e.slot, e.darkAt, e.noRouteAt, e.req, e.path = true, true, -1, s.enqueueDark(idx), 0, req, p
 	s.dark++
 	return packID(idx, e.gen)
 }
@@ -784,6 +791,7 @@ func (s *Session) drainRetire() {
 	s.entries = s.entries[:0]
 	s.freeIdx = s.freeIdx[:0]
 	s.slotEntry = s.slotEntry[:0]
+	s.darkQueue = s.darkQueue[:0]
 	s.live, s.dark, s.bestEffortLive = 0, 0, 0
 }
 

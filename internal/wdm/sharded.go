@@ -741,8 +741,13 @@ func (e *ShardedEngine) resolveID(id ShardedID) (*engineShard, SessionID, error)
 // error back to the engine topology, so callers never see ids from the
 // compact shard view (which name different global vertices). prefix
 // restores the operation context the rebuilt error would otherwise lose
-// ("wdm: routing" / "wdm: rerouting").
+// ("wdm: routing" / "wdm: rerouting"). The session's budget refusal
+// names no vertex, so it is returned as it is, without the errors.As
+// walk.
 func (sh *engineShard) globalizeErr(prefix string, err error) error {
+	if err == sh.sess.budgetErr {
+		return err
+	}
 	var nr route.ErrNoRoute
 	if !errors.As(err, &nr) {
 		return err

@@ -1,8 +1,6 @@
 package wdm
 
 import (
-	"cmp"
-	"slices"
 	"sort"
 
 	"wavedag/internal/digraph"
@@ -178,7 +176,7 @@ func (s *Session) storm(idxs []int32) StormReport {
 			rep.Restored++
 			s.failStats.Restored++
 		} else {
-			s.park(e)
+			s.park(idx, e)
 			rep.Parked++
 		}
 	}
@@ -237,10 +235,9 @@ func (s *Session) detourRouter() *route.Router {
 // park flags a storm-affected entry dark: it keeps its id and its last
 // route for inspection, but leaves the live set (λ, π, IDs, snapshots)
 // until a revival sweep brings it back.
-func (s *Session) park(e *sessionEntry) {
+func (s *Session) park(idx int32, e *sessionEntry) {
 	e.dark = true
-	s.darkSeq++
-	e.darkAt = s.darkSeq
+	e.darkAt = s.enqueueDark(idx)
 	e.noRouteAt = 0
 	if e.bestEffort {
 		e.bestEffort = false
@@ -267,8 +264,8 @@ func (s *Session) reviveDark() int {
 		return 0
 	}
 	revived := 0
-	for _, idx := range s.darkOrder() {
-		if s.reviveOne(idx, &s.entries[idx]) {
+	for _, r := range s.darkOrder() {
+		if s.reviveOne(r.idx, &s.entries[r.idx]) {
 			revived++
 		}
 	}
@@ -278,21 +275,41 @@ func (s *Session) reviveDark() int {
 	return revived
 }
 
-// darkOrder returns the indices of the dark entries, oldest park first,
-// in the session's scratch slice (valid until the next call). The
-// darkAt stamps are unique, since darkSeq only grows.
-func (s *Session) darkOrder() []int32 {
-	refs := s.darkRefs[:0]
-	for idx := range s.entries {
-		if e := &s.entries[idx]; e.alive && e.dark {
-			refs = append(refs, int32(idx))
+// darkRef is one entry of the session's dark queue: the index of an
+// entry parked dark and the darkAt stamp it was parked with.
+type darkRef struct {
+	idx int32
+	at  uint64
+}
+
+// enqueueDark stamps a new park of the entry at idx and appends it to
+// the dark queue; it returns the stamp for the entry's darkAt. Stamps
+// only grow, so the queue is in park order.
+func (s *Session) enqueueDark(idx int32) uint64 {
+	s.darkSeq++
+	s.darkQueue = append(s.darkQueue, darkRef{idx: idx, at: s.darkSeq})
+	return s.darkSeq
+}
+
+// darkOrder returns the dark entries, oldest park first. A queued ref
+// is stale once its entry was released, revived or parked again (each
+// moves darkAt off the ref's stamp); darkOrder drops the stale refs in
+// place and returns the queue itself, valid until the next park or
+// darkOrder. The queue thus holds the dark entries plus the stale refs
+// of the parks since the last sweep.
+func (s *Session) darkOrder() []darkRef {
+	if s.dark == 0 {
+		s.darkQueue = s.darkQueue[:0]
+		return nil
+	}
+	q := s.darkQueue[:0]
+	for _, r := range s.darkQueue {
+		if e := &s.entries[r.idx]; e.alive && e.dark && e.darkAt == r.at {
+			q = append(q, r)
 		}
 	}
-	slices.SortFunc(refs, func(a, b int32) int {
-		return cmp.Compare(s.entries[a].darkAt, s.entries[b].darkAt)
-	})
-	s.darkRefs = refs
-	return refs
+	s.darkQueue = q
+	return q
 }
 
 // reviveOne attempts to relight one dark entry (primary route, then a
@@ -391,8 +408,8 @@ func (s *Session) DarkIDs() []SessionID {
 	}
 	refs := s.darkOrder()
 	ids := make([]SessionID, len(refs))
-	for i, idx := range refs {
-		ids[i] = packID(idx, s.entries[idx].gen)
+	for i, r := range refs {
+		ids[i] = packID(r.idx, s.entries[r.idx].gen)
 	}
 	return ids
 }

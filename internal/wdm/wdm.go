@@ -69,10 +69,13 @@ type Provisioning struct {
 // Provision runs routing (per the policy's built-in strategy) then
 // wavelength assignment (per the strongest applicable theorem) for the
 // requests, in one pass: each request is routed against a load tracker
-// of the paths routed before it, checked against failed arcs, validated
-// once and accounted; the family is then colored once, with π read off
-// the tracker. The result equals that of a Session filled with the
-// same requests whose live family is then colored once from scratch.
+// of the paths routed before it and accounted; the family is then
+// colored once, with π read off the tracker. UPP routing's paths are
+// also checked against failed arcs and validated; shortest and min-load
+// routing search live arcs only and assemble their paths from valid
+// predecessor chains, so their paths skip both checks. The result
+// equals that of a Session filled with the same requests whose live
+// family is then colored once from scratch.
 //
 // Shortest and min-load routing carve the paths of one Provisioning
 // from shared blocks (a dipath.Arena), so keeping any one of its paths
@@ -90,13 +93,15 @@ func (n *Network) Provision(reqs []route.Request, policy RoutingPolicy) (*Provis
 		if err != nil {
 			return nil, fmt.Errorf("wdm: routing: %w", err)
 		}
-		if crossesFailure(g, p) {
-			// Failure-blind strategies (UPP's unique routing) can propose a
-			// path over a cut fiber; to the caller that is no route.
-			return nil, fmt.Errorf("wdm: routing: %w", route.ErrNoRoute{Req: req})
-		}
-		if err := p.Validate(g); err != nil {
-			return nil, fmt.Errorf("wdm: coloring: %w", err)
+		if policy == RouteUPP {
+			// UPP's unique routing is failure-blind: it can propose a path
+			// over a cut fiber, which to the caller is no route.
+			if crossesFailure(g, p) {
+				return nil, fmt.Errorf("wdm: routing: %w", route.ErrNoRoute{Req: req})
+			}
+			if err := p.Validate(g); err != nil {
+				return nil, fmt.Errorf("wdm: coloring: %w", err)
+			}
 		}
 		tracker.Add(p)
 		fam[i] = p

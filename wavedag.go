@@ -44,7 +44,7 @@
 // The hot paths are engineered for batch workloads:
 //
 //   - The exact solvers (ChromaticNumber, CliqueNumber, OptimalColoring)
-//     and the DSATUR heuristic decompose the conflict graph into
+//     and the conflict graph's DSATUR heuristic decompose it into
 //     connected components first — χ and ω of a disjoint union are the
 //     maxima over components — so the exponential searches run on small
 //     subproblems, dispatched to a runtime.NumCPU()-bounded worker pool
@@ -52,6 +52,11 @@
 //     are canonicalized (exact adjacency bitmap) and solver results
 //     memoized, so disjoint unions of identical instances — replicated
 //     workloads, batched multi-tenant requests — pay for one solve.
+//   - Color's DSATUR fallback and the engine's cold recolor build no
+//     conflict graph: they read degrees and saturation off the family's
+//     arc incidence, in the caller's goroutine, and give the conflict
+//     graph's DSATUR colors exactly. So an engine's DSATUR recolors
+//     start no goroutine beyond the WithShardWorkers bound.
 //   - Inner loops are allocation-free: candidate sets and palettes are
 //     bitsets (Tomita-style MaxClique with word-parallel coloring
 //     bounds), the exact-coloring search maintains vertex saturation
